@@ -146,6 +146,57 @@ std::vector<double> AdaptiveValues(const UtilityFunction& fn, int gamma,
   return adaptive->values;
 }
 
+std::vector<double> StratifiedValues(const UtilityFunction& fn, int gamma,
+                                     uint64_t seed, SvScheme scheme,
+                                     PairPolicy policy) {
+  UtilityCache cache(&fn);
+  UtilitySession session(&cache);
+  StratifiedConfig config;
+  config.total_rounds = gamma;
+  config.seed = seed;
+  config.scheme = scheme;
+  config.pair_policy = policy;
+  Result<ValuationResult> stratified =
+      StratifiedSamplingShapley(session, config);
+  FEDSHAP_CHECK_OK(stratified.status());
+  return stratified->values;
+}
+
+/// Fixed-allocation stratified sampling (Alg. 1 with the round-robin
+/// default split) at fixed seeds, under both SV schemes and both pair
+/// policies: pins the draw stream, duplicate collapsing and the pairing
+/// pass.
+TEST(GoldenValues, FixedStratified) {
+  struct Case {
+    const char* tag;
+    SvScheme scheme;
+    PairPolicy policy;
+  };
+  const Case cases[] = {
+      {"mc_sampled", SvScheme::kMarginal, PairPolicy::kRequireSampled},
+      {"mc_ondemand", SvScheme::kMarginal, PairPolicy::kEvaluateOnDemand},
+      {"cc_sampled", SvScheme::kComplementary, PairPolicy::kRequireSampled},
+      {"cc_ondemand", SvScheme::kComplementary,
+       PairPolicy::kEvaluateOnDemand},
+  };
+  GoldenMap actual;
+  {
+    TableUtility fn = testing_util::MonotoneTable(6);
+    for (const Case& c : cases) {
+      actual.emplace_back(std::string("monotone6_g30_s11_") + c.tag,
+                          StratifiedValues(fn, 30, 11, c.scheme, c.policy));
+    }
+  }
+  {
+    TableUtility fn = testing_util::RandomTable(7, 99);
+    for (const Case& c : cases) {
+      actual.emplace_back(std::string("random7_g44_s3_") + c.tag,
+                          StratifiedValues(fn, 44, 3, c.scheme, c.policy));
+    }
+  }
+  CheckGolden("fixed_stratified", actual, kTableTol);
+}
+
 /// The adaptive (Neyman) stratified estimator at fixed seeds: pins the
 /// draw stream, the moment folding and every reallocation decision. Any
 /// change to the allocator — a reordered epoch, a different coverage
