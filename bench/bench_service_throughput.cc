@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
     partition_options.fault_specs = {"partition:nth=3"};
     partition_options.reconnect_base_ms = 25;
     partition_options.reconnect_cap_ms = 400;
-    partition_options.dispatcher.task_retry_ms = 200;
+    partition_options.dispatcher.rpc_deadline_ms = 2000;
     partition_options.dispatcher.degraded_grace_ms = 10000;  // heal, not
                                                              // degrade
     if (!run_cluster(partition_options, &tcp_partition_wall,

@@ -11,14 +11,14 @@ namespace fedshap {
 
 /// Exact Shapley value via the marginal-contribution scheme (Def. 3,
 /// Eq. 4): evaluates U on all 2^n coalitions. This is the paper's
-/// "MC-Shapley" baseline and the ground truth of every experiment.
-/// Requires n <= 25.
+/// "MC-Shapley" baseline and the ground truth of every experiment. Runs
+/// ExactSweep (core/resumable.h) to completion; requires n <= 20.
 Result<ValuationResult> ExactShapleyMc(UtilitySession& session);
 
 /// Exact Shapley value via the complementary-contribution scheme (Def. 4,
 /// Eq. 5). Identical values to ExactShapleyMc (the schemes are equivalent
 /// expressions); exercised by tests and the scheme-comparison benches.
-/// Requires n <= 25.
+/// Runs ExactSweep to completion; requires n <= 20.
 Result<ValuationResult> ExactShapleyCc(UtilitySession& session);
 
 /// Exact Shapley value via the permutation definition ("Perm-Shapley"):
@@ -37,8 +37,7 @@ double EstimateMcShapleySeconds(int n, double tau);
 /// The MC-scheme weight loop of ExactShapleyMc in isolation: exact SV
 /// from a full subset-utility table `u` where `u[mask]` is U(S) for the
 /// coalition whose members are the set bits of `mask` (2^n entries).
-/// Shared by the one-shot path and the resumable ExactMcSweep so both
-/// produce bit-identical values from the same utilities.
+/// ExactSweep finishes through it.
 std::vector<double> McShapleyFromSubsetUtilities(
     int n, const std::vector<double>& u);
 

@@ -49,6 +49,7 @@ std::vector<Coalition> BalancedCoalitionSample(int n, int size, int count,
 ///
 /// Utility evaluations: at most `total_rounds` coalitions, exploiting the
 /// key-combinations phenomenon (small coalitions dominate the value).
+/// Runs IpssSweep (core/resumable.h) to completion.
 Result<ValuationResult> IpssShapley(UtilitySession& session,
                                     const IpssConfig& config);
 
@@ -56,10 +57,8 @@ Result<ValuationResult> IpssShapley(UtilitySession& session,
 /// computed from already-evaluated utilities. `utilities` must contain
 /// every coalition of size <= k_star plus every member of
 /// `pruned_sample` (the sampled (k*+1)-stratum) and each sample's
-/// size-k* subsets obtained by removing one member. Shared by the
-/// one-shot IpssShapley and the resumable IpssSweep so both produce
-/// bit-identical estimates from the same evaluations. Fails with
-/// Internal when a required utility is missing.
+/// size-k* subsets obtained by removing one member. IpssSweep finishes
+/// through it. Fails with Internal when a required utility is missing.
 Result<std::vector<double>> IpssEstimateFromUtilities(
     int n, int k_star,
     const std::unordered_map<Coalition, double, CoalitionHash>& utilities,

@@ -226,8 +226,8 @@ IpssSweep::IpssSweep(int n, const IpssConfig& config)
     FailInit(Status::InvalidArgument("total_rounds must be >= 1"));
     return;
   }
-  // Mirrors IpssShapley exactly: exhaustive strata up to k*, then the
-  // balanced sample of the (k*+1)-stratum drawn from Rng(seed).
+  // Alg. 3 lines 1-14: exhaustive strata up to k*, then the balanced
+  // sample of the (k*+1)-stratum drawn from Rng(seed).
   k_star_ = IpssKStar(n, config.total_rounds);
   FEDSHAP_CHECK(k_star_ >= 0);
   std::vector<Coalition> plan;
@@ -266,6 +266,26 @@ Result<std::vector<double>> IpssSweep::Estimate(UtilitySession&) const {
   const std::vector<Coalition> pruned_sample(
       plan_.begin() + static_cast<ptrdiff_t>(exhaustive_count_),
       plan_.end());
+  // Observability: the sampled stratum's marginal-contribution spread,
+  // accumulated as the stratified framework's running moments (every
+  // pair S \ {i} has size k* and is exhaustively evaluated). The
+  // adaptive allocator (core/stratified.h) reads the same statistic
+  // when it decides where the next rounds go; here it tells an operator
+  // how noisy IPSS's one sampled stratum actually was. It costs a pass
+  // over the sample, so it is only computed when debug lines are kept.
+  if (k_star_ < n_ && GetLogLevel() <= LogLevel::kDebug) {
+    StratumMoments pruned_moments;
+    for (const Coalition& p : pruned_sample) {
+      const double u_p = utilities.at(p);
+      for (int i : p.Members()) {
+        const auto it = utilities.find(p.Without(i));
+        if (it != utilities.end()) pruned_moments.Add(u_p - it->second);
+      }
+    }
+    FEDSHAP_LOG(Debug) << "[ipss] pruned stratum k=" << (k_star_ + 1)
+                       << " samples=" << pruned_moments.count
+                       << " sigma=" << pruned_moments.StdDev();
+  }
   return IpssEstimateFromUtilities(n_, k_star_, utilities, pruned_sample);
 }
 
@@ -291,9 +311,9 @@ StratifiedSweep::StratifiedSweep(int n, const StratifiedConfig& config)
         "rounds_per_stratum must have n entries (m_1..m_n)"));
     return;
   }
-  // Mirrors StratifiedSamplingShapley's draw loop exactly: repeated
-  // i.i.d. draws per stratum, duplicates collapsed, the empty coalition
-  // always first.
+  // Alg. 1 lines 1-8: repeated i.i.d. draws per stratum, duplicates
+  // collapsed (the paper's S_k is a set), the empty coalition always
+  // first.
   Rng rng(config.seed);
   std::vector<std::unordered_set<Coalition, CoalitionHash>> sampled(n + 1);
   std::vector<Coalition> plan;
@@ -352,7 +372,7 @@ Result<std::vector<double>> StratifiedSweep::Estimate(
 ExactSweep::ExactSweep(int n, SvScheme scheme) : n_(n), scheme_(scheme) {
   if (n < 1 || n > 20) {
     FailInit(Status::InvalidArgument(
-        "resumable exact SV requires 1 <= n <= 20"));
+        "exact SV requires 1 <= n <= 20"));
     return;
   }
   const uint64_t total = uint64_t{1} << n;

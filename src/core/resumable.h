@@ -180,9 +180,8 @@ class CoalitionPlanSweep : public ResumableEstimator {
 };
 
 /// Resumable IPSS (Alg. 3): plan = the exhaustive <= k* strata followed
-/// by the balanced (k*+1)-stratum sample. Finishes through the same
-/// IpssEstimateFromUtilities as the one-shot IpssShapley, so a completed
-/// sweep reproduces its values bit-for-bit.
+/// by the balanced (k*+1)-stratum sample; finishes through
+/// IpssEstimateFromUtilities. IpssShapley is this sweep's Run.
 class IpssSweep : public CoalitionPlanSweep {
  public:
   /// Plans an IPSS sweep over `n` clients with the given budget/seed.
@@ -203,6 +202,7 @@ class IpssSweep : public CoalitionPlanSweep {
 /// Resumable unified stratified sampling (Alg. 1), MC or CC scheme. Plan
 /// = the empty coalition plus the distinct per-stratum draws, in draw
 /// order; finishes through StratifiedEstimateFromDraws.
+/// StratifiedSamplingShapley is this sweep's Run.
 class StratifiedSweep : public CoalitionPlanSweep {
  public:
   /// Plans a stratified sweep over `n` clients with the given config.
@@ -223,7 +223,7 @@ class StratifiedSweep : public CoalitionPlanSweep {
 /// Plan = every subset in mask order; finishes through
 /// McShapleyFromSubsetUtilities / CcShapleyFromSubsetUtilities per the
 /// chosen scheme. Requires n <= 20 (the snapshot materializes all 2^n
-/// recorded utilities).
+/// recorded utilities). ExactShapleyMc / ExactShapleyCc are its Run.
 class ExactSweep : public CoalitionPlanSweep {
  public:
   /// Plans the full 2^n sweep; `scheme` picks the final-estimate form.

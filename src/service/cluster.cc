@@ -99,13 +99,12 @@ Result<WorkerRegistration> DecodeWorkerRegistration(std::string_view payload) {
 int ClusterDispatcher::NextDeadlineMs(const MonitorDeadlines& deadlines) {
   // The clamp bounds wrong inputs, it is not the scheduling policy: the
   // wait is whichever timer class has the earliest real deadline, so a
-  // 50ms retry timer cannot be held hostage by a 10s heartbeat timer (or
-  // vice versa) the way a single heuristic tick could.
+  // 50ms breaker cooldown cannot be held hostage by a 10s heartbeat timer
+  // (or vice versa) the way a single heuristic tick could.
   constexpr int kMinTickMs = 10;
   constexpr int kMaxTickMs = 250;
   int wait = kMaxTickMs;
-  for (int candidate :
-       {deadlines.heartbeat_ms, deadlines.retry_ms, deadlines.breaker_ms}) {
+  for (int candidate : {deadlines.heartbeat_ms, deadlines.breaker_ms}) {
     if (candidate >= 0) wait = std::min(wait, candidate);
   }
   return std::max(wait, kMinTickMs);
@@ -120,28 +119,6 @@ void ClusterDispatcher::StartMonitorLocked() {
   if (!monitor_.joinable()) {
     monitor_ = std::thread([this] { MonitorLoop(); });
   }
-}
-
-void ClusterDispatcher::AddWorker(std::unique_ptr<FrameChannel> channel) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto worker = std::make_unique<WorkerState>();
-  worker->channel = std::shared_ptr<FrameChannel>(std::move(channel));
-  worker->alive = true;
-  worker->generation = 1;
-  worker->last_seen = Clock::now();
-  workers_.push_back(std::move(worker));
-  ++stats_.workers_added;
-  const size_t index = workers_.size() - 1;
-  WorkerState& state = *workers_[index];
-  state.receiver = std::thread(
-      [this, index, generation = state.generation, channel = state.channel] {
-        ReceiverLoop(index, generation, channel);
-      });
-  // The monitor starts with the first worker, not in the constructor, so
-  // a harness may construct the dispatcher, fork subprocess workers, and
-  // only then go multi-threaded.
-  StartMonitorLocked();
-  workers_changed_.notify_all();
 }
 
 void ClusterDispatcher::ServeListener(std::unique_ptr<TcpListener> listener) {
@@ -247,7 +224,6 @@ Status ClusterDispatcher::AssignLocked(uint64_t task_id, PendingTask& task,
     return sent;
   }
   task.worker = worker_index;
-  task.sent_at = Clock::now();
   worker.inflight.insert(task_id);
   ++stats_.tasks_dispatched;
   return Status::OK();
@@ -307,8 +283,10 @@ Result<UtilityRecord> ClusterDispatcher::Evaluate(
     if (signalled) continue;
     // Attempt deadline expired: charge the slow worker's breaker, take
     // the task back and re-dispatch (the worker may still answer later;
-    // exactly-once application keeps whichever result lands first).
-    ++stats_.deadline_expirations;
+    // exactly-once application keeps whichever result lands first). A
+    // dropped result frame is recovered here too: the re-dispatch goes to
+    // the same home shard, whose cache turns the re-run into a hit.
+    ++stats_.retried_tasks;
     if (task.worker >= 0 &&
         static_cast<size_t>(task.worker) < workers_.size()) {
       workers_[static_cast<size_t>(task.worker)]->inflight.erase(task_id);
@@ -446,8 +424,7 @@ Status ClusterDispatcher::ValidateRegistrationLocked(
   return Status::OK();
 }
 
-void ClusterDispatcher::HandleRegistration(
-    std::unique_ptr<FrameChannel> channel) {
+void ClusterDispatcher::AttachWorker(std::unique_ptr<FrameChannel> channel) {
   // Read the Register frame, polling in short ticks so a shutdown is not
   // held up by a silent dialer.
   constexpr int kHandshakeTicks = 8;
@@ -546,6 +523,9 @@ void ClusterDispatcher::HandleRegistration(
         [this, index, generation = state.generation, ch = state.channel] {
           ReceiverLoop(index, generation, ch);
         });
+    // The monitor starts with the first worker, not in the constructor, so
+    // a harness may construct the dispatcher, fork subprocess workers, and
+    // only then go multi-threaded.
     StartMonitorLocked();
     workers_changed_.notify_all();
     completed_.notify_all();  // orphaned tasks can re-dispatch here
@@ -568,7 +548,7 @@ void ClusterDispatcher::AcceptLoop() {
       return;
     }
     if (*accepted == nullptr) continue;  // timeout tick
-    HandleRegistration(std::move(*accepted));
+    AttachWorker(std::move(*accepted));
   }
 }
 
@@ -579,35 +559,8 @@ void ClusterDispatcher::HandleFrame(size_t index, uint64_t generation,
   if (worker.generation != generation) return;  // stale connection
   worker.last_seen = Clock::now();
   switch (frame.type) {
-    case cluster_proto::kHello:
     case cluster_proto::kHeartbeat:
       return;  // liveness only; last_seen is already refreshed
-    case cluster_proto::kRegister: {
-      // Re-registration over an already-attached channel (the socketpair
-      // path, where there is no accept loop to run the handshake).
-      Result<WorkerRegistration> registration =
-          DecodeWorkerRegistration(frame.payload);
-      if (!registration.ok()) {
-        FEDSHAP_LOG(Warning) << "[cluster] malformed registration from "
-                             << "worker " << index << "; ignored";
-        return;
-      }
-      Status valid = ValidateRegistrationLocked(*registration);
-      if (!valid.ok()) {
-        FEDSHAP_LOG(Warning) << "[cluster] rejecting worker " << index << ": "
-                             << valid;
-        (void)worker.channel->Send(cluster_proto::kReject,
-                                   EncodeReject(valid.message()));
-        MarkWorkerDeadLocked(index);
-        return;
-      }
-      for (const auto& [key, fingerprint] : registration->workloads) {
-        worker.announced.insert(key);
-      }
-      (void)worker.channel->Send(cluster_proto::kWelcome,
-                                 EncodeWelcome(static_cast<uint32_t>(index)));
-      return;
-    }
     case cluster_proto::kResult: {
       ByteReader reader(frame.payload);
       Result<uint64_t> task_id = reader.GetVarint();
@@ -712,17 +665,6 @@ ClusterDispatcher::MonitorDeadlines ClusterDispatcher::ComputeDeadlinesLocked(
       }
     }
   }
-  if (options_.task_retry_ms > 0) {
-    for (const auto& [task_id, task] : pending_) {
-      if (task.done || task.worker < 0) continue;
-      const int until = MillisUntil(
-          now,
-          task.sent_at + std::chrono::milliseconds(options_.task_retry_ms));
-      if (deadlines.retry_ms < 0 || until < deadlines.retry_ms) {
-        deadlines.retry_ms = until;
-      }
-    }
-  }
   return deadlines;
 }
 
@@ -753,22 +695,6 @@ void ClusterDispatcher::MonitorLoop() {
                           << " breaker half-open; probing";
         workers_changed_.notify_all();
         completed_.notify_all();
-      }
-    }
-    if (options_.task_retry_ms > 0) {
-      for (auto& [task_id, task] : pending_) {
-        if (task.done || task.worker < 0) continue;
-        const auto waited =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - task.sent_at);
-        if (waited.count() <= options_.task_retry_ms) continue;
-        // A lost result frame: re-send to the task's worker (its cache
-        // makes the re-run a hit). A dead worker was already failed over
-        // by MarkWorkerDeadLocked, so alive is expected here.
-        if (workers_[static_cast<size_t>(task.worker)]->alive &&
-            AssignLocked(task_id, task, task.worker).ok()) {
-          ++stats_.retried_tasks;
-        }
       }
     }
   }

@@ -38,19 +38,20 @@ namespace fedshap {
 /// keeps values bit-identical at any topology (see
 /// docs/ARCHITECTURE.md, "Sharded valuation cluster").
 ///
-/// Workers attach over either transport: socketpair ends adopted with
-/// AddWorker() (single-host threads/forks) or TCP connections accepted by
-/// ServeListener() (multi-node). Every worker opens its session with a
-/// Register frame (protocol version + shard identity + the fingerprints
-/// of workloads it already holds); the coordinator validates it, assigns
-/// or confirms the shard, and replies Welcome. A disconnected TCP worker
-/// reconnects with capped exponential backoff and re-registers under its
-/// original shard, so its store and cache stay its shard's.
+/// Every worker attaches the same way, whatever its transport: its
+/// channel — a socketpair end (single-host threads/forks) or a TCP
+/// connection accepted by ServeListener() (multi-node) — goes through
+/// AttachWorker(). The worker opens its session with a Register frame
+/// (protocol version + shard identity + the fingerprints of workloads it
+/// already holds); the coordinator validates it, assigns or confirms the
+/// shard, and replies Welcome. A disconnected TCP worker reconnects with
+/// capped exponential backoff and re-registers under its original shard,
+/// so its store and cache stay its shard's.
 
 /// Cluster protocol frame types (FrameChannel `type` field). Payloads are
-/// ByteWriter-encoded; see cluster.cc for the per-message layout.
+/// ByteWriter-encoded; see cluster.cc for the per-message layout. Type 1
+/// is unassigned.
 namespace cluster_proto {
-inline constexpr uint32_t kHello = 1;      ///< legacy liveness (unused)
 inline constexpr uint32_t kWorkload = 2;   ///< coord->worker: key, spec, fp
 inline constexpr uint32_t kAssign = 3;     ///< coord->worker: task, coalition
 inline constexpr uint32_t kResult = 4;     ///< worker->coord: task, utility
@@ -93,12 +94,11 @@ struct ClusterStats {
   size_t duplicate_results_ignored = 0;  ///< Late/duplicate frames dropped.
   size_t reassigned_coalitions = 0;  ///< In-flight tasks moved off a dead
                                      ///< worker.
-  size_t retried_tasks = 0;  ///< Tasks re-sent after the task timeout
-                             ///< (dropped-frame recovery).
+  size_t retried_tasks = 0;  ///< RPC attempts whose deadline expired, each
+                             ///< re-dispatched (this is also how a
+                             ///< dropped result frame is recovered).
   size_t worker_fresh_trainings = 0;  ///< Results flagged fresh by the
                                       ///< worker that trained them.
-  size_t deadline_expirations = 0;  ///< RPCs that exhausted their
-                                    ///< per-attempt deadline budget.
   size_t breaker_trips = 0;   ///< Circuit breakers opened (closed->open).
   size_t breaker_probes = 0;  ///< Cooldowns elapsed (open->half-open).
   size_t degraded_evaluations = 0;  ///< Coalitions trained locally by the
@@ -126,7 +126,9 @@ struct ClusterStats {
 /// Resilience policy, all deterministic given a fault schedule:
 ///  - every RPC attempt gets `rpc_deadline_ms`; on expiry the task is
 ///    re-dispatched (up to `max_task_attempts`) and the slow worker's
-///    breaker records a failure;
+///    breaker records a failure. The re-dispatch goes to the same home
+///    shard while it is schedulable, so a dropped result frame costs one
+///    deadline and a worker cache hit;
 ///  - `breaker_trip_threshold` consecutive failures open a per-worker
 ///    circuit breaker, making the worker unschedulable for
 ///    `breaker_cooldown_ms`; the cooldown elapsing half-opens it (a
@@ -144,14 +146,11 @@ class ClusterDispatcher {
     /// in-flight coalitions are reassigned. Workers heartbeat every
     /// ~200ms, so the default tolerates long GC-less trainings.
     int heartbeat_timeout_ms = 10000;
-    /// When > 0, a task unanswered for this long is re-sent to its
-    /// worker (recovers a dropped result frame: the worker's cache makes
-    /// the re-run a hit). 0 disables timeout-driven retry.
-    int task_retry_ms = 0;
     /// When > 0, each dispatch of an RPC may wait at most this long for
     /// its result before the attempt is abandoned (deadline expiry: a
-    /// breaker failure for the worker, a re-dispatch for the task).
-    /// 0 waits forever (worker death still fails over via heartbeat).
+    /// breaker failure for the worker, a re-dispatch for the task, which
+    /// also recovers a dropped result frame). 0 waits forever (worker
+    /// death still fails over via heartbeat).
     int rpc_deadline_ms = 0;
     /// Re-dispatches an RPC gets before failing with DeadlineExceeded.
     int max_task_attempts = 5;
@@ -172,7 +171,6 @@ class ClusterDispatcher {
   /// (negative = nothing pending in that class).
   struct MonitorDeadlines {
     int heartbeat_ms = -1;  ///< Earliest live worker hits the timeout.
-    int retry_ms = -1;      ///< Oldest unanswered task hits task_retry_ms.
     int breaker_ms = -1;    ///< Earliest open breaker finishes cooldown.
   };
 
@@ -191,10 +189,12 @@ class ClusterDispatcher {
   ClusterDispatcher(const ClusterDispatcher&) = delete;
   ClusterDispatcher& operator=(const ClusterDispatcher&) = delete;
 
-  /// Adopts a connected worker channel; its shard index is the number of
-  /// shard slots that exist before it. Starts the per-worker receiver
-  /// thread. (The socketpair path; TCP workers attach by registering.)
-  void AddWorker(std::unique_ptr<FrameChannel> channel);
+  /// Runs the registration handshake on a connected worker channel (a
+  /// socketpair end or an accepted TCP connection): reads its Register
+  /// frame, validates it, attaches the worker to a new shard or to the
+  /// shard it names, and replies Welcome — or Reject, dropping the
+  /// channel. Blocks until the Register frame arrives (or ~2 s pass).
+  void AttachWorker(std::unique_ptr<FrameChannel> channel);
 
   /// Serves worker registrations accepted from `listener` (takes
   /// ownership; the accept thread starts immediately).
@@ -264,7 +264,6 @@ class ClusterDispatcher {
     std::string workload_key;
     Coalition coalition;
     int worker = -1;
-    std::chrono::steady_clock::time_point sent_at;
     bool done = false;
     Status error;
     UtilityRecord record{0.0, 0.0};
@@ -275,9 +274,6 @@ class ClusterDispatcher {
                     std::shared_ptr<FrameChannel> channel);
   void MonitorLoop();
   void AcceptLoop();
-  /// Performs the registration handshake on a freshly accepted
-  /// connection: validate, attach (new shard or resume), Welcome/Reject.
-  void HandleRegistration(std::unique_ptr<FrameChannel> channel);
   /// Validates `registration` against the workload table. Must hold
   /// mutex_.
   Status ValidateRegistrationLocked(const WorkerRegistration& registration);

@@ -536,25 +536,23 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
     cluster->workers_.push_back(std::move(handle));
   }
   for (auto& end : coordinator_ends) {
-    cluster->dispatcher_->AddWorker(std::move(end));
+    cluster->dispatcher_->AttachWorker(std::move(end));
   }
-  if (tcp) {
-    cluster->dispatcher_->ServeListener(std::move(listener));
-    // Registration is asynchronous over TCP: wait until every shard is
-    // live so callers see a stable shard map from the first Evaluate.
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(options.start_timeout_ms);
-    while (cluster->dispatcher_->live_workers() <
-           static_cast<size_t>(options.num_workers)) {
-      if (std::chrono::steady_clock::now() > deadline) {
-        cluster->Shutdown();
-        return Status::DeadlineExceeded(
-            "cluster workers failed to register within " +
-            std::to_string(options.start_timeout_ms) + "ms");
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  if (tcp) cluster->dispatcher_->ServeListener(std::move(listener));
+  // TCP registration is asynchronous (and any handshake can be refused):
+  // wait until every shard is live so callers see a stable shard map
+  // from the first Evaluate.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(options.start_timeout_ms);
+  while (cluster->dispatcher_->live_workers() <
+         static_cast<size_t>(options.num_workers)) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      cluster->Shutdown();
+      return Status::DeadlineExceeded(
+          "cluster workers failed to register within " +
+          std::to_string(options.start_timeout_ms) + "ms");
     }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return cluster;
 }

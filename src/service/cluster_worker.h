@@ -194,12 +194,12 @@ struct LocalClusterOptions {
   /// sites fire in the child too.
   std::vector<std::string> fault_specs;
   ClusterDispatcher::Options dispatcher;
+  /// How long Start() waits for every worker to register before failing.
+  int start_timeout_ms = 10000;
   // TCP-transport knobs (ignored for socketpairs).
   int connect_timeout_ms = 5000;
   int reconnect_base_ms = 50;
   int reconnect_cap_ms = 2000;
-  /// How long Start() waits for every worker to register before failing.
-  int start_timeout_ms = 10000;
 };
 
 class LocalCluster {

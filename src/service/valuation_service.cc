@@ -83,14 +83,29 @@ Result<std::shared_ptr<ValuationService::Workload>>
 ValuationService::GetOrBuildWorkload(const ScenarioSpec& scenario) {
   const std::string key = scenario.CanonicalKey();
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    // Single flight per key: two builders would both open and attach the
+    // same store directory, and the one opening while the other's first
+    // flush writes the manifest fails. A second builder waits instead.
+    std::unique_lock<std::mutex> lock(mutex_);
+    workload_built_.wait(lock, [&] { return building_.count(key) == 0; });
     auto it = workloads_.find(key);
     if (it != workloads_.end()) return it->second;
+    building_.insert(key);
   }
-
   // Build unlocked: data generation, model init and the store's
   // load-on-open preload take real time, and holding the service mutex
   // here would stall every worker transition and status query.
+  Result<std::shared_ptr<Workload>> built = BuildWorkload(scenario, key);
+  std::lock_guard<std::mutex> lock(mutex_);
+  building_.erase(key);
+  workload_built_.notify_all();
+  if (built.ok()) workloads_.emplace(key, *built);
+  return built;
+}
+
+Result<std::shared_ptr<ValuationService::Workload>>
+ValuationService::BuildWorkload(const ScenarioSpec& scenario,
+                                const std::string& key) {
   auto workload = std::make_shared<Workload>();
   workload->key = key;
   FEDSHAP_ASSIGN_OR_RETURN(workload->utility, scenario.Build());
@@ -120,12 +135,7 @@ ValuationService::GetOrBuildWorkload(const ScenarioSpec& scenario) {
                            /*resume=*/true, *workload->utility,
                            *workload->cache, config_.store_flush_bytes));
   }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  // A racing builder of the same key may have won; keep the table's
-  // context (jobs already point at it) and drop ours.
-  auto [it, inserted] = workloads_.emplace(key, workload);
-  return it->second;
+  return workload;
 }
 
 Status ValuationService::SubmitInternal(const JobSpec& spec,

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -265,11 +266,6 @@ class ValuationService {
     size_t total_units = 0;
   };
 
-  /// Returns the shared workload context for `scenario`, building it
-  /// (data generation, store open + preload) when absent. The expensive
-  /// build runs *outside* the service mutex so workers and status
-  /// queries are never stalled behind it; two racing builders of the
-  /// same key both build, and the loser's context is discarded.
   /// One unit of speculative work for the prefetch thread: coalitions a
   /// job's estimator has committed to evaluating next (from
   /// ResumableEstimator::PeekNext), plus shared ownership of everything
@@ -280,8 +276,17 @@ class ValuationService {
     std::vector<Coalition> coalitions;
   };
 
+  /// Returns the shared workload context for `scenario`, building it
+  /// (data generation, store open + preload) when absent. The expensive
+  /// build runs *outside* the service mutex so workers and status
+  /// queries are never stalled behind it; it is single-flight per
+  /// scenario key, so a racing caller waits for the first builder's
+  /// context instead of opening the same store a second time.
   Result<std::shared_ptr<Workload>> GetOrBuildWorkload(
       const ScenarioSpec& scenario);
+  /// The build GetOrBuildWorkload runs unlocked.
+  Result<std::shared_ptr<Workload>> BuildWorkload(const ScenarioSpec& scenario,
+                                                  const std::string& key);
   /// Submit with everything expensive (workload build, snapshot
   /// restore, spec persistence) done unlocked; only the name
   /// reservation and queue insertion hold the mutex.
@@ -322,6 +327,9 @@ class ValuationService {
   std::condition_variable state_changed_; ///< Signals job transitions.
   std::map<std::string, std::unique_ptr<Job>> jobs_;
   std::map<std::string, std::shared_ptr<Workload>> workloads_;
+  /// Scenario keys whose workload is being built right now.
+  std::set<std::string> building_;
+  std::condition_variable workload_built_;  ///< Signals building_ shrinking.
   std::deque<std::string> queue_;
   std::vector<std::thread> workers_;
   std::thread prefetcher_;

@@ -39,13 +39,7 @@ class ClusterFixture {
     std::vector<std::string> fault_specs;
     /// Dispatcher knobs; heartbeat kept tight so worker-death tests
     /// converge in milliseconds instead of the production 10s.
-    int heartbeat_timeout_ms = 2000;
-    int task_retry_ms = 0;
-    int rpc_deadline_ms = 0;
-    int max_task_attempts = 5;
-    int breaker_trip_threshold = 3;
-    int breaker_cooldown_ms = 1000;
-    int degraded_grace_ms = 0;
+    ClusterDispatcher::Options dispatcher{.heartbeat_timeout_ms = 2000};
     /// TCP reconnect schedule (kTcp only); tight so partition tests heal
     /// in milliseconds.
     int reconnect_base_ms = 25;
@@ -62,16 +56,7 @@ class ClusterFixture {
     cluster_options.fault_specs = options.fault_specs;
     cluster_options.reconnect_base_ms = options.reconnect_base_ms;
     cluster_options.reconnect_cap_ms = options.reconnect_cap_ms;
-    cluster_options.dispatcher.heartbeat_timeout_ms =
-        options.heartbeat_timeout_ms;
-    cluster_options.dispatcher.task_retry_ms = options.task_retry_ms;
-    cluster_options.dispatcher.rpc_deadline_ms = options.rpc_deadline_ms;
-    cluster_options.dispatcher.max_task_attempts = options.max_task_attempts;
-    cluster_options.dispatcher.breaker_trip_threshold =
-        options.breaker_trip_threshold;
-    cluster_options.dispatcher.breaker_cooldown_ms =
-        options.breaker_cooldown_ms;
-    cluster_options.dispatcher.degraded_grace_ms = options.degraded_grace_ms;
+    cluster_options.dispatcher = options.dispatcher;
     Result<std::unique_ptr<LocalCluster>> cluster =
         LocalCluster::Start(cluster_options);
     EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();

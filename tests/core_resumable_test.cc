@@ -1,10 +1,10 @@
 /// Tests for core/resumable.h: snapshot/restore equivalence (a resumed
-/// sweep is bit-identical to an uninterrupted one), agreement with the
-/// one-shot algorithms, snapshot validation (wrong algorithm / config /
-/// corruption), and file-based checkpoint round-trips. Also the run-level
-/// determinism contract: same seed + same --threads/--batch-size means a
-/// bit-identical ValuationResult across repeated in-process runs, across
-/// thread counts, and across a store-warm resume.
+/// sweep is bit-identical to an uninterrupted one), chunked stepping
+/// against an uninterrupted Run, snapshot validation (wrong algorithm /
+/// config / corruption), and file-based checkpoint round-trips. Also the
+/// run-level determinism contract: same seed + same --threads/--batch-size
+/// means a bit-identical ValuationResult across repeated in-process runs,
+/// across thread counts, and across a store-warm resume.
 
 #include "core/resumable.h"
 
@@ -89,22 +89,44 @@ void ExpectBitIdentical(const std::vector<double>& a,
   }
 }
 
-TEST(IpssSweepTest, MatchesOneShotIpss) {
+/// Steps one sweep through a single warm session in chunks of `chunk`
+/// units, then finishes it: the service's slice-by-slice execution, with
+/// no snapshot in between.
+ValuationResult RunInChunks(
+    const UtilityFunction& fn,
+    const std::function<std::unique_ptr<ResumableEstimator>()>& make,
+    int chunk) {
+  UtilityCache cache(&fn);
+  UtilitySession session(&cache);
+  std::unique_ptr<ResumableEstimator> sweep = make();
+  while (!sweep->done()) FEDSHAP_CHECK_OK(sweep->Step(session, chunk));
+  Result<ValuationResult> result = sweep->Finish(session);
+  FEDSHAP_CHECK_OK(result.status());
+  return std::move(result).value();
+}
+
+/// Chunked and uninterrupted runs agree on values and on every
+/// evaluation/training count.
+void ExpectChunkedMatchesUninterrupted(
+    const UtilityFunction& fn,
+    const std::function<std::unique_ptr<ResumableEstimator>()>& make,
+    int chunk) {
+  const ValuationResult uninterrupted = RunUninterrupted(fn, make);
+  const ValuationResult chunked = RunInChunks(fn, make, chunk);
+  ExpectBitIdentical(uninterrupted.values, chunked.values);
+  EXPECT_EQ(chunked.num_evaluations, uninterrupted.num_evaluations);
+  EXPECT_EQ(chunked.num_trainings, uninterrupted.num_trainings);
+}
+
+TEST(IpssSweepTest, ChunkedStepsMatchUninterruptedRun) {
   TableUtility fn = MonotoneTable(6);
   IpssConfig config;
   config.total_rounds = 24;
   config.seed = 3;
-
-  UtilityCache cache(&fn);
-  UtilitySession session(&cache);
-  Result<ValuationResult> one_shot = IpssShapley(session, config);
-  ASSERT_TRUE(one_shot.ok());
-
-  ValuationResult sweep = RunUninterrupted(fn, [&] {
-    return std::make_unique<IpssSweep>(6, config);
-  });
-  ExpectBitIdentical(one_shot->values, sweep.values);
-  EXPECT_EQ(sweep.num_trainings, one_shot->num_trainings);
+  for (int chunk : {1, 5}) {
+    ExpectChunkedMatchesUninterrupted(
+        fn, [&] { return std::make_unique<IpssSweep>(6, config); }, chunk);
+  }
 }
 
 TEST(IpssSweepTest, ResumedBitIdenticalToUninterrupted) {
@@ -120,7 +142,7 @@ TEST(IpssSweepTest, ResumedBitIdenticalToUninterrupted) {
   }
 }
 
-TEST(StratifiedSweepTest, MatchesOneShotForBothSchemes) {
+TEST(StratifiedSweepTest, ChunkedStepsMatchUninterruptedForBothSchemes) {
   TableUtility fn = RandomTable(6, 21);
   for (SvScheme scheme :
        {SvScheme::kMarginal, SvScheme::kComplementary}) {
@@ -128,17 +150,8 @@ TEST(StratifiedSweepTest, MatchesOneShotForBothSchemes) {
     config.scheme = scheme;
     config.total_rounds = 30;
     config.seed = 5;
-
-    UtilityCache cache(&fn);
-    UtilitySession session(&cache);
-    Result<ValuationResult> one_shot =
-        StratifiedSamplingShapley(session, config);
-    ASSERT_TRUE(one_shot.ok());
-
-    ValuationResult sweep = RunUninterrupted(fn, [&] {
-      return std::make_unique<StratifiedSweep>(6, config);
-    });
-    ExpectBitIdentical(one_shot->values, sweep.values);
+    ExpectChunkedMatchesUninterrupted(
+        fn, [&] { return std::make_unique<StratifiedSweep>(6, config); }, 4);
   }
 }
 
@@ -155,29 +168,17 @@ TEST(StratifiedSweepTest, ResumedBitIdenticalToUninterrupted) {
   ExpectBitIdentical(uninterrupted.values, resumed.values);
 }
 
-TEST(ExactSweepTest, MatchesExactShapleyMcAndCc) {
+TEST(ExactSweepTest, ChunkedStepsMatchUninterruptedForBothSchemes) {
   TableUtility fn = PaperTableOne();
-  {
-    UtilityCache cache(&fn);
-    UtilitySession session(&cache);
-    Result<ValuationResult> exact = ExactShapleyMc(session);
-    ASSERT_TRUE(exact.ok());
-    ValuationResult sweep = RunUninterrupted(fn, [&] {
-      return std::make_unique<ExactSweep>(3, SvScheme::kMarginal);
-    });
-    ExpectBitIdentical(exact->values, sweep.values);
-    EXPECT_EQ(sweep.num_trainings, 8u);
+  for (SvScheme scheme :
+       {SvScheme::kMarginal, SvScheme::kComplementary}) {
+    ExpectChunkedMatchesUninterrupted(
+        fn, [&] { return std::make_unique<ExactSweep>(3, scheme); }, 3);
   }
-  {
-    UtilityCache cache(&fn);
-    UtilitySession session(&cache);
-    Result<ValuationResult> exact = ExactShapleyCc(session);
-    ASSERT_TRUE(exact.ok());
-    ValuationResult sweep = RunUninterrupted(fn, [&] {
-      return std::make_unique<ExactSweep>(3, SvScheme::kComplementary);
-    });
-    ExpectBitIdentical(exact->values, sweep.values);
-  }
+  ValuationResult exact = RunInChunks(
+      fn, [] { return std::make_unique<ExactSweep>(3, SvScheme::kMarginal); },
+      3);
+  EXPECT_EQ(exact.num_trainings, 8u);
 }
 
 TEST(ExactSweepTest, ResumedBitIdenticalToUninterrupted) {

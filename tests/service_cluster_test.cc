@@ -143,7 +143,7 @@ TEST(ClusterFaultTest, WorkerDeathReassignsAndStaysBitIdentical) {
   ClusterFixture::Options options;
   options.num_workers = 2;
   options.fault_specs = {"kill-worker:after=3"};
-  options.heartbeat_timeout_ms = 1000;
+  options.dispatcher.heartbeat_timeout_ms = 1000;
   auto fixture = ClusterFixture::Start(options);
   ASSERT_NE(fixture, nullptr);
   Result<ValuationResult> result = fixture->Run(job);
@@ -170,7 +170,7 @@ TEST(ClusterFaultTest, CascadingWorkerDeathsConvergeOnLastShard) {
   options.num_workers = 4;
   options.fault_specs = {"kill-worker:after=1", "kill-worker:after=2",
                          "kill-worker:after=3"};
-  options.heartbeat_timeout_ms = 1000;
+  options.dispatcher.heartbeat_timeout_ms = 1000;
   auto fixture = ClusterFixture::Start(options);
   ASSERT_NE(fixture, nullptr);
   Result<ValuationResult> result = fixture->Run(job);
@@ -201,10 +201,11 @@ TEST(ClusterFaultTest, DuplicateDeliveryAppliesExactlyOnce) {
   EXPECT_EQ(stats.results_applied, reference.num_fresh_trainings);
 }
 
-// A dropped result frame (drop-frame fault): the task timeout re-sends
-// the assignment, the worker's cache turns the re-run into a hit, and
-// the job completes bit-identical — the lost frame costs one retry, not
-// correctness.
+// A dropped result frame (drop-frame fault): the RPC deadline expires,
+// the task is re-dispatched to the same home shard, the worker's cache
+// turns the re-run into a hit, and the job completes bit-identical — the
+// lost frame costs one deadline, not correctness (and one expiry is far
+// from tripping the breaker).
 TEST(ClusterFaultTest, DroppedResultFrameRecoveredByRetry) {
   JobSpec job = MakeJob("job", EstimatorKind::kIpss, LinregScenario(8));
   const ValuationResult reference = RunIsolated(job);
@@ -212,7 +213,7 @@ TEST(ClusterFaultTest, DroppedResultFrameRecoveredByRetry) {
   ClusterFixture::Options options;
   options.num_workers = 2;
   options.fault_specs = {"drop-frame:nth=2"};
-  options.task_retry_ms = 200;
+  options.dispatcher.rpc_deadline_ms = 200;
   auto fixture = ClusterFixture::Start(options);
   ASSERT_NE(fixture, nullptr);
   Result<ValuationResult> result = fixture->Run(job);
@@ -221,6 +222,7 @@ TEST(ClusterFaultTest, DroppedResultFrameRecoveredByRetry) {
 
   const ClusterStats stats = fixture->cluster_stats();
   EXPECT_GE(stats.retried_tasks, 1u);
+  EXPECT_EQ(stats.breaker_trips, 0u);
   EXPECT_EQ(stats.results_applied, reference.num_fresh_trainings);
 }
 
@@ -296,7 +298,7 @@ TEST(ClusterSubprocessTest, ForkedWorkerDeathStaysBitIdentical) {
   options.num_workers = 2;
   options.fork_workers = true;
   options.fault_specs = {"kill-worker:after=3"};
-  options.heartbeat_timeout_ms = 1000;
+  options.dispatcher.heartbeat_timeout_ms = 1000;
   auto fixture = ClusterFixture::Start(options);
   ASSERT_NE(fixture, nullptr);
   Result<ValuationResult> result = fixture->Run(job);
@@ -486,9 +488,9 @@ TEST(ClusterTcpFaultTest, PartitionAndHealStaysBitIdentical) {
   options.num_workers = 1;
   options.transport = ClusterTransport::kTcp;
   options.fault_specs = {"partition:nth=3"};
-  options.heartbeat_timeout_ms = 2000;
-  options.task_retry_ms = 200;
-  options.degraded_grace_ms = 10000;  // wait for the heal, don't degrade
+  options.dispatcher.heartbeat_timeout_ms = 2000;
+  // Wait for the heal, don't degrade.
+  options.dispatcher.degraded_grace_ms = 10000;
   auto fixture = ClusterFixture::Start(options);
   ASSERT_NE(fixture, nullptr);
   Result<ValuationResult> result = fixture->Run(job);
@@ -514,9 +516,8 @@ TEST(ClusterTcpFaultTest, CorruptFrameRejectedAndRecovered) {
   options.num_workers = 1;
   options.transport = ClusterTransport::kTcp;
   options.fault_specs = {"corrupt-frame:nth=2"};
-  options.heartbeat_timeout_ms = 2000;
-  options.task_retry_ms = 200;
-  options.degraded_grace_ms = 10000;  // wait for the reconnect
+  options.dispatcher.heartbeat_timeout_ms = 2000;
+  options.dispatcher.degraded_grace_ms = 10000;  // wait for the reconnect
   auto fixture = ClusterFixture::Start(options);
   ASSERT_NE(fixture, nullptr);
   Result<ValuationResult> result = fixture->Run(job);
@@ -574,11 +575,12 @@ TEST(ClusterBreakerTest, TripProbeCloseUnderConsecutiveDeadlineExpiry) {
   ClusterFixture::Options options;
   options.num_workers = 1;
   options.fault_specs = {"drop-frame:until=3"};
-  options.rpc_deadline_ms = 150;
-  options.max_task_attempts = 8;
-  options.breaker_trip_threshold = 3;
-  options.breaker_cooldown_ms = 250;
-  options.degraded_grace_ms = 10000;  // wait for the probe, don't degrade
+  options.dispatcher.rpc_deadline_ms = 150;
+  options.dispatcher.max_task_attempts = 8;
+  options.dispatcher.breaker_trip_threshold = 3;
+  options.dispatcher.breaker_cooldown_ms = 250;
+  // Wait for the probe, don't degrade.
+  options.dispatcher.degraded_grace_ms = 10000;
   auto fixture = ClusterFixture::Start(options);
   ASSERT_NE(fixture, nullptr);
   Result<ValuationResult> result = fixture->Run(job);
@@ -586,7 +588,7 @@ TEST(ClusterBreakerTest, TripProbeCloseUnderConsecutiveDeadlineExpiry) {
   ExpectBitIdentical(reference, *result, "breaker-trip-probe-close");
 
   const ClusterStats stats = fixture->cluster_stats();
-  EXPECT_GE(stats.deadline_expirations, 3u);
+  EXPECT_GE(stats.retried_tasks, 3u);
   EXPECT_GE(stats.breaker_trips, 1u);
   EXPECT_GE(stats.breaker_probes, 1u);
   EXPECT_EQ(stats.degraded_evaluations, 0u);
@@ -603,8 +605,8 @@ TEST(ClusterDegradedTest, TotalOutageServesBitIdenticalValuesLocally) {
 
   ClusterFixture::Options options;
   options.num_workers = 1;
-  options.heartbeat_timeout_ms = 500;
-  options.degraded_grace_ms = 100;
+  options.dispatcher.heartbeat_timeout_ms = 500;
+  options.dispatcher.degraded_grace_ms = 100;
   auto fixture = ClusterFixture::Start(options);
   ASSERT_NE(fixture, nullptr);
   fixture->KillWorker(0);
@@ -627,8 +629,8 @@ TEST(ClusterDegradedTest, MidJobOutageDegradesAndStaysBitIdentical) {
   ClusterFixture::Options options;
   options.num_workers = 1;
   options.fault_specs = {"kill-worker:after=2"};
-  options.heartbeat_timeout_ms = 500;
-  options.degraded_grace_ms = 100;
+  options.dispatcher.heartbeat_timeout_ms = 500;
+  options.dispatcher.degraded_grace_ms = 100;
   auto fixture = ClusterFixture::Start(options);
   ASSERT_NE(fixture, nullptr);
   Result<ValuationResult> result = fixture->Run(job);
@@ -648,20 +650,20 @@ TEST(ClusterDegradedTest, MidJobOutageDegradesAndStaysBitIdentical) {
 TEST(ClusterMonitorTest, NextDeadlineMsPicksTheEarliestPendingDeadline) {
   using Deadlines = ClusterDispatcher::MonitorDeadlines;
   // Nothing pending: the max tick.
-  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{-1, -1, -1}), 250);
+  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{-1, -1}), 250);
   // The earliest class wins regardless of which one it is.
-  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{100, 50, -1}), 50);
-  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{40, 200, 120}), 40);
-  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{-1, -1, 30}), 30);
+  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{100, 50}), 50);
+  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{40, 120}), 40);
+  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{-1, 30}), 30);
 }
 
 TEST(ClusterMonitorTest, NextDeadlineMsClampsToTickBounds) {
   using Deadlines = ClusterDispatcher::MonitorDeadlines;
   // An overdue (or absurdly small) deadline cannot spin the monitor.
-  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{0, -1, -1}), 10);
-  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{-1, 3, -1}), 10);
+  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{0, -1}), 10);
+  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{-1, 3}), 10);
   // A far-future deadline cannot stall it past the heartbeat scan.
-  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{60000, -1, -1}), 250);
+  EXPECT_EQ(ClusterDispatcher::NextDeadlineMs(Deadlines{60000, -1}), 250);
 }
 
 // ---------------------------------------------------------------------------
@@ -694,28 +696,46 @@ TEST(ClusterProtocolTest, WorkerRegistrationCodecRoundTrips) {
 
 // A worker speaking a different protocol version is vetoed at the
 // handshake — a Reject frame naming the mismatch, before any workload
-// state is exchanged. (Driven through the real listener.)
+// state is exchanged — over either transport: a TCP connection through
+// the real listener, and a socketpair end handed to AttachWorker.
 TEST(ClusterProtocolTest, VersionMismatchIsRejectedAtRegistration) {
-  ClusterDispatcher dispatcher;
-  Result<int> port = dispatcher.ListenAndServe({"127.0.0.1", 0});
-  ASSERT_TRUE(port.ok()) << port.status();
-  EXPECT_EQ(dispatcher.listen_port(), *port);
-
-  Result<std::unique_ptr<FrameChannel>> channel =
-      TcpConnect({"127.0.0.1", *port}, 2000);
-  ASSERT_TRUE(channel.ok()) << channel.status();
   WorkerRegistration stale;
   stale.protocol_version = kClusterProtocolVersion - 1;
-  ASSERT_TRUE((*channel)
-                  ->Send(cluster_proto::kRegister,
-                         EncodeWorkerRegistration(stale))
-                  .ok());
-  Result<std::optional<Frame>> reply = (*channel)->Recv(5000);
-  ASSERT_TRUE(reply.ok()) << reply.status();
-  ASSERT_TRUE(reply->has_value());
-  EXPECT_EQ((*reply)->type, cluster_proto::kReject);
-  EXPECT_EQ(dispatcher.live_workers(), 0u);
-  dispatcher.Shutdown();
+  const std::string register_payload = EncodeWorkerRegistration(stale);
+  const auto expect_reject = [](FrameChannel& worker_end) {
+    Result<std::optional<Frame>> reply = worker_end.Recv(5000);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    ASSERT_TRUE(reply->has_value());
+    EXPECT_EQ((*reply)->type, cluster_proto::kReject);
+  };
+  {
+    ClusterDispatcher dispatcher;
+    Result<int> port = dispatcher.ListenAndServe({"127.0.0.1", 0});
+    ASSERT_TRUE(port.ok()) << port.status();
+    EXPECT_EQ(dispatcher.listen_port(), *port);
+
+    Result<std::unique_ptr<FrameChannel>> channel =
+        TcpConnect({"127.0.0.1", *port}, 2000);
+    ASSERT_TRUE(channel.ok()) << channel.status();
+    ASSERT_TRUE(
+        (*channel)->Send(cluster_proto::kRegister, register_payload).ok());
+    expect_reject(**channel);
+    EXPECT_EQ(dispatcher.live_workers(), 0u);
+    dispatcher.Shutdown();
+  }
+  {
+    ClusterDispatcher dispatcher;
+    auto pair = CreateChannelPair();
+    ASSERT_TRUE(pair.ok()) << pair.status();
+    // The Register frame waits in the socket buffer until the handshake
+    // reads it.
+    ASSERT_TRUE(
+        pair->second->Send(cluster_proto::kRegister, register_payload).ok());
+    dispatcher.AttachWorker(std::move(pair->first));
+    expect_reject(*pair->second);
+    EXPECT_EQ(dispatcher.live_workers(), 0u);
+    dispatcher.Shutdown();
+  }
 }
 
 // ScenarioSpec wire codec: round-trip identity and version rejection —

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -573,6 +574,52 @@ TEST(ValuationServiceTest, StopRecoverResumesBitIdentical) {
     }
     EXPECT_EQ(service.stats().trainings_computed, 0u);
   }
+  std::filesystem::remove_all(dir);
+}
+
+// Regression: the first Submits of a new federation on a durable service
+// race to build its workload, and both used to open and attach the same
+// store directory unlocked — the loser could fail with "has no
+// MANIFEST". Two threads behind a start barrier submit the opening jobs
+// of a fresh federation, round after round; every job must finish. The
+// federation is a small digits one: its build takes long enough that
+// one thread's first training can flush the store while the other is
+// still building (a linreg build is too quick to race).
+TEST(ValuationServiceTest, ConcurrentFirstSubmitsOfNewFederationAllFinish) {
+  const std::string dir = StateDir("first_submit_race");
+  ServiceConfig config;
+  config.workers = 2;
+  config.state_dir = dir;
+  ValuationService service(config);
+  for (int round = 0; round < 50; ++round) {
+    ScenarioSpec scenario;
+    scenario.kind = "digits";
+    scenario.n = 6;
+    scenario.fl_rounds = 1;
+    scenario.seed = 1000 + round;
+    std::latch start(2);
+    Status submitted[2];
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < 2; ++t) {
+      submitters.emplace_back([&, t] {
+        start.arrive_and_wait();
+        submitted[t] = service.Submit(MakeJob(
+            "r" + std::to_string(round) + "-" + std::to_string(t),
+            EstimatorKind::kIpss, scenario, /*gamma=*/4));
+      });
+    }
+    for (std::thread& submitter : submitters) submitter.join();
+    for (int t = 0; t < 2; ++t) {
+      const std::string name =
+          "r" + std::to_string(round) + "-" + std::to_string(t);
+      ASSERT_TRUE(submitted[t].ok()) << name << ": " << submitted[t];
+      EXPECT_TRUE(service.Wait(name).ok()) << name;
+      Result<JobStatus> status = service.GetStatus(name);
+      ASSERT_TRUE(status.ok()) << status.status();
+      EXPECT_EQ(status->state, JobState::kDone) << name;
+    }
+  }
+  service.Stop();
   std::filesystem::remove_all(dir);
 }
 

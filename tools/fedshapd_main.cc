@@ -46,8 +46,8 @@
 ///   --quiet           suppress per-slice progress lines
 ///
 /// Resilience knobs (env, all optional): FEDSHAP_RPC_DEADLINE_MS,
-/// FEDSHAP_TASK_RETRY_MS, FEDSHAP_BREAKER_THRESHOLD,
-/// FEDSHAP_BREAKER_COOLDOWN_MS, FEDSHAP_DEGRADED_GRACE_MS (coordinator);
+/// FEDSHAP_BREAKER_THRESHOLD, FEDSHAP_BREAKER_COOLDOWN_MS,
+/// FEDSHAP_DEGRADED_GRACE_MS (coordinator);
 /// FEDSHAP_RECONNECT_BASE_MS, FEDSHAP_RECONNECT_CAP_MS,
 /// FEDSHAP_RECONNECT_SEED (worker). See docs/OPERATIONS.md.
 ///
@@ -104,8 +104,6 @@ int EnvInt(const char* name, int fallback) {
 /// Coordinator resilience policy from the environment (defaults tuned
 /// for a real multi-node deployment; see docs/OPERATIONS.md).
 void ApplyResilienceEnv(ClusterDispatcher::Options* options) {
-  options->task_retry_ms = EnvInt("FEDSHAP_TASK_RETRY_MS",
-                                  options->task_retry_ms);
   options->rpc_deadline_ms =
       EnvInt("FEDSHAP_RPC_DEADLINE_MS", options->rpc_deadline_ms);
   options->breaker_trip_threshold =
@@ -214,9 +212,9 @@ int RunService(const CliOptions& options,
     if (!options.state_dir.empty()) {
       cluster_options.store_dir = options.state_dir + "/cluster";
     }
-    // Recover a result frame lost to a dying worker within a couple of
-    // seconds; the worker-side cache makes the re-run a hit.
-    cluster_options.dispatcher.task_retry_ms = 2000;
+    // The deadline also recovers a lost result frame: the re-dispatch
+    // goes to the same shard, whose cache makes the re-run a hit.
+    cluster_options.dispatcher.rpc_deadline_ms = 30000;
     ApplyResilienceEnv(&cluster_options.dispatcher);
     Result<std::unique_ptr<LocalCluster>> started =
         LocalCluster::Start(cluster_options);
@@ -233,7 +231,6 @@ int RunService(const CliOptions& options,
     // (degraded mode) after the grace window — jobs always make
     // progress, with bit-identical values either way.
     ClusterDispatcher::Options dispatcher_options;
-    dispatcher_options.task_retry_ms = 2000;
     dispatcher_options.rpc_deadline_ms = 30000;
     dispatcher_options.degraded_grace_ms = 5000;
     ApplyResilienceEnv(&dispatcher_options);
@@ -387,11 +384,9 @@ int RunService(const CliOptions& options,
                 cluster_stats.retried_tasks, cluster_stats.workers_lost,
                 cluster_stats.worker_fresh_trainings);
     std::printf("[fedshapd] resilience reconnects=%zu recovery=%.3fs "
-                "deadline-expiries=%zu breaker-trips=%zu probes=%zu "
-                "degraded=%zu\n",
+                "breaker-trips=%zu probes=%zu degraded=%zu\n",
                 cluster_stats.worker_reconnects,
                 cluster_stats.recovery_seconds_total,
-                cluster_stats.deadline_expirations,
                 cluster_stats.breaker_trips, cluster_stats.breaker_probes,
                 cluster_stats.degraded_evaluations);
     if (cluster != nullptr) {
