@@ -193,50 +193,7 @@ int main(int argc, char** argv) {
                 shared.charged_seconds, equal ? "yes" : "NO");
   }
 
-  // (c) The same job mix with speculative prefetch enabled: a fresh
-  // in-memory service (cold caches, same worker count) so the wall time
-  // is directly comparable to (b)'s cold shared run. Prefetch only
-  // reorders who trains what — values must stay bit-identical.
-  std::vector<JobSpec> prefetched_jobs = jobs;
-  for (JobSpec& spec : prefetched_jobs) {
-    spec.prefetch = 2 * spec.checkpoint_every;
-  }
-  ServiceConfig prefetch_config;
-  prefetch_config.workers = options.workers;
-  ValuationService prefetch_service(prefetch_config);
-  Stopwatch prefetch_timer;
-  for (const JobSpec& spec : prefetched_jobs) {
-    if (Status submitted = prefetch_service.Submit(spec); !submitted.ok()) {
-      std::fprintf(stderr, "prefetch submit failed: %s\n",
-                   submitted.ToString().c_str());
-      return 1;
-    }
-  }
-  prefetch_service.WaitAll();
-  const double prefetch_wall = prefetch_timer.ElapsedSeconds();
-  for (size_t i = 0; i < prefetched_jobs.size(); ++i) {
-    Result<JobStatus> status =
-        prefetch_service.GetStatus(prefetched_jobs[i].name);
-    if (!status.ok() || status->state != JobState::kDone) {
-      std::fprintf(stderr, "prefetched job %s did not finish\n",
-                   prefetched_jobs[i].name.c_str());
-      return 1;
-    }
-    const bool equal = status->result.values == isolated[i].result.values;
-    if (!equal) {
-      std::fprintf(stderr, "prefetched job %s diverged from isolated\n",
-                   prefetched_jobs[i].name.c_str());
-    }
-    all_equal = all_equal && equal;
-  }
-  const ServiceStats prefetch_stats = prefetch_service.stats();
-  const double hit_ahead_ratio =
-      prefetch_stats.prefetch_credited > 0
-          ? static_cast<double>(prefetch_stats.prefetch_consumed) /
-                static_cast<double>(prefetch_stats.prefetch_credited)
-          : 0.0;
-
-  // (d) The sharded cluster: the same mix through a coordinator service
+  // (c) The sharded cluster: the same mix through a coordinator service
   // whose cache misses are trained by {1, 2, 4} local worker shards
   // (thread mode), plus one faulted run that SIGKILL-equivalently kills
   // a worker after its 3rd training — the reassignment path under
@@ -324,7 +281,7 @@ int main(int argc, char** argv) {
           ? cluster_runs.front().wall_seconds / cluster_runs.back().wall_seconds
           : 0.0;
 
-  // (e) Loopback TCP: the same mix through the real listener/connector
+  // (d) Loopback TCP: the same mix through the real listener/connector
   // and registration handshake — once clean (the transport's overhead
   // against the 2-shard socketpair run), once with an injected mid-run
   // partition (the reconnect/recovery path under bench-scale load), and
@@ -386,11 +343,6 @@ int main(int argc, char** argv) {
               shared_wall > 0 ? isolated_wall / shared_wall : 0.0);
   std::printf("  throughput:                    %.1f jobs/s\n",
               shared_wall > 0 ? jobs.size() / shared_wall : 0.0);
-  std::printf("  wall, shared + prefetch:       %.3fs (%.2fx vs shared; "
-              "%zu trainings run ahead, hit-ahead %.2f)\n",
-              prefetch_wall,
-              prefetch_wall > 0 ? shared_wall / prefetch_wall : 0.0,
-              prefetch_stats.prefetch_trainings, hit_ahead_ratio);
   std::printf("  cluster wall by workers:       ");
   for (const ClusterOutcome& outcome : cluster_runs) {
     std::printf("%d->%.3fs  ", outcome.workers, outcome.wall_seconds);
@@ -439,14 +391,6 @@ int main(int argc, char** argv) {
       .Metric("jobs_per_second",
               shared_wall > 0 ? jobs.size() / shared_wall : 0.0)
       .Metric("values_identical", all_equal ? 1.0 : 0.0);
-  json.Add("prefetch")
-      .Label("scenario", options.scenario)
-      .Metric("wall_prefetch_seconds", prefetch_wall)
-      .Metric("prefetch_speedup",
-              prefetch_wall > 0 ? shared_wall / prefetch_wall : 0.0)
-      .Metric("trainings_run_ahead",
-              static_cast<double>(prefetch_stats.prefetch_trainings))
-      .Metric("hit_ahead_ratio", hit_ahead_ratio);
   bench::BenchJson::Record& cluster_entry = json.Add("cluster");
   cluster_entry.Label("scenario", options.scenario);
   for (const ClusterOutcome& outcome : cluster_runs) {

@@ -148,14 +148,6 @@ Status CoalitionPlanSweep::Step(UtilitySession& session, int max_units) {
   return Status::OK();
 }
 
-std::vector<Coalition> CoalitionPlanSweep::PeekNext(size_t max_units) const {
-  if (!init_status_.ok() || cursor_ >= plan_.size()) return {};
-  const size_t todo = std::min(max_units, plan_.size() - cursor_);
-  return std::vector<Coalition>(
-      plan_.begin() + static_cast<ptrdiff_t>(cursor_),
-      plan_.begin() + static_cast<ptrdiff_t>(cursor_ + todo));
-}
-
 Result<ValuationResult> CoalitionPlanSweep::Finish(UtilitySession& session) {
   FEDSHAP_RETURN_NOT_OK(init_status_);
   if (cursor_ != plan_.size()) {
@@ -470,26 +462,6 @@ Status PermutationMcSweep::Step(UtilitySession& session, int max_units) {
   permutations_done_ += todo;
   wall_accum_ += timer.ElapsedSeconds();
   return Status::OK();
-}
-
-std::vector<Coalition> PermutationMcSweep::PeekNext(size_t max_units) const {
-  if (!init_status_.ok() || done() || max_units == 0) return {};
-  const size_t todo =
-      std::min(max_units, total_units() - permutations_done_);
-  // A copy of the live RNG replays exactly the permutations the next
-  // Step will draw; the real stream is untouched.
-  Rng rng = rng_;
-  std::vector<Coalition> order;
-  order.reserve(1 + todo * static_cast<size_t>(n_));
-  order.push_back(Coalition());
-  for (size_t p = 0; p < todo; ++p) {
-    Coalition prefix;
-    for (int member : rng.Permutation(n_)) {
-      prefix.Add(member);
-      order.push_back(prefix);
-    }
-  }
-  return order;
 }
 
 Result<ValuationResult> PermutationMcSweep::Finish(UtilitySession& session) {
@@ -851,49 +823,6 @@ Status AdaptiveStratifiedSweep::Step(UtilitySession& session,
   }
   wall_accum_ += timer.ElapsedSeconds();
   return Status::OK();
-}
-
-std::vector<Coalition> AdaptiveStratifiedSweep::PeekNext(
-    size_t max_units) const {
-  if (!init_status_.ok() || done() || max_units == 0) return {};
-  size_t epoch_total = 0;
-  for (int m : epoch_plan_) epoch_total += static_cast<size_t>(m);
-  // At an epoch boundary (including before the first step) the next
-  // plan depends on utilities not yet observed — nothing is determined.
-  if (epoch_cursor_ >= epoch_total) return {};
-  const size_t todo =
-      std::min({max_units, epoch_total - epoch_cursor_,
-                effective_total_ - rounds_spent_});
-  // Mirror RunRounds on copies: same stratum walk, same RNG consumption
-  // (one draw per round), no state mutated. Draws already recorded are
-  // duplicates a prefetch would hit in cache anyway, so they are skipped.
-  Rng rng = rng_;
-  std::vector<Coalition> batch;
-  std::unordered_set<Coalition, CoalitionHash> peeked;
-  if (draws_.empty()) batch.push_back(Coalition());
-  size_t within = epoch_cursor_;
-  int k = 1;
-  for (; k <= n_; ++k) {
-    const size_t m_k = static_cast<size_t>(epoch_plan_[k - 1]);
-    if (within < m_k) break;
-    within -= m_k;
-  }
-  size_t drawn = 0;
-  while (drawn < todo) {
-    FEDSHAP_CHECK(k <= n_);
-    if (within >= static_cast<size_t>(epoch_plan_[k - 1])) {
-      within = 0;
-      ++k;
-      continue;
-    }
-    const Coalition c = RandomSubsetOfSize(n_, k, rng);
-    ++within;
-    ++drawn;
-    if (index_of_.find(c) == index_of_.end() && peeked.insert(c).second) {
-      batch.push_back(c);
-    }
-  }
-  return batch;
 }
 
 Result<ValuationResult> AdaptiveStratifiedSweep::Finish(

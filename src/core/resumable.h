@@ -73,20 +73,6 @@ class ResumableEstimator {
   /// (no-op).
   virtual Status Step(UtilitySession& session, int max_units) = 0;
 
-  /// The coalitions the next `max_units` work units would evaluate,
-  /// without advancing any state: what a speculative prefetcher may
-  /// safely warm the utility cache with while the current slice runs.
-  /// Samplers peek by *copying* their RNG, so the published sequence is
-  /// exactly what Step will draw. Estimators whose upcoming draws depend
-  /// on utilities not yet observed return only the prefix that is
-  /// already determined — possibly nothing (the default): prefetching is
-  /// an optimization, never an obligation. May contain duplicates of
-  /// already-evaluated coalitions; the cache dedups them for free.
-  virtual std::vector<Coalition> PeekNext(size_t max_units) const {
-    (void)max_units;
-    return {};
-  }
-
   /// Computes the estimate. Requires done(). Cost accounting in the
   /// returned ValuationResult reflects `session`'s counters, i.e. the
   /// work of *this* process — a resumed run charges only what it
@@ -141,9 +127,6 @@ class CoalitionPlanSweep : public ResumableEstimator {
     return init_status_.ok() && cursor_ == plan_.size();
   }
   Status Step(UtilitySession& session, int max_units) override;
-  /// The next `max_units` plan entries past the cursor — plan sweeps
-  /// know their whole future, so the peek is a plain slice.
-  std::vector<Coalition> PeekNext(size_t max_units) const override;
   Result<ValuationResult> Finish(UtilitySession& session) override;
   Result<std::string> Snapshot() const override;
   Status Restore(std::string_view snapshot) override;
@@ -264,10 +247,6 @@ class PermutationMcSweep : public ResumableEstimator {
   size_t completed_units() const override { return permutations_done_; }
   bool done() const override;
   Status Step(UtilitySession& session, int max_units) override;
-  /// Replays the next `max_units` permutations on a *copy* of the live
-  /// RNG and publishes the empty coalition plus every prefix — the exact
-  /// evaluation order the next Step will request.
-  std::vector<Coalition> PeekNext(size_t max_units) const override;
   Result<ValuationResult> Finish(UtilitySession& session) override;
   Result<std::string> Snapshot() const override;
   Status Restore(std::string_view snapshot) override;
@@ -321,11 +300,6 @@ class AdaptiveStratifiedSweep : public ResumableEstimator {
   size_t completed_units() const override { return rounds_spent_; }
   bool done() const override;
   Status Step(UtilitySession& session, int max_units) override;
-  /// Simulates the remaining rounds of the *current* epoch on a copy of
-  /// the live RNG (the next epoch's plan depends on utilities not yet
-  /// observed, so the peek stops at the epoch boundary — and returns
-  /// nothing when no epoch is in flight).
-  std::vector<Coalition> PeekNext(size_t max_units) const override;
   Result<ValuationResult> Finish(UtilitySession& session) override;
   Result<std::string> Snapshot() const override;
   Status Restore(std::string_view snapshot) override;

@@ -271,11 +271,11 @@ double UtilityCache::recorded_cost_seconds() const {
 }
 
 Result<double> UtilitySession::Evaluate(const Coalition& coalition) {
-  return EvaluateInternal(coalition, /*prefetched_fresh=*/false);
+  return EvaluateInternal(coalition, /*batch_fresh=*/false);
 }
 
 Result<double> UtilitySession::EvaluateInternal(const Coalition& coalition,
-                                                bool prefetched_fresh) {
+                                                bool batch_fresh) {
   bool computed = false;
   FEDSHAP_ASSIGN_OR_RETURN(UtilityRecord record,
                            cache_->Get(coalition, &computed));
@@ -284,31 +284,13 @@ Result<double> UtilitySession::EvaluateInternal(const Coalition& coalition,
   if (seen_.insert(coalition).second) {
     charged_seconds_ += record.cost_seconds;
     // A training counts as this session's own when this evaluation
-    // computed it, when the batch prefetch below computed it on this
-    // session's behalf before the sequential accounting pass ran, or
-    // when a speculative prefetcher posted a credit for it. The cache's
-    // single-flight guarantee means exactly one of these can be true per
-    // coalition, so the count is exact under any interleaving.
-    const bool credited = credits_.erase(coalition) > 0;
-    if (credited) ++prefetch_consumed_;
-    if (computed || prefetched_fresh || credited) ++fresh_trainings_;
+    // computed it, or when the batch prefetch below computed it on this
+    // session's behalf before the sequential accounting pass ran. The
+    // cache's single-flight guarantee means at most one of these can be
+    // true per coalition, so the count is exact under any interleaving.
+    if (computed || batch_fresh) ++fresh_trainings_;
   }
   return record.utility;
-}
-
-void UtilitySession::CreditPrefetchedTraining(const Coalition& coalition) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++prefetch_credited_;
-  if (seen_.count(coalition) > 0) {
-    // The session evaluated the coalition while the prefetcher was still
-    // training it (its Get waited on the in-flight slot, so neither
-    // `computed` nor a credit attributed the training then). Attribute
-    // it now — the training was on this session's behalf.
-    ++prefetch_consumed_;
-    ++fresh_trainings_;
-  } else {
-    credits_.insert(coalition);
-  }
 }
 
 size_t UtilitySession::num_evaluations() const {
@@ -329,16 +311,6 @@ size_t UtilitySession::num_fresh_trainings() const {
 double UtilitySession::charged_seconds() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return charged_seconds_;
-}
-
-size_t UtilitySession::prefetch_credited() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return prefetch_credited_;
-}
-
-size_t UtilitySession::prefetch_consumed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return prefetch_consumed_;
 }
 
 Result<std::vector<double>> UtilitySession::EvaluateBatch(
@@ -363,10 +335,10 @@ Result<std::vector<double>> UtilitySession::EvaluateBatch(
   std::vector<double> values;
   values.reserve(coalitions.size());
   for (size_t i = 0; i < coalitions.size(); ++i) {
-    const bool prefetched_fresh = i < fresh.size() && fresh[i] != 0;
+    const bool batch_fresh = i < fresh.size() && fresh[i] != 0;
     FEDSHAP_ASSIGN_OR_RETURN(double utility,
                              EvaluateInternal(coalitions[i],
-                                              prefetched_fresh));
+                                              batch_fresh));
     values.push_back(utility);
   }
   return values;

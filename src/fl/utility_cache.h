@@ -193,16 +193,6 @@ class UtilitySession {
   /// Whether the fused dispatch path is enabled.
   bool fused() const { return fused_; }
 
-  /// Records that a speculative prefetcher trained `coalition` on this
-  /// session's behalf (its cache Get came back fresh). If the session has
-  /// already evaluated the coalition the training is attributed now;
-  /// otherwise a credit is held and consumed by the first Evaluate of
-  /// that coalition. Single-flight in the cache guarantees at most one
-  /// fresh training per coalition ever, so num_fresh_trainings stays
-  /// exact under any prefetch/evaluate interleaving. Thread-safe against
-  /// concurrent Evaluate/EvaluateBatch calls.
-  void CreditPrefetchedTraining(const Coalition& coalition);
-
   /// Total U(.) queries this run issued (statistics for ValuationResult).
   size_t num_evaluations() const;
   /// Distinct coalitions this run needed (= FL trainings a standalone
@@ -210,40 +200,29 @@ class UtilitySession {
   size_t num_distinct() const;
   /// Distinct coalitions this run actually trained itself: evaluations
   /// that missed the shared cache and were computed on this session's
-  /// behalf (including trainings a speculative prefetcher ran ahead for
-  /// it — see CreditPrefetchedTraining). `num_distinct() -
-  /// num_fresh_trainings()` is therefore the number of trainings this run
-  /// *reused* — from earlier runs in the process, from concurrent runs
-  /// sharing the cache, or from an attached store. The valuation service
-  /// reports this as its cross-job dedup metric.
+  /// behalf. `num_distinct() - num_fresh_trainings()` is therefore the
+  /// number of trainings this run *reused* — from earlier runs in the
+  /// process, from concurrent runs sharing the cache, or from an attached
+  /// store. The valuation service reports this as its cross-job dedup
+  /// metric.
   size_t num_fresh_trainings() const;
   /// Sum of the recorded training costs of the distinct coalitions, each
   /// charged exactly once.
   double charged_seconds() const;
-  /// Trainings a speculative prefetcher credited to this session.
-  size_t prefetch_credited() const;
-  /// Credited prefetch trainings whose coalition the session went on to
-  /// evaluate (the prefetcher's hit-ahead count; the rest were
-  /// mis-speculations or arrived after the run finished).
-  size_t prefetch_consumed() const;
 
  private:
   Result<double> EvaluateInternal(const Coalition& coalition,
-                                  bool prefetched_fresh);
+                                  bool batch_fresh);
 
   UtilityCache* cache_;
   ThreadPool* pool_;
   bool fused_ = false;
-  /// Guards all accounting below: the service's prefetch thread posts
-  /// credits concurrently with the run thread's evaluations.
+  /// Guards all accounting below, so the counters may be read from any
+  /// thread while the run thread evaluates.
   mutable std::mutex mutex_;
   std::unordered_set<Coalition, CoalitionHash> seen_;
-  /// Prefetched-fresh coalitions not yet evaluated by this session.
-  std::unordered_set<Coalition, CoalitionHash> credits_;
   size_t num_evaluations_ = 0;
   size_t fresh_trainings_ = 0;
-  size_t prefetch_credited_ = 0;
-  size_t prefetch_consumed_ = 0;
   double charged_seconds_ = 0.0;
 };
 

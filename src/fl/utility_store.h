@@ -101,14 +101,10 @@ struct UtilityStoreStats {
 /// active segment are held in memory until sealed and are never evicted,
 /// so an unflushed record always has a live copy.
 ///
-/// **v1 migration.** Open transparently migrates a legacy v1 single-file
-/// store (load-on-open, rewrite-on-flush format of PR 2) into the
-/// segment layout; every record survives bit-identically.
-///
 /// Thread-safe; an instance may back several caches or sessions at once.
 class UtilityStore {
  public:
-  /// Magic tag of v1 store files and v2 segment files ("FSUS" LE).
+  /// Magic tag of segment files ("FSUS" little-endian).
   static constexpr uint32_t kMagic = 0x53555346u;
   /// Magic tag of the manifest file ("FSUM" little-endian).
   static constexpr uint32_t kManifestMagic = 0x4d555346u;
@@ -121,10 +117,10 @@ class UtilityStore {
 
   /// Opens (or creates) the store at `path` for the workload identified
   /// by `fingerprint`. A missing path yields an empty store; an existing
-  /// segment directory is indexed from its manifest and footers; a
-  /// legacy v1 file is migrated in place. Fails with FailedPrecondition
-  /// when the store was written for a different fingerprint and
-  /// InvalidArgument when it is corrupt or not a store.
+  /// segment directory is indexed from its manifest and footers. Fails
+  /// with FailedPrecondition when the store was written for a different
+  /// fingerprint and InvalidArgument when it is corrupt or not a store
+  /// (any path that is not a directory, e.g. a regular file).
   ///
   /// Environment knobs read here: `FEDSHAP_STORE_BYTES` (mapped-byte
   /// budget; plain bytes or K/M/G suffix; 0/unset = unlimited) and
@@ -211,7 +207,6 @@ class UtilityStore {
   Status LoadManifestLocked(std::string_view contents);
   Status WriteManifestLocked();
   Status OpenDirectoryLocked();
-  Status MigrateV1Locked(std::string_view contents);
   Status EnsureActiveWriterLocked();
   Status SealActiveLocked();
   Result<SegmentReader*> MappedLocked(Segment& segment);

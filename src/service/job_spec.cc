@@ -375,7 +375,6 @@ std::string JobSpec::ToLine() const {
                      " seed=" + std::to_string(seed) +
                      " chunk=" + std::to_string(checkpoint_every) +
                      " allocation=" + allocation +
-                     " prefetch=" + std::to_string(prefetch) +
                      " fuse=" + (fuse ? "on" : "off") +
                      " scenario=" + scenario.kind +
                      " n=" + std::to_string(scenario.n) +

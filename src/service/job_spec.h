@@ -132,11 +132,10 @@ struct JobSpec {
   /// variance, see core/stratified.h). Only meaningful with
   /// estimator=stratified; other estimators reject "neyman".
   std::string allocation = "fixed";
-  /// Speculative prefetch depth (`prefetch=` key): how many planned
-  /// coalitions past the current slice the service's prefetcher may
-  /// train ahead of demand (through ResumableEstimator::PeekNext). 0
-  /// disables prefetching for the job. Prefetch only reorders trainings
-  /// — values stay bit-identical to an unprefetched run.
+  /// Ignored. The `prefetch=` key (>= 0) is still accepted so job files
+  /// written by older versions parse, but ToLine no longer writes it and
+  /// nothing reads the value. Kept only because bench/e2e sets it;
+  /// delete with that reference.
   int prefetch = 0;
   /// Fused multi-coalition dispatch (`fuse=on|off` key): route slice
   /// batches through UtilityFunction::EvaluateBatchFused, stacking
@@ -152,7 +151,8 @@ struct JobSpec {
   static Result<JobSpec> FromLine(std::string_view line);
 
   /// Serializes the spec as a job line that FromLine parses back
-  /// identically (the service persists submitted jobs in this form).
+  /// identically, apart from the ignored `prefetch` (the service
+  /// persists submitted jobs in this form).
   std::string ToLine() const;
 };
 

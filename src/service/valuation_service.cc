@@ -18,12 +18,6 @@ constexpr const char* kSpecSuffix = ".job";
 constexpr const char* kSnapshotSuffix = ".snap";
 constexpr const char* kResultSuffix = ".result";
 
-/// Pending prefetch plans beyond this are dropped oldest-first: a stale
-/// plan's coalitions are mostly evaluated (cache hits) by the time the
-/// prefetcher would reach them, so keeping the newest plans is both the
-/// bound and the better speculation.
-constexpr size_t kMaxPrefetchPlans = 32;
-
 }  // namespace
 
 const char* JobStateName(JobState state) {
@@ -58,10 +52,6 @@ ValuationService::ValuationService(const ServiceConfig& config)
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  // One prefetch thread per service: speculation is budget-gated (see
-  // PrefetchLoop), so a single drainer is enough and keeps ordering of
-  // plans simple. It idles when no job asks for prefetch.
-  prefetcher_ = std::thread([this] { PrefetchLoop(); });
 }
 
 ValuationService::~ValuationService() { Stop(); }
@@ -157,7 +147,7 @@ Status ValuationService::SubmitInternal(const JobSpec& spec,
   auto job = std::make_unique<Job>();
   job->spec = spec;
   FEDSHAP_ASSIGN_OR_RETURN(job->workload, GetOrBuildWorkload(spec.scenario));
-  job->session = std::make_shared<UtilitySession>(job->workload->cache.get());
+  job->session = std::make_unique<UtilitySession>(job->workload->cache.get());
   job->session->set_fused(spec.fuse);
   if (IsResumable(spec.estimator)) {
     FEDSHAP_ASSIGN_OR_RETURN(
@@ -186,11 +176,8 @@ Status ValuationService::SubmitInternal(const JobSpec& spec,
     return Status::AlreadyExists("job '" + spec.name + "' already exists");
   }
   queue_.push_back(spec.name);
-  auto [it, inserted] = jobs_.emplace(spec.name, std::move(job));
+  jobs_.emplace(spec.name, std::move(job));
   ++jobs_submitted_;
-  // Seed the prefetcher with the job's opening coalitions: while the job
-  // waits behind the queue, its first slice's trainings can already run.
-  QueuePrefetchLocked(*it->second);
   runnable_.notify_one();
   return Status::OK();
 }
@@ -378,20 +365,14 @@ void ValuationService::Stop() {
   }
   runnable_.notify_all();
   state_changed_.notify_all();
-  prefetch_ready_.notify_all();
   // Serialize the join/flush phase: Stop() may be called concurrently
-  // (an explicit Stop racing the destructor, or a caller racing an
-  // in-flight speculative training), and std::thread::join is not safe
-  // to race with itself.
+  // (an explicit Stop racing the destructor), and std::thread::join is
+  // not safe to race with itself.
   std::lock_guard<std::mutex> stop_lock(stop_mutex_);
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  // The prefetcher must be parked before the stores are flushed (and,
-  // in the destructor that follows, closed): a speculative training is
-  // a write-through into the very store being shut down.
-  if (prefetcher_.joinable()) prefetcher_.join();
   std::lock_guard<std::mutex> lock(mutex_);
   FlushStoresLocked();
 }
@@ -430,13 +411,6 @@ ServiceStats ValuationService::stats() const {
   }
   stats.slices_executed = slices_executed_;
   stats.workloads = workloads_.size();
-  stats.prefetch_trainings = prefetch_trainings_;
-  for (const auto& [name, job] : jobs_) {
-    if (job->session != nullptr) {
-      stats.prefetch_credited += job->session->prefetch_credited();
-      stats.prefetch_consumed += job->session->prefetch_consumed();
-    }
-  }
   for (const auto& [key, workload] : workloads_) {
     stats.trainings_computed += workload->cache->misses();
     stats.trainings_preloaded += workload->cache->preloaded();
@@ -497,7 +471,6 @@ void ValuationService::WorkerLoop() {
       stopping_ = true;
       runnable_.notify_all();
       state_changed_.notify_all();
-      prefetch_ready_.notify_all();
       return;
     }
     const std::string name = queue_.front();
@@ -540,10 +513,6 @@ void ValuationService::RunSlice(const std::string& name, Job& job,
     if (!stepped.ok()) {
       error = stepped.ToString();
     } else if (sweep->done()) {
-      // Fence the speculation before materializing the result: every
-      // in-flight credit for this session lands first, keeping the
-      // final num_fresh_trainings exact.
-      if (spec.prefetch > 0) DrainPrefetchForSession(session);
       Result<ValuationResult> finish = sweep->Finish(*session);
       if (finish.ok()) {
         finished = true;
@@ -580,92 +549,10 @@ void ValuationService::RunSlice(const std::string& name, Job& job,
     FinalizeLocked(name, job, JobState::kCancelled);
   } else {
     job.state = JobState::kQueued;
-    // The estimator is quiescent until a worker dequeues the job again:
-    // publish what it will evaluate next so the prefetcher can train
-    // those coalitions while the job waits its turn in the queue.
-    QueuePrefetchLocked(job);
     queue_.push_back(name);
     runnable_.notify_one();
     state_changed_.notify_all();  // Progress is observable state too.
   }
-}
-
-void ValuationService::QueuePrefetchLocked(Job& job) {
-  if (job.spec.prefetch <= 0 || job.sweep == nullptr ||
-      job.session == nullptr || stopping_) {
-    return;
-  }
-  PrefetchPlan plan;
-  plan.coalitions =
-      job.sweep->PeekNext(static_cast<size_t>(job.spec.prefetch));
-  if (plan.coalitions.empty()) return;  // Nothing determined to peek at.
-  plan.workload = job.workload;
-  plan.session = job.session;
-  while (prefetch_queue_.size() >= kMaxPrefetchPlans) {
-    prefetch_queue_.pop_front();
-  }
-  prefetch_queue_.push_back(std::move(plan));
-  prefetch_ready_.notify_one();
-}
-
-void ValuationService::PrefetchLoop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    prefetch_ready_.wait(lock, [this] {
-      return stopping_ || !prefetch_queue_.empty();
-    });
-    if (stopping_) return;
-    PrefetchPlan plan = std::move(prefetch_queue_.front());
-    prefetch_queue_.pop_front();
-    prefetch_active_session_ = plan.session.get();
-    lock.unlock();
-
-    size_t trained = 0;
-    for (const Coalition& coalition : plan.coalitions) {
-      {
-        std::lock_guard<std::mutex> stop_check(mutex_);
-        if (stopping_) break;
-      }
-      // Speculate only on idle capacity: when demand work holds every
-      // budget slot, drop the rest of the plan instead of competing —
-      // prefetch is an optimization, never an obligation.
-      const int granted = WorkerBudget::Global().TryAcquire(1);
-      if (granted == 0) break;
-      bool fresh = false;
-      Result<UtilityRecord> record =
-          plan.workload->cache->Get(coalition, &fresh);
-      WorkerBudget::Global().Release(granted);
-      if (!record.ok()) break;  // The demand path will surface the error.
-      if (fresh) {
-        // Exactly-once attribution: single-flight in the cache means this
-        // training can never also be counted by the job's own Evaluate.
-        plan.session->CreditPrefetchedTraining(coalition);
-        ++trained;
-      }
-    }
-
-    lock.lock();
-    prefetch_trainings_ += trained;
-    prefetch_active_session_ = nullptr;
-    prefetch_idle_.notify_all();
-  }
-}
-
-void ValuationService::DrainPrefetchForSession(
-    const UtilitySession* session) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Queued speculation for a finishing job is useless: everything it
-  // would train, the job has either evaluated already or never will.
-  for (auto it = prefetch_queue_.begin(); it != prefetch_queue_.end();) {
-    if (it->session.get() == session) {
-      it = prefetch_queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  prefetch_idle_.wait(lock, [this, session] {
-    return prefetch_active_session_ != session;
-  });
 }
 
 }  // namespace fedshap

@@ -113,13 +113,10 @@ struct ServiceStats {
   size_t store_evictions = 0;
   /// Compactions completed across all attached stores.
   size_t store_compactions = 0;
-  /// Trainings the speculative prefetcher ran ahead of demand (fresh
-  /// cache misses computed by the prefetch thread, across all jobs).
+  /// Always 0: the service has no speculative prefetcher. Kept only
+  /// because bench/e2e reads it; delete with that reference.
   size_t prefetch_trainings = 0;
-  /// Prefetched trainings credited to live jobs' sessions.
-  size_t prefetch_credited = 0;
-  /// Credited prefetch trainings the owning job went on to evaluate
-  /// (the prefetcher's hit-ahead count; see UtilitySession).
+  /// Always 0, for the same reason as `prefetch_trainings`.
   size_t prefetch_consumed = 0;
 };
 
@@ -255,25 +252,13 @@ class ValuationService {
     JobSpec spec;
     JobState state = JobState::kQueued;
     std::shared_ptr<Workload> workload;
-    /// Shared so a pending prefetch plan can keep crediting the session
-    /// even if the job is purged before the plan drains.
-    std::shared_ptr<UtilitySession> session;
+    std::unique_ptr<UtilitySession> session;
     std::unique_ptr<ResumableEstimator> sweep;  ///< Null for one-shots.
     ValuationResult result;
     std::string error;
     bool cancel_requested = false;
     size_t completed_units = 0;
     size_t total_units = 0;
-  };
-
-  /// One unit of speculative work for the prefetch thread: coalitions a
-  /// job's estimator has committed to evaluating next (from
-  /// ResumableEstimator::PeekNext), plus shared ownership of everything
-  /// needed to train and credit them after the job itself is gone.
-  struct PrefetchPlan {
-    std::shared_ptr<Workload> workload;
-    std::shared_ptr<UtilitySession> session;
-    std::vector<Coalition> coalitions;
   };
 
   /// Returns the shared workload context for `scenario`, building it
@@ -292,22 +277,6 @@ class ValuationService {
   /// reservation and queue insertion hold the mutex.
   Status SubmitInternal(const JobSpec& spec, bool restore_snapshot);
   void WorkerLoop();
-  /// The speculative prefetch thread: drains queued PrefetchPlans,
-  /// training each planned coalition through the workload's shared cache
-  /// — but only while WorkerBudget::Global() has an idle slot to lease,
-  /// so speculation never starves demand work. Fresh trainings are
-  /// credited to the owning job's session (exact num_fresh_trainings).
-  void PrefetchLoop();
-  /// Queues a prefetch plan for `job` (no-op when the job's spec disables
-  /// prefetch or its estimator cannot peek). Caller must hold mutex_ and
-  /// guarantee the job's sweep is quiescent (not owned by a worker).
-  void QueuePrefetchLocked(Job& job);
-  /// Fences the prefetcher for a finishing job: discards its queued
-  /// plans and waits out any in-flight plan for `session`, so every
-  /// credit lands before the result's counters are materialized
-  /// (num_fresh_trainings in the final ValuationResult stays exact).
-  /// Must be called without mutex_ held.
-  void DrainPrefetchForSession(const UtilitySession* session);
   /// Runs one slice of `job` outside the lock; re-acquires it to record
   /// the transition. `lock` must be held on entry and is held on return.
   void RunSlice(const std::string& name, Job& job,
@@ -332,18 +301,10 @@ class ValuationService {
   std::condition_variable workload_built_;  ///< Signals building_ shrinking.
   std::deque<std::string> queue_;
   std::vector<std::thread> workers_;
-  std::thread prefetcher_;
-  std::condition_variable prefetch_ready_;  ///< Signals prefetch_queue_.
-  std::condition_variable prefetch_idle_;   ///< Signals end of a plan.
-  std::deque<PrefetchPlan> prefetch_queue_;
-  /// Session of the plan the prefetch thread is working right now (null
-  /// when idle); what DrainPrefetchForSession waits on.
-  const UtilitySession* prefetch_active_session_ = nullptr;
   bool stopping_ = false;
   bool paused_ = false;
   size_t slices_executed_ = 0;
   size_t jobs_submitted_ = 0;
-  size_t prefetch_trainings_ = 0;
 };
 
 }  // namespace fedshap

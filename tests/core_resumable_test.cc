@@ -224,131 +224,6 @@ TEST(PermutationMcSweepTest, ConvergesTowardExactSv) {
   EXPECT_NEAR(result.values[2], 0.32, 0.02);
 }
 
-// ---------------------------------------------------------------------
-// PeekNext: the speculative-prefetch contract. Peeking must (a) be pure
-// (no observable effect on the sweep's later draws — final values stay
-// bit-identical), (b) be deterministic (two peeks agree), and (c) name
-// exactly what the sweep goes on to demand: prefetching every peeked
-// coalition leaves the subsequent Step with zero cache misses, and the
-// whole run trains exactly the coalitions an unprefetched run would
-// (no mis-speculation).
-// ---------------------------------------------------------------------
-
-/// Drives `make()`'s sweep in `chunk`-unit slices, prefetching what
-/// PeekNext(chunk) announces before every Step, and checks the contract
-/// above against an unprefetched reference run. `strict_slice_coverage`
-/// additionally pins per-slice exactness (peek(chunk) covers step(chunk))
-/// — epoch-planned sweeps can only peek to their epoch boundary, so they
-/// check the run-level properties only.
-void ExpectPeekDrivenPrefetchExact(
-    const UtilityFunction& fn,
-    const std::function<std::unique_ptr<ResumableEstimator>()>& make,
-    int chunk, bool strict_slice_coverage) {
-  UtilityCache ref_cache(&fn);
-  UtilitySession ref_session(&ref_cache);
-  std::unique_ptr<ResumableEstimator> ref_sweep = make();
-  Result<ValuationResult> reference = ref_sweep->Run(ref_session);
-  FEDSHAP_CHECK_OK(reference.status());
-
-  UtilityCache cache(&fn);
-  UtilitySession session(&cache);
-  std::unique_ptr<ResumableEstimator> sweep = make();
-  EXPECT_TRUE(sweep->PeekNext(0).empty());
-  while (!sweep->done()) {
-    const std::vector<Coalition> peeked =
-        sweep->PeekNext(static_cast<size_t>(chunk));
-    EXPECT_EQ(sweep->PeekNext(static_cast<size_t>(chunk)), peeked)
-        << "PeekNext is not deterministic";
-    for (const Coalition& c : peeked) {
-      FEDSHAP_CHECK_OK(cache.Get(c).status());
-    }
-    const size_t misses_before = cache.misses();
-    FEDSHAP_CHECK_OK(sweep->Step(session, chunk));
-    if (strict_slice_coverage) {
-      // Everything the slice demanded was announced: no miss survived
-      // the prefetch.
-      EXPECT_EQ(cache.misses(), misses_before);
-    }
-  }
-  EXPECT_TRUE(sweep->PeekNext(4).empty());  // done: nothing left to peek
-  Result<ValuationResult> finished = sweep->Finish(session);
-  FEDSHAP_CHECK_OK(finished.status());
-
-  // Purity: peek+prefetch must not perturb a single bit of the result.
-  ExpectBitIdentical(reference->values, finished->values);
-  // Exactness: the prefetched run trained the same coalition set — every
-  // peeked coalition was really demanded (zero wasted trainings here;
-  // the service tolerates mis-speculation, the sweeps don't emit it).
-  EXPECT_EQ(cache.misses(), ref_cache.misses());
-}
-
-TEST(IpssSweepTest, PeekNextAnnouncesExactlyTheUpcomingEvaluations) {
-  TableUtility fn = RandomTable(7, 51);
-  IpssConfig config;
-  config.total_rounds = 40;
-  config.seed = 9;
-  const auto make = [&] { return std::make_unique<IpssSweep>(7, config); };
-  for (int chunk : {1, 3, 8}) {
-    ExpectPeekDrivenPrefetchExact(fn, make, chunk,
-                                  /*strict_slice_coverage=*/true);
-  }
-}
-
-TEST(StratifiedSweepTest, PeekNextAnnouncesExactlyTheUpcomingEvaluations) {
-  TableUtility fn = RandomTable(6, 53);
-  StratifiedConfig config;
-  config.total_rounds = 30;
-  config.seed = 5;
-  const auto make = [&] {
-    return std::make_unique<StratifiedSweep>(6, config);
-  };
-  ExpectPeekDrivenPrefetchExact(fn, make, 4, /*strict_slice_coverage=*/true);
-}
-
-TEST(ExactSweepTest, PeekNextAnnouncesExactlyTheUpcomingEvaluations) {
-  TableUtility fn = RandomTable(5, 57);
-  const auto make = [&] {
-    return std::make_unique<ExactSweep>(5, SvScheme::kMarginal);
-  };
-  ExpectPeekDrivenPrefetchExact(fn, make, 5, /*strict_slice_coverage=*/true);
-}
-
-TEST(PermutationMcSweepTest, PeekNextCopiesRngWithoutAdvancingIt) {
-  // The permutation sampler draws from a live RNG: PeekNext must
-  // simulate on a *copy*, or every peek would shift the stream and break
-  // bit-identity with the unpeeked run.
-  TableUtility fn = RandomTable(6, 59);
-  PermutationMcConfig config;
-  config.permutations = 20;
-  config.seed = 17;
-  const auto make = [&] {
-    return std::make_unique<PermutationMcSweep>(6, config);
-  };
-  for (int chunk : {1, 4}) {
-    ExpectPeekDrivenPrefetchExact(fn, make, chunk,
-                                  /*strict_slice_coverage=*/true);
-  }
-}
-
-TEST(AdaptiveSweepTest, PeekNextStopsAtTheEpochBoundary) {
-  // Adaptive allocation plans each epoch from utilities of the previous
-  // one, so only the current epoch's draws are determined: PeekNext
-  // simulates those on an RNG copy and returns {} at the boundary rather
-  // than speculating on an unknowable plan.
-  TableUtility fn = RandomTable(7, 61);
-  AdaptiveAllocationConfig config;
-  config.total_rounds = 36;
-  config.reallocate_every = 8;
-  config.seed = 15;
-  const auto make = [&] {
-    return std::make_unique<AdaptiveStratifiedSweep>(7, config);
-  };
-  for (int chunk : {1, 5}) {
-    ExpectPeekDrivenPrefetchExact(fn, make, chunk,
-                                  /*strict_slice_coverage=*/false);
-  }
-}
-
 TEST(SnapshotValidationTest, WrongAlgorithmRejected) {
   IpssConfig ipss_config;
   ipss_config.total_rounds = 10;

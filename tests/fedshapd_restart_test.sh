@@ -32,13 +32,11 @@ JOBS="$DIR/jobs.txt"
 cat > "$JOBS" <<'EOF'
 # Resumable sweeps and a one-shot over one shared workload. Job d is the
 # adaptive (Neyman) stratified sweep — the kill can land mid-epoch with
-# the allocation state half-spent, the hardest resume case. Job e runs
-# with speculative prefetch enabled: kills and worker deaths must leave
-# its values bit-identical anyway (prefetch only reorders trainings).
+# the allocation state half-spent, the hardest resume case.
 name=a estimator=ipss gamma=24 chunk=4 seed=5 scenario=linreg n=8 scenario-seed=5
 name=b estimator=loo scenario=linreg n=8 scenario-seed=5
 name=d estimator=stratified allocation=neyman gamma=24 chunk=4 seed=5 scenario=linreg n=8 scenario-seed=5
-name=e estimator=perm-mc gamma=32 chunk=4 seed=7 prefetch=8 scenario=linreg n=8 scenario-seed=5
+name=e estimator=perm-mc gamma=32 chunk=4 seed=7 scenario=linreg n=8 scenario-seed=5
 EOF
 
 # Reference: the uninterrupted single-process run.

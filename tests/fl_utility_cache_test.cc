@@ -401,103 +401,6 @@ TEST(UtilitySessionTest, EvaluateBatchPropagatesFailure) {
   EXPECT_EQ(session.num_evaluations(), 0u);
 }
 
-TEST(UtilitySessionTest, PrefetchCreditBeforeEvaluateCountsOnce) {
-  CountingUtility fn(5);
-  UtilityCache cache(&fn);
-  UtilitySession session(&cache);
-  const Coalition c = Coalition::Of({0, 1});
-
-  // The prefetcher trains c ahead of demand and posts the credit.
-  bool fresh = false;
-  ASSERT_TRUE(cache.Get(c, &fresh).ok());
-  ASSERT_TRUE(fresh);
-  session.CreditPrefetchedTraining(c);
-  EXPECT_EQ(session.prefetch_credited(), 1u);
-  EXPECT_EQ(session.prefetch_consumed(), 0u);
-  EXPECT_EQ(session.num_fresh_trainings(), 0u);  // not evaluated yet
-
-  // The session's own evaluation is a cache hit, but the training was
-  // run on its behalf: it counts as this run's fresh training, once.
-  ASSERT_TRUE(session.Evaluate(c).ok());
-  ASSERT_TRUE(session.Evaluate(c).ok());  // repeat must not double count
-  EXPECT_EQ(session.num_fresh_trainings(), 1u);
-  EXPECT_EQ(session.num_distinct(), 1u);
-  EXPECT_EQ(session.prefetch_consumed(), 1u);
-  EXPECT_EQ(fn.calls(), 1);
-}
-
-TEST(UtilitySessionTest, PrefetchCreditAfterEvaluateCountsOnce) {
-  CountingUtility fn(5);
-  UtilityCache cache(&fn);
-  UtilitySession session(&cache);
-  const Coalition c = Coalition::Of({2});
-
-  // The prefetcher's Get won the training race, but its credit arrives
-  // only after the session already evaluated the coalition (as a hit).
-  bool fresh = false;
-  ASSERT_TRUE(cache.Get(c, &fresh).ok());
-  ASSERT_TRUE(fresh);
-  ASSERT_TRUE(session.Evaluate(c).ok());
-  EXPECT_EQ(session.num_fresh_trainings(), 0u);  // credit not posted yet
-  session.CreditPrefetchedTraining(c);
-  EXPECT_EQ(session.num_fresh_trainings(), 1u);  // attributed on arrival
-  EXPECT_EQ(session.prefetch_consumed(), 1u);
-}
-
-TEST(UtilitySessionTest, MisSpeculatedPrefetchCreditIsNotCounted) {
-  CountingUtility fn(5);
-  UtilityCache cache(&fn);
-  UtilitySession session(&cache);
-  // The prefetcher trained a coalition the run never asks for: credited
-  // but never consumed, and num_fresh_trainings stays <= num_distinct.
-  bool fresh = false;
-  ASSERT_TRUE(cache.Get(Coalition::Of({4}), &fresh).ok());
-  session.CreditPrefetchedTraining(Coalition::Of({4}));
-  ASSERT_TRUE(session.Evaluate(Coalition::Of({0})).ok());
-  EXPECT_EQ(session.prefetch_credited(), 1u);
-  EXPECT_EQ(session.prefetch_consumed(), 0u);
-  EXPECT_EQ(session.num_distinct(), 1u);
-  EXPECT_EQ(session.num_fresh_trainings(), 1u);  // only the real one
-}
-
-// The exactness invariant under a live race: a prefetcher Get/credit
-// thread overlapping the session's own EvaluateBatch of the same
-// coalitions. Whoever wins each single-flight training, every distinct
-// coalition must end up attributed to the session exactly once.
-TEST(UtilitySessionTest, ConcurrentPrefetchAndEvaluateStayExact) {
-  std::vector<Coalition> distinct;
-  ForEachSubsetOfSize(9, 2, [&](const Coalition& c) {
-    distinct.push_back(c);
-  });
-  SlowCountingUtility fn(9);
-  UtilityCache cache(&fn);
-  ThreadPool pool(4);
-  UtilitySession session(&cache, &pool);
-
-  std::thread prefetcher([&] {
-    for (const Coalition& c : distinct) {
-      bool fresh = false;
-      ASSERT_TRUE(cache.Get(c, &fresh).ok());
-      if (fresh) session.CreditPrefetchedTraining(c);
-    }
-  });
-  Result<std::vector<double>> values = session.EvaluateBatch(distinct);
-  prefetcher.join();
-  ASSERT_TRUE(values.ok());
-
-  // Only this session (and its prefetcher) use the cache, so every
-  // training belongs to it: fresh == distinct == cache misses, despite
-  // the race deciding who computed each one.
-  EXPECT_EQ(cache.misses(), distinct.size());
-  EXPECT_EQ(session.num_distinct(), distinct.size());
-  EXPECT_EQ(session.num_fresh_trainings(), distinct.size());
-  EXPECT_EQ(session.prefetch_consumed(), session.prefetch_credited());
-  for (size_t i = 0; i < distinct.size(); ++i) {
-    EXPECT_DOUBLE_EQ((*values)[i],
-                     static_cast<double>(distinct[i].Count()) * 1.5);
-  }
-}
-
 TEST(UtilitySessionTest, FusedBatchMatchesUnfusedValuesAndAccounting) {
   std::vector<Coalition> batch;
   ForEachSubsetOfSize(8, 2, [&](const Coalition& c) { batch.push_back(c); });

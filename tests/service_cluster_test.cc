@@ -77,13 +77,12 @@ ValuationResult RunIsolated(const JobSpec& spec) {
 // The invariance property: cluster == single process, bit for bit
 // ---------------------------------------------------------------------------
 
-// {1,2,4} workers x {ipss, adaptive-neyman stratified, perm-mc} x
-// prefetch {off, 8}: every combination must reproduce the isolated
-// run's values bitwise, with identical evaluation/training/fresh
-// counts (the coordinator cache is authoritative for accounting, so a
-// cold cluster run trains exactly the isolated run's distinct
-// coalitions — on the workers).
-TEST(ClusterInvarianceTest, BitIdenticalAcrossTopologiesEstimatorsPrefetch) {
+// {1,2,4} workers x {ipss, adaptive-neyman stratified, perm-mc}: every
+// combination must reproduce the isolated run's values bitwise, with
+// identical evaluation/training/fresh counts (the coordinator cache is
+// authoritative for accounting, so a cold cluster run trains exactly the
+// isolated run's distinct coalitions — on the workers).
+TEST(ClusterInvarianceTest, BitIdenticalAcrossTopologiesAndEstimators) {
   struct EstimatorCase {
     const char* tag;
     EstimatorKind kind;
@@ -96,31 +95,27 @@ TEST(ClusterInvarianceTest, BitIdenticalAcrossTopologiesEstimatorsPrefetch) {
   };
   const ScenarioSpec scenario = LinregScenario(8);
   for (const EstimatorCase& est : estimators) {
-    for (int prefetch : {0, 8}) {
-      JobSpec job = MakeJob("job", est.kind, scenario);
-      if (est.allocation != nullptr) job.allocation = est.allocation;
-      job.prefetch = prefetch;
-      const ValuationResult reference = RunIsolated(job);
-      ASSERT_EQ(reference.values.size(), 8u);
-      for (int workers : {1, 2, 4}) {
-        ClusterFixture::Options options;
-        options.num_workers = workers;
-        auto fixture = ClusterFixture::Start(options);
-        ASSERT_NE(fixture, nullptr);
-        Result<ValuationResult> result = fixture->Run(job);
-        ASSERT_TRUE(result.ok()) << result.status();
-        const std::string topology = std::string(est.tag) + " prefetch=" +
-                                     std::to_string(prefetch) + " workers=" +
-                                     std::to_string(workers);
-        ExpectBitIdentical(reference, *result, topology);
-        const ClusterStats stats = fixture->cluster_stats();
-        // Every fresh training ran remotely, none twice.
-        EXPECT_EQ(stats.results_applied, reference.num_fresh_trainings)
-            << topology;
-        EXPECT_EQ(stats.worker_fresh_trainings, reference.num_fresh_trainings)
-            << topology;
-        EXPECT_EQ(stats.workers_lost, 0u) << topology;
-      }
+    JobSpec job = MakeJob("job", est.kind, scenario);
+    if (est.allocation != nullptr) job.allocation = est.allocation;
+    const ValuationResult reference = RunIsolated(job);
+    ASSERT_EQ(reference.values.size(), 8u);
+    for (int workers : {1, 2, 4}) {
+      ClusterFixture::Options options;
+      options.num_workers = workers;
+      auto fixture = ClusterFixture::Start(options);
+      ASSERT_NE(fixture, nullptr);
+      Result<ValuationResult> result = fixture->Run(job);
+      ASSERT_TRUE(result.ok()) << result.status();
+      const std::string topology =
+          std::string(est.tag) + " workers=" + std::to_string(workers);
+      ExpectBitIdentical(reference, *result, topology);
+      const ClusterStats stats = fixture->cluster_stats();
+      // Every fresh training ran remotely, none twice.
+      EXPECT_EQ(stats.results_applied, reference.num_fresh_trainings)
+          << topology;
+      EXPECT_EQ(stats.worker_fresh_trainings, reference.num_fresh_trainings)
+          << topology;
+      EXPECT_EQ(stats.workers_lost, 0u) << topology;
     }
   }
 }

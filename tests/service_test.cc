@@ -208,19 +208,25 @@ TEST(ValuationServiceTest, NeymanAllocationJobRunsAndResumesLikeAnyOther) {
 
 TEST(JobSpecTest, PrefetchAndFuseKeysRoundTripAndValidate) {
   JobSpec spec = MakeJob("spec", EstimatorKind::kIpss, LinregScenario(6));
-  spec.prefetch = 12;
   spec.fuse = true;
   Result<JobSpec> parsed = JobSpec::FromLine(spec.ToLine());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->prefetch, 12);
   EXPECT_TRUE(parsed->fuse);
   EXPECT_EQ(parsed->ToLine(), spec.ToLine());
 
-  // Defaults when the keys are absent: prefetch off, fusion off.
+  // prefetch= is ignored but still accepted, so job files written by
+  // older versions (which always carried the key) recover; ToLine no
+  // longer writes it.
+  Result<JobSpec> legacy = JobSpec::FromLine(
+      "name=a estimator=ipss gamma=8 prefetch=8 fuse=on scenario=linreg n=4");
+  ASSERT_TRUE(legacy.ok()) << legacy.status();
+  EXPECT_TRUE(legacy->fuse);
+  EXPECT_EQ(legacy->ToLine().find("prefetch"), std::string::npos);
+
+  // Default when the key is absent: fusion off.
   Result<JobSpec> plain =
       JobSpec::FromLine("name=a estimator=ipss gamma=8 scenario=linreg n=4");
   ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain->prefetch, 0);
   EXPECT_FALSE(plain->fuse);
 
   // Bad values are rejected with InvalidArgument.
@@ -236,53 +242,6 @@ TEST(JobSpecTest, PrefetchAndFuseKeysRoundTripAndValidate) {
       JobSpec::FromLine("name=a estimator=ipss fuse=maybe "
                         "scenario=linreg n=4")
           .ok());
-}
-
-TEST(ValuationServiceTest, PrefetchedJobBitIdenticalWithExactAccounting) {
-  // The speculative prefetcher only reorders who trains what: values must
-  // stay bit-identical to an unprefetched run, and single-flight plus the
-  // credit protocol must keep the training count exact — every distinct
-  // coalition trained exactly once in the whole process, whoever won it.
-  JobSpec job = MakeJob("pre", EstimatorKind::kIpss, LinregScenario(7),
-                        /*gamma=*/28, /*chunk=*/4);
-  ValuationResult reference = RunIsolated(job);
-  ASSERT_EQ(reference.values.size(), 7u);
-
-  ServiceConfig config;
-  config.workers = 1;
-  config.paused = true;  // queue the job; let the prefetcher run first
-  ValuationService service(config);
-  job.prefetch = 8;
-  ASSERT_TRUE(service.Submit(job).ok());
-
-  // With the workers paused the prefetch thread has the budget to
-  // itself: wait for it to train ahead of the (not yet started) job.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (service.stats().prefetch_trainings == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(service.stats().prefetch_trainings, 0u);
-
-  service.Resume();
-  Result<ValuationResult> result = service.Wait(job.name);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->values, reference.values);
-  EXPECT_EQ(result->num_trainings, reference.num_trainings);
-  // The acceptance invariant: trainings the prefetcher ran on the job's
-  // behalf still count as the job's own — fresh accounting is exact, not
-  // deflated by the speculation.
-  EXPECT_EQ(result->num_fresh_trainings, reference.num_fresh_trainings);
-
-  const ServiceStats stats = service.stats();
-  // Exactly-once: prefetched + demand-trained together cover the job's
-  // distinct coalitions with zero duplicates.
-  EXPECT_EQ(stats.trainings_computed, reference.num_trainings);
-  EXPECT_EQ(stats.prefetch_credited, stats.prefetch_trainings);
-  // Everything prefetched came from the job's own announced plan, so the
-  // job went on to evaluate all of it.
-  EXPECT_EQ(stats.prefetch_consumed, stats.prefetch_credited);
 }
 
 TEST(ValuationServiceTest, FusedJobMatchesUnfusedValues) {
@@ -666,14 +625,12 @@ TEST(ValuationServiceTest, ValuationResultEncodingRoundTrips) {
 // Shutdown ordering
 // ---------------------------------------------------------------------------
 
-// Regression: Stop() must park the prefetcher thread *before* flushing
-// (and, in the destructor, closing) the stores — a prefetch training
-// in flight during shutdown must never write through a dying store —
-// and concurrent Stop() calls (an explicit Stop racing the destructor's)
-// must not double-join the worker threads. Repeatedly stops a service
-// from two threads at staggered points of a prefetch-heavy job; the
+// Regression: concurrent Stop() calls (an explicit Stop racing the
+// destructor's) must not double-join the worker threads, and the stores
+// are flushed only after every worker is parked. Repeatedly stops a
+// service from two threads at staggered points of a running job; the
 // sanitizer jobs make this a use-after-free / double-join probe.
-TEST(ValuationServiceTest, StopRacesInFlightPrefetchCleanly) {
+TEST(ValuationServiceTest, ConcurrentStopsAreSafe) {
   const std::string dir = StateDir("stop_race");
   for (int round = 0; round < 20; ++round) {
     std::filesystem::remove_all(dir);
@@ -683,10 +640,9 @@ TEST(ValuationServiceTest, StopRacesInFlightPrefetchCleanly) {
     ValuationService service(config);
     JobSpec job =
         MakeJob("pre", EstimatorKind::kIpss, LinregScenario(7), 28, 4);
-    job.prefetch = 8;
     ASSERT_TRUE(service.Submit(job).ok());
-    // Stagger the stop point across rounds so some rounds catch the
-    // prefetcher mid-plan and some catch it idle.
+    // Stagger the stop point across rounds so some rounds catch a worker
+    // mid-slice and some catch it idle.
     std::this_thread::sleep_for(std::chrono::microseconds(100 * round));
     std::thread stopper([&service] { service.Stop(); });
     service.Stop();

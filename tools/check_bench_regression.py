@@ -16,9 +16,7 @@ Metric direction is inferred from its name:
     *degraded* (a seeded fault schedule yields a deterministic recovery
     path — more reconnects or degraded coalitions means resilience got
     clumsier), *overhead* (the TCP-vs-socketpair wall ratio)
-  - higher-is-better: *speedup*, *dedup*, *per_second*, *throughput*,
-    *hit_ahead* (fraction of prefetch-credited trainings a job actually
-    consumed — dropping it means the prefetcher speculates uselessly)
+  - higher-is-better: *speedup*, *dedup*, *per_second*, *throughput*
   - everything else (counts, bytes, errors) is informational: never gated,
     because trainings counts and byte sizes legitimately change with the
     workload, and correctness counts are gated by the benches themselves.
@@ -48,8 +46,7 @@ import tempfile
 
 LOWER_IS_BETTER = ("seconds", "trainings_to_target", "variance",
                    "reassigned", "reconnects", "degraded", "overhead")
-HIGHER_IS_BETTER = ("speedup", "dedup", "per_second", "throughput",
-                    "hit_ahead")
+HIGHER_IS_BETTER = ("speedup", "dedup", "per_second", "throughput")
 
 
 def direction_of(metric: str):
@@ -191,14 +188,6 @@ def self_test() -> int:
           direction_of("budget_mapped_bytes") is None)
     check("trainings_to_target_error is lower-better",
           direction_of("trainings_to_target_error") == "lower")
-    check("wall_prefetch_seconds is lower-better",
-          direction_of("wall_prefetch_seconds") == "lower")
-    check("prefetch_speedup is higher-better",
-          direction_of("prefetch_speedup") == "higher")
-    check("hit_ahead_ratio is higher-better",
-          direction_of("hit_ahead_ratio") == "higher")
-    check("trainings_run_ahead is informational",
-          direction_of("trainings_run_ahead") is None)
     check("total_variance is lower-better",
           direction_of("total_variance") == "lower")
     check("cluster_speedup is higher-better",
