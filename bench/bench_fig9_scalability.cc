@@ -4,177 +4,16 @@
 /// datasets) and 5% hold duplicated datasets, and the error proxy is how
 /// much each algorithm violates the no-free-rider and symmetric-fairness
 /// properties. gamma = n log2 n.
-///
-/// A second, storage-scalability case exercises the segmented UtilityStore
-/// beyond its mapped-byte budget: a store holding more record bytes than
-/// `FEDSHAP_STORE_BYTES`-style budgets allow mapped must serve every
-/// utility bit-identically to an unlimited store, evicting cold segments
-/// instead of growing RSS. The BenchJson records carry the mapped-byte and
-/// RSS readings that back the claim.
 
 #include <cstdio>
-#include <filesystem>
 #include <iostream>
-#include <vector>
 
 #include "common.h"
 #include "core/valuation_metrics.h"
-#include "util/random.h"
-#include "util/stopwatch.h"
 #include "util/table.h"
 
 using namespace fedshap;
 using namespace fedshap::bench;
-
-namespace {
-
-/// Store-scale case: fills a segmented store with synthetic utility
-/// records (storage is what is measured; no trainings), then serves the
-/// whole key set twice — once unmapped-unlimited, once under a mapped-byte
-/// budget smaller than the store — and verifies bit-identical answers.
-int RunStoreScaleCase(const BenchOptions& options, BenchJson& json) {
-  namespace fs = std::filesystem;
-  const std::string stem = options.StoreStem().empty()
-                               ? std::string("/tmp/fedshap_fig9_store")
-                               : options.StoreStem();
-  const uint64_t fingerprint = 0xf19500000000ULL + options.seed;
-  const std::string path = UtilityStore::StemPath(stem, fingerprint);
-  fs::remove_all(path);
-
-  // Segment rotation chosen so the write phase seals a handful of
-  // segments without tripping background compaction (which would merge
-  // them into one and leave nothing to evict). The budget admits one
-  // sealed segment mapped at a time (~170 KiB with its footer index)
-  // but not two, with the whole store about twice the budget.
-  constexpr uint64_t kSegmentBytes = 96 * 1024;
-  constexpr uint64_t kBudgetBytes = 256 * 1024;
-
-  std::vector<Coalition> keys;
-  std::vector<double> utilities;
-  double write_seconds = 0.0;
-  uint64_t store_bytes = 0;
-  {
-    Result<std::unique_ptr<UtilityStore>> store =
-        UtilityStore::Open(path, fingerprint);
-    if (!store.ok()) {
-      std::fprintf(stderr, "store-scale: open: %s\n",
-                   store.status().ToString().c_str());
-      return 1;
-    }
-    (*store)->set_segment_target_bytes(kSegmentBytes);
-    Rng rng(options.seed + 9);
-    Stopwatch timer;
-    // Fill until three segments sealed: > 2x the mapped-byte budget of
-    // the serving phase, still under the background-compaction trigger.
-    while ((*store)->stats().sealed_segments < 3) {
-      Coalition c;
-      for (int i = 0; i < 200; ++i) {
-        if (rng.Bernoulli(0.25)) c.Add(i);
-      }
-      if (!keys.empty() && c == keys.back()) continue;
-      const double utility = rng.Uniform(-1.0, 1.0);
-      (*store)->Put(c, {utility, rng.Uniform()});
-      keys.push_back(c);
-      utilities.push_back(utility);
-    }
-    if (!(*store)->Flush().ok()) return 1;
-    write_seconds = timer.ElapsedSeconds();
-    const UtilityStoreStats stats = (*store)->stats();
-    store_bytes = stats.sealed_bytes + stats.active_bytes;
-  }
-
-  // Duplicate keys supersede; serve each coalition's latest record.
-  auto serve = [&](UtilityStore& store, size_t* mismatches) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      UtilityRecord record;
-      if (!store.Lookup(keys[i], &record)) {
-        ++*mismatches;
-        continue;
-      }
-      // Bit-identical: the stored double, not an approximation.
-      bool superseded = false;
-      for (size_t j = i + 1; j < keys.size() && !superseded; ++j) {
-        superseded = keys[j] == keys[i];
-      }
-      if (!superseded && record.utility != utilities[i]) ++*mismatches;
-    }
-  };
-
-  size_t unlimited_mismatches = 0;
-  double unlimited_seconds = 0.0;
-  uint64_t unlimited_mapped = 0;
-  {
-    Result<std::unique_ptr<UtilityStore>> store =
-        UtilityStore::Open(path, fingerprint);
-    if (!store.ok()) return 1;
-    Stopwatch timer;
-    serve(**store, &unlimited_mismatches);
-    unlimited_seconds = timer.ElapsedSeconds();
-    unlimited_mapped = (*store)->stats().mapped_bytes;
-  }
-
-  size_t budget_mismatches = 0;
-  double budget_seconds = 0.0;
-  UtilityStoreStats budget_stats;
-  {
-    Result<std::unique_ptr<UtilityStore>> store =
-        UtilityStore::Open(path, fingerprint);
-    if (!store.ok()) return 1;
-    (*store)->set_byte_budget(kBudgetBytes);
-    Stopwatch timer;
-    serve(**store, &budget_mismatches);
-    budget_seconds = timer.ElapsedSeconds();
-    budget_stats = (*store)->stats();
-  }
-  fs::remove_all(path);
-
-  const uint64_t rss = CurrentRssBytes();
-  std::printf(
-      "\nstore-scale: %zu records, %llu store bytes, budget %llu bytes\n"
-      "  unlimited: %.3fs lookups, %llu bytes mapped\n"
-      "  budgeted:  %.3fs lookups, %llu bytes mapped, %zu evictions, "
-      "%zu remaps\n"
-      "  mismatches vs written values: %zu (unlimited) / %zu (budgeted)\n"
-      "  process RSS now %llu bytes (peak %llu)\n",
-      keys.size(), static_cast<unsigned long long>(store_bytes),
-      static_cast<unsigned long long>(kBudgetBytes), unlimited_seconds,
-      static_cast<unsigned long long>(unlimited_mapped), budget_seconds,
-      static_cast<unsigned long long>(budget_stats.mapped_bytes),
-      budget_stats.evictions, budget_stats.remaps, unlimited_mismatches,
-      budget_mismatches, static_cast<unsigned long long>(rss),
-      static_cast<unsigned long long>(PeakRssBytes()));
-
-  json.Add("store_scale")
-      .Label("case", "segmented_store_budget")
-      .Metric("records", static_cast<double>(keys.size()))
-      .Metric("store_bytes", static_cast<double>(store_bytes))
-      .Metric("byte_budget", static_cast<double>(kBudgetBytes))
-      .Metric("write_seconds", write_seconds)
-      .Metric("unlimited_lookup_seconds", unlimited_seconds)
-      .Metric("unlimited_mapped_bytes",
-              static_cast<double>(unlimited_mapped))
-      .Metric("budget_lookup_seconds", budget_seconds)
-      .Metric("budget_mapped_bytes",
-              static_cast<double>(budget_stats.mapped_bytes))
-      .Metric("evictions", static_cast<double>(budget_stats.evictions))
-      .Metric("remaps", static_cast<double>(budget_stats.remaps))
-      .Metric("mismatches", static_cast<double>(unlimited_mismatches +
-                                                budget_mismatches))
-      .Metric("current_rss_bytes", static_cast<double>(rss));
-
-  if (unlimited_mismatches + budget_mismatches != 0) {
-    std::fprintf(stderr,
-                 "store-scale: budgeted store is NOT bit-identical\n");
-    return 1;
-  }
-  if (budget_stats.mapped_bytes > kBudgetBytes) {
-    std::fprintf(stderr, "store-scale: mapped bytes exceed the budget\n");
-    return 1;
-  }
-  return 0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   BenchOptions options = BenchOptions::Parse(argc, argv);
@@ -221,12 +60,10 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  const int store_scale = RunStoreScaleCase(options, json);
-
   Status written = json.WriteTo(options.json);
   if (!written.ok()) {
     std::fprintf(stderr, "bench JSON: %s\n", written.ToString().c_str());
     return 1;
   }
-  return store_scale;
+  return 0;
 }

@@ -39,7 +39,7 @@ struct Options {
   std::string json;  // --json=<path> / FEDSHAP_BENCH_JSON: BenchJson output
   // --store-dir=<dir> / FEDSHAP_BENCH_STORE_DIR: state directory for the
   // shared service run, so every workload opens its persistent segmented
-  // utility store and the report carries segment/eviction stats. Empty =
+  // utility store and the report carries its segment stats. Empty =
   // memory-only (the historical behavior).
   std::string store_dir;
 };
@@ -363,12 +363,9 @@ int main(int argc, char** argv) {
   std::printf("  values identical to isolated:  %s\n",
               all_equal ? "yes" : "NO");
   if (!options.store_dir.empty()) {
-    std::printf("  store entries/segments/bytes:  %zu / %zu / %llu "
-                "(mapped %llu, evictions %zu, compactions %zu)\n",
+    std::printf("  store entries/segments/bytes:  %zu / %zu / %llu\n",
                 stats.store_entries, stats.store_segments,
-                static_cast<unsigned long long>(stats.store_bytes),
-                static_cast<unsigned long long>(stats.store_mapped_bytes),
-                stats.store_evictions, stats.store_compactions);
+                static_cast<unsigned long long>(stats.store_bytes));
   }
 
   bench::BenchJson json("service_throughput");
@@ -418,10 +415,6 @@ int main(int argc, char** argv) {
       .Metric("entries", static_cast<double>(stats.store_entries))
       .Metric("segments", static_cast<double>(stats.store_segments))
       .Metric("bytes", static_cast<double>(stats.store_bytes))
-      .Metric("mapped_bytes",
-              static_cast<double>(stats.store_mapped_bytes))
-      .Metric("evictions", static_cast<double>(stats.store_evictions))
-      .Metric("compactions", static_cast<double>(stats.store_compactions))
       .Metric("current_rss_bytes",
               static_cast<double>(bench::CurrentRssBytes()));
   if (Status written = json.WriteTo(options.json); !written.ok()) {

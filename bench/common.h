@@ -75,8 +75,8 @@ struct BenchOptions {
 };
 
 /// Peak resident set size of this process in bytes (0 when the platform
-/// offers no reading). Recorded in BenchJson provenance so store-scale
-/// memory claims are attributable.
+/// offers no reading). Recorded in BenchJson provenance so memory claims
+/// are attributable.
 uint64_t PeakRssBytes();
 
 /// Current resident set size in bytes (0 when unavailable).

@@ -92,6 +92,9 @@ Result<ValuationResult> DecodeValuationResult(std::string_view encoded) {
   ByteReader reader(payload);
   ValuationResult result;
   FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, reader.GetVarint());
+  if (count > reader.remaining() / 8) {  // each value takes 8 bytes
+    return Status::InvalidArgument("ValuationResult value count too large");
+  }
   result.values.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     FEDSHAP_ASSIGN_OR_RETURN(double value, reader.GetDouble());
@@ -946,6 +949,9 @@ Status AdaptiveStratifiedSweep::Restore(std::string_view snapshot) {
     FEDSHAP_ASSIGN_OR_RETURN(moments[k].sum_squares, reader.GetDouble());
   }
   FEDSHAP_ASSIGN_OR_RETURN(uint64_t draw_count, reader.GetVarint());
+  if (draw_count > reader.remaining() / 8) {  // each draw takes > 8 bytes
+    return Status::InvalidArgument("snapshot draw count too large");
+  }
   std::vector<Coalition> draws;
   std::vector<double> utilities;
   std::unordered_map<Coalition, size_t, CoalitionHash> index_of;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <utility>
 
@@ -13,26 +12,6 @@ namespace fedshap {
 namespace fs = std::filesystem;
 
 namespace {
-
-/// Parses a byte-size environment variable: plain bytes or a K/M/G
-/// suffix (powers of 1024). Unset/empty/garbage yields `fallback`.
-uint64_t ParseByteSizeEnv(const char* name, uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw, &end, 10);
-  if (end == raw) return fallback;
-  uint64_t multiplier = 1;
-  if (end != nullptr && *end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': multiplier = 1024ull; break;
-      case 'm': case 'M': multiplier = 1024ull * 1024; break;
-      case 'g': case 'G': multiplier = 1024ull * 1024 * 1024; break;
-      default: return fallback;
-    }
-  }
-  return static_cast<uint64_t>(value) * multiplier;
-}
 
 std::string EncodeRecordPayload(const Coalition& coalition,
                                 const UtilityRecord& record) {
@@ -108,12 +87,7 @@ Result<Coalition> GetCoalition(ByteReader& reader) {
 Result<std::unique_ptr<UtilityStore>> UtilityStore::Open(
     const std::string& path, uint64_t fingerprint) {
   std::unique_ptr<UtilityStore> store(new UtilityStore(path, fingerprint));
-  store->byte_budget_ = ParseByteSizeEnv("FEDSHAP_STORE_BYTES", 0);
-  store->segment_target_bytes_ = std::max<uint64_t>(
-      ParseByteSizeEnv("FEDSHAP_STORE_SEGMENT_BYTES", kDefaultSegmentBytes),
-      4096);
-
-  std::unique_lock<std::mutex> lock(store->mutex_);
+  std::lock_guard<std::mutex> lock(store->mutex_);
   std::error_code ec;
   fs::file_status status = fs::status(path, ec);
   if (ec || status.type() == fs::file_type::not_found) {
@@ -186,25 +160,7 @@ Status UtilityStore::OpenDirectoryLocked() {
       return Status::FailedPrecondition(
           seg_path + " was written for a different workload fingerprint");
     }
-    ByteReader footer(reader->footer());
-    FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, footer.GetVarint());
-    for (uint64_t j = 0; j < count; ++j) {
-      FEDSHAP_ASSIGN_OR_RETURN(Coalition coalition, GetCoalition(footer));
-      FEDSHAP_ASSIGN_OR_RETURN(uint64_t offset, footer.GetVarint());
-      index_[coalition] = Location{id, offset};
-    }
-    if (!footer.AtEnd()) {
-      return Status::InvalidArgument(seg_path + " has a malformed footer");
-    }
-    Segment segment;
-    segment.id = id;
-    segment.file_path = seg_path;
-    segment.file_bytes = reader->file_bytes();
-    segment.last_access = ++access_tick_;
-    segment.reader = std::move(reader);
-    mapped_bytes_ += segment.file_bytes;
-    sealed_.emplace(id, std::move(segment));
-    EvictOverBudgetLocked(id);  // stay under budget even while opening
+    FEDSHAP_RETURN_NOT_OK(AdoptSealedLocked(id, std::move(reader)));
   }
 
   // The active segment: replay its records into memory. A torn tail (the
@@ -222,22 +178,8 @@ Status UtilityStore::OpenDirectoryLocked() {
           active_path + " was written for a different workload fingerprint");
     }
     if (reader->sealed()) {
-      ByteReader footer(reader->footer());
-      FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, footer.GetVarint());
-      for (uint64_t j = 0; j < count; ++j) {
-        FEDSHAP_ASSIGN_OR_RETURN(Coalition coalition, GetCoalition(footer));
-        FEDSHAP_ASSIGN_OR_RETURN(uint64_t offset, footer.GetVarint());
-        index_[coalition] = Location{active_id_, offset};
-      }
-      Segment segment;
-      segment.id = active_id_;
-      segment.file_path = active_path;
-      segment.file_bytes = reader->file_bytes();
-      segment.last_access = ++access_tick_;
-      segment.reader = std::move(reader);
-      mapped_bytes_ += segment.file_bytes;
+      FEDSHAP_RETURN_NOT_OK(AdoptSealedLocked(active_id_, std::move(reader)));
       sealed_order_.push_back(active_id_);
-      sealed_.emplace(active_id_, std::move(segment));
       active_id_ = next_segment_id_++;
       healed = true;
     } else {
@@ -260,8 +202,10 @@ Status UtilityStore::OpenDirectoryLocked() {
     }
   }
 
-  // Strays: segment files in neither the manifest nor the active slot are
-  // leftovers of a compaction that died before its manifest swap.
+  // Strays: segment files in neither the manifest nor the active slot.
+  // Older builds compacted in the background, so a store they wrote can
+  // hold the merge segment of a compaction killed before its manifest
+  // swap; a later seal would reuse its id.
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(path_, ec)) {
     const std::string name = entry.path().filename().string();
@@ -273,7 +217,7 @@ Status UtilityStore::OpenDirectoryLocked() {
     }
     if (id == active_id_ || sealed_.count(id) != 0) continue;
     FEDSHAP_LOG(Warning) << "[store] removing stray segment " << name
-                         << " (interrupted compaction)";
+                         << " (not in the manifest)";
     fs::remove(entry.path(), ec);
   }
 
@@ -287,10 +231,28 @@ Status UtilityStore::OpenDirectoryLocked() {
   return Status::OK();
 }
 
+Status UtilityStore::AdoptSealedLocked(
+    uint64_t id, std::unique_ptr<SegmentReader> reader) {
+  const std::string seg_path = SegmentPath(id);
+  ByteReader footer(reader->footer());
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, footer.GetVarint());
+  for (uint64_t j = 0; j < count; ++j) {
+    FEDSHAP_ASSIGN_OR_RETURN(Coalition coalition, GetCoalition(footer));
+    FEDSHAP_ASSIGN_OR_RETURN(uint64_t offset, footer.GetVarint());
+    index_[coalition] = Location{id, offset};
+  }
+  if (!footer.AtEnd()) {
+    return Status::InvalidArgument(seg_path + " has a malformed footer");
+  }
+  Segment segment;
+  segment.file_path = seg_path;
+  segment.file_bytes = reader->file_bytes();
+  segment.reader = std::move(reader);
+  sealed_.emplace(id, std::move(segment));
+  return Status::OK();
+}
+
 UtilityStore::~UtilityStore() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  shutting_down_ = true;
-  WaitForCompactorLocked(lock);
   if (active_writer_ != nullptr && active_writer_->unsynced_bytes() > 0) {
     Status synced = active_writer_->Sync();  // best effort on clean close
     if (!synced.ok()) {
@@ -420,8 +382,6 @@ size_t UtilityStore::Put(const Coalition& coalition,
     Status sealed = SealActiveLocked();
     if (!sealed.ok()) {
       FEDSHAP_LOG(Warning) << "[store] seal failed: " << sealed.ToString();
-    } else {
-      MaybeStartCompactionLocked();
     }
   }
   return appended;
@@ -440,10 +400,8 @@ Status UtilityStore::SealActiveLocked() {
       active_writer_->Seal(EncodeFooter(std::move(by_offset))));
 
   Segment segment;
-  segment.id = active_id_;
   segment.file_path = active_writer_->path();
   segment.file_bytes = active_writer_->bytes();
-  segment.last_access = ++access_tick_;
   for (const auto& [coalition, offset] : active_offsets_) {
     index_[coalition] = Location{active_id_, offset};
   }
@@ -468,7 +426,7 @@ Status UtilityStore::Flush() {
 }
 
 // ---------------------------------------------------------------------------
-// Mapping / eviction
+// Mapping
 
 Result<SegmentReader*> UtilityStore::MappedLocked(Segment& segment) {
   if (segment.reader == nullptr) {
@@ -480,190 +438,8 @@ Result<SegmentReader*> UtilityStore::MappedLocked(Segment& segment) {
       return Status::InvalidArgument(segment.file_path +
                                      " lost its seal on disk");
     }
-    mapped_bytes_ += segment.file_bytes;
-    if (segment.ever_evicted) ++remaps_;
-    EvictOverBudgetLocked(segment.id);
   }
-  segment.last_access = ++access_tick_;
   return segment.reader.get();
-}
-
-void UtilityStore::EvictOverBudgetLocked(uint64_t keep_id) {
-  while (byte_budget_ > 0 && mapped_bytes_ > byte_budget_) {
-    Segment* victim = nullptr;
-    for (auto& [id, segment] : sealed_) {
-      if (id == keep_id || segment.reader == nullptr) continue;
-      if (victim == nullptr || segment.last_access < victim->last_access) {
-        victim = &segment;
-      }
-    }
-    if (victim == nullptr) break;  // nothing evictable (keep_id may exceed
-                                   // the budget alone; that is the floor)
-    mapped_bytes_ -= victim->file_bytes;
-    victim->reader.reset();
-    victim->ever_evicted = true;
-    ++evictions_;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Compaction
-
-void UtilityStore::MaybeStartCompactionLocked() {
-  if (compaction_running_ || shutting_down_) return;
-  if (sealed_order_.size() < kCompactMinSegments) return;
-  if (compactor_.joinable()) compactor_.join();  // previous run is done
-  compaction_running_ = true;
-  compactor_ = std::thread([this] { BackgroundCompact(); });
-}
-
-void UtilityStore::BackgroundCompact() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  Status status = CompactLocked(lock);
-  if (!status.ok()) {
-    FEDSHAP_LOG(Warning) << "[store] compaction of " << path_
-                         << " failed: " << status.ToString();
-  }
-  compaction_running_ = false;
-}
-
-void UtilityStore::WaitForCompactorLocked(std::unique_lock<std::mutex>& lock) {
-  while (compaction_running_) {
-    lock.unlock();
-    if (compactor_.joinable()) {
-      compactor_.join();
-    } else {
-      std::this_thread::yield();
-    }
-    lock.lock();
-  }
-  if (compactor_.joinable()) {
-    lock.unlock();
-    compactor_.join();
-    lock.lock();
-  }
-}
-
-Status UtilityStore::CompactLocked(std::unique_lock<std::mutex>& lock) {
-  const std::vector<uint64_t> victims = sealed_order_;
-  if (victims.size() < 2) return Status::OK();  // nothing worth merging
-
-  // Phase 1 (locked): collect the *live* records of the victim segments —
-  // index entries still pointing at them — one victim at a time so the
-  // byte budget is respected even while compacting.
-  std::map<uint64_t, std::vector<std::pair<Coalition, uint64_t>>> by_segment;
-  for (const auto& [coalition, location] : index_) {
-    by_segment[location.segment_id].emplace_back(coalition, location.offset);
-  }
-  std::vector<std::pair<Coalition, std::string>> live;
-  for (uint64_t id : victims) {
-    auto list_it = by_segment.find(id);
-    if (list_it == by_segment.end()) continue;
-    auto seg_it = sealed_.find(id);
-    FEDSHAP_CHECK(seg_it != sealed_.end());
-    FEDSHAP_ASSIGN_OR_RETURN(SegmentReader * reader,
-                             MappedLocked(seg_it->second));
-    for (const auto& [coalition, offset] : list_it->second) {
-      FEDSHAP_ASSIGN_OR_RETURN(std::string_view payload,
-                               reader->RecordAt(offset));
-      live.emplace_back(coalition, std::string(payload));
-    }
-  }
-  std::sort(live.begin(), live.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  const uint64_t merge_id = next_segment_id_++;
-  const std::string merge_path = SegmentPath(merge_id);
-
-  // Phase 2 (unlocked): write the merged segment. Put/Lookup proceed
-  // concurrently; they cannot touch seg-<merge_id>.
-  lock.unlock();
-  auto write_merged = [&]() -> Status {
-    FEDSHAP_ASSIGN_OR_RETURN(
-        std::unique_ptr<SegmentWriter> writer,
-        SegmentWriter::Create(merge_path, kMagic, kVersion, fingerprint_));
-    std::vector<std::pair<uint64_t, Coalition>> by_offset;
-    by_offset.reserve(live.size());
-    for (auto& [coalition, payload] : live) {
-      FEDSHAP_ASSIGN_OR_RETURN(uint64_t offset, writer->Append(payload));
-      by_offset.emplace_back(offset, coalition);
-    }
-    return writer->Seal(EncodeFooter(by_offset));
-  };
-  Status written = write_merged();
-  lock.lock();
-  if (!written.ok()) {
-    std::error_code ec;
-    fs::remove(merge_path, ec);
-    return written;
-  }
-
-  // Phase 3 (locked): swap. Only index entries *still* pointing at a
-  // victim move to the merged segment — anything superseded while we were
-  // unlocked keeps its newer location. The manifest write is the atomic
-  // commit point; a crash before it leaves the old manifest in force and
-  // the merged file as a stray the next Open deletes.
-  std::error_code ec;
-  uint64_t merged_bytes = fs::file_size(merge_path, ec);
-  if (ec) {
-    return Status::Internal("cannot stat merged segment " + merge_path);
-  }
-  {
-    FEDSHAP_ASSIGN_OR_RETURN(
-        std::unique_ptr<SegmentReader> reader,
-        SegmentReader::Open(merge_path, kMagic, kVersion));
-    ByteReader footer(reader->footer());
-    FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, footer.GetVarint());
-    for (uint64_t j = 0; j < count; ++j) {
-      FEDSHAP_ASSIGN_OR_RETURN(Coalition coalition, GetCoalition(footer));
-      FEDSHAP_ASSIGN_OR_RETURN(uint64_t offset, footer.GetVarint());
-      auto it = index_.find(coalition);
-      if (it == index_.end()) continue;
-      bool still_in_victim = false;
-      for (uint64_t id : victims) {
-        if (it->second.segment_id == id) { still_in_victim = true; break; }
-      }
-      if (still_in_victim) it->second = Location{merge_id, offset};
-    }
-    Segment segment;
-    segment.id = merge_id;
-    segment.file_path = merge_path;
-    segment.file_bytes = merged_bytes;
-    segment.last_access = ++access_tick_;
-    segment.reader = std::move(reader);
-    mapped_bytes_ += segment.file_bytes;
-    sealed_.emplace(merge_id, std::move(segment));
-  }
-  std::vector<uint64_t> new_order;
-  new_order.push_back(merge_id);  // merged data predates later seals
-  for (uint64_t id : sealed_order_) {
-    bool is_victim = false;
-    for (uint64_t v : victims) {
-      if (id == v) { is_victim = true; break; }
-    }
-    if (!is_victim) new_order.push_back(id);
-  }
-  sealed_order_ = std::move(new_order);
-  FEDSHAP_RETURN_NOT_OK(WriteManifestLocked());
-  for (uint64_t id : victims) {
-    auto it = sealed_.find(id);
-    if (it == sealed_.end()) continue;
-    if (it->second.reader != nullptr) mapped_bytes_ -= it->second.file_bytes;
-    sealed_.erase(it);
-    fs::remove(SegmentPath(id), ec);
-  }
-  ++compactions_;
-  EvictOverBudgetLocked(merge_id);
-  return Status::OK();
-}
-
-Status UtilityStore::CompactNow() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  WaitForCompactorLocked(lock);
-  FEDSHAP_RETURN_NOT_OK(SealActiveLocked());
-  compaction_running_ = true;  // block a concurrent background start
-  Status status = CompactLocked(lock);
-  compaction_running_ = false;
-  return status;
 }
 
 // ---------------------------------------------------------------------------
@@ -671,8 +447,9 @@ Status UtilityStore::CompactNow() {
 
 void UtilityStore::ForEach(
     const std::function<void(const Coalition&, const UtilityRecord&)>& fn) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Grouped by segment so each is mapped once even under a byte budget.
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Grouped by segment and sorted by offset: each segment is read in
+  // file order.
   std::map<uint64_t, std::vector<std::pair<uint64_t, Coalition>>> by_segment;
   for (const auto& [coalition, location] : index_) {
     if (active_entries_.count(coalition) != 0) continue;  // shadowed
@@ -734,22 +511,10 @@ UtilityStoreStats UtilityStore::stats() const {
   for (const auto& [id, segment] : sealed_) {
     (void)id;
     stats.sealed_bytes += segment.file_bytes;
-    if (segment.reader != nullptr) ++stats.mapped_segments;
   }
-  stats.mapped_bytes = mapped_bytes_;
   stats.active_bytes =
       active_writer_ != nullptr ? active_writer_->bytes() : active_resume_at_;
-  stats.evictions = evictions_;
-  stats.remaps = remaps_;
-  stats.compactions = compactions_;
-  stats.byte_budget = byte_budget_;
   return stats;
-}
-
-void UtilityStore::set_byte_budget(uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  byte_budget_ = bytes;
-  EvictOverBudgetLocked(/*keep_id=*/0);
 }
 
 void UtilityStore::set_segment_target_bytes(uint64_t bytes) {

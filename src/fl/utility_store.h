@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -30,29 +29,16 @@ namespace fedshap {
 /// repeated bench invocations share a warm cache.
 
 /// Point-in-time counters of a segmented UtilityStore, surfaced by
-/// `fedshapd --status` and the store-scale benches.
+/// `fedshapd --status` and the service bench.
 struct UtilityStoreStats {
   /// Live (indexed) records.
   size_t entries = 0;
   /// Sealed, immutable segments.
   size_t sealed_segments = 0;
-  /// Sealed segments currently memory-mapped.
-  size_t mapped_segments = 0;
   /// Bytes of all sealed segment files on disk.
   uint64_t sealed_bytes = 0;
-  /// Bytes of sealed segments currently memory-mapped (<= byte_budget
-  /// when a budget is set).
-  uint64_t mapped_bytes = 0;
   /// Bytes of the active (append) segment.
   uint64_t active_bytes = 0;
-  /// Sealed segments unmapped by the LRU byte-budget eviction.
-  size_t evictions = 0;
-  /// Sealed segments mapped back in after an eviction.
-  size_t remaps = 0;
-  /// Background/explicit compactions completed.
-  size_t compactions = 0;
-  /// The mapped-byte budget in force (0 = unlimited).
-  uint64_t byte_budget = 0;
 };
 
 /// Persistent, content-addressed map from coalitions to utility records,
@@ -77,29 +63,21 @@ struct UtilityStoreStats {
 /// appended tail. When the active segment reaches the rotation size it
 /// is *sealed*: a footer holding the segment's coalition->offset index
 /// is appended and fsync'd, the manifest is atomically updated, and the
-/// segment becomes immutable and memory-mapped. Opening a store reads
-/// only the manifest and the sealed footers (never the record pages) plus
-/// the active segment's tail, so open cost is O(index), not O(bytes).
+/// segment becomes immutable. Opening a store maps every sealed segment
+/// and reads only the manifest and the sealed footers (never the record
+/// pages) plus the active segment's tail, so open cost is O(index), not
+/// O(bytes). A segment sealed in-process is mapped at its first lookup.
+/// Sealed segments stay mapped read-only until the store closes; their
+/// pages are clean file pages, which the kernel reclaims under memory
+/// pressure. Records of the active segment are held in memory until
+/// sealed, so an unflushed record always has a live copy.
 ///
 /// **Crash safety.** A crash at any point leaves every sealed segment
 /// valid and at most one torn record at the active segment's tail, which
 /// Open detects by per-record CRC and truncates. A crash between sealing
 /// and the manifest update is healed at Open (a sealed segment at the
-/// manifest's active id is adopted as sealed). A compaction killed
-/// mid-swap leaves the old manifest in force; its half-written merge
-/// segment is deleted as a stray at the next Open.
-///
-/// **Compaction.** A background thread merges the sealed segments
-/// (dropping superseded duplicate records) into one fresh segment and
-/// atomically swaps the manifest, bounding segment count and reclaiming
-/// dead bytes without ever blocking Put/Lookup for the duration.
-///
-/// **Eviction.** With a mapped-byte budget (`FEDSHAP_STORE_BYTES`, or
-/// set_byte_budget), cold sealed segments are unmapped LRU-wise so the
-/// store serves data sets far larger than RAM at bounded RSS; a lookup
-/// into an evicted segment transparently remaps it. Records of the
-/// active segment are held in memory until sealed and are never evicted,
-/// so an unflushed record always has a live copy.
+/// manifest's active id is adopted as sealed). Segment files in neither
+/// the manifest nor the active slot are deleted at Open.
 ///
 /// Thread-safe; an instance may back several caches or sessions at once.
 class UtilityStore {
@@ -112,8 +90,6 @@ class UtilityStore {
   static constexpr uint32_t kVersion = 2;
   /// Default rotation size of the active segment.
   static constexpr uint64_t kDefaultSegmentBytes = 256 * 1024;
-  /// Seal->compact trigger: sealed segments before a merge is scheduled.
-  static constexpr size_t kCompactMinSegments = 4;
 
   /// Opens (or creates) the store at `path` for the workload identified
   /// by `fingerprint`. A missing path yields an empty store; an existing
@@ -121,16 +97,11 @@ class UtilityStore {
   /// with FailedPrecondition when the store was written for a different
   /// fingerprint and InvalidArgument when it is corrupt or not a store
   /// (any path that is not a directory, e.g. a regular file).
-  ///
-  /// Environment knobs read here: `FEDSHAP_STORE_BYTES` (mapped-byte
-  /// budget; plain bytes or K/M/G suffix; 0/unset = unlimited) and
-  /// `FEDSHAP_STORE_SEGMENT_BYTES` (active-segment rotation size).
   static Result<std::unique_ptr<UtilityStore>> Open(const std::string& path,
                                                     uint64_t fingerprint);
 
-  /// Joins the background compactor and closes the active segment (the
-  /// appended tail is synced by Flush callers; an unsynced tail is at
-  /// worst a truncated-at-Open torn record).
+  /// Closes the active segment, syncing an unflushed tail best-effort (a
+  /// tail lost to a crash is at worst a truncated-at-Open torn record).
   ~UtilityStore();
 
   /// The conventional per-workload path `<stem>.<fingerprint-hex>.fsus`.
@@ -140,12 +111,12 @@ class UtilityStore {
   static std::string StemPath(const std::string& stem, uint64_t fingerprint);
 
   /// Looks up `coalition`; fills `*record` and returns true when
-  /// present. May transparently remap an evicted segment.
+  /// present. Maps a segment sealed by this process on its first lookup.
   bool Lookup(const Coalition& coalition, UtilityRecord* record);
 
   /// Appends the record for `coalition` to the active segment and
-  /// indexes it (an existing entry is superseded, its dead bytes
-  /// reclaimed by a later compaction). Returns the number of bytes
+  /// indexes it (an existing entry is superseded; its older record stays
+  /// on disk, unreferenced). Returns the number of bytes
   /// appended — the unit UtilityCache's byte-counted flush interval
   /// accumulates. Call Flush to make the appended tail durable.
   size_t Put(const Coalition& coalition, const UtilityRecord& record);
@@ -153,11 +124,6 @@ class UtilityStore {
   /// Fsyncs the active segment's appended tail. O(appended bytes since
   /// the last Flush): never rewrites existing data. No-op when clean.
   Status Flush();
-
-  /// Seals the active segment (if any) and synchronously merges all
-  /// sealed segments into one, dropping superseded records. Mostly for
-  /// tests and benches; production stores compact in the background.
-  Status CompactNow();
 
   /// Calls `fn` for every stored entry, grouped by segment (order is
   /// otherwise unspecified). O(all record bytes): prefer Lookup.
@@ -174,25 +140,19 @@ class UtilityStore {
   const std::string& path() const { return path_; }
   /// The workload fingerprint this store is bound to.
   uint64_t fingerprint() const { return fingerprint_; }
-  /// Current segment/byte/eviction counters.
+  /// Current entry/segment/byte counters.
   UtilityStoreStats stats() const;
 
-  /// Overrides the mapped-byte budget (0 = unlimited). Evicts
-  /// immediately if the new budget is exceeded.
-  void set_byte_budget(uint64_t bytes);
   /// Overrides the active-segment rotation size (min 4 KiB).
   void set_segment_target_bytes(uint64_t bytes);
 
  private:
-  /// One sealed, immutable segment: mapped on demand, unmapped by the
-  /// byte-budget eviction.
+  /// One sealed, immutable segment, mapped until the store closes.
   struct Segment {
-    uint64_t id = 0;
     std::string file_path;
     uint64_t file_bytes = 0;
-    std::unique_ptr<SegmentReader> reader;  ///< Null while evicted.
-    uint64_t last_access = 0;               ///< LRU tick.
-    bool ever_evicted = false;              ///< Distinguishes remaps.
+    /// Null until the first lookup when this process sealed it.
+    std::unique_ptr<SegmentReader> reader;
   };
   /// Where a coalition's latest record lives.
   struct Location {
@@ -207,14 +167,11 @@ class UtilityStore {
   Status LoadManifestLocked(std::string_view contents);
   Status WriteManifestLocked();
   Status OpenDirectoryLocked();
+  Status AdoptSealedLocked(uint64_t id,
+                           std::unique_ptr<SegmentReader> reader);
   Status EnsureActiveWriterLocked();
   Status SealActiveLocked();
   Result<SegmentReader*> MappedLocked(Segment& segment);
-  void EvictOverBudgetLocked(uint64_t keep_id);
-  void MaybeStartCompactionLocked();
-  Status CompactLocked(std::unique_lock<std::mutex>& lock);
-  void WaitForCompactorLocked(std::unique_lock<std::mutex>& lock);
-  void BackgroundCompact();
 
   const std::string path_;
   const uint64_t fingerprint_;
@@ -242,17 +199,7 @@ class UtilityStore {
   std::unordered_map<Coalition, uint64_t, CoalitionHash> active_offsets_;
 
   uint64_t segment_target_bytes_ = kDefaultSegmentBytes;
-  uint64_t byte_budget_ = 0;  ///< 0 = unlimited.
-  uint64_t mapped_bytes_ = 0;
-  uint64_t access_tick_ = 0;
   size_t loaded_entries_ = 0;
-  size_t evictions_ = 0;
-  size_t remaps_ = 0;
-  size_t compactions_ = 0;
-
-  std::thread compactor_;
-  bool compaction_running_ = false;
-  bool shutting_down_ = false;
 };
 
 /// The standard way a process binds a cache to persistent storage, shared

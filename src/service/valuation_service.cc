@@ -419,9 +419,6 @@ ServiceStats ValuationService::stats() const {
       stats.store_entries += store.entries;
       stats.store_segments += store.sealed_segments;
       stats.store_bytes += store.sealed_bytes + store.active_bytes;
-      stats.store_mapped_bytes += store.mapped_bytes;
-      stats.store_evictions += store.evictions;
-      stats.store_compactions += store.compactions;
     }
   }
   return stats;

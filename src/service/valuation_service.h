@@ -107,12 +107,6 @@ struct ServiceStats {
   size_t store_segments = 0;
   /// On-disk bytes (sealed + active) across all attached stores.
   uint64_t store_bytes = 0;
-  /// Memory-mapped bytes across all attached stores.
-  uint64_t store_mapped_bytes = 0;
-  /// Segment unmaps forced by the mapped-byte budget.
-  size_t store_evictions = 0;
-  /// Compactions completed across all attached stores.
-  size_t store_compactions = 0;
   /// Always 0: the service has no speculative prefetcher. Kept only
   /// because bench/e2e reads it; delete with that reference.
   size_t prefetch_trainings = 0;

@@ -15,11 +15,10 @@ namespace fedshap {
 ///
 /// The segmented UtilityStore serves lookups straight from the page
 /// cache: sealed segments are mapped, not read, so opening a
-/// multi-gigabyte store touches only the pages a lookup actually needs
-/// and the kernel reclaims cold pages under memory pressure. Unmapping a
-/// segment (the store's eviction path) drops its resident pages
-/// immediately, which is how a store larger than `FEDSHAP_STORE_BYTES`
-/// keeps process RSS under the budget.
+/// multi-gigabyte store touches only the pages a lookup actually needs.
+/// The mapped pages are clean file pages, so the kernel reclaims cold
+/// ones under memory pressure and a store larger than RAM needs no
+/// eviction of its own.
 
 /// A read-only file mapped into the address space.
 ///

@@ -19,7 +19,7 @@ namespace fedshap {
 /// A segment is the unit of the segmented UtilityStore: an immutable,
 /// individually-checksummed sequence of records that is written once,
 /// sealed with an fsync'd footer index, and afterwards only ever read
-/// (memory-mapped) or deleted (compaction). The format is designed so a
+/// (memory-mapped). The format is designed so a
 /// crash at *any* byte leaves the file recoverable:
 ///
 ///   header   [magic u32][version u32][meta u64]

@@ -535,6 +535,27 @@ TEST(AdaptiveSweepTest, CorruptedSnapshotRejectedAndTargetUsable) {
   corrupted[corrupted.size() - 2] ^= 0x11;
   AdaptiveStratifiedSweep target(5, config);
   EXPECT_FALSE(target.Restore(corrupted).ok());
+
+  // A CRC-valid frame whose draw count claims 2^40 draws is rejected
+  // before anything is reserved. A fresh sweep's payload ends in the
+  // draw count 0; swap it for the inflated one.
+  Result<std::string> fresh = AdaptiveStratifiedSweep(5, config).Snapshot();
+  ASSERT_TRUE(fresh.ok());
+  Result<std::string_view> payload =
+      DecodeFramed(kSweepSnapshotMagic, kSweepSnapshotVersion, *fresh);
+  ASSERT_TRUE(payload.ok());
+  ASSERT_EQ(payload->back(), '\0');
+  ByteWriter draw_count;
+  draw_count.PutVarint(uint64_t{1} << 40);
+  const std::string inflated =
+      std::string(payload->substr(0, payload->size() - 1)) +
+      draw_count.bytes();
+  EXPECT_EQ(target
+                .Restore(EncodeFramed(kSweepSnapshotMagic,
+                                      kSweepSnapshotVersion, inflated))
+                .code(),
+            StatusCode::kInvalidArgument);
+
   EXPECT_EQ(target.completed_units(), 0u);
   EXPECT_TRUE(target.Restore(*snapshot).ok());
   EXPECT_EQ(target.completed_units(), 9u);

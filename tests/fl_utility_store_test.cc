@@ -1,7 +1,7 @@
 /// Tests for fl/utility_store.h: open/flush/reopen round-trips across the
 /// segment layout, torn-tail truncation, manifest/stray-segment crash
-/// recovery, rejection of non-store paths, compaction, byte-budget
-/// eviction, coalition codec edge cases, and the UtilityCache
+/// recovery, rejection of non-store paths, superseding records across
+/// sealed segments, coalition codec edge cases, and the UtilityCache
 /// read-through/write-through integration.
 
 #include "fl/utility_store.h"
@@ -138,6 +138,13 @@ TEST(UtilityStoreTest, LargeStoreRoundTripAcrossSegments) {
     }
     ASSERT_TRUE((*store)->Flush().ok());
     EXPECT_GT((*store)->stats().sealed_segments, 1u);
+    // Segments sealed by this process are mapped on their first lookup.
+    for (const auto& [coalition, record] : entries) {
+      UtilityRecord read;
+      ASSERT_TRUE((*store)->Lookup(coalition, &read));
+      EXPECT_DOUBLE_EQ(read.utility, record.utility);
+      EXPECT_DOUBLE_EQ(read.cost_seconds, record.cost_seconds);
+    }
   }
   Result<std::unique_ptr<UtilityStore>> reopened =
       UtilityStore::Open(path, 1);
@@ -256,42 +263,44 @@ TEST(UtilityStoreTest, CorruptManifestAndNonStoreFilesRejected) {
   }
 }
 
-TEST(UtilityStoreTest, CompactionMergesSegmentsAndDropsDuplicates) {
-  const std::string path = TempPath("compact.fsus");
+TEST(UtilityStoreTest, LaterPutWinsAcrossSealedSegments) {
+  const std::string path = TempPath("supersede.fsus");
   Result<std::unique_ptr<UtilityStore>> store =
       UtilityStore::Open(path, 11);
   ASSERT_TRUE(store.ok());
   (*store)->set_segment_target_bytes(4096);
-  // Every coalition written twice: the second value supersedes the first
-  // and compaction reclaims the dead bytes.
+  // Every coalition written twice, each pass spanning several sealed
+  // segments: the second value supersedes the first.
+  auto coalition = [](int i) {
+    return Coalition::Of({i % 100, 100 + i / 100});
+  };
   for (int pass = 0; pass < 2; ++pass) {
-    for (int i = 0; i < 150; ++i) {
-      Coalition c = Coalition::Of({i % 100, 100 + i / 100});
-      (*store)->Put(c, {static_cast<double>(i + pass * 1000), 0.0});
+    for (int i = 0; i < 400; ++i) {
+      (*store)->Put(coalition(i),
+                    {static_cast<double>(i + pass * 1000), 0.0});
     }
   }
-  ASSERT_TRUE((*store)->CompactNow().ok());
   UtilityStoreStats stats = (*store)->stats();
-  EXPECT_EQ(stats.entries, 150u);
-  EXPECT_EQ(stats.sealed_segments, 1u);
-  EXPECT_GE(stats.compactions, 1u);
-  for (int i = 0; i < 150; ++i) {
-    Coalition c = Coalition::Of({i % 100, 100 + i / 100});
+  EXPECT_EQ(stats.entries, 400u);
+  EXPECT_GE(stats.sealed_segments, 4u);
+  for (int i = 0; i < 400; ++i) {
     UtilityRecord read;
-    ASSERT_TRUE((*store)->Lookup(c, &read));
+    ASSERT_TRUE((*store)->Lookup(coalition(i), &read));
     EXPECT_DOUBLE_EQ(read.utility, static_cast<double>(i + 1000));
   }
   store->reset();
   Result<std::unique_ptr<UtilityStore>> reopened =
       UtilityStore::Open(path, 11);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->size(), 150u);
-  UtilityRecord read;
-  ASSERT_TRUE((*reopened)->Lookup(Coalition::Of({0, 100}), &read));
-  EXPECT_DOUBLE_EQ(read.utility, 1000.0);
+  EXPECT_EQ((*reopened)->size(), 400u);
+  for (int i = 0; i < 400; ++i) {
+    UtilityRecord read;
+    ASSERT_TRUE((*reopened)->Lookup(coalition(i), &read));
+    EXPECT_DOUBLE_EQ(read.utility, static_cast<double>(i + 1000));
+  }
 }
 
-TEST(UtilityStoreTest, CompactionKilledMidSwapRecoversFromOldManifest) {
+TEST(UtilityStoreTest, StraySegmentRemovedOnOpen) {
   const std::string path = TempPath("killswap.fsus");
   {
     Result<std::unique_ptr<UtilityStore>> store =
@@ -305,8 +314,9 @@ TEST(UtilityStoreTest, CompactionKilledMidSwapRecoversFromOldManifest) {
     ASSERT_TRUE((*store)->Flush().ok());
     ASSERT_GE((*store)->stats().sealed_segments, 1u);
   }
-  // Simulate a compaction killed after writing its merged segment but
-  // before the manifest swap: a stray sealed file not in the manifest.
+  // A store written by a build that compacted can hold the merged segment
+  // of a compaction killed before its manifest swap: a stray sealed file
+  // not in the manifest.
   const std::string stray = ActiveSegmentPath(path, 99);
   fs::copy_file(ActiveSegmentPath(path, 1), stray);
   ASSERT_TRUE(fs::exists(stray));
@@ -314,8 +324,8 @@ TEST(UtilityStoreTest, CompactionKilledMidSwapRecoversFromOldManifest) {
   Result<std::unique_ptr<UtilityStore>> reopened =
       UtilityStore::Open(path, 13);
   ASSERT_TRUE(reopened.ok());
-  // The old manifest stays authoritative: every record intact, the
-  // half-finished merge segment deleted.
+  // The manifest stays authoritative: every record intact, the stray
+  // segment deleted.
   EXPECT_EQ((*reopened)->size(), 300u);
   EXPECT_FALSE(fs::exists(stray));
   UtilityRecord read;
@@ -323,49 +333,16 @@ TEST(UtilityStoreTest, CompactionKilledMidSwapRecoversFromOldManifest) {
   EXPECT_DOUBLE_EQ(read.utility, 5.0);
 }
 
-TEST(UtilityStoreTest, ByteBudgetEvictsColdSegmentsButServesEverything) {
-  const std::string path = TempPath("evict.fsus");
-  Result<std::unique_ptr<UtilityStore>> store =
-      UtilityStore::Open(path, 17);
-  ASSERT_TRUE(store.ok());
-  (*store)->set_segment_target_bytes(4096);
-  // Stay under kCompactMinSegments sealed segments so background
-  // compaction does not merge away the eviction candidates.
-  std::vector<Coalition> coalitions;
-  for (int i = 0; i < 450 && (*store)->stats().sealed_segments < 3; ++i) {
-    Coalition c = Coalition::Of({i % 100, 100 + i / 100});
-    (*store)->Put(c, {static_cast<double>(i), 0.0});
-    coalitions.push_back(c);
-  }
-  ASSERT_TRUE((*store)->Flush().ok());
-  ASSERT_GE((*store)->stats().sealed_segments, 2u);
-
-  // Budget fits roughly one segment: lookups across all segments force
-  // LRU eviction and transparent remaps, never a wrong or lost record.
-  (*store)->set_byte_budget(8192);
-  for (size_t i = 0; i < coalitions.size(); ++i) {
-    UtilityRecord read;
-    ASSERT_TRUE((*store)->Lookup(coalitions[i], &read)) << "entry " << i;
-    EXPECT_DOUBLE_EQ(read.utility, static_cast<double>(i));
-  }
-  UtilityStoreStats stats = (*store)->stats();
-  EXPECT_LE(stats.mapped_bytes, 8192u);
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_EQ(stats.byte_budget, 8192u);
-}
-
-TEST(UtilityStoreTest, EvictionNeverDropsUnflushedRecords) {
+TEST(UtilityStoreTest, UnflushedRecordsServedFromMemory) {
   const std::string path = TempPath("unflushed.fsus");
   Result<std::unique_ptr<UtilityStore>> store =
       UtilityStore::Open(path, 19);
   ASSERT_TRUE(store.ok());
-  // A budget below any segment size: nothing sealed may stay mapped.
-  (*store)->set_byte_budget(1);
   for (int i = 0; i < 5; ++i) {
     (*store)->Put(Coalition::Of({i}), {static_cast<double>(i), 0.0});
   }
   // The records are dirty (never flushed) yet must all be served from
-  // the in-memory active set — eviction only unmaps sealed segments.
+  // the in-memory active set.
   EXPECT_TRUE((*store)->dirty());
   for (int i = 0; i < 5; ++i) {
     UtilityRecord read;

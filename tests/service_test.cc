@@ -14,6 +14,7 @@
 
 #include "service/job_spec.h"
 #include "service/valuation_service.h"
+#include "util/serialization.h"
 
 namespace fedshap {
 namespace {
@@ -619,6 +620,16 @@ TEST(ValuationServiceTest, ValuationResultEncodingRoundTrips) {
   EXPECT_EQ(decoded->charged_seconds, result.charged_seconds);
   EXPECT_EQ(decoded->wall_seconds, result.wall_seconds);
   EXPECT_FALSE(DecodeValuationResult("garbage").ok());
+
+  // A CRC-valid frame claiming 2^40 values is rejected before anything
+  // is reserved.
+  ByteWriter hostile;
+  hostile.PutVarint(uint64_t{1} << 40);
+  const std::string frame =
+      EncodeFramed(/*"FSVR"=*/0x52565346u, /*version=*/1, hostile.bytes());
+  ASSERT_EQ(frame.size(), 18u);
+  EXPECT_EQ(DecodeValuationResult(frame).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def self_test() -> int:
           direction_of("jobs_per_second") == "higher")
     check("counts are informational", direction_of("trainings") is None)
     check("bytes are informational",
-          direction_of("budget_mapped_bytes") is None)
+          direction_of("current_rss_bytes") is None)
     check("trainings_to_target_error is lower-better",
           direction_of("trainings_to_target_error") == "lower")
     check("total_variance is lower-better",

@@ -182,12 +182,9 @@ void PrintJobLine(const JobStatus& status) {
 /// Segment-store counters aggregated over every attached workload store
 /// (zero when no workload of this process opened its store).
 void PrintStoreLine(const ServiceStats& stats) {
-  std::printf("[fedshapd] store entries=%zu segments=%zu bytes=%llu "
-              "mapped=%llu evictions=%zu compactions=%zu\n",
+  std::printf("[fedshapd] store entries=%zu segments=%zu bytes=%llu\n",
               stats.store_entries, stats.store_segments,
-              static_cast<unsigned long long>(stats.store_bytes),
-              static_cast<unsigned long long>(stats.store_mapped_bytes),
-              stats.store_evictions, stats.store_compactions);
+              static_cast<unsigned long long>(stats.store_bytes));
 }
 
 void PrintValues(const JobStatus& status) {
