@@ -325,6 +325,11 @@ int main(int argc, char** argv) {
       all_equal = false;
     }
   }
+  // The outage pays its grace window once, so the degraded run should
+  // cost about what the 1-shard socketpair run does plus one window.
+  const double one_shard_wall = cluster_runs[0].wall_seconds;
+  const double degraded_overhead_ratio =
+      one_shard_wall > 0 ? degraded_wall / one_shard_wall : 0.0;
 
   const ServiceStats stats = service.stats();
   std::printf("\naggregate:\n");
@@ -357,9 +362,10 @@ int main(int argc, char** argv) {
               "recovery=%.3fs\n",
               tcp_partition_wall, tcp_partition_stats.worker_reconnects,
               tcp_partition_stats.recovery_seconds_total);
-  std::printf("  degraded run:                  %.3fs, %zu coalition(s) "
-              "trained on the coordinator\n",
-              degraded_wall, degraded_stats.degraded_evaluations);
+  std::printf("  degraded run:                  %.3fs (%.2fx vs 1 shard), "
+              "%zu coalition(s) trained on the coordinator\n",
+              degraded_wall, degraded_overhead_ratio,
+              degraded_stats.degraded_evaluations);
   std::printf("  values identical to isolated:  %s\n",
               all_equal ? "yes" : "NO");
   if (!options.store_dir.empty()) {
@@ -408,7 +414,9 @@ int main(int argc, char** argv) {
       .Metric("partition_recovery_seconds",
               tcp_partition_stats.recovery_seconds_total)
       .Metric("degraded_coalitions",
-              static_cast<double>(degraded_stats.degraded_evaluations));
+              static_cast<double>(degraded_stats.degraded_evaluations))
+      .Metric("degraded_wall_seconds", degraded_wall)
+      .Metric("degraded_overhead_ratio", degraded_overhead_ratio);
   json.Add("store")
       .Label("scenario", options.scenario)
       .Label("persistent", options.store_dir.empty() ? "no" : "yes")

@@ -167,18 +167,47 @@ bool ClusterDispatcher::HasSchedulableWorkerLocked() const {
 
 bool ClusterDispatcher::WaitForWorkerLocked(
     std::unique_lock<std::mutex>& lock) {
-  if (HasSchedulableWorkerLocked()) return true;
-  if (options_.degraded_grace_ms <= 0) return false;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(options_.degraded_grace_ms);
   while (!stopping_) {
-    if (workers_changed_.wait_until(lock, deadline) ==
-        std::cv_status::timeout) {
-      return HasSchedulableWorkerLocked();
-    }
     if (HasSchedulableWorkerLocked()) return true;
+    // The grace window belongs to the outage, not to this evaluation: the
+    // first waiter arms it and every other waiter shares it. (A worker
+    // that came and went while we slept ended the old outage; this is a
+    // new one.)
+    const Clock::time_point now = Clock::now();
+    if (!outage_deadline_.has_value()) {
+      outage_deadline_ =
+          now + std::chrono::milliseconds(options_.degraded_grace_ms);
+    }
+    const Clock::time_point deadline = *outage_deadline_;
+    if (now >= deadline) {
+      if (!outage_announced_) {
+        outage_announced_ = true;
+        FEDSHAP_LOG(Warning)
+            << "[cluster] no schedulable worker for "
+            << options_.degraded_grace_ms
+            << " ms; training on the coordinator until a worker returns";
+      }
+      return false;
+    }
+    workers_changed_.wait_until(lock, deadline);
   }
   return false;
+}
+
+void ClusterDispatcher::EndOutageLocked(size_t index) {
+  if (!outage_deadline_.has_value() || !SchedulableLocked(*workers_[index])) {
+    return;
+  }
+  if (outage_announced_) {
+    const auto lasted = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::now() - *outage_deadline_ +
+        std::chrono::milliseconds(options_.degraded_grace_ms));
+    FEDSHAP_LOG(Info) << "[cluster] worker " << index
+                      << " schedulable; outage over after " << lasted.count()
+                      << " ms";
+  }
+  outage_deadline_.reset();
+  outage_announced_ = false;
 }
 
 int ClusterDispatcher::PickWorkerLocked(const Coalition& coalition) const {
@@ -355,7 +384,10 @@ void ClusterDispatcher::BreakerSuccessLocked(size_t index) {
   WorkerState& worker = *workers_[index];
   worker.consecutive_failures = 0;
   if (worker.breaker != BreakerState::kClosed) {
+    // From open, this is a late answer to an expired attempt: the worker
+    // is schedulable again without a half-open probe.
     worker.breaker = BreakerState::kClosed;
+    EndOutageLocked(index);
     FEDSHAP_LOG(Info) << "[cluster] worker " << index
                       << " breaker closed after successful probe";
     workers_changed_.notify_all();
@@ -387,8 +419,9 @@ void ClusterDispatcher::MarkWorkerDeadLocked(size_t index) {
       const int next = PickWorkerLocked(task.coalition);
       if (next < 0) {
         // No live successor right now: hand the re-dispatch back to the
-        // task's Evaluate, which waits out the degraded grace window for
-        // a reconnect before failing Unavailable (the degraded-mode cue).
+        // task's Evaluate, which waits out what is left of the outage's
+        // grace window for a reconnect before failing Unavailable (the
+        // degraded-mode cue).
         completed_.notify_all();
         break;
       }
@@ -507,6 +540,7 @@ void ClusterDispatcher::AttachWorker(std::unique_ptr<FrameChannel> channel) {
       return;
     }
     state.alive = true;
+    EndOutageLocked(index);
     if (state.generation > 1) {
       ++stats_.worker_reconnects;
       stats_.recovery_seconds_total +=
@@ -690,6 +724,7 @@ void ClusterDispatcher::MonitorLoop() {
         // Cooldown elapsed: half-open, letting one round of probe traffic
         // through to decide close-or-reopen.
         workers_[i]->breaker = BreakerState::kHalfOpen;
+        EndOutageLocked(i);
         ++stats_.breaker_probes;
         FEDSHAP_LOG(Info) << "[cluster] worker " << i
                           << " breaker half-open; probing";

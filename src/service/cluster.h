@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -103,7 +104,8 @@ struct ClusterStats {
   size_t breaker_probes = 0;  ///< Cooldowns elapsed (open->half-open).
   size_t degraded_evaluations = 0;  ///< Coalitions trained locally by the
                                     ///< coordinator because no worker was
-                                    ///< available within the grace window.
+                                    ///< schedulable once the outage's
+                                    ///< grace window had passed.
   /// Summed seconds shards spent dead before a reconnect resumed them
   /// (recovery_seconds_total / worker_reconnects = mean outage).
   double recovery_seconds_total = 0.0;
@@ -133,10 +135,13 @@ struct ClusterStats {
 ///    circuit breaker, making the worker unschedulable for
 ///    `breaker_cooldown_ms`; the cooldown elapsing half-opens it (a
 ///    probe), whose first result closes or re-opens it;
-///  - when no schedulable worker exists for `degraded_grace_ms`,
-///    Evaluate fails with Unavailable — the signal ClusterUtility turns
-///    into a local (coordinator-side) training, so the service keeps
-///    producing bit-identical values through a total partition.
+///  - an outage (no schedulable worker) gets one `degraded_grace_ms`
+///    window, shared by every evaluation that meets it; once it has
+///    passed, Evaluate fails with Unavailable at once — the signal
+///    ClusterUtility turns into a local (coordinator-side) training, so
+///    the service keeps producing bit-identical values through a total
+///    partition. A worker becoming schedulable again ends the outage and
+///    re-arms the window for the next one.
 ///
 /// Thread-safe; Evaluate() may be called from many coordinator threads.
 class ClusterDispatcher {
@@ -160,9 +165,12 @@ class ClusterDispatcher {
     /// How long an open breaker keeps its worker unschedulable before a
     /// half-open probe is allowed.
     int breaker_cooldown_ms = 1000;
-    /// How long Evaluate waits for any schedulable worker to (re)appear
-    /// before giving up with Unavailable (the degraded-mode trigger).
-    /// 0 degrades immediately.
+    /// How long an outage may last before evaluations give up with
+    /// Unavailable (the degraded-mode trigger). Paid once per outage:
+    /// the first evaluation to find no schedulable worker starts the
+    /// window, every evaluation until it ends shares it, and later ones
+    /// degrade at once until a worker is schedulable again. 0 degrades
+    /// immediately.
     int degraded_grace_ms = 0;
   };
 
@@ -215,7 +223,7 @@ class ClusterDispatcher {
   /// Ships one coalition evaluation to its shard's worker and blocks for
   /// the framed result, surviving worker deaths by reassignment and slow
   /// workers by deadline-bounded re-dispatch. Fails with Unavailable
-  /// when no schedulable worker exists past the degraded grace window —
+  /// when no schedulable worker exists past the outage's grace window —
   /// the caller's cue to train locally. `worker_fresh` (optional)
   /// reports whether the worker trained fresh.
   Result<UtilityRecord> Evaluate(const std::string& workload_key,
@@ -282,9 +290,14 @@ class ClusterDispatcher {
   // All *Locked methods require mutex_ held.
   bool SchedulableLocked(const WorkerState& worker) const;
   bool HasSchedulableWorkerLocked() const;
-  /// Waits up to degraded_grace_ms for a schedulable worker. Returns
-  /// whether one exists on exit.
+  /// Waits for a schedulable worker until the current outage's grace
+  /// deadline, arming it (now + degraded_grace_ms) if this is the first
+  /// evaluation to find none; past the deadline it returns at once.
+  /// Returns whether a schedulable worker exists on exit.
   bool WaitForWorkerLocked(std::unique_lock<std::mutex>& lock);
+  /// Worker `index` may have just become schedulable: if so, ends the
+  /// current outage so the next one gets a full grace window.
+  void EndOutageLocked(size_t index);
   int PickWorkerLocked(const Coalition& coalition) const;
   Status AssignLocked(uint64_t task_id, PendingTask& task, int worker);
   void MarkWorkerDeadLocked(size_t index);
@@ -304,6 +317,10 @@ class ClusterDispatcher {
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::map<std::string, WorkloadInfo> workloads_;
   std::unordered_map<uint64_t, PendingTask> pending_;
+  /// Grace deadline of the current outage; unset while no evaluation has
+  /// found the cluster without a schedulable worker since one last was.
+  std::optional<std::chrono::steady_clock::time_point> outage_deadline_;
+  bool outage_announced_ = false;  ///< The expiry Warning was logged.
   uint64_t next_task_id_ = 0;
   ClusterStats stats_;
   std::thread monitor_;

@@ -7,10 +7,12 @@
 // to drive through the binary; the shell test remains as a smoke
 // wrapper over fedshapd itself.
 
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -591,8 +593,8 @@ TEST(ClusterBreakerTest, TripProbeCloseUnderConsecutiveDeadlineExpiry) {
 }
 
 // Total outage from the start: the lone worker is killed before the job
-// runs. Every evaluation passes the grace window with no schedulable
-// worker, fails Unavailable, and ClusterUtility trains it on the
+// runs. The first evaluation waits out the outage's grace window; it and
+// every later one fail Unavailable, and ClusterUtility trains them on the
 // coordinator instead — bit-identical values, zero remote results.
 TEST(ClusterDegradedTest, TotalOutageServesBitIdenticalValuesLocally) {
   JobSpec job = MakeJob("job", EstimatorKind::kIpss, LinregScenario(8));
@@ -636,6 +638,102 @@ TEST(ClusterDegradedTest, MidJobOutageDegradesAndStaysBitIdentical) {
   EXPECT_EQ(stats.workers_lost, 1u);
   EXPECT_GE(stats.results_applied, 1u);       // some work ran remotely
   EXPECT_GE(stats.degraded_evaluations, 1u);  // the rest degraded
+}
+
+using Clock = std::chrono::steady_clock;
+
+/// A dispatcher with workload "w" registered and no worker attached yet.
+std::unique_ptr<ClusterDispatcher> OutageDispatcher(int grace_ms) {
+  const ScenarioSpec scenario = LinregScenario(4);
+  Result<std::unique_ptr<UtilityFunction>> local = scenario.Build();
+  EXPECT_TRUE(local.ok()) << local.status();
+  ClusterDispatcher::Options options;
+  options.degraded_grace_ms = grace_ms;
+  auto dispatcher = std::make_unique<ClusterDispatcher>(options);
+  dispatcher->RegisterWorkload("w", scenario,
+                               local.ok() ? (*local)->Fingerprint() : 0);
+  return dispatcher;
+}
+
+/// Runs one evaluation and returns how long it took; `status` gets its
+/// outcome.
+Clock::duration TimedEvaluate(ClusterDispatcher& dispatcher, Status* status) {
+  const Clock::time_point start = Clock::now();
+  *status = dispatcher.Evaluate("w", Coalition::Of({0, 1})).status();
+  return Clock::now() - start;
+}
+
+// The grace window belongs to the outage: the first evaluation pays it,
+// the other nine fail Unavailable at once. (Paid per evaluation, ten
+// calls would take ten windows.)
+TEST(ClusterDegradedTest, OutagePaysTheGraceWindowOnce) {
+  constexpr int kGraceMs = 200;
+  auto dispatcher = OutageDispatcher(kGraceMs);
+  const Clock::time_point start = Clock::now();
+  for (int i = 0; i < 10; ++i) {
+    Status status;
+    (void)TimedEvaluate(*dispatcher, &status);
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << "call " << i;
+  }
+  EXPECT_LT(Clock::now() - start, std::chrono::milliseconds(2 * kGraceMs));
+  dispatcher->Shutdown();
+}
+
+// Two evaluations in flight during one outage share its window: the one
+// that arrives halfway through waits only for what is left of it.
+TEST(ClusterDegradedTest, ConcurrentEvaluationsShareOneWindow) {
+  constexpr int kGraceMs = 400;
+  auto dispatcher = OutageDispatcher(kGraceMs);
+  Status first_status;
+  Clock::duration first_wait{};
+  std::thread first(
+      [&] { first_wait = TimedEvaluate(*dispatcher, &first_status); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(kGraceMs / 2));
+  Status second_status;
+  const Clock::duration second_wait =
+      TimedEvaluate(*dispatcher, &second_status);
+  first.join();
+  EXPECT_EQ(first_status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(second_status.code(), StatusCode::kUnavailable);
+  EXPECT_GE(first_wait, std::chrono::milliseconds(kGraceMs));
+  EXPECT_LT(second_wait, std::chrono::milliseconds(kGraceMs));
+  dispatcher->Shutdown();
+}
+
+// A worker becoming schedulable ends the outage: after it attaches and
+// dies again, the next evaluation waits a full window before degrading.
+TEST(ClusterDegradedTest, WorkerReturnRearmsTheGraceWindow) {
+  constexpr int kGraceMs = 200;
+  const auto grace = std::chrono::milliseconds(kGraceMs);
+  auto dispatcher = OutageDispatcher(kGraceMs);
+  Status status;
+  EXPECT_GE(TimedEvaluate(*dispatcher, &status), grace);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_LT(TimedEvaluate(*dispatcher, &status), grace);  // latched
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+
+  auto pair = CreateChannelPair();
+  ASSERT_TRUE(pair.ok()) << pair.status();
+  FrameChannel* worker_end = pair->second.get();
+  std::thread worker_thread([worker_end] {
+    ClusterWorker worker(worker_end, ClusterWorkerOptions());
+    (void)worker.Run();
+  });
+  dispatcher->AttachWorker(std::move(pair->first));
+  ASSERT_EQ(dispatcher->live_workers(), 1u);
+  (void)TimedEvaluate(*dispatcher, &status);
+  EXPECT_TRUE(status.ok()) << status;
+
+  worker_end->Shutdown();  // the worker dies
+  worker_thread.join();
+  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(5);
+  while (dispatcher->live_workers() > 0 && Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(dispatcher->live_workers(), 0u);
+  EXPECT_GE(TimedEvaluate(*dispatcher, &status), grace);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  dispatcher->Shutdown();
 }
 
 // ---------------------------------------------------------------------------

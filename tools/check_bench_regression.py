@@ -15,7 +15,9 @@ Metric direction is inferred from its name:
     estimator variance at a fixed seeded budget), *reconnects* and
     *degraded* (a seeded fault schedule yields a deterministic recovery
     path — more reconnects or degraded coalitions means resilience got
-    clumsier), *overhead* (the TCP-vs-socketpair wall ratio)
+    clumsier), *overhead* (the TCP-vs-socketpair wall ratio, and the
+    degraded run's wall over the 1-shard run's: an outage should cost
+    one grace window, not one per coalition)
   - higher-is-better: *speedup*, *dedup*, *per_second*, *throughput*
   - everything else (counts, bytes, errors) is informational: never gated,
     because trainings counts and byte sizes legitimately change with the
@@ -277,10 +279,14 @@ def self_test() -> int:
               direction_of("tcp_overhead_ratio") == "lower")
         check("partition_recovery_seconds is lower-better",
               direction_of("partition_recovery_seconds") == "lower")
+        check("degraded_overhead_ratio is lower-better",
+              direction_of("degraded_overhead_ratio") == "lower")
         tcp = {"name": "tcp", "scenario": "linreg",
                "tcp_overhead_ratio": 1.2, "reconnects": 1.0,
                "partition_recovery_seconds": 0.05,
-               "degraded_coalitions": 120.0}
+               "degraded_coalitions": 120.0,
+               "degraded_wall_seconds": 0.3,
+               "degraded_overhead_ratio": 2.0}
         write(base_dir, "BENCH_a.json", [tcp])
         write(cur_dir, "BENCH_a.json", [dict(tcp)])
         check("unchanged tcp metrics pass", run_gate(args) == 0)
@@ -290,6 +296,11 @@ def self_test() -> int:
         check("grown degraded_coalitions fails", run_gate(args) == 1)
         write(cur_dir, "BENCH_a.json", [dict(tcp, tcp_overhead_ratio=2.0)])
         check("fatter tcp overhead fails", run_gate(args) == 1)
+        # Paying the grace window per coalition again would grow the
+        # degraded run's wall ratio many times over.
+        write(cur_dir, "BENCH_a.json",
+              [dict(tcp, degraded_overhead_ratio=30.0)])
+        check("grown degraded_overhead_ratio fails", run_gate(args) == 1)
 
         args.baseline = os.path.join(tmp, "missing")
         check("missing baseline dir passes", run_gate(args) == 0)

@@ -33,7 +33,8 @@
 ///                     port; composes with --cluster-workers — local and
 ///                     remote workers share one shard map). While no
 ///                     worker is connected, coalitions train locally
-///                     (degraded mode) and values stay bit-identical.
+///                     (degraded mode) after one grace window per outage,
+///                     and values stay bit-identical.
 ///   --connect=HOST:PORT  worker mode: dial the coordinator, register,
 ///                     serve trainings until it shuts the cluster down.
 ///                     Reconnects with capped exponential backoff across
@@ -225,7 +226,8 @@ int RunService(const CliOptions& options,
   } else if (!options.listen.empty() && acting) {
     // Pure multi-node coordinator: no local workers, only registered
     // TCP ones. Until the first registers, coalitions train locally
-    // (degraded mode) after the grace window — jobs always make
+    // (degraded mode) once the grace window has passed; each outage pays
+    // the window once, not once per coalition. Jobs always make
     // progress, with bit-identical values either way.
     ClusterDispatcher::Options dispatcher_options;
     dispatcher_options.rpc_deadline_ms = 30000;
