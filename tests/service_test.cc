@@ -300,6 +300,26 @@ TEST(JobSpecTest, ScenarioValidation) {
   EXPECT_FALSE(scenario.Build().ok());
 }
 
+// Persisted utility stores are addressed by the workload fingerprint, so
+// a change to what FedAvgUtility::Fingerprint hashes orphans every store
+// on disk. The literal pins one digits workload; a deliberate change must
+// update it and say why the old stores may be dropped.
+TEST(JobSpecTest, DigitsFingerprintIsPinned) {
+#if defined(__FMA__)
+  // The literal is the baseline-ISA build's. With FMA code generation the
+  // compiler may contract `mean + stddev * z` in the data and weight
+  // generators, so the hashed bits differ.
+  GTEST_SKIP() << "fingerprint literal assumes no FMA contraction";
+#endif
+  ScenarioSpec scenario;
+  scenario.kind = "digits";
+  scenario.n = 4;
+  scenario.seed = 2025;
+  Result<std::unique_ptr<UtilityFunction>> utility = scenario.Build();
+  ASSERT_TRUE(utility.ok()) << utility.status();
+  EXPECT_EQ((*utility)->Fingerprint(), 0x705b800a82df68feULL);
+}
+
 // ---------------------------------------------------------------------------
 // ValuationService
 
