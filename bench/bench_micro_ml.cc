@@ -6,7 +6,7 @@
 /// The *_PerExample / *_Batched pairs compare the historical scalar
 /// reference path against the blocked-kernel path at the same batch
 /// size; items/s is examples per second, so the batched:per-example
-/// ratio is the per-training speedup. CI runs this binary once with a
+/// ratio is the per-step speedup. CI runs this binary once with a
 /// tiny --benchmark_min_time as a smoke test.
 
 #include <benchmark/benchmark.h>
@@ -90,7 +90,7 @@ void BM_MatMulBlocked(benchmark::State& state) {
 BENCHMARK(BM_MatMulBlocked);
 
 /// GEMM-bound cases per kernel backend: the same blocked MatMul body
-/// pinned to scalar / AVX2 / AVX-512, so the dispatched-vs-scalar
+/// pinned to scalar / AVX2, so the dispatched-vs-scalar
 /// speedup is measured directly (the acceptance number of the SIMD
 /// dispatch work). Registered dynamically for every backend this
 /// machine can execute; names look like "BM_MatMulBackend/avx2/64x256x256".
@@ -124,8 +124,7 @@ std::string GemmShapeName(const GemmShape& shape) {
 
 void RegisterBackendBenchmarks() {
   for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kAvx2,
-        KernelBackend::kAvx512}) {
+       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
     if (!KernelBackendAvailable(backend)) continue;
     for (const GemmShape& shape : kGemmShapes) {
       const std::string name =
@@ -367,10 +366,11 @@ void BM_ScoreModels_FusedStacked(benchmark::State& state) {
 BENCHMARK(BM_ScoreModels_FusedStacked);
 
 // ---------------------------------------------------------------------------
-// Whole local trainings (what one FL client does per round): epochs of
-// shuffled minibatch SGD end to end, both gradient modes.
+// A whole local training (what one FL client does per round): one epoch
+// of shuffled minibatch SGD end to end. The name is kept so archived
+// baseline records stay comparable.
 
-void TrainSgdBench(benchmark::State& state, GradientMode mode) {
+void BM_TrainSgdEpoch_Batched(benchmark::State& state) {
   Rng rng(11);
   Dataset data = MakeBlobData(rng);
   Mlp prototype(64, 16, 10);
@@ -379,7 +379,6 @@ void TrainSgdBench(benchmark::State& state, GradientMode mode) {
   SgdConfig config;
   config.epochs = 1;
   config.batch_size = kBatch;
-  config.gradient_mode = mode;
   for (auto _ : state) {
     Mlp model = prototype;
     benchmark::DoNotOptimize(model.SetParameters(init));
@@ -388,22 +387,13 @@ void TrainSgdBench(benchmark::State& state, GradientMode mode) {
   }
   state.SetItemsProcessed(state.iterations() * data.size());
 }
-
-void BM_TrainSgdEpoch_PerExample(benchmark::State& state) {
-  TrainSgdBench(state, GradientMode::kPerExample);
-}
-BENCHMARK(BM_TrainSgdEpoch_PerExample);
-
-void BM_TrainSgdEpoch_Batched(benchmark::State& state) {
-  TrainSgdBench(state, GradientMode::kBatched);
-}
 BENCHMARK(BM_TrainSgdEpoch_Batched);
 
 // ---------------------------------------------------------------------------
 // Main: standard google-benchmark flags plus --json=<path> (see
 // bench/common.h), which archives every benchmark's timing and the
-// derived speedup pairs (Batched vs PerExample, each SIMD backend vs
-// scalar) as machine-readable records.
+// derived speedup pairs (Batched vs PerExample gradients, AVX2 vs scalar
+// GEMM) as machine-readable records.
 
 /// Console reporter that additionally captures per-benchmark seconds
 /// per iteration, keyed by benchmark name.
@@ -472,24 +462,22 @@ int RunMicroMl(int argc, char** argv) {
   }
 
   // Derived speedups: the numbers the README table and CI artifacts
-  // track. Backend cases compare against the scalar backend at the same
-  // shape; model cases compare Batched against PerExample.
+  // track. Backend cases compare AVX2 against the scalar backend at the
+  // same shape; model cases compare Batched against PerExample.
   std::printf("\nspeedups:\n");
+  const char* avx2 = KernelBackendName(KernelBackend::kAvx2);
   for (const GemmShape& gemm_shape : kGemmShapes) {
     const std::string shape = GemmShapeName(gemm_shape);
-    for (const char* backend : {"avx2", "avx512"}) {
-      const std::string base = "BM_MatMulBackend/scalar/" + shape;
-      const std::string fast = std::string("BM_MatMulBackend/") + backend +
-                               "/" + shape;
-      const double speedup = SpeedupOf(seconds, base, fast);
-      if (speedup <= 0.0) continue;
-      std::printf("  gemm %-11s %-7s vs scalar: %.2fx\n", shape.c_str(),
-                  backend, speedup);
-      json.Add("gemm_speedup")
-          .Label("case", shape)
-          .Label("backend", backend)
-          .Metric("speedup_vs_scalar", speedup);
-    }
+    const double speedup =
+        SpeedupOf(seconds, "BM_MatMulBackend/scalar/" + shape,
+                  std::string("BM_MatMulBackend/") + avx2 + "/" + shape);
+    if (speedup <= 0.0) continue;
+    std::printf("  gemm %-11s %-7s vs scalar: %.2fx\n", shape.c_str(), avx2,
+                speedup);
+    json.Add("gemm_speedup")
+        .Label("case", shape)
+        .Label("backend", avx2)
+        .Metric("speedup_vs_scalar", speedup);
   }
   const struct {
     const char* label;
@@ -502,8 +490,6 @@ int RunMicroMl(int argc, char** argv) {
       {"cnn_gradient", "BM_CnnGradient_PerExample", "BM_CnnGradient_Batched"},
       {"linreg_gradient", "BM_LinRegGradient_PerExample",
        "BM_LinRegGradient_Batched"},
-      {"train_sgd_epoch", "BM_TrainSgdEpoch_PerExample",
-       "BM_TrainSgdEpoch_Batched"},
       {"matmul_blocked", "BM_MatMulNaive", "BM_MatMulBlocked"},
       {"fused_scoring", "BM_ScoreModels_PerModel",
        "BM_ScoreModels_FusedStacked"},

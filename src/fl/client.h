@@ -35,9 +35,8 @@ class FlClient {
   /// returns the global parameters unchanged.
   ///
   /// The local-epoch loop executes each shuffled minibatch through the
-  /// model's batched kernel path by default (`config.gradient_mode`);
-  /// batch order is drawn from `rng`, so a seeded run is deterministic
-  /// under either gradient mode.
+  /// model's batched kernel path; batch order is drawn from `rng`, so a
+  /// seeded run is deterministic.
   Result<std::vector<float>> LocalUpdate(
       const std::vector<float>& global_params, Model& model,
       const SgdConfig& config, Rng& rng) const;

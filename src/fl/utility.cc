@@ -70,9 +70,7 @@ Result<double> FedAvgUtility::Evaluate(const Coalition& coalition) const {
     case UtilityMetric::kAccuracy:
       return EvaluateAccuracy(*model, test_data_);
     case UtilityMetric::kNegativeLoss:
-      // Evaluate with the same gradient path that trained: kPerExample
-      // workloads stay reference-path end to end.
-      return -model->Loss(test_data_, config_.local.gradient_mode);
+      return -model->Loss(test_data_);
   }
   return Status::Internal("unknown utility metric");
 }
@@ -115,8 +113,7 @@ Result<std::vector<double>> FedAvgUtility::EvaluateBatchFused(
         values[m] = EvaluateAccuracy(*models[m], test_data_);
         break;
       case UtilityMetric::kNegativeLoss:
-        values[m] = -models[m]->Loss(test_data_,
-                                     config_.local.gradient_mode);
+        values[m] = -models[m]->Loss(test_data_);
         break;
     }
   }
@@ -187,7 +184,7 @@ Result<double> FedAvgUtility::EvaluateParameters(
     case UtilityMetric::kAccuracy:
       return EvaluateAccuracy(*model, test_data_);
     case UtilityMetric::kNegativeLoss:
-      return -model->Loss(test_data_, config_.local.gradient_mode);
+      return -model->Loss(test_data_);
   }
   return Status::Internal("unknown utility metric");
 }
@@ -206,12 +203,14 @@ uint64_t FedAvgUtility::Fingerprint() const {
   hasher.MixU64(static_cast<uint64_t>(config_.rounds));
   hasher.MixU64(config_.seed);
   hasher.MixU64(static_cast<uint64_t>(config_.local.epochs));
-  // The batch configuration is part of the workload identity: batch size
-  // changes the gradient averaging, and the execution path (batched
-  // kernels vs per-example reference) changes float association, so
-  // either difference must address a different store.
+  // The batch size is part of the workload identity: it changes the
+  // gradient averaging, so a different size must address a different
+  // store.
   hasher.MixU64(static_cast<uint64_t>(config_.local.batch_size));
-  hasher.MixU64(static_cast<uint64_t>(config_.local.gradient_mode));
+  // The slot where the gradient mode was mixed. Every store on disk was
+  // trained by the batched mode, whose value was 0, so mixing 0 keeps
+  // their fingerprints and they keep serving.
+  hasher.MixU64(0);
   hasher.MixDouble(config_.local.learning_rate);
   hasher.MixDouble(config_.local.momentum);
   hasher.MixDouble(config_.local.weight_decay);

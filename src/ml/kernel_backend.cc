@@ -26,11 +26,8 @@ bool CpuSupports(KernelBackend backend) {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
     case KernelBackend::kAvx2:
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-    case KernelBackend::kAvx512:
-      return __builtin_cpu_supports("avx512f");
 #else
     case KernelBackend::kAvx2:
-    case KernelBackend::kAvx512:
       return false;
 #endif
   }
@@ -43,8 +40,6 @@ const internal::KernelTable* TableFor(KernelBackend backend) {
       return &internal::ScalarKernelTable();
     case KernelBackend::kAvx2:
       return internal::Avx2KernelTable();
-    case KernelBackend::kAvx512:
-      return internal::Avx512KernelTable();
   }
   return nullptr;
 }
@@ -102,8 +97,6 @@ const char* KernelBackendName(KernelBackend backend) {
       return "scalar";
     case KernelBackend::kAvx2:
       return "avx2";
-    case KernelBackend::kAvx512:
-      return "avx512";
   }
   return "?";
 }
@@ -111,11 +104,9 @@ const char* KernelBackendName(KernelBackend backend) {
 Result<KernelBackend> ParseKernelBackend(const std::string& name) {
   if (name == "scalar") return KernelBackend::kScalar;
   if (name == "avx2") return KernelBackend::kAvx2;
-  if (name == "avx512") return KernelBackend::kAvx512;
   if (name == "auto") return AutoDetectKernelBackend();
-  return Status::InvalidArgument(
-      "unknown kernel backend '" + name +
-      "' (expected scalar | avx2 | avx512 | auto)");
+  return Status::InvalidArgument("unknown kernel backend '" + name +
+                                 "' (expected scalar | avx2 | auto)");
 }
 
 bool KernelBackendAvailable(KernelBackend backend) {
@@ -123,9 +114,6 @@ bool KernelBackendAvailable(KernelBackend backend) {
 }
 
 KernelBackend AutoDetectKernelBackend() {
-  if (KernelBackendAvailable(KernelBackend::kAvx512)) {
-    return KernelBackend::kAvx512;
-  }
   if (KernelBackendAvailable(KernelBackend::kAvx2)) {
     return KernelBackend::kAvx2;
   }

@@ -55,9 +55,6 @@ const KernelTable& ScalarKernelTable();
 /// not compile it. Callers must additionally check CPUID before binding.
 const KernelTable* Avx2KernelTable();
 
-/// The AVX-512F table (matrix_avx512.cc), or nullptr when not compiled.
-const KernelTable* Avx512KernelTable();
-
 /// The table the public kernels currently dispatch through. The first
 /// call triggers backend auto-selection (kernel_backend.cc).
 const KernelTable& ActiveKernelTable();

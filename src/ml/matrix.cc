@@ -46,8 +46,7 @@ void Rank1Update(Matrix& m, float alpha, const float* a, const float* b) {
 // backend table of ml/kernel_backend.h. The implementations in this
 // anonymous namespace are the *scalar* backend: portable blocked loops
 // the compiler autovectorizes at the build's baseline ISA, and the
-// reference the AVX2/AVX-512 tables (matrix_avx2.cc / matrix_avx512.cc)
-// are tested against.
+// reference the AVX2 table (matrix_avx2.cc) is tested against.
 
 namespace {
 

@@ -29,8 +29,8 @@ namespace fedshap {
 /// reduction dependence). Their hot bodies dispatch at runtime through
 /// the SIMD backend table of ml/kernel_backend.h: the portable scalar
 /// loops (compiler autovectorized at the build's baseline ISA) are the
-/// always-available reference, and explicit AVX2+FMA / AVX-512F
-/// implementations are bound when CPUID says the machine supports them.
+/// always-available reference, and explicit AVX2+FMA implementations
+/// are bound when CPUID says the machine supports them.
 /// This is where the per-training speedup of the valuation hot path
 /// comes from: every utility query is a full FL training, and these
 /// loops are its inner core. Buffers need no particular alignment (the

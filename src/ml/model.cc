@@ -23,11 +23,11 @@ void GatherRows(const Dataset& data, const std::vector<size_t>& batch,
   }
 }
 
-double Model::Loss(const Dataset& data, GradientMode mode) const {
+double Model::Loss(const Dataset& data) const {
   if (data.empty()) return 0.0;
   // Loss evaluation sits on the utility hot path (the kNegativeLoss
-  // metric runs it once per trained coalition), so it goes through the
-  // gradient paths in chunks: big enough to amortize the batched
+  // metric runs it once per trained coalition), so it runs the batched
+  // gradient path in chunks: big enough to amortize the batched
   // kernels, small enough that per-thread scratch never scales with the
   // test-set size.
   constexpr size_t kChunk = 256;
@@ -38,10 +38,7 @@ double Model::Loss(const Dataset& data, GradientMode mode) const {
     const size_t end = std::min(data.size(), start + kChunk);
     rows.resize(end - start);
     std::iota(rows.begin(), rows.end(), start);
-    const double avg =
-        mode == GradientMode::kBatched
-            ? ComputeGradientBatched(data, rows, unused_grad)
-            : ComputeGradient(data, rows, unused_grad);
+    const double avg = ComputeGradientBatched(data, rows, unused_grad);
     total += avg * static_cast<double>(rows.size());
   }
   return total / static_cast<double>(data.size());

@@ -20,22 +20,6 @@ namespace fedshap {
 /// local SGD), prediction (for utility evaluation) and cloning (to train an
 /// independent model per coalition from the same initialization).
 ///
-/// Which gradient execution path to drive (TrainSgd steps and Loss
-/// evaluation). Both paths consume inputs in the same order and average
-/// the same per-batch loss, so a seeded run is deterministic under
-/// either; they differ only in floating-point association (see the
-/// tolerance contract in ml/matrix.h).
-enum class GradientMode {
-  /// Whole-minibatch execution through the blocked kernels of
-  /// ml/matrix.h (Model::ComputeGradientBatched). The fast path and the
-  /// default.
-  kBatched,
-  /// The historical one-example-at-a-time reference path
-  /// (Model::ComputeGradient). Kept selectable as the ground truth the
-  /// batched path is validated against.
-  kPerExample,
-};
-
 /// Parameters are exposed as one flat float vector; the layout is
 /// model-internal but stable for a given architecture, which is what FedAvg
 /// aggregation requires.
@@ -107,12 +91,10 @@ class Model {
     return nullptr;
   }
 
-  /// Average loss over an entire dataset (no gradient returned). Runs in
-  /// bounded-size chunks through the selected gradient path, so the
-  /// kPerExample mode yields a fully reference-path value and the
-  /// batched mode's scratch stays O(chunk), not O(dataset).
-  virtual double Loss(const Dataset& data,
-                      GradientMode mode = GradientMode::kBatched) const;
+  /// Average loss over an entire dataset (no gradient returned). Runs
+  /// ComputeGradientBatched in bounded-size chunks, so its scratch stays
+  /// O(chunk), not O(dataset).
+  virtual double Loss(const Dataset& data) const;
 
   /// Number of model outputs (classes, or 1 for regression).
   virtual int NumOutputs() const = 0;

@@ -35,7 +35,6 @@ Result<double> TrainSgd(Model& model, const Dataset& data,
   std::vector<size_t> batch;
   std::vector<float> grad;
 
-  const bool batched = config.gradient_mode == GradientMode::kBatched;
   double last_epoch_loss = 0.0;
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     rng.Shuffle(order);
@@ -46,9 +45,7 @@ Result<double> TrainSgd(Model& model, const Dataset& data,
       size_t end = std::min(order.size(),
                             start + static_cast<size_t>(config.batch_size));
       batch.assign(order.begin() + start, order.begin() + end);
-      epoch_loss += batched
-                        ? model.ComputeGradientBatched(data, batch, grad)
-                        : model.ComputeGradient(data, batch, grad);
+      epoch_loss += model.ComputeGradientBatched(data, batch, grad);
       ++batches;
       if (config.proximal_mu > 0.0) {
         AddProximal(grad.data(), params.data(), reference.data(),

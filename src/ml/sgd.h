@@ -21,10 +21,6 @@ struct SgdConfig {
   double momentum = 0.0;
   /// L2 regularization coefficient.
   double weight_decay = 0.0;
-  /// Gradient execution path; part of the workload identity (hashed into
-  /// utility fingerprints) because the two paths differ in float
-  /// association.
-  GradientMode gradient_mode = GradientMode::kBatched;
   /// FedProx proximal coefficient mu (Li et al., MLSys 2020): adds
   /// mu * (w - w_ref) to every gradient step, where w_ref is the model's
   /// parameters when TrainSgd starts (the global model, in FL terms).
@@ -37,11 +33,9 @@ struct SgdConfig {
 /// epoch. A no-op (returning 0) on an empty dataset — an FL client with no
 /// data contributes nothing, which is what the null-player axiom expects.
 ///
-/// Batch order is drawn from `rng` identically under both gradient modes,
-/// and the weight update runs through the fused SGD kernels of
-/// ml/matrix.h; with `config.gradient_mode == kBatched` (the default) each
-/// minibatch's forward/backward additionally executes through the blocked
-/// batched kernels instead of one example at a time.
+/// Batch order is drawn from `rng`; each minibatch's forward/backward runs
+/// through Model::ComputeGradientBatched and the weight update through the
+/// fused SGD kernels of ml/matrix.h.
 Result<double> TrainSgd(Model& model, const Dataset& data,
                         const SgdConfig& config, Rng& rng);
 

@@ -565,7 +565,7 @@ TEST(AdaptiveSweepTest, CorruptedSnapshotRejectedAndTargetUsable) {
 // Run-level determinism over a real batched-training FedAvg utility.
 
 /// A 5-client FedAvg MLP workload trained through the batched kernel
-/// path (the default gradient mode) with the given batch size.
+/// path with the given batch size.
 std::unique_ptr<FedAvgUtility> MakeDeterminismGame(int batch_size) {
   Rng rng(2024);
   Result<Dataset> pool = GenerateBlobs(3, 6, 3.0, 5 * 14 + 30, rng);
@@ -668,7 +668,7 @@ TEST(DeterminismTest, SameSeedBitIdenticalAcrossStoreWarmResume) {
 }
 
 TEST(DeterminismTest, BatchConfigIsPartOfTheWorkloadFingerprint) {
-  // Different --batch-size (or gradient mode) means different training
+  // Different --batch-size means different training
   // numerics, so the content-addressed store must treat them as
   // different workloads.
   std::unique_ptr<FedAvgUtility> batch8 = MakeDeterminismGame(8);

@@ -140,8 +140,7 @@ TEST(FedAvgUtilityTest, EvaluateBatchFusedMatchesEvaluatePerBackend) {
 
   const KernelBackend original = SelectedKernelBackend();
   for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kAvx2,
-        KernelBackend::kAvx512}) {
+       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
     if (!KernelBackendAvailable(backend)) continue;
     ASSERT_TRUE(SetKernelBackend(backend).ok());
     Result<std::vector<double>> fused = utility->EvaluateBatchFused(batch);

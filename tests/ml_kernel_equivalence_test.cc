@@ -1,21 +1,25 @@
 /// Kernel-equivalence suite: every batched kernel of ml/matrix.h is
 /// cross-checked against a naive scalar reference on randomized shapes
 /// (including non-multiple-of-tile sizes that exercise the remainder
-/// paths), and every model's per-step loss/gradient from
+/// paths), every model's per-step loss/gradient from
 /// ComputeGradientBatched is cross-checked against the per-example
-/// reference ComputeGradient. The tolerance contract is the one
+/// reference ComputeGradient, and so is a whole TrainSgd run against a
+/// per-example reference loop. The tolerance contract is the one
 /// documented in ml/matrix.h: |batched - reference| <= kKernelAbsTol +
 /// kKernelRelTol * |reference| per element; element-wise kernels must
 /// match to float rounding.
 ///
 /// The whole suite is *parameterized over every kernel backend this
-/// machine can execute* (scalar, AVX2, AVX-512 — see
+/// machine can execute* (scalar and AVX2 — see
 /// ml/kernel_backend.h): each TEST_P below runs once per backend with
 /// the dispatch table pinned to it, so a vector backend that drifts
 /// from the contract fails here by name. Element-wise kernels are
 /// additionally cross-checked *bitwise* against the scalar backend.
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,8 +62,7 @@ void ExpectAllClose(const std::vector<float>& actual,
 std::vector<KernelBackend> AvailableBackends() {
   std::vector<KernelBackend> backends;
   for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kAvx2,
-        KernelBackend::kAvx512}) {
+       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
     if (KernelBackendAvailable(backend)) backends.push_back(backend);
   }
   return backends;
@@ -560,7 +563,39 @@ TEST(CrossBackendEquivalence, FixedBackendIsDeterministicAcrossRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// One whole SGD step / local training under both modes.
+// Backend selection: the names FEDSHAP_KERNEL_BACKEND accepts, and what
+// auto-detection binds.
+
+TEST(KernelBackendSelection, ParseAcceptsScalarAvx2AndAuto) {
+  Result<KernelBackend> scalar = ParseKernelBackend("scalar");
+  ASSERT_TRUE(scalar.ok());
+  EXPECT_EQ(*scalar, KernelBackend::kScalar);
+  Result<KernelBackend> avx2 = ParseKernelBackend("avx2");
+  ASSERT_TRUE(avx2.ok());
+  EXPECT_EQ(*avx2, KernelBackend::kAvx2);
+  Result<KernelBackend> automatic = ParseKernelBackend("auto");
+  ASSERT_TRUE(automatic.ok());
+  EXPECT_EQ(*automatic, AutoDetectKernelBackend());
+}
+
+TEST(KernelBackendSelection, ParseRejectsOtherNamesListingTheValidOnes) {
+  for (const char* name : {"avx512", "AVX2", "sse4", ""}) {
+    Result<KernelBackend> parsed = ParseKernelBackend(name);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(parsed.status().message().find("scalar | avx2 | auto"),
+              std::string::npos)
+        << parsed.status().message();
+  }
+}
+
+TEST(KernelBackendSelection, AutoDetectBindsAvx2ExactlyWhenAvailable) {
+  EXPECT_EQ(AutoDetectKernelBackend() == KernelBackend::kAvx2,
+            KernelBackendAvailable(KernelBackend::kAvx2));
+}
+
+// ---------------------------------------------------------------------------
+// One whole local training: TrainSgd against a per-example reference loop.
 
 TEST(TrainSgdEquivalence, OneEpochParamsMatchWithinTolerance) {
   Dataset data = RandomClassificationData(10, 4, 48, 515);
@@ -577,27 +612,47 @@ TEST(TrainSgdEquivalence, OneEpochParamsMatchWithinTolerance) {
   config.weight_decay = 1e-3;
   config.proximal_mu = 0.05;
 
-  Mlp per_example = prototype;
-  ASSERT_TRUE(per_example.SetParameters(start).ok());
-  SgdConfig ref_config = config;
-  ref_config.gradient_mode = GradientMode::kPerExample;
-  Rng rng_a(42);
-  Result<double> loss_ref = TrainSgd(per_example, data, ref_config, rng_a);
-  ASSERT_TRUE(loss_ref.ok());
-
   Mlp batched = prototype;
-  ASSERT_TRUE(batched.SetParameters(start).ok());
-  SgdConfig batched_config = config;
-  batched_config.gradient_mode = GradientMode::kBatched;
-  Rng rng_b(42);
-  Result<double> loss_batched =
-      TrainSgd(batched, data, batched_config, rng_b);
+  Rng rng_a(42);
+  Result<double> loss_batched = TrainSgd(batched, data, config, rng_a);
   ASSERT_TRUE(loss_batched.ok());
 
-  // Both modes consumed the same shuffles, so batch order is identical;
+  // The reference is TrainSgd's loop with the per-example ComputeGradient
+  // in place of the batched one: the same shuffles, minibatches, proximal
+  // term and momentum step.
+  Mlp per_example = prototype;
+  Rng rng_b(42);
+  std::vector<float> p_ref = start;
+  std::vector<float> velocity(p_ref.size(), 0.0f);
+  std::vector<size_t> order(data.size());
+  std::iota(order.begin(), order.end(), 0);
+  const size_t batch_size = static_cast<size_t>(config.batch_size);
+  std::vector<float> grad;
+  double loss_ref = 0.0;
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    rng_b.Shuffle(order);
+    double epoch_loss = 0.0;
+    size_t batches = 0;
+    for (size_t begin = 0; begin < order.size(); begin += batch_size) {
+      const std::vector<size_t> batch(
+          order.begin() + begin,
+          order.begin() + std::min(order.size(), begin + batch_size));
+      epoch_loss += per_example.ComputeGradient(data, batch, grad);
+      ++batches;
+      AddProximal(grad.data(), p_ref.data(), start.data(), p_ref.size(),
+                  static_cast<float>(config.proximal_mu));
+      SgdMomentumStep(p_ref.data(), velocity.data(), grad.data(),
+                      p_ref.size(), static_cast<float>(config.learning_rate),
+                      static_cast<float>(config.momentum),
+                      static_cast<float>(config.weight_decay));
+      ASSERT_TRUE(per_example.SetParameters(p_ref).ok());
+    }
+    loss_ref = epoch_loss / static_cast<double>(batches);
+  }
+
+  // Both consumed the same shuffles, so batch order is identical;
   // parameters agree within the kernel tolerance (slightly relaxed: two
   // epochs of updates compound the per-step reassociation error).
-  const std::vector<float> p_ref = per_example.GetParameters();
   const std::vector<float> p_batched = batched.GetParameters();
   ASSERT_EQ(p_ref.size(), p_batched.size());
   for (size_t i = 0; i < p_ref.size(); ++i) {
@@ -605,7 +660,7 @@ TEST(TrainSgdEquivalence, OneEpochParamsMatchWithinTolerance) {
         10.0f * (kKernelAbsTol + kKernelRelTol * std::fabs(p_ref[i]));
     EXPECT_NEAR(p_batched[i], p_ref[i], tol) << "param " << i;
   }
-  EXPECT_NEAR(*loss_batched, *loss_ref, 1e-3);
+  EXPECT_NEAR(*loss_batched, loss_ref, 1e-3);
 }
 
 }  // namespace

@@ -859,6 +859,29 @@ TEST(ClusterProtocolTest, ScenarioSpecCodecRoundTrips) {
   bad.PutU8(99);  // unknown future version
   ByteReader bad_reader(bad.bytes());
   EXPECT_FALSE(DecodeScenarioSpec(bad_reader).ok());
+
+  // Each int field travels as a 64-bit varint: a value above INT_MAX is
+  // rejected, not truncated (n = 2^32 + 5 would decode as n = 5).
+  for (int field = 0; field < 5; ++field) {
+    uint64_t ints[5] = {7, 5, 2, 8, 33};  // n, rounds, epochs, batch, samples
+    ints[field] = (uint64_t{1} << 32) + 5;
+    ByteWriter hostile;
+    hostile.PutU8(1);
+    hostile.PutString("digits");
+    hostile.PutVarint(ints[0]);
+    hostile.PutString("skew");
+    hostile.PutVarint(99);
+    hostile.PutVarint(ints[1]);
+    hostile.PutVarint(ints[2]);
+    hostile.PutVarint(ints[3]);
+    hostile.PutDouble(0.125);
+    hostile.PutVarint(ints[4]);
+    hostile.PutDouble(0.5);
+    ByteReader hostile_reader(hostile.bytes());
+    Result<ScenarioSpec> rejected = DecodeScenarioSpec(hostile_reader);
+    ASSERT_FALSE(rejected.ok()) << "field " << field;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace
