@@ -169,13 +169,14 @@ BENCHMARK(BM_SgdStepFused);
 
 template <typename ModelT, typename MakeModel, typename MakeData>
 void GradientBench(benchmark::State& state, MakeModel make_model,
-                   MakeData make_data, bool batched) {
+                   MakeData make_data, bool batched,
+                   size_t batch_size = kBatch) {
   Rng rng(7);
   Dataset data = make_data(rng);
   ModelT model = make_model(data);
   model.InitializeParameters(rng);
   std::vector<size_t> batch;
-  for (size_t i = 0; i < kBatch; ++i) batch.push_back(i % data.size());
+  for (size_t i = 0; i < batch_size; ++i) batch.push_back(i % data.size());
   std::vector<float> grad;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -193,6 +194,15 @@ Dataset MakeBlobData(Rng& rng) {
 Dataset MakeDigitData(Rng& rng) {
   DigitsConfig config;
   config.image_size = 8;
+  Result<FederatedSource> source = GenerateDigits(config, 256, rng);
+  return std::move(source).value().data;
+}
+
+/// The e2e workload's data: 6x6 digits over 5 classes.
+Dataset MakeSmallDigitData(Rng& rng) {
+  DigitsConfig config;
+  config.image_size = 6;
+  config.num_classes = 5;
   Result<FederatedSource> source = GenerateDigits(config, 256, rng);
   return std::move(source).value().data;
 }
@@ -235,6 +245,15 @@ void BM_LogRegGradient_Batched(benchmark::State& state) {
       MakeBlobData, /*batched=*/true);
 }
 BENCHMARK(BM_LogRegGradient_Batched);
+
+/// The local-SGD step of the digits workloads (ScenarioSpec and the e2e
+/// benchmark): 36 -> 5 logistic regression at batch 16.
+void BM_LogRegGradient_Batched_Digits(benchmark::State& state) {
+  GradientBench<LogisticRegression>(
+      state, [](const Dataset&) { return LogisticRegression(36, 5); },
+      MakeSmallDigitData, /*batched=*/true, /*batch_size=*/16);
+}
+BENCHMARK(BM_LogRegGradient_Batched_Digits);
 
 void BM_CnnGradient_PerExample(benchmark::State& state) {
   GradientBench<Cnn>(

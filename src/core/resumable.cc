@@ -905,6 +905,9 @@ Status AdaptiveStratifiedSweep::Restore(std::string_view snapshot) {
     return Status::InvalidArgument("snapshot round count out of range");
   }
   FEDSHAP_ASSIGN_OR_RETURN(uint64_t reallocations, reader.GetVarint());
+  if (reallocations > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return Status::InvalidArgument("snapshot reallocation count out of range");
+  }
   FEDSHAP_ASSIGN_OR_RETURN(uint64_t epoch_cursor, reader.GetVarint());
   FEDSHAP_ASSIGN_OR_RETURN(uint64_t plan_size, reader.GetVarint());
   if (plan_size != 0 && plan_size != static_cast<uint64_t>(n_)) {

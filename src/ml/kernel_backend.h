@@ -28,7 +28,8 @@ namespace fedshap {
 /// fixed backend, results are bit-identical across runs and across
 /// worker counts. GEMM-shaped kernels (MatMul/MatTMat/AddOuterBatch)
 /// agree with the scalar backend within the tolerance contract of
-/// ml/matrix.h (kKernelAbsTol/kKernelRelTol); element-wise kernels
+/// ml/matrix.h (kKernelAbsTol/kKernelRelTol); MatMulFromTransposes
+/// matches the same backend's MatMul bit for bit; element-wise kernels
 /// (bias/ReLU/softmax rows, ColumnSums, the fused SGD steps) perform the
 /// reference arithmetic per element in the reference order and match the
 /// scalar backend to float rounding. Persisted utility stores are

@@ -22,6 +22,10 @@ struct KernelTable {
   /// MatMul/MatMulAcc/MatTMat.
   void (*mat_mul_body)(const float* a, size_t m, size_t k, const float* b,
                        size_t n, float* c);
+  /// Body of MatMulFromTransposes: c += a * b from at = a^T (k x m) and
+  /// bt = b^T (n x k), bit-identical to `mat_mul_body` of the same table.
+  void (*mat_mul_from_transposes_body)(const float* at, size_t m, size_t k,
+                                       const float* bt, size_t n, float* c);
   /// Backend body of AddOuterBatch.
   void (*add_outer_batch)(float* acc, size_t rows, size_t cols, float alpha,
                           const float* a, const float* b, size_t batch);

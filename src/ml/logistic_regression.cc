@@ -110,15 +110,17 @@ double LogisticRegression::ComputeGradientBatched(
   const size_t weight_count = classes * dim;
   const float inv = 1.0f / static_cast<float>(bsz);
 
-  static thread_local AlignedFloats xb, wt, probs;
-  GatherRows(data, batch, xb);
+  // X (batch x dim) feeds the weight gradient, X^T (dim x batch) the
+  // logits.
+  static thread_local AlignedFloats xb, xt, probs;
+  GatherRowsAndColumns(data, batch, xb, xt);
 
-  // Logits = X * W^T + b, computed as X * transpose(W) so the product
-  // runs in saxpy (vectorizable) form, then softmax over each row.
-  wt.resize(dim * classes);
-  Transpose(params_.data(), classes, dim, wt.data());
+  // Logits = X * W^T + b, then softmax over each row. The product runs
+  // from X^T and W as stored, with the batch rows in the vector lanes:
+  // there are too few classes to fill them.
   probs.resize(bsz * classes);
-  MatMul(xb.data(), bsz, dim, wt.data(), classes, probs.data());
+  MatMulFromTransposes(xt.data(), bsz, dim, params_.data(), classes,
+                       probs.data());
   AddBiasRows(probs.data(), bsz, classes, params_.data() + weight_count);
   SoftmaxRows(probs.data(), bsz, classes);
 

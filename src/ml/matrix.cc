@@ -119,6 +119,65 @@ void MatMulBody(const float* __restrict a, size_t m, size_t k,
   }
 }
 
+/// Output rows one MatMulFromTransposes block keeps in its accumulator.
+constexpr size_t kRowBlock = 8;
+
+/// acc[r] += x[r] * w[kk] for every k step, one product at a time: the
+/// rounding MatMulBody gives rows outside its 4-row tiles. `x` is the
+/// block's slice of a^T (row stride `ld`), `w` one row of b^T.
+void AddSingles(const float* __restrict x, size_t ld, size_t k,
+                const float* __restrict w, size_t rows,
+                float* __restrict acc) {
+  for (size_t kk = 0; kk < k; ++kk) {
+    const float* xk = x + kk * ld;
+    const float wk = w[kk];
+    for (size_t r = 0; r < rows; ++r) acc[r] += xk[r] * wk;
+  }
+}
+
+/// acc[r] += x0[r] * w0 + x1[r] * w1 per k pair, then a single product
+/// for an odd k: the rounding of MatMulBody's 4-row tiles.
+void AddPairs(const float* __restrict x, size_t ld, size_t k,
+              const float* __restrict w, size_t rows,
+              float* __restrict acc) {
+  size_t kk = 0;
+  for (; kk + 2 <= k; kk += 2) {
+    const float* x0 = x + kk * ld;
+    const float* x1 = x0 + ld;
+    const float w0 = w[kk], w1 = w[kk + 1];
+    for (size_t r = 0; r < rows; ++r) acc[r] += x0[r] * w0 + x1[r] * w1;
+  }
+  if (kk < k) AddSingles(x + kk * ld, ld, 1, w + kk, rows, acc);
+}
+
+/// c += a * b from at = a^T (k x m) and bt = b^T (n x k), with the batch
+/// rows of `at` in the vector lanes. Per output element it adds the same
+/// terms in the same order as MatMulBody, so the result is bit-identical
+/// to MatMulBody on a and b.
+void MatMulFromTransposesBody(const float* __restrict at, size_t m,
+                              size_t k, const float* __restrict bt, size_t n,
+                              float* __restrict c) {
+  const size_t tiled = m & ~size_t{3};
+  for (size_t i0 = 0; i0 < m; i0 += kRowBlock) {
+    const size_t rows = std::min(kRowBlock, m - i0);
+    const size_t pair_rows = i0 < tiled ? std::min(rows, tiled - i0) : 0;
+    for (size_t j = 0; j < n; ++j) {
+      const float* w = bt + j * k;
+      float acc[kRowBlock];
+      for (size_t r = 0; r < rows; ++r) acc[r] = c[(i0 + r) * n + j];
+      if (pair_rows == kRowBlock) {
+        // The common full block, at a constant width that vectorizes.
+        AddPairs(at + i0, m, k, w, kRowBlock, acc);
+      } else {
+        AddPairs(at + i0, m, k, w, pair_rows, acc);
+        AddSingles(at + i0 + pair_rows, m, k, w, rows - pair_rows,
+                   acc + pair_rows);
+      }
+      for (size_t r = 0; r < rows; ++r) c[(i0 + r) * n + j] = acc[r];
+    }
+  }
+}
+
 void AddOuterBatchScalar(float* __restrict acc, size_t rows, size_t cols,
                          float alpha, const float* __restrict a,
                          const float* __restrict b, size_t batch) {
@@ -249,10 +308,10 @@ void AddProximalScalar(float* __restrict g, const float* __restrict p,
 }
 
 const internal::KernelTable kScalarTable = {
-    MatMulBody,          AddOuterBatchScalar, AddBiasRowsScalar,
-    AddBiasReluRowsScalar, ReluMaskBackwardScalar, SoftmaxRowsScalar,
-    ColumnSumsScalar,    SgdStepScalar,       SgdMomentumStepScalar,
-    AddProximalScalar,
+    MatMulBody,          MatMulFromTransposesBody, AddOuterBatchScalar,
+    AddBiasRowsScalar,   AddBiasReluRowsScalar,    ReluMaskBackwardScalar,
+    SoftmaxRowsScalar,   ColumnSumsScalar,         SgdStepScalar,
+    SgdMomentumStepScalar, AddProximalScalar,
 };
 
 }  // namespace
@@ -275,6 +334,14 @@ void MatMul(const float* __restrict a, size_t m, size_t k,
             const float* __restrict b, size_t n, float* __restrict c) {
   std::fill(c, c + m * n, 0.0f);
   internal::ActiveKernelTable().mat_mul_body(a, m, k, b, n, c);
+}
+
+void MatMulFromTransposes(const float* __restrict at, size_t m, size_t k,
+                          const float* __restrict bt, size_t n,
+                          float* __restrict c) {
+  std::fill(c, c + m * n, 0.0f);
+  internal::ActiveKernelTable().mat_mul_from_transposes_body(at, m, k, bt, n,
+                                                             c);
 }
 
 void MatTMat(const float* __restrict a, size_t m, size_t k,

@@ -125,6 +125,21 @@ void MatMul(const float* __restrict a, size_t m, size_t k,
 void MatMulAcc(const float* __restrict a, size_t m, size_t k,
                const float* __restrict b, size_t n, float* __restrict c);
 
+/// c = a * b (m x n, overwritten) from the operands' transposes: `at` is
+/// a^T (k x m) and `bt` is b^T (n x k). Bit-identical to
+/// MatMul(a, m, k, b, n, c) on every backend: per output element it adds
+/// the same products in the same order with the same rounding (k in
+/// pairs for rows inside MatMul's 4-row tiles, one product at a time for
+/// the last m % 4 rows and an odd last k; FMA exactly in the columns
+/// where the AVX2 MatMul fuses). What changes is the vector axis: the m
+/// rows of `at` fill the lanes, so a product with fewer columns than
+/// lanes — the logistic-regression logits, batch x classes — still runs
+/// vectorized, and a weight matrix stored classes x dim is used in place
+/// without a Transpose.
+void MatMulFromTransposes(const float* __restrict at, size_t m, size_t k,
+                          const float* __restrict bt, size_t n,
+                          float* __restrict c);
+
 /// c = a^T * b with a: m x k, b: m x n, c: k x n (overwritten). The
 /// transpose-side product of the gradient paths (weight gradient =
 /// deltas^T * activations), implemented as an internal transpose of `a`

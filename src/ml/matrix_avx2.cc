@@ -130,6 +130,105 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
   }
 }
 
+/// Adds a . b to kCols consecutive columns of up to 8 output rows, one
+/// lane per row: `x` is the rows' slice of a^T (row stride `ld`, lanes
+/// past `rows` unread), `w` the columns' first row of b^T (row stride
+/// `k`), `c` the rows' first element of those columns (row stride `n`).
+/// The columns share each load of x and give the core kCols independent
+/// add chains. kPairs selects the rounding MatMulBodyAvx2 gives rows
+/// inside its 4-row tiles (k in pairs, then an odd k alone) over the
+/// one-product-at-a-time rounding of the remaining rows; kFused selects
+/// its FMA lanes over its unfused scalar tail columns.
+template <bool kPairs, bool kFused, int kCols>
+void RowBlockColumns(const float* x, size_t ld, size_t k, const float* w,
+                     size_t n, float* c, int rows) {
+  const __m256i load = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(rows), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  alignas(32) float cols[kCols][8] = {};
+  for (int r = 0; r < rows; ++r) {
+    for (int j = 0; j < kCols; ++j) cols[j][r] = c[r * n + j];
+  }
+  __m256 acc[kCols];
+  for (int j = 0; j < kCols; ++j) acc[j] = _mm256_load_ps(cols[j]);
+  size_t kk = 0;
+  if constexpr (kPairs) {
+    for (; kk + 2 <= k; kk += 2) {
+      const __m256 x0 = _mm256_maskload_ps(x + kk * ld, load);
+      const __m256 x1 = _mm256_maskload_ps(x + (kk + 1) * ld, load);
+#pragma GCC unroll 4
+      for (int j = 0; j < kCols; ++j) {
+        const __m256 w0 = _mm256_broadcast_ss(w + j * k + kk);
+        const __m256 w1 = _mm256_broadcast_ss(w + j * k + kk + 1);
+        if constexpr (kFused) {
+          acc[j] = _mm256_fmadd_ps(x0, w0, _mm256_fmadd_ps(x1, w1, acc[j]));
+        } else {
+          acc[j] = _mm256_add_ps(
+              acc[j],
+              _mm256_add_ps(_mm256_mul_ps(x0, w0), _mm256_mul_ps(x1, w1)));
+        }
+      }
+    }
+  }
+  for (; kk < k; ++kk) {
+    const __m256 x0 = _mm256_maskload_ps(x + kk * ld, load);
+#pragma GCC unroll 4
+    for (int j = 0; j < kCols; ++j) {
+      const __m256 w0 = _mm256_broadcast_ss(w + j * k + kk);
+      if constexpr (kFused) {
+        acc[j] = _mm256_fmadd_ps(x0, w0, acc[j]);
+      } else {
+        acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(x0, w0));
+      }
+    }
+  }
+  for (int j = 0; j < kCols; ++j) _mm256_store_ps(cols[j], acc[j]);
+  for (int r = 0; r < rows; ++r) {
+    for (int j = 0; j < kCols; ++j) c[r * n + j] = cols[j][r];
+  }
+}
+
+/// All n columns of up to 8 output rows with one rounding, four columns
+/// at a time: MatMulBodyAvx2's FMA columns (a multiple of 8), then its
+/// scalar tail.
+template <bool kPairs>
+void RowBlock(const float* x, size_t ld, size_t k, const float* bt,
+              size_t n, float* c, int rows) {
+  const size_t fused = n & ~size_t{7};
+  size_t j = 0;
+  for (; j < fused; j += 4) {
+    RowBlockColumns<kPairs, true, 4>(x, ld, k, bt + j * k, n, c + j, rows);
+  }
+  for (; j + 4 <= n; j += 4) {
+    RowBlockColumns<kPairs, false, 4>(x, ld, k, bt + j * k, n, c + j, rows);
+  }
+  for (; j < n; ++j) {
+    RowBlockColumns<kPairs, false, 1>(x, ld, k, bt + j * k, n, c + j, rows);
+  }
+}
+
+/// c += a * b from at = a^T (k x m) and bt = b^T (n x k), with eight
+/// output rows in the lanes instead of MatMulBodyAvx2's eight columns.
+/// Per output element it reproduces MatMulBodyAvx2's rounding sequence,
+/// fused columns included, so the two are bit-identical.
+void MatMulFromTransposesBodyAvx2(const float* __restrict at, size_t m,
+                                  size_t k, const float* __restrict bt,
+                                  size_t n, float* __restrict c) {
+  const size_t tiled = m & ~size_t{3};
+  for (size_t i0 = 0; i0 < m; i0 += 8) {
+    const size_t rows = std::min<size_t>(8, m - i0);
+    const size_t pair_rows = i0 < tiled ? std::min(rows, tiled - i0) : 0;
+    if (pair_rows > 0) {
+      RowBlock<true>(at + i0, m, k, bt, n, c + i0 * n,
+                     static_cast<int>(pair_rows));
+    }
+    if (rows > pair_rows) {
+      const size_t i1 = i0 + pair_rows;
+      RowBlock<false>(at + i1, m, k, bt, n, c + i1 * n,
+                      static_cast<int>(rows - pair_rows));
+    }
+  }
+}
+
 void AddOuterBatchAvx2(float* __restrict acc, size_t rows, size_t cols,
                        float alpha, const float* __restrict a,
                        const float* __restrict b, size_t batch) {
@@ -337,10 +436,10 @@ void AddProximalAvx2(float* __restrict g, const float* __restrict p,
 }
 
 const KernelTable kAvx2Table = {
-    MatMulBodyAvx2,       AddOuterBatchAvx2, AddBiasRowsAvx2,
-    AddBiasReluRowsAvx2,  ReluMaskBackwardAvx2, SoftmaxRowsAvx2,
-    ColumnSumsAvx2,       SgdStepAvx2,       SgdMomentumStepAvx2,
-    AddProximalAvx2,
+    MatMulBodyAvx2,       MatMulFromTransposesBodyAvx2, AddOuterBatchAvx2,
+    AddBiasRowsAvx2,      AddBiasReluRowsAvx2,          ReluMaskBackwardAvx2,
+    SoftmaxRowsAvx2,      ColumnSumsAvx2,               SgdStepAvx2,
+    SgdMomentumStepAvx2,  AddProximalAvx2,
 };
 
 }  // namespace

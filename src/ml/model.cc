@@ -23,6 +23,25 @@ void GatherRows(const Dataset& data, const std::vector<size_t>& batch,
   }
 }
 
+void GatherRowsAndColumns(const Dataset& data,
+                          const std::vector<size_t>& batch,
+                          AlignedFloats& rows, AlignedFloats& cols) {
+  const size_t dim = static_cast<size_t>(data.num_features());
+  const size_t bsz = batch.size();
+  rows.resize(bsz * dim);
+  cols.resize(dim * bsz);
+  for (size_t f = 0; f < dim; ++f) {
+    const float* column = data.Column(static_cast<int>(f));
+    float* row_dst = rows.data() + f;
+    float* col_dst = cols.data() + f * bsz;
+    for (size_t b = 0; b < bsz; ++b) {
+      const float v = column[batch[b]];
+      col_dst[b] = v;
+      row_dst[b * dim] = v;
+    }
+  }
+}
+
 double Model::Loss(const Dataset& data) const {
   if (data.empty()) return 0.0;
   // Loss evaluation sits on the utility hot path (the kNegativeLoss

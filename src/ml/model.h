@@ -107,6 +107,14 @@ class Model {
 void GatherRows(const Dataset& data, const std::vector<size_t>& batch,
                 AlignedFloats& out);
 
+/// GatherRows that also fills `cols` with the batch's transpose, a
+/// num_features() x batch feature-major matrix, in the same pass: each
+/// source column is read once and its transposed row written
+/// contiguously.
+void GatherRowsAndColumns(const Dataset& data,
+                          const std::vector<size_t>& batch,
+                          AlignedFloats& rows, AlignedFloats& cols);
+
 /// Numerically estimates d(loss)/d(params) by central differences; used by
 /// the gradient-check tests. O(NumParameters) loss evaluations — test-sized
 /// models only.

@@ -1,6 +1,7 @@
 #include "service/cluster.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "fl/utility_store.h"
@@ -78,6 +79,10 @@ Result<WorkerRegistration> DecodeWorkerRegistration(std::string_view payload) {
   FEDSHAP_ASSIGN_OR_RETURN(uint64_t shard_plus_1, reader.GetVarint());
   FEDSHAP_ASSIGN_OR_RETURN(uint64_t pid, reader.GetVarint());
   FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, reader.GetVarint());
+  if (version > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "registration protocol version out of range");
+  }
   registration.protocol_version = static_cast<uint32_t>(version);
   if (shard_plus_1 > static_cast<uint64_t>(kMaxShardIndex)) {
     return Status::OutOfRange("registration shard index implausible");

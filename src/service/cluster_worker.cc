@@ -8,6 +8,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "util/logging.h"
@@ -264,6 +265,9 @@ Status ClusterWorker::Run() {
         Result<uint64_t> shard = reader.GetVarint();
         if (!version.ok() || !shard.ok()) {
           return Status::Internal("malformed Welcome frame");
+        }
+        if (*shard > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+          return Status::InvalidArgument("Welcome shard index out of range");
         }
         if (options_.shard < 0) options_.shard = static_cast<int>(*shard);
         welcomed_ = true;

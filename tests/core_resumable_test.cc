@@ -485,6 +485,48 @@ TEST(AdaptiveSweepTest, ConfigMismatchRejected) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(AdaptiveSweepTest, OutOfRangeReallocationCountRejected) {
+  TableUtility fn = MonotoneTable(5);
+  AdaptiveAllocationConfig config;
+  config.total_rounds = 24;
+  config.reallocate_every = 4;
+  config.seed = 7;
+  AdaptiveStratifiedSweep sweep(5, config);
+  UtilityCache cache(&fn);
+  UtilitySession session(&cache);
+  ASSERT_TRUE(sweep.Step(session, 12).ok());
+  Result<std::string> snapshot = sweep.Snapshot();
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_TRUE(sweep.Restore(*snapshot).ok());
+
+  // Re-encode the payload with the reallocation count (the varint after
+  // the header, the RNG state and the spent rounds) pushed past 2^32.
+  Result<std::string_view> payload = DecodeFramed(
+      kSweepSnapshotMagic, kSweepSnapshotVersion, *snapshot);
+  ASSERT_TRUE(payload.ok());
+  ByteReader reader(*payload);
+  Result<std::string> algorithm = reader.GetString();
+  Result<uint64_t> config_hash = reader.GetU64();
+  Result<std::string> rng_state = reader.GetString();
+  Result<uint64_t> spent = reader.GetVarint();
+  Result<uint64_t> reallocations = reader.GetVarint();
+  ASSERT_TRUE(algorithm.ok() && config_hash.ok() && rng_state.ok() &&
+              spent.ok() && reallocations.ok());
+  ByteWriter forged;
+  forged.PutString(*algorithm);
+  forged.PutU64(*config_hash);
+  forged.PutString(*rng_state);
+  forged.PutVarint(*spent);
+  forged.PutVarint((uint64_t{1} << 32) + *reallocations);
+  const std::string rest(payload->substr(payload->size() - reader.remaining()));
+  const std::string frame =
+      EncodeFramed(kSweepSnapshotMagic, kSweepSnapshotVersion,
+                   forged.bytes() + rest);
+
+  AdaptiveStratifiedSweep restored(5, config);
+  EXPECT_EQ(restored.Restore(frame).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(SnapshotValidationTest, VersionOneSnapshotsStillRestore) {
   // Snapshots written before the adaptive sweep existed carry frame
   // version 1; a service upgrade must keep restoring them. The payload

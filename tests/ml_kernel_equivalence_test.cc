@@ -17,6 +17,7 @@
 /// additionally cross-checked *bitwise* against the scalar backend.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <string>
@@ -156,6 +157,32 @@ TEST_P(KernelBackendSuite, MatMulAccAccumulatesOntoSeed) {
       }
     }
     ExpectAllClose(c, ref, "MatMulAcc");
+  }
+}
+
+TEST_P(KernelBackendSuite, MatMulFromTransposesMatchesMatMulBitwise) {
+  // m crosses the 4-row tiles and 8-row lane blocks, k the pair unroll
+  // and the 256-deep k-panel, n the 8 AVX2 lanes (n >= 8 reaches the
+  // fused columns).
+  for (size_t m : {1, 3, 4, 5, 13, 16, 17, 256}) {
+    for (size_t k : {1, 2, 35, 36, 257}) {
+      for (size_t n : {1, 5, 7, 8, 9, 10, 17}) {
+        Rng rng(m * 1009 + k * 31 + n);
+        std::vector<float> a = RandomBuffer(m * k, rng);
+        std::vector<float> b = RandomBuffer(k * n, rng);
+        std::vector<float> at(k * m), bt(n * k);
+        Transpose(a.data(), m, k, at.data());
+        Transpose(b.data(), k, n, bt.data());
+        std::vector<float> expected(m * n), actual(m * n, -7.0f);
+        MatMul(a.data(), m, k, b.data(), n, expected.data());
+        MatMulFromTransposes(at.data(), m, k, bt.data(), n, actual.data());
+        for (size_t i = 0; i < m * n; ++i) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(actual[i]),
+                    std::bit_cast<uint32_t>(expected[i]))
+              << "m=" << m << " k=" << k << " n=" << n << " element " << i;
+        }
+      }
+    }
   }
 }
 

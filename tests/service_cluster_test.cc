@@ -787,6 +787,39 @@ TEST(ClusterProtocolTest, WorkerRegistrationCodecRoundTrips) {
   EXPECT_FALSE(DecodeWorkerRegistration("\xff\xff\xff").ok());
 }
 
+// Varint fields decode into 64 bits; a value that does not fit the field
+// it lands in is rejected, not truncated into a plausible one.
+TEST(ClusterProtocolTest, RegistrationRejectsOutOfRangeProtocolVersion) {
+  ByteWriter writer;
+  writer.PutVarint((uint64_t{1} << 32) + kClusterProtocolVersion);
+  writer.PutVarint(0);  // shard + 1: "assign me one"
+  writer.PutVarint(1);  // pid
+  writer.PutVarint(0);  // no workloads
+  Result<WorkerRegistration> decoded =
+      DecodeWorkerRegistration(writer.bytes());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ClusterProtocolTest, WorkerRejectsOutOfRangeWelcomeShard) {
+  auto pair = CreateChannelPair();
+  ASSERT_TRUE(pair.ok()) << pair.status();
+  ByteWriter welcome;
+  welcome.PutVarint(kClusterProtocolVersion);
+  welcome.PutVarint((uint64_t{1} << 32) + 3);
+  // Both frames wait in the socket buffer until the worker reads them; a
+  // worker that accepted the Welcome would run on to the Shutdown.
+  ASSERT_TRUE(pair->first
+                  ->Send(cluster_proto::kWelcome, welcome.bytes())
+                  .ok());
+  ASSERT_TRUE(pair->first->Send(cluster_proto::kShutdown, "").ok());
+  ClusterWorkerOptions options;
+  options.shard = -1;
+  ClusterWorker worker(pair->second.get(), options);
+  EXPECT_EQ(worker.Run().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(worker.welcomed());
+  EXPECT_EQ(worker.shard(), -1);
+}
+
 // A worker speaking a different protocol version is vetoed at the
 // handshake — a Reject frame naming the mismatch, before any workload
 // state is exchanged — over either transport: a TCP connection through

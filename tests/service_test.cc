@@ -396,14 +396,16 @@ std::vector<KernelBackend> ExecutableBackends() {
   return backends;
 }
 
-/// Restores the entry kernel backend when the test body leaves.
-class BackendRestorer {
- public:
-  BackendRestorer() : original_(SelectedKernelBackend()) {}
-  ~BackendRestorer() { EXPECT_TRUE(SetKernelBackend(original_).ok()); }
+/// Restores the entry kernel backend after each test, which pins its own.
+class LogRegStepPinTest : public ::testing::Test {
+ protected:
+  void SetUp() override { original_ = SelectedKernelBackend(); }
+  void TearDown() override {
+    ASSERT_TRUE(SetKernelBackend(original_).ok());
+  }
 
  private:
-  KernelBackend original_;
+  KernelBackend original_ = KernelBackend::kScalar;
 };
 
 /// The n=4 digits workload at `batch_size`, as the service builds it.
@@ -453,8 +455,7 @@ uint64_t ParameterHash(const std::vector<float>& params) {
       .digest();
 }
 
-TEST(LogRegStepPinTest, DigitsTrainingMatchesKernelComposition) {
-  BackendRestorer restore;
+TEST_F(LogRegStepPinTest, DigitsTrainingMatchesKernelComposition) {
   for (KernelBackend backend : ExecutableBackends()) {
     ASSERT_TRUE(SetKernelBackend(backend).ok());
     for (int batch_size : {16, 13, 1}) {
@@ -462,7 +463,6 @@ TEST(LogRegStepPinTest, DigitsTrainingMatchesKernelComposition) {
                    std::to_string(batch_size));
       const auto [shipped, reference] = TrainDigitsBothWays(batch_size);
       ASSERT_FALSE(reference.empty());
-      EXPECT_EQ(ParameterHash(shipped), ParameterHash(reference));
       ASSERT_EQ(shipped.size(), reference.size());
       for (size_t i = 0; i < shipped.size(); ++i) {
         ASSERT_EQ(std::bit_cast<uint32_t>(shipped[i]),
@@ -473,7 +473,7 @@ TEST(LogRegStepPinTest, DigitsTrainingMatchesKernelComposition) {
   }
 }
 
-TEST(LogRegStepPinTest, WideLogRegMatchesKernelComposition) {
+TEST_F(LogRegStepPinTest, WideLogRegMatchesKernelComposition) {
   // 64 -> 10 puts eight classes in AVX2's vector columns and two in its
   // scalar tail; Loss runs the step on one 203-row chunk.
   DigitsConfig digits;
@@ -503,7 +503,6 @@ TEST(LogRegStepPinTest, WideLogRegMatchesKernelComposition) {
   ReferenceLogReg reference(64, 10);
   ASSERT_TRUE(reference.SetParameters(shipped.GetParameters()).ok());
 
-  BackendRestorer restore;
   for (KernelBackend backend : ExecutableBackends()) {
     SCOPED_TRACE(KernelBackendName(backend));
     ASSERT_TRUE(SetKernelBackend(backend).ok());
@@ -517,13 +516,12 @@ TEST(LogRegStepPinTest, WideLogRegMatchesKernelComposition) {
   }
 }
 
-TEST(LogRegStepPinTest, DigitsParameterHashIsPinned) {
+TEST_F(LogRegStepPinTest, DigitsParameterHashIsPinned) {
 #if defined(__FMA__)
   // As for DigitsFingerprintIsPinned: FMA code generation changes the
   // generated data and initial weights, so the trained bits differ.
   GTEST_SKIP() << "parameter-hash literal assumes no FMA contraction";
 #endif
-  BackendRestorer restore;
   ASSERT_TRUE(SetKernelBackend(KernelBackend::kScalar).ok());
   std::unique_ptr<UtilityFunction> built = DigitsUtility(16);
   const auto* utility = dynamic_cast<const FedAvgUtility*>(built.get());
