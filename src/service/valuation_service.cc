@@ -170,14 +170,18 @@ Status ValuationService::SubmitInternal(const JobSpec& spec,
                                           spec.ToLine() + "\n"));
   }
 
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_) return Status::FailedPrecondition("service is stopped");
-  if (jobs_.count(spec.name) != 0) {
-    return Status::AlreadyExists("job '" + spec.name + "' already exists");
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) return Status::FailedPrecondition("service is stopped");
+    if (jobs_.count(spec.name) != 0) {
+      return Status::AlreadyExists("job '" + spec.name + "' already exists");
+    }
+    queue_.push_back(spec.name);
+    jobs_.emplace(spec.name, std::move(job));
+    ++jobs_submitted_;
   }
-  queue_.push_back(spec.name);
-  jobs_.emplace(spec.name, std::move(job));
-  ++jobs_submitted_;
+  // Notify unlocked, so the woken worker does not block on the mutex the
+  // submitter still holds.
   runnable_.notify_one();
   return Status::OK();
 }
@@ -239,7 +243,6 @@ Status ValuationService::Recover() {
       first_error = submitted;
     }
   }
-  state_changed_.notify_all();
   return first_error;
 }
 
@@ -337,7 +340,10 @@ Result<ValuationResult> ValuationService::Wait(const std::string& name) {
       return Status::FailedPrecondition(
           "service halted before job '" + name + "' finished");
     }
-    state_changed_.wait(lock);
+    // Only this job's own transitions (and a halt) wake the caller. Purge
+    // cannot destroy the condition variable under us: it erases terminal
+    // jobs only, and FinalizeLocked notifies under the same mutex first.
+    it->second->done.wait(lock);
   }
 }
 
@@ -361,10 +367,8 @@ bool ValuationService::WaitAll() {
 void ValuationService::Stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
+    HaltLocked();
   }
-  runnable_.notify_all();
-  state_changed_.notify_all();
   // Serialize the join/flush phase: Stop() may be called concurrently
   // (an explicit Stop racing the destructor), and std::thread::join is
   // not safe to race with itself.
@@ -438,20 +442,18 @@ void ValuationService::FlushStoresLocked() {
 void ValuationService::FinalizeLocked(const std::string& name, Job& job,
                                       JobState state) {
   job.state = state;
-  if (state == JobState::kDone && !config_.state_dir.empty()) {
-    Status written = WriteFileAtomic(JobFilePath(name, kResultSuffix),
-                                     EncodeValuationResult(job.result));
-    if (!written.ok()) {
-      FEDSHAP_LOG(Warning) << "could not persist result of job " << name
-                           << ": " << written.ToString();
-    }
-    std::error_code ec;
-    std::filesystem::remove(JobFilePath(name, kSnapshotSuffix), ec);
-  }
   if (state == JobState::kCancelled) {
     RemoveJobFiles(name);
   }
+  job.done.notify_all();
   state_changed_.notify_all();
+}
+
+void ValuationService::HaltLocked() {
+  stopping_ = true;
+  runnable_.notify_all();
+  state_changed_.notify_all();
+  for (const auto& [name, job] : jobs_) job->done.notify_all();
 }
 
 void ValuationService::WorkerLoop() {
@@ -465,9 +467,7 @@ void ValuationService::WorkerLoop() {
         slices_executed_ >= config_.max_slices) {
       // The test hook tripped: halt exactly as Stop() would, leaving
       // still-queued jobs checkpointed on disk for the next Recover().
-      stopping_ = true;
-      runnable_.notify_all();
-      state_changed_.notify_all();
+      HaltLocked();
       return;
     }
     const std::string name = queue_.front();
@@ -476,19 +476,24 @@ void ValuationService::WorkerLoop() {
     if (it == jobs_.end()) continue;  // Purged while queued.
     Job& job = *it->second;
     if (job.state != JobState::kQueued) continue;  // Cancelled stale entry.
-    RunSlice(name, job, lock);
+    // Run slice after slice while the job has the service to itself; a
+    // queued job, pause or halt makes RunSlice requeue it instead.
+    while (RunSlice(name, job, lock)) {
+    }
   }
 }
 
-void ValuationService::RunSlice(const std::string& name, Job& job,
+bool ValuationService::RunSlice(const std::string& name, Job& job,
                                 std::unique_lock<std::mutex>& lock) {
   job.state = JobState::kRunning;
   // The slice itself runs unlocked: the estimator and session belong to
   // this worker until the job transitions out of kRunning, and the
-  // shared cache below is internally synchronized.
+  // shared cache below is internally synchronized. The spec is read in
+  // place: it is immutable after Submit, and a running job cannot be
+  // purged.
   UtilitySession* session = job.session.get();
   ResumableEstimator* sweep = job.sweep.get();
-  const JobSpec spec = job.spec;
+  const JobSpec& spec = job.spec;
   lock.unlock();
 
   // This worker thread is one compute thread for the slice's duration:
@@ -528,6 +533,20 @@ void ValuationService::RunSlice(const std::string& name, Job& job,
     }
   }
 
+  if (finished && !config_.state_dir.empty()) {
+    // Persist the result before the job turns done, and outside the
+    // service mutex: the fsync would otherwise stall every Submit, Wait
+    // and slice transition of the service.
+    Status written = WriteFileAtomic(JobFilePath(name, kResultSuffix),
+                                     EncodeValuationResult(result));
+    if (!written.ok()) {
+      FEDSHAP_LOG(Warning) << "could not persist result of job " << name
+                           << ": " << written.ToString();
+    }
+    std::error_code ec;
+    std::filesystem::remove(JobFilePath(name, kSnapshotSuffix), ec);
+  }
+
   lock.lock();
   ++slices_executed_;
   if (sweep != nullptr) {
@@ -539,17 +558,25 @@ void ValuationService::RunSlice(const std::string& name, Job& job,
   if (!error.empty()) {
     job.error = error;
     FinalizeLocked(name, job, JobState::kFailed);
-  } else if (finished) {
+    return false;
+  }
+  if (finished) {
     job.result = std::move(result);
     FinalizeLocked(name, job, JobState::kDone);
-  } else if (job.cancel_requested) {
-    FinalizeLocked(name, job, JobState::kCancelled);
-  } else {
-    job.state = JobState::kQueued;
-    queue_.push_back(name);
-    runnable_.notify_one();
-    state_changed_.notify_all();  // Progress is observable state too.
+    return false;
   }
+  if (job.cancel_requested) {
+    FinalizeLocked(name, job, JobState::kCancelled);
+    return false;
+  }
+  const bool yield = !queue_.empty() || paused_ || stopping_ ||
+                     (config_.max_slices > 0 &&
+                      slices_executed_ >= config_.max_slices);
+  if (!yield) return true;
+  job.state = JobState::kQueued;
+  queue_.push_back(name);
+  runnable_.notify_one();
+  return false;
 }
 
 }  // namespace fedshap

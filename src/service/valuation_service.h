@@ -41,18 +41,19 @@ namespace fedshap {
 ///
 /// Resumable estimators run in checkpointed slices: after every
 /// `JobSpec::checkpoint_every` work units the estimator snapshot is
-/// written to the state directory and the job goes to the back of the
-/// run queue, which both bounds crash loss and round-robins workers
-/// across jobs. A stopped or killed service restarts with `Recover()`:
-/// completed jobs are served from their persisted results, in-flight
-/// jobs resume from their snapshots and the shared store, and every
-/// resumed job finishes bit-identical to an uninterrupted run (the
-/// property tests/service_test.cc asserts).
+/// written to the state directory, which bounds crash loss. Between
+/// slices a job keeps its worker unless another job is queued (or the
+/// service pauses or stops); only then does it go to the back of the run
+/// queue, so workers still round-robin across jobs. A stopped or killed
+/// service restarts with `Recover()`: completed jobs are served from
+/// their persisted results, in-flight jobs resume from their snapshots
+/// and the shared store, and every resumed job finishes bit-identical to
+/// an uninterrupted run (the property tests/service_test.cc asserts).
 
 /// Lifecycle state of a job.
 enum class JobState {
   kQueued,     ///< Submitted, waiting for a worker.
-  kRunning,    ///< A worker is executing a slice right now.
+  kRunning,    ///< A worker holds the job and is running its slices.
   kDone,       ///< Finished; the result is available.
   kFailed,     ///< The estimator returned an error; see JobStatus::error.
   kCancelled,  ///< Cancelled before completion.
@@ -253,6 +254,9 @@ class ValuationService {
     bool cancel_requested = false;
     size_t completed_units = 0;
     size_t total_units = 0;
+    /// Wakes this job's Wait callers: signalled when the job turns
+    /// terminal and when the service halts.
+    std::condition_variable done;
   };
 
   /// Returns the shared workload context for `scenario`, building it
@@ -273,9 +277,16 @@ class ValuationService {
   void WorkerLoop();
   /// Runs one slice of `job` outside the lock; re-acquires it to record
   /// the transition. `lock` must be held on entry and is held on return.
-  void RunSlice(const std::string& name, Job& job,
+  /// Returns true when the job is unfinished and should run its next
+  /// slice on this worker: no other job is queued, and the service is
+  /// not paused, stopping or at its max_slices halt. Otherwise an
+  /// unfinished job is requeued.
+  bool RunSlice(const std::string& name, Job& job,
                 std::unique_lock<std::mutex>& lock);
   void FinalizeLocked(const std::string& name, Job& job, JobState state);
+  /// Marks the service stopping and wakes every waiter: idle workers,
+  /// WaitAll, and each job's Wait callers.
+  void HaltLocked();
   JobStatus StatusOfLocked(const std::string& name, const Job& job) const;
   std::string JobFilePath(const std::string& name, const char* suffix) const;
   void RemoveJobFiles(const std::string& name) const;
@@ -287,7 +298,8 @@ class ValuationService {
   /// (e.g. an explicit Stop racing the destructor) are safe.
   std::mutex stop_mutex_;
   std::condition_variable runnable_;      ///< Signals queue activity.
-  std::condition_variable state_changed_; ///< Signals job transitions.
+  /// Signals terminal job transitions and halts, for WaitAll.
+  std::condition_variable state_changed_;
   std::map<std::string, std::unique_ptr<Job>> jobs_;
   std::map<std::string, std::shared_ptr<Workload>> workloads_;
   /// Scenario keys whose workload is being built right now.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -198,9 +199,12 @@ Result<std::string_view> DecodeFramed(uint32_t magic, uint32_t max_version,
 
 Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   // Temp file in the same directory so the final rename stays within one
-  // filesystem (rename(2) is atomic only then).
+  // filesystem (rename(2) is atomic only then). The counter makes the name
+  // unique per call: two threads writing one path must not share it.
+  static std::atomic<uint64_t> next_temp{0};
   const std::string tmp_path =
-      path + ".tmp." + std::to_string(::getpid());
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(next_temp.fetch_add(1, std::memory_order_relaxed));
   std::FILE* file = std::fopen(tmp_path.c_str(), "wb");
   if (file == nullptr) {
     return Status::Internal("cannot open temp file " + tmp_path + ": " +

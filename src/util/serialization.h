@@ -139,12 +139,13 @@ Result<std::string_view> DecodeFramed(uint32_t magic, uint32_t max_version,
 
 /// Writes `contents` to `path` crash-safely: the bytes go to a temporary
 /// file in the same directory (same filesystem, so the final step is a
-/// plain rename) which is fsync'd and renamed over `path`. Concurrent
-/// writers of the same path are serialized by a per-process-unique temp
-/// name; a crash at any point leaves either the previous file or the new
-/// one intact. A crash *between* write and rename can orphan the
-/// `<path>.tmp.<pid>` file — it is inert (no loader ever reads it, the
-/// next successful write of the same pid reuses it) and safe to delete.
+/// plain rename) which is fsync'd and renamed over `path`. Every call
+/// gets its own temp name (pid plus a per-process counter), so concurrent
+/// writers of the same path, threads or processes, never share a temp
+/// file: each rename succeeds and the last one wins. A crash at any point
+/// leaves either the previous file or the new one intact. A crash
+/// *between* write and rename can orphan the `<path>.tmp.<pid>.<n>` file
+/// — it is inert (no loader ever reads it) and safe to delete.
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
 /// Reads an entire file. NotFound when the file does not exist.

@@ -670,6 +670,133 @@ TEST(ValuationServiceTest, CancelRunningJobStopsAtSliceBoundary) {
   EXPECT_LT(status->completed_units, status->total_units);
 }
 
+// ---------------------------------------------------------------------------
+// Scheduling: a job keeps its worker between slices only while no other
+// job is queued, and Wait wakes on its own job's end or a halt.
+// ---------------------------------------------------------------------------
+
+// With a budget of two slices on one worker, the long job's first slice
+// must hand the worker to the queued one-slice job: it finishes, the
+// long job does not.
+TEST(ValuationServiceTest, RunningJobYieldsToQueuedJobAtSliceBoundary) {
+  ServiceConfig config;
+  config.workers = 1;
+  config.paused = true;
+  config.max_slices = 2;
+  ValuationService service(config);
+  const ScenarioSpec scenario = LinregScenario(6);
+  ASSERT_TRUE(service
+                  .Submit(MakeJob("long", EstimatorKind::kExactMc, scenario,
+                                  24, /*chunk=*/1))
+                  .ok());
+  ASSERT_TRUE(
+      service.Submit(MakeJob("short", EstimatorKind::kLeaveOneOut, scenario))
+          .ok());
+  service.Resume();
+  EXPECT_FALSE(service.WaitAll());  // Halted with "long" unfinished.
+  Result<JobStatus> short_job = service.GetStatus("short");
+  Result<JobStatus> long_job = service.GetStatus("long");
+  ASSERT_TRUE(short_job.ok());
+  ASSERT_TRUE(long_job.ok());
+  EXPECT_EQ(short_job->state, JobState::kDone);
+  EXPECT_NE(long_job->state, JobState::kDone);
+  EXPECT_EQ(long_job->completed_units, 1u);
+  EXPECT_EQ(service.stats().slices_executed, 2u);
+}
+
+TEST(ValuationServiceTest, WaitOnQueuedJobReturnsWhenServiceStops) {
+  ServiceConfig config;
+  config.workers = 1;
+  config.paused = true;  // The job stays queued.
+  ValuationService service(config);
+  ASSERT_TRUE(
+      service.Submit(MakeJob("queued", EstimatorKind::kIpss,
+                             LinregScenario(5)))
+          .ok());
+  Status waited;
+  std::thread waiter([&] { waited = service.Wait("queued").status(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // Let it block.
+  service.Stop();
+  waiter.join();
+  EXPECT_EQ(waited.code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(ValuationServiceTest, WaitOnQueuedJobReturnsAtMaxSlicesHalt) {
+  ServiceConfig config;
+  config.workers = 1;
+  config.paused = true;
+  config.max_slices = 1;
+  ValuationService service(config);
+  const ScenarioSpec scenario = LinregScenario(6);
+  ASSERT_TRUE(service
+                  .Submit(MakeJob("first", EstimatorKind::kExactMc, scenario,
+                                  24, /*chunk=*/1))
+                  .ok());
+  ASSERT_TRUE(service
+                  .Submit(MakeJob("second", EstimatorKind::kExactMc, scenario,
+                                  24, /*chunk=*/1))
+                  .ok());
+  Status waited;
+  std::thread waiter([&] { waited = service.Wait("second").status(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // Let it block.
+  service.Resume();
+  waiter.join();
+  EXPECT_EQ(waited.code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(service.halted());
+  Result<JobStatus> second = service.GetStatus("second");
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->state, JobState::kQueued);
+}
+
+// Client threads each submit, wait for and purge their own jobs against
+// two workers. Every Wait must wake for its own job's completion (a
+// missed per-job wakeup hangs here), and every job must match an
+// isolated run.
+TEST(ValuationServiceTest, ClientChurnEveryWaitSeesItsJobDone) {
+  const ScenarioSpec scenario = LinregScenario(6, 41);
+  const std::vector<EstimatorKind> kinds = {
+      EstimatorKind::kIpss, EstimatorKind::kPermMc,
+      EstimatorKind::kStratified, EstimatorKind::kLeaveOneOut};
+  std::vector<ValuationResult> isolated;
+  for (EstimatorKind kind : kinds) {
+    isolated.push_back(RunIsolated(MakeJob("isolated", kind, scenario)));
+  }
+
+  ServiceConfig config;
+  config.workers = 2;
+  ValuationService service(config);
+  constexpr int kClients = 4;
+  constexpr int kJobsPerClient = 50;
+  std::vector<std::string> first_failure(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int j = 0; j < kJobsPerClient && first_failure[c].empty(); ++j) {
+        const size_t kind = (c + j) % kinds.size();
+        const std::string name =
+            "c" + std::to_string(c) + "-" + std::to_string(j);
+        Status submitted =
+            service.Submit(MakeJob(name, kinds[kind], scenario));
+        Result<ValuationResult> result = service.Wait(name);
+        if (!submitted.ok() || !result.ok()) {
+          first_failure[c] = name + ": " + (submitted.ok()
+                                                ? result.status().ToString()
+                                                : submitted.ToString());
+        } else if (result->values != isolated[kind].values) {
+          first_failure[c] = name + ": values differ from the isolated run";
+        } else if (Status purged = service.Purge(name); !purged.ok()) {
+          first_failure[c] = name + ": " + purged.ToString();
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(first_failure[c], "") << "client " << c;
+  }
+  EXPECT_TRUE(service.ListJobs().empty());
+}
+
 TEST(ValuationServiceTest, AdaptiveIpssAcceptsSmallBudgetCeiling) {
   // gamma below the adaptive estimator's default starting budget must
   // start at the ceiling, not fail config validation.
@@ -763,6 +890,43 @@ TEST(ValuationServiceTest, StopRecoverResumesBitIdentical) {
       EXPECT_EQ(result->values, reference[i].values);
     }
     EXPECT_EQ(service.stats().trainings_computed, 0u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A finished job's result is on disk, and its snapshot gone, by the time
+// Wait returns; a new process then serves it as done without training.
+TEST(ValuationServiceTest, ResultIsPersistedBeforeWaitReturns) {
+  const std::string dir = StateDir("persisted_result");
+  const JobSpec spec =
+      MakeJob("durable", EstimatorKind::kIpss, LinregScenario(6), 24, 4);
+  std::vector<double> values;
+  {
+    ServiceConfig config;
+    config.workers = 1;
+    config.state_dir = dir;
+    ValuationService service(config);
+    ASSERT_TRUE(service.Submit(spec).ok());
+    Result<ValuationResult> result = service.Wait(spec.name);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_TRUE(std::filesystem::exists(dir + "/jobs/durable.result"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/jobs/durable.snap"));
+    values = result->values;
+  }
+  {
+    ServiceConfig config;
+    config.workers = 1;
+    config.state_dir = dir;
+    ValuationService service(config);
+    ASSERT_TRUE(service.Recover().ok());
+    Result<JobStatus> status = service.GetStatus(spec.name);
+    ASSERT_TRUE(status.ok());
+    EXPECT_EQ(status->state, JobState::kDone);
+    Result<ValuationResult> result = service.Wait(spec.name);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->values, values);
+    EXPECT_EQ(service.stats().trainings_computed, 0u);
+    EXPECT_EQ(service.stats().slices_executed, 0u);
   }
   std::filesystem::remove_all(dir);
 }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -173,6 +174,41 @@ TEST(AtomicFileTest, OverwriteReplacesAtomically) {
   Result<std::string> read = ReadFileToString(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, "short");  // no stale tail from the longer old file
+  std::remove(path.c_str());
+}
+
+// Regression: the temp file used to be named per process only, so two
+// threads writing one path shared it and the slower rename failed.
+TEST(AtomicFileTest, ConcurrentWritersOfOnePathAllSucceed) {
+  const std::string path = TempPath("contended.bin");
+  constexpr int kThreads = 8;
+  constexpr int kWrites = 50;
+  auto contents_of = [](int thread, int write) {
+    return std::to_string(thread) + ":" + std::to_string(write) +
+           std::string(64 * (thread + 1), 'x');
+  };
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int w = 0; w < kWrites; ++w) {
+        if (!WriteFileAtomic(path, contents_of(t, w)).ok()) ++failures[t];
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "writer " << t;
+  }
+  Result<std::string> read = ReadFileToString(path);
+  ASSERT_TRUE(read.ok());
+  bool matches_a_write = false;
+  for (int t = 0; t < kThreads && !matches_a_write; ++t) {
+    for (int w = 0; w < kWrites; ++w) {
+      if (*read == contents_of(t, w)) matches_a_write = true;
+    }
+  }
+  EXPECT_TRUE(matches_a_write) << "final file is no single write: " << *read;
   std::remove(path.c_str());
 }
 
