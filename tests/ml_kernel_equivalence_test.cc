@@ -571,6 +571,100 @@ TEST(CrossBackendEquivalence, ElementwiseKernelsBitIdenticalToScalar) {
   }
 }
 
+/// `x`, rounded to float on its own: the volatile store keeps a product
+/// out of any multiply-add the compiler might otherwise fuse it into.
+float Rounded(float x) {
+  volatile float stored = x;
+  return stored;
+}
+
+/// AddOuterBatch in the AVX2 backend's rounding order. Batch rows go in
+/// pairs, then an odd last row alone; a (pair, output row) whose
+/// coefficients are all zero is skipped. Columns below the last multiple
+/// of 8 take one fused multiply-add per product, in batch order. The
+/// remaining columns add the unfused sum of the pair's products.
+void Avx2AddOuterBatchReplay(std::vector<float>& acc, size_t rows,
+                             size_t cols, float alpha,
+                             const std::vector<float>& a,
+                             const std::vector<float>& b, size_t batch) {
+  const size_t fused = cols & ~size_t{7};
+  size_t s = 0;
+  for (; s + 2 <= batch; s += 2) {
+    const float* b0 = b.data() + s * cols;
+    const float* b1 = b0 + cols;
+    for (size_t r = 0; r < rows; ++r) {
+      const float f0 = alpha * a[s * rows + r];
+      const float f1 = alpha * a[(s + 1) * rows + r];
+      if (f0 == 0.0f && f1 == 0.0f) continue;
+      float* crow = acc.data() + r * cols;
+      for (size_t c = 0; c < cols; ++c) {
+        crow[c] = c < fused
+                      ? std::fmaf(f1, b1[c], std::fmaf(f0, b0[c], crow[c]))
+                      : crow[c] + (Rounded(f0 * b0[c]) +
+                                   Rounded(f1 * b1[c]));
+      }
+    }
+  }
+  if (s < batch) {
+    const float* brow = b.data() + s * cols;
+    for (size_t r = 0; r < rows; ++r) {
+      const float f = alpha * a[s * rows + r];
+      if (f == 0.0f) continue;
+      float* crow = acc.data() + r * cols;
+      for (size_t c = 0; c < cols; ++c) {
+        crow[c] = c < fused ? std::fmaf(f, brow[c], crow[c])
+                            : crow[c] + Rounded(f * brow[c]);
+      }
+    }
+  }
+}
+
+TEST(Avx2Numerics, AddOuterBatchMatchesRoundingReplayBitwise) {
+  if (!KernelBackendAvailable(KernelBackend::kAvx2)) {
+    GTEST_SKIP() << "the avx2 backend cannot execute on this machine";
+  }
+  const size_t rows = 5;
+  const float alpha = 1.0f / 13.0f;
+  for (size_t cols : {1, 4, 5, 7, 8, 12, 36, 37}) {
+    for (size_t batch : {1, 2, 7, 16}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "cols=" << cols << " batch=" << batch);
+      Rng rng(cols * 131 + batch);
+      // Row 0's coefficients are all +0 or -0, so every pair skips it;
+      // row 1 zeroes every other batch row, so its pairs mix a zero with
+      // a product; the rest draw a zero of either sign now and then.
+      std::vector<float> a = RandomBuffer(batch * rows, rng);
+      for (size_t s = 0; s < batch; ++s) {
+        a[s * rows] = s % 2 == 0 ? 0.0f : -0.0f;
+        if (s % 2 == 1) a[s * rows + 1] = -0.0f;
+        for (size_t r = 2; r < rows; ++r) {
+          if (rng.Bernoulli(0.2)) {
+            a[s * rows + r] = rng.Bernoulli(0.5) ? 0.0f : -0.0f;
+          }
+        }
+      }
+      std::vector<float> b = RandomBuffer(batch * cols, rng);
+      // -0 entries show whether a skipped row was left untouched: adding
+      // a +0 product would turn them into +0.
+      std::vector<float> seed = RandomBuffer(rows * cols, rng);
+      for (size_t i = 0; i < seed.size(); i += 3) seed[i] = -0.0f;
+
+      std::vector<float> expected = seed;
+      Avx2AddOuterBatchReplay(expected, rows, cols, alpha, a, b, batch);
+      std::vector<float> actual = seed;
+      WithBackend(KernelBackend::kAvx2, [&] {
+        AddOuterBatch(actual.data(), rows, cols, alpha, a.data(), b.data(),
+                      batch);
+      });
+      for (size_t i = 0; i < actual.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(actual[i]),
+                  std::bit_cast<uint32_t>(expected[i]))
+            << "element " << i;
+      }
+    }
+  }
+}
+
 TEST(CrossBackendEquivalence, FixedBackendIsDeterministicAcrossRuns) {
   for (KernelBackend backend : AvailableBackends()) {
     SCOPED_TRACE(KernelBackendName(backend));

@@ -473,46 +473,65 @@ TEST_F(LogRegStepPinTest, DigitsTrainingMatchesKernelComposition) {
   }
 }
 
-TEST_F(LogRegStepPinTest, WideLogRegMatchesKernelComposition) {
-  // 64 -> 10 puts eight classes in AVX2's vector columns and two in its
-  // scalar tail; Loss runs the step on one 203-row chunk.
-  DigitsConfig digits;
-  digits.num_writers = 4;
-  Rng rng(7);
-  Result<FederatedSource> source = GenerateDigits(digits, 603, rng);
-  ASSERT_TRUE(source.ok()) << source.status();
-  std::vector<FlClient> owned;
-  for (int c = 0; c < 4; ++c) {
-    std::vector<size_t> rows;
-    for (size_t i = c; i < 400; i += 4) rows.push_back(i);
-    owned.emplace_back(c, source->data.Subset(rows));
+/// A 64 -> 10 digits federation: four 100-row clients, a 203-row test
+/// set and a 2-round FedAvg at batch 32. Eight classes fill AVX2's
+/// vector columns and two fall in its scalar tail; Loss runs the step on
+/// one 203-row chunk.
+class WideDigitsRun {
+ public:
+  WideDigitsRun() {
+    DigitsConfig digits;
+    digits.num_writers = 4;
+    Rng rng(7);
+    Result<FederatedSource> source = GenerateDigits(digits, 603, rng);
+    EXPECT_TRUE(source.ok()) << source.status();
+    if (!source.ok()) return;
+    for (int c = 0; c < 4; ++c) {
+      std::vector<size_t> rows;
+      for (size_t i = c; i < 400; i += 4) rows.push_back(i);
+      owned_.emplace_back(c, source->data.Subset(rows));
+    }
+    std::vector<size_t> test_rows(203);
+    std::iota(test_rows.begin(), test_rows.end(), 400);
+    test_ = source->data.Subset(test_rows);
+    config_.rounds = 2;
+    config_.local.batch_size = 32;
+    config_.local.learning_rate = 0.2;
+    Rng init(3);
+    initial_.InitializeParameters(init);
   }
-  std::vector<size_t> test_rows(203);
-  std::iota(test_rows.begin(), test_rows.end(), 400);
-  const Dataset test = source->data.Subset(test_rows);
-  std::vector<const FlClient*> clients;
-  for (const FlClient& client : owned) clients.push_back(&client);
-  FedAvgConfig config;
-  config.rounds = 2;
-  config.local.batch_size = 32;
-  config.local.learning_rate = 0.2;
 
-  LogisticRegression shipped(64, 10);
-  Rng init(3);
-  shipped.InitializeParameters(init);
+  const Dataset& test() const { return test_; }
+  const LogisticRegression& initial() const { return initial_; }
+
+  /// FedAvg over the four clients, starting from `prototype`.
+  Result<std::unique_ptr<Model>> Train(const Model& prototype) const {
+    std::vector<const FlClient*> clients;
+    for (const FlClient& client : owned_) clients.push_back(&client);
+    return TrainFedAvg(prototype, clients, config_);
+  }
+
+ private:
+  std::vector<FlClient> owned_;
+  Dataset test_;
+  FedAvgConfig config_;
+  LogisticRegression initial_{64, 10};
+};
+
+TEST_F(LogRegStepPinTest, WideLogRegMatchesKernelComposition) {
+  const WideDigitsRun run;
   ReferenceLogReg reference(64, 10);
-  ASSERT_TRUE(reference.SetParameters(shipped.GetParameters()).ok());
+  ASSERT_TRUE(reference.SetParameters(run.initial().GetParameters()).ok());
 
   for (KernelBackend backend : ExecutableBackends()) {
     SCOPED_TRACE(KernelBackendName(backend));
     ASSERT_TRUE(SetKernelBackend(backend).ok());
-    Result<std::unique_ptr<Model>> a = TrainFedAvg(shipped, clients, config);
-    Result<std::unique_ptr<Model>> b =
-        TrainFedAvg(reference, clients, config);
+    Result<std::unique_ptr<Model>> a = run.Train(run.initial());
+    Result<std::unique_ptr<Model>> b = run.Train(reference);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(ParameterHash((*a)->GetParameters()),
               ParameterHash((*b)->GetParameters()));
-    EXPECT_EQ((*a)->Loss(test), (*b)->Loss(test));
+    EXPECT_EQ((*a)->Loss(run.test()), (*b)->Loss(run.test()));
   }
 }
 
@@ -528,6 +547,38 @@ TEST_F(LogRegStepPinTest, DigitsParameterHashIsPinned) {
   ASSERT_NE(utility, nullptr);
   EXPECT_EQ(ParameterHash(TrainAll(*utility, utility->prototype())),
             0xedd9066de04e8074ULL);
+}
+
+// The kernel-composition tests above compare each backend only with its
+// own kernels, so they cannot see a change to how the AVX2 kernels
+// round. These literals pin the AVX2 backend's trained bits.
+TEST_F(LogRegStepPinTest, Avx2ParameterHashesArePinned) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "parameter-hash literals assume no FMA contraction";
+#endif
+  if (!KernelBackendAvailable(KernelBackend::kAvx2)) {
+    GTEST_SKIP() << "the avx2 backend cannot execute on this machine";
+  }
+  ASSERT_TRUE(SetKernelBackend(KernelBackend::kAvx2).ok());
+  const struct {
+    int batch_size;
+    uint64_t hash;
+  } digits[] = {{16, 0x31fee349af62a366ULL},
+                {13, 0x7e2ef0995fff3f9dULL},
+                {1, 0x80645fed4e4cc554ULL}};
+  for (const auto& pin : digits) {
+    SCOPED_TRACE("batch " + std::to_string(pin.batch_size));
+    std::unique_ptr<UtilityFunction> built = DigitsUtility(pin.batch_size);
+    const auto* utility = dynamic_cast<const FedAvgUtility*>(built.get());
+    ASSERT_NE(utility, nullptr);
+    EXPECT_EQ(ParameterHash(TrainAll(*utility, utility->prototype())),
+              pin.hash);
+  }
+  const WideDigitsRun run;
+  Result<std::unique_ptr<Model>> wide = run.Train(run.initial());
+  ASSERT_TRUE(wide.ok()) << wide.status();
+  EXPECT_EQ(ParameterHash((*wide)->GetParameters()),
+            0x6f55bc96ce992aaeULL);
 }
 
 // ---------------------------------------------------------------------------
