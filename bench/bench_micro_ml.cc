@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -409,6 +410,80 @@ void BM_TrainSgdEpoch_Batched(benchmark::State& state) {
 BENCHMARK(BM_TrainSgdEpoch_Batched);
 
 // ---------------------------------------------------------------------------
+// The logistic-regression step of the digits workloads per kernel
+// backend: its batch gather alone, and whole local trainings. Names look
+// like "BM_TrainSgd_LogRegDigits/avx2".
+
+void GatherRowsAndColumnsCase(benchmark::State& state,
+                              KernelBackend backend) {
+  if (!SetKernelBackend(backend).ok()) {
+    state.SkipWithError("backend unavailable");
+    return;
+  }
+  Rng rng(13);
+  const Dataset data = MakeSmallDigitData(rng);
+  std::vector<size_t> batch(16);
+  for (size_t& row : batch) row = rng.UniformInt(data.size());
+  AlignedFloats rows, cols;
+  for (auto _ : state) {
+    GatherRowsAndColumns(data, batch, rows, cols);
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::DoNotOptimize(cols.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch.size());
+  FEDSHAP_CHECK(SetKernelBackend(g_entry_backend).ok());
+}
+
+/// train-heavy's inner loop: 5 epochs of local SGD over a 120-row client
+/// of 6x6 digits at batch 16, from the same parameters every iteration.
+void TrainSgdLogRegDigitsCase(benchmark::State& state,
+                              KernelBackend backend) {
+  if (!SetKernelBackend(backend).ok()) {
+    state.SkipWithError("backend unavailable");
+    return;
+  }
+  Rng rng(17);
+  std::vector<size_t> client_rows(120);
+  std::iota(client_rows.begin(), client_rows.end(), 0);
+  const Dataset client = MakeSmallDigitData(rng).Subset(client_rows);
+  LogisticRegression model(36, 5);
+  model.InitializeParameters(rng);
+  const std::vector<float> init = model.GetParameters();
+  SgdConfig config;
+  config.epochs = 5;
+  config.batch_size = 16;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.SetParameters(init));
+    Rng train_rng(42);
+    benchmark::DoNotOptimize(TrainSgd(model, client, config, train_rng));
+  }
+  state.SetItemsProcessed(state.iterations() * config.epochs *
+                          client.size());
+  FEDSHAP_CHECK(SetKernelBackend(g_entry_backend).ok());
+}
+
+std::string LogRegStepCaseName(const char* name, KernelBackend backend) {
+  return std::string(name) + "/" + KernelBackendName(backend);
+}
+
+void RegisterLogRegStepBenchmarks() {
+  for (KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
+    if (!KernelBackendAvailable(backend)) continue;
+    benchmark::RegisterBenchmark(
+        LogRegStepCaseName("BM_GatherRowsAndColumns", backend).c_str(),
+        [backend](benchmark::State& state) {
+          GatherRowsAndColumnsCase(state, backend);
+        });
+    benchmark::RegisterBenchmark(
+        LogRegStepCaseName("BM_TrainSgd_LogRegDigits", backend).c_str(),
+        [backend](benchmark::State& state) {
+          TrainSgdLogRegDigitsCase(state, backend);
+        });
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Main: standard google-benchmark flags plus --json=<path> (see
 // bench/common.h), which archives every benchmark's timing and the
 // derived speedup pairs (Batched vs PerExample gradients, AVX2 vs scalar
@@ -466,6 +541,7 @@ int RunMicroMl(int argc, char** argv) {
   g_entry_backend = SelectedKernelBackend();
   std::printf("%s\n", KernelProvenanceString().c_str());
   RegisterBackendBenchmarks();
+  RegisterLogRegStepBenchmarks();
   benchmark::Initialize(&filtered_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
     return 1;
@@ -497,6 +573,17 @@ int RunMicroMl(int argc, char** argv) {
         .Label("case", shape)
         .Label("backend", avx2)
         .Metric("speedup_vs_scalar", speedup);
+  }
+  const double train_speedup = SpeedupOf(
+      seconds,
+      LogRegStepCaseName("BM_TrainSgd_LogRegDigits", KernelBackend::kScalar),
+      LogRegStepCaseName("BM_TrainSgd_LogRegDigits", KernelBackend::kAvx2));
+  if (train_speedup > 0.0) {
+    std::printf("  logreg_train %-7s vs scalar: %.2fx\n", avx2,
+                train_speedup);
+    json.Add("logreg_train_speedup")
+        .Label("backend", avx2)
+        .Metric("speedup_vs_scalar", train_speedup);
   }
   const struct {
     const char* label;

@@ -22,10 +22,17 @@ struct KernelTable {
   /// MatMul/MatMulAcc/MatTMat.
   void (*mat_mul_body)(const float* a, size_t m, size_t k, const float* b,
                        size_t n, float* c);
-  /// Body of MatMulFromTransposes: c += a * b from at = a^T (k x m) and
-  /// bt = b^T (n x k), bit-identical to `mat_mul_body` of the same table.
+  /// Body of MatMulFromTransposes: c = a * b from at = a^T (k x m) and
+  /// bt = b^T (n x k), overwriting c without reading it. Bit-identical
+  /// to `mat_mul_body` of the same table run on a zeroed c.
   void (*mat_mul_from_transposes_body)(const float* at, size_t m, size_t k,
                                        const float* bt, size_t n, float* c);
+  /// Body of GatherRowsAndColumns: copies rows batch[0 .. bsz) of the
+  /// `dim` feature columns into `rows` (bsz x dim, row-major) and `cols`
+  /// (dim x bsz, its transpose). A pure copy on every backend.
+  void (*gather_rows_and_columns)(const float* const* columns, size_t dim,
+                                  const size_t* batch, size_t bsz,
+                                  float* rows, float* cols);
   /// Backend body of AddOuterBatch.
   void (*add_outer_batch)(float* acc, size_t rows, size_t cols, float alpha,
                           const float* a, const float* b, size_t batch);

@@ -150,10 +150,10 @@ void AddPairs(const float* __restrict x, size_t ld, size_t k,
   if (kk < k) AddSingles(x + kk * ld, ld, 1, w + kk, rows, acc);
 }
 
-/// c += a * b from at = a^T (k x m) and bt = b^T (n x k), with the batch
+/// c = a * b from at = a^T (k x m) and bt = b^T (n x k), with the batch
 /// rows of `at` in the vector lanes. Per output element it adds the same
-/// terms in the same order as MatMulBody, so the result is bit-identical
-/// to MatMulBody on a and b.
+/// terms in the same order, from the same +0, as MatMulBody on a zeroed
+/// c, so the two are bit-identical.
 void MatMulFromTransposesBody(const float* __restrict at, size_t m,
                               size_t k, const float* __restrict bt, size_t n,
                               float* __restrict c) {
@@ -163,8 +163,7 @@ void MatMulFromTransposesBody(const float* __restrict at, size_t m,
     const size_t pair_rows = i0 < tiled ? std::min(rows, tiled - i0) : 0;
     for (size_t j = 0; j < n; ++j) {
       const float* w = bt + j * k;
-      float acc[kRowBlock];
-      for (size_t r = 0; r < rows; ++r) acc[r] = c[(i0 + r) * n + j];
+      float acc[kRowBlock] = {};
       if (pair_rows == kRowBlock) {
         // The common full block, at a constant width that vectorizes.
         AddPairs(at + i0, m, k, w, kRowBlock, acc);
@@ -174,6 +173,22 @@ void MatMulFromTransposesBody(const float* __restrict at, size_t m,
                    acc + pair_rows);
       }
       for (size_t r = 0; r < rows; ++r) c[(i0 + r) * n + j] = acc[r];
+    }
+  }
+}
+
+void GatherRowsAndColumnsScalar(const float* const* columns, size_t dim,
+                                const size_t* batch, size_t bsz,
+                                float* __restrict rows,
+                                float* __restrict cols) {
+  for (size_t f = 0; f < dim; ++f) {
+    const float* column = columns[f];
+    float* row_dst = rows + f;
+    float* col_dst = cols + f * bsz;
+    for (size_t b = 0; b < bsz; ++b) {
+      const float v = column[batch[b]];
+      col_dst[b] = v;
+      row_dst[b * dim] = v;
     }
   }
 }
@@ -308,10 +323,10 @@ void AddProximalScalar(float* __restrict g, const float* __restrict p,
 }
 
 const internal::KernelTable kScalarTable = {
-    MatMulBody,          MatMulFromTransposesBody, AddOuterBatchScalar,
-    AddBiasRowsScalar,   AddBiasReluRowsScalar,    ReluMaskBackwardScalar,
-    SoftmaxRowsScalar,   ColumnSumsScalar,         SgdStepScalar,
-    SgdMomentumStepScalar, AddProximalScalar,
+    MatMulBody,          MatMulFromTransposesBody, GatherRowsAndColumnsScalar,
+    AddOuterBatchScalar, AddBiasRowsScalar,        AddBiasReluRowsScalar,
+    ReluMaskBackwardScalar, SoftmaxRowsScalar,     ColumnSumsScalar,
+    SgdStepScalar,       SgdMomentumStepScalar,    AddProximalScalar,
 };
 
 }  // namespace
@@ -339,7 +354,6 @@ void MatMul(const float* __restrict a, size_t m, size_t k,
 void MatMulFromTransposes(const float* __restrict at, size_t m, size_t k,
                           const float* __restrict bt, size_t n,
                           float* __restrict c) {
-  std::fill(c, c + m * n, 0.0f);
   internal::ActiveKernelTable().mat_mul_from_transposes_body(at, m, k, bt, n,
                                                              c);
 }

@@ -15,10 +15,121 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 namespace fedshap {
 namespace internal {
 namespace {
+
+/// The scalar gather for batch rows [b_begin, b_end): rows outside whole
+/// groups of 8, or whose indices do not fit a 32-bit gather.
+void GatherBatchRange(const float* const* columns, size_t dim,
+                      const size_t* batch, size_t bsz, size_t b_begin,
+                      size_t b_end, float* rows, float* cols) {
+  for (size_t f = 0; f < dim; ++f) {
+    const float* column = columns[f];
+    for (size_t b = b_begin; b < b_end; ++b) {
+      const float v = column[batch[b]];
+      cols[f * bsz + b] = v;
+      rows[b * dim + f] = v;
+    }
+  }
+}
+
+/// Transposes the 8x8 block held in v[0..8) in place: lane i of v[j]
+/// becomes lane j of v[i].
+inline void Transpose8x8(__m256 v[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(v[0], v[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(v[0], v[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(v[2], v[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(v[2], v[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(v[4], v[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(v[4], v[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(v[6], v[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(v[6], v[7]);
+  const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  v[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+  v[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+  v[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+  v[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+  v[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+  v[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+  v[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+  v[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+}
+
+/// Gathers 8 batch rows at a time: one 32-bit-index gather per feature
+/// column fills a row of X^T, stored as is, and 8x8 (then 4x4)
+/// in-register transposes of those registers fill the rows of X. Feature
+/// and batch remainders run scalar. A pure copy, so bit-identical to the
+/// scalar body.
+void GatherRowsAndColumnsAvx2(const float* const* columns, size_t dim,
+                              const size_t* batch, size_t bsz,
+                              float* __restrict rows,
+                              float* __restrict cols) {
+  size_t b0 = 0;
+  for (; b0 + 8 <= bsz; b0 += 8) {
+    const size_t* idx = batch + b0;
+    size_t max_index = idx[0];
+    for (int i = 1; i < 8; ++i) max_index = std::max(max_index, idx[i]);
+    if (max_index > INT32_MAX) {
+      GatherBatchRange(columns, dim, batch, bsz, b0, b0 + 8, rows, cols);
+      continue;
+    }
+    const __m256i vidx = _mm256_setr_epi32(
+        static_cast<int>(idx[0]), static_cast<int>(idx[1]),
+        static_cast<int>(idx[2]), static_cast<int>(idx[3]),
+        static_cast<int>(idx[4]), static_cast<int>(idx[5]),
+        static_cast<int>(idx[6]), static_cast<int>(idx[7]));
+    float* row0 = rows + b0 * dim;
+    size_t f = 0;
+    for (; f + 8 <= dim; f += 8) {
+      __m256 v[8];
+      for (int j = 0; j < 8; ++j) {
+        v[j] = _mm256_i32gather_ps(columns[f + j], vidx, 4);
+        _mm256_storeu_ps(cols + (f + j) * bsz + b0, v[j]);
+      }
+      Transpose8x8(v);
+      for (int i = 0; i < 8; ++i) _mm256_storeu_ps(row0 + i * dim + f, v[i]);
+    }
+    if (f + 4 <= dim) {
+      __m256 v[4];
+      for (int j = 0; j < 4; ++j) {
+        v[j] = _mm256_i32gather_ps(columns[f + j], vidx, 4);
+        _mm256_storeu_ps(cols + (f + j) * bsz + b0, v[j]);
+      }
+      // Two 4x4 transposes: batch rows 0-3 from the low halves, 4-7
+      // from the high ones.
+      for (int half = 0; half < 2; ++half) {
+        __m128 q[4];
+        for (int j = 0; j < 4; ++j) {
+          q[j] = half ? _mm256_extractf128_ps(v[j], 1)
+                      : _mm256_castps256_ps128(v[j]);
+        }
+        _MM_TRANSPOSE4_PS(q[0], q[1], q[2], q[3]);
+        for (int i = 0; i < 4; ++i) {
+          _mm_storeu_ps(row0 + (4 * half + i) * dim + f, q[i]);
+        }
+      }
+      f += 4;
+    }
+    for (; f < dim; ++f) {
+      const __m256 v = _mm256_i32gather_ps(columns[f], vidx, 4);
+      _mm256_storeu_ps(cols + f * bsz + b0, v);
+      alignas(32) float lanes[8];
+      _mm256_store_ps(lanes, v);
+      for (int i = 0; i < 8; ++i) row0[i * dim + f] = lanes[i];
+    }
+  }
+  GatherBatchRange(columns, dim, batch, bsz, b0, bsz, rows, cols);
+}
 
 /// Same k-panel height as the scalar backend: bounds the b-slice the
 /// micro-tile walks so it stays hot in L1/L2.
@@ -130,7 +241,7 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
   }
 }
 
-/// Adds a . b to kCols consecutive columns of up to 8 output rows, one
+/// Writes a . b to kCols consecutive columns of up to 8 output rows, one
 /// lane per row: `x` is the rows' slice of a^T (row stride `ld`, lanes
 /// past `rows` unread), `w` the columns' first row of b^T (row stride
 /// `k`), `c` the rows' first element of those columns (row stride `n`).
@@ -144,12 +255,8 @@ void RowBlockColumns(const float* x, size_t ld, size_t k, const float* w,
                      size_t n, float* c, int rows) {
   const __m256i load = _mm256_cmpgt_epi32(
       _mm256_set1_epi32(rows), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  alignas(32) float cols[kCols][8] = {};
-  for (int r = 0; r < rows; ++r) {
-    for (int j = 0; j < kCols; ++j) cols[j][r] = c[r * n + j];
-  }
   __m256 acc[kCols];
-  for (int j = 0; j < kCols; ++j) acc[j] = _mm256_load_ps(cols[j]);
+  for (int j = 0; j < kCols; ++j) acc[j] = _mm256_setzero_ps();
   size_t kk = 0;
   if constexpr (kPairs) {
     for (; kk + 2 <= k; kk += 2) {
@@ -181,6 +288,7 @@ void RowBlockColumns(const float* x, size_t ld, size_t k, const float* w,
       }
     }
   }
+  alignas(32) float cols[kCols][8];
   for (int j = 0; j < kCols; ++j) _mm256_store_ps(cols[j], acc[j]);
   for (int r = 0; r < rows; ++r) {
     for (int j = 0; j < kCols; ++j) c[r * n + j] = cols[j][r];
@@ -206,10 +314,10 @@ void RowBlock(const float* x, size_t ld, size_t k, const float* bt,
   }
 }
 
-/// c += a * b from at = a^T (k x m) and bt = b^T (n x k), with eight
+/// c = a * b from at = a^T (k x m) and bt = b^T (n x k), with eight
 /// output rows in the lanes instead of MatMulBodyAvx2's eight columns.
-/// Per output element it reproduces MatMulBodyAvx2's rounding sequence,
-/// fused columns included, so the two are bit-identical.
+/// Per output element it reproduces MatMulBodyAvx2's rounding sequence
+/// on a zeroed c, fused columns included, so the two are bit-identical.
 void MatMulFromTransposesBodyAvx2(const float* __restrict at, size_t m,
                                   size_t k, const float* __restrict bt,
                                   size_t n, float* __restrict c) {
@@ -229,51 +337,111 @@ void MatMulFromTransposesBodyAvx2(const float* __restrict at, size_t m,
   }
 }
 
+/// AddOuterBatch on one output row's block of kVecs 8-lane columns,
+/// then, with kQuad, 4 more columns, then `singles` more, held in
+/// registers across the whole batch (the singles in place). `crow` is
+/// the block's first element of the row, `a` the row's first
+/// coefficient (stride `rows`), `b` the block's first column of b
+/// (stride `cols`). Batch rows go in pairs, then an odd last one; a pair
+/// whose two coefficients are zero is skipped. The 8-lane columns take
+/// one FMA per product. The quad and the singles, which must lie past
+/// the last multiple of 8 columns, take the scalar tail's unfused
+/// `c + (f0*b0 + f1*b1)`.
+template <int kVecs, bool kQuad>
+void AddOuterRowBlock(float* crow, const float* a, size_t rows, float alpha,
+                      const float* b, size_t cols, size_t batch,
+                      size_t singles) {
+  constexpr size_t kSingles = 8 * kVecs + (kQuad ? 4 : 0);
+  __m256 acc[kVecs > 0 ? kVecs : 1];
+  __m128 quad = _mm_setzero_ps();
+  for (int j = 0; j < kVecs; ++j) acc[j] = _mm256_loadu_ps(crow + 8 * j);
+  if constexpr (kQuad) quad = _mm_loadu_ps(crow + 8 * kVecs);
+  size_t s = 0;
+  for (; s + 2 <= batch; s += 2) {
+    const float f0 = alpha * a[s * rows];
+    const float f1 = alpha * a[(s + 1) * rows];
+    if (f0 == 0.0f && f1 == 0.0f) continue;
+    const float* b0 = b + s * cols;
+    const float* b1 = b0 + cols;
+    const __m256 vf0 = _mm256_set1_ps(f0);
+    const __m256 vf1 = _mm256_set1_ps(f1);
+    for (int j = 0; j < kVecs; ++j) {
+      acc[j] = _mm256_fmadd_ps(vf0, _mm256_loadu_ps(b0 + 8 * j), acc[j]);
+      acc[j] = _mm256_fmadd_ps(vf1, _mm256_loadu_ps(b1 + 8 * j), acc[j]);
+    }
+    if constexpr (kQuad) {
+      const __m128 p0 = _mm_mul_ps(_mm256_castps256_ps128(vf0),
+                                   _mm_loadu_ps(b0 + 8 * kVecs));
+      const __m128 p1 = _mm_mul_ps(_mm256_castps256_ps128(vf1),
+                                   _mm_loadu_ps(b1 + 8 * kVecs));
+      quad = _mm_add_ps(quad, _mm_add_ps(p0, p1));
+    }
+    for (size_t c = kSingles; c < kSingles + singles; ++c) {
+      crow[c] += f0 * b0[c] + f1 * b1[c];
+    }
+  }
+  if (s < batch) {
+    const float f = alpha * a[s * rows];
+    if (f != 0.0f) {
+      const float* brow = b + s * cols;
+      const __m256 vf = _mm256_set1_ps(f);
+      for (int j = 0; j < kVecs; ++j) {
+        acc[j] = _mm256_fmadd_ps(vf, _mm256_loadu_ps(brow + 8 * j), acc[j]);
+      }
+      if constexpr (kQuad) {
+        quad = _mm_add_ps(quad, _mm_mul_ps(_mm256_castps256_ps128(vf),
+                                           _mm_loadu_ps(brow + 8 * kVecs)));
+      }
+      for (size_t c = kSingles; c < kSingles + singles; ++c) {
+        crow[c] += f * brow[c];
+      }
+    }
+  }
+  for (int j = 0; j < kVecs; ++j) _mm256_storeu_ps(crow + 8 * j, acc[j]);
+  if constexpr (kQuad) _mm_storeu_ps(crow + 8 * kVecs, quad);
+}
+
+template <int kVecs, bool kQuad>
+void AddOuterBlockAllRows(float* acc, size_t rows, size_t cols, float alpha,
+                          const float* a, const float* b, size_t batch,
+                          size_t singles) {
+  for (size_t r = 0; r < rows; ++r) {
+    AddOuterRowBlock<kVecs, kQuad>(acc + r * cols, a + r, rows, alpha, b,
+                                   cols, batch, singles);
+  }
+}
+
+/// Widest register block: 4 accumulators plus the quad, the pair's
+/// coefficients and the b loads fit the 16 ymm registers.
+constexpr size_t kOuterVecs = 4;
+
+/// The scalar backend's loop shape (batch pairs, zero-coefficient skip)
+/// with its column loop widened to 8 FMA lanes, so the same rounding per
+/// element; but with column blocks outermost and the batch innermost, so
+/// each block of an output row is loaded and stored once per call. The
+/// last block takes the columns past the last multiple of 8 along.
 void AddOuterBatchAvx2(float* __restrict acc, size_t rows, size_t cols,
                        float alpha, const float* __restrict a,
                        const float* __restrict b, size_t batch) {
-  // Same shape (2-step batch unroll, zero-coefficient row skipping) as
-  // the scalar backend, with the column loop widened to 8 FMA lanes.
-  size_t s = 0;
-  for (; s + 2 <= batch; s += 2) {
-    const float* a0 = a + s * rows;
-    const float* a1 = a0 + rows;
-    const float* b0 = b + s * cols;
-    const float* b1 = b0 + cols;
-    for (size_t r = 0; r < rows; ++r) {
-      const float f0 = alpha * a0[r];
-      const float f1 = alpha * a1[r];
-      if (f0 == 0.0f && f1 == 0.0f) continue;
-      float* crow = acc + r * cols;
-      const __m256 vf0 = _mm256_set1_ps(f0);
-      const __m256 vf1 = _mm256_set1_ps(f1);
-      size_t c = 0;
-      for (; c + 8 <= cols; c += 8) {
-        __m256 v = _mm256_loadu_ps(crow + c);
-        v = _mm256_fmadd_ps(vf0, _mm256_loadu_ps(b0 + c), v);
-        v = _mm256_fmadd_ps(vf1, _mm256_loadu_ps(b1 + c), v);
-        _mm256_storeu_ps(crow + c, v);
-      }
-      for (; c < cols; ++c) crow[c] += f0 * b0[c] + f1 * b1[c];
-    }
+  const size_t fused = cols & ~size_t{7};
+  size_t c = 0;
+  for (; c + 8 * kOuterVecs < fused; c += 8 * kOuterVecs) {
+    AddOuterBlockAllRows<kOuterVecs, false>(acc + c, rows, cols, alpha, a,
+                                            b + c, batch, 0);
   }
-  for (; s < batch; ++s) {
-    const float* arow = a + s * rows;
-    const float* brow = b + s * cols;
-    for (size_t r = 0; r < rows; ++r) {
-      const float f = alpha * arow[r];
-      if (f == 0.0f) continue;
-      float* crow = acc + r * cols;
-      const __m256 vf = _mm256_set1_ps(f);
-      size_t c = 0;
-      for (; c + 8 <= cols; c += 8) {
-        _mm256_storeu_ps(
-            crow + c, _mm256_fmadd_ps(vf, _mm256_loadu_ps(brow + c),
-                                      _mm256_loadu_ps(crow + c)));
-      }
-      for (; c < cols; ++c) crow[c] += f * brow[c];
-    }
-  }
+  if (c == cols) return;
+  const bool quad = cols - fused >= 4;
+  using Block = void (*)(float*, size_t, size_t, float, const float*,
+                         const float*, size_t, size_t);
+  static constexpr Block kBlocks[kOuterVecs + 1][2] = {
+      {AddOuterBlockAllRows<0, false>, AddOuterBlockAllRows<0, true>},
+      {AddOuterBlockAllRows<1, false>, AddOuterBlockAllRows<1, true>},
+      {AddOuterBlockAllRows<2, false>, AddOuterBlockAllRows<2, true>},
+      {AddOuterBlockAllRows<3, false>, AddOuterBlockAllRows<3, true>},
+      {AddOuterBlockAllRows<4, false>, AddOuterBlockAllRows<4, true>},
+  };
+  kBlocks[(fused - c) / 8][quad](acc + c, rows, cols, alpha, a, b + c, batch,
+                                 cols - fused - (quad ? 4 : 0));
 }
 
 // ---------------------------------------------------------------------------
@@ -364,6 +532,11 @@ void SoftmaxRowsAvx2(float* m, size_t rows, size_t cols) {
       _mm256_storeu_ps(row + cc,
                        _mm256_div_ps(_mm256_loadu_ps(row + cc), vtotal));
     }
+    if (cc + 4 <= cols) {
+      _mm_storeu_ps(row + cc, _mm_div_ps(_mm_loadu_ps(row + cc),
+                                         _mm256_castps256_ps128(vtotal)));
+      cc += 4;
+    }
     for (; cc < cols; ++cc) row[cc] /= total;
   }
 }
@@ -436,10 +609,10 @@ void AddProximalAvx2(float* __restrict g, const float* __restrict p,
 }
 
 const KernelTable kAvx2Table = {
-    MatMulBodyAvx2,       MatMulFromTransposesBodyAvx2, AddOuterBatchAvx2,
-    AddBiasRowsAvx2,      AddBiasReluRowsAvx2,          ReluMaskBackwardAvx2,
-    SoftmaxRowsAvx2,      ColumnSumsAvx2,               SgdStepAvx2,
-    SgdMomentumStepAvx2,  AddProximalAvx2,
+    MatMulBodyAvx2,       MatMulFromTransposesBodyAvx2, GatherRowsAndColumnsAvx2,
+    AddOuterBatchAvx2,    AddBiasRowsAvx2,              AddBiasReluRowsAvx2,
+    ReluMaskBackwardAvx2, SoftmaxRowsAvx2,              ColumnSumsAvx2,
+    SgdStepAvx2,          SgdMomentumStepAvx2,          AddProximalAvx2,
 };
 
 }  // namespace

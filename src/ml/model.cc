@@ -3,6 +3,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "ml/kernel_dispatch.h"
 #include "util/logging.h"
 
 namespace fedshap {
@@ -27,19 +28,16 @@ void GatherRowsAndColumns(const Dataset& data,
                           const std::vector<size_t>& batch,
                           AlignedFloats& rows, AlignedFloats& cols) {
   const size_t dim = static_cast<size_t>(data.num_features());
-  const size_t bsz = batch.size();
-  rows.resize(bsz * dim);
-  cols.resize(dim * bsz);
+  rows.resize(batch.size() * dim);
+  cols.resize(dim * batch.size());
+  static thread_local std::vector<const float*> columns;
+  columns.resize(dim);
   for (size_t f = 0; f < dim; ++f) {
-    const float* column = data.Column(static_cast<int>(f));
-    float* row_dst = rows.data() + f;
-    float* col_dst = cols.data() + f * bsz;
-    for (size_t b = 0; b < bsz; ++b) {
-      const float v = column[batch[b]];
-      col_dst[b] = v;
-      row_dst[b * dim] = v;
-    }
+    columns[f] = data.Column(static_cast<int>(f));
   }
+  internal::ActiveKernelTable().gather_rows_and_columns(
+      columns.data(), dim, batch.data(), batch.size(), rows.data(),
+      cols.data());
 }
 
 double Model::Loss(const Dataset& data) const {

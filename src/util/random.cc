@@ -1,6 +1,7 @@
 #include "util/random.h"
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -10,20 +11,27 @@ namespace fedshap {
 
 uint64_t Rng::UniformInt(uint64_t n) {
   FEDSHAP_CHECK(n > 0);
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t limit = std::numeric_limits<uint64_t>::max() -
-                         std::numeric_limits<uint64_t>::max() % n;
-  uint64_t draw;
+  // Rejection sampling to avoid modulo bias: accept a draw only when the
+  // block of n values it falls in, [draw - r, draw - r + n), ends at or
+  // below the engine's maximum. Those are exactly the draws below
+  // max - max % n, found with one division per draw instead of two.
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  uint64_t draw, r;
   do {
     draw = engine_();
-  } while (draw >= limit);
-  return draw % n;
+    r = draw % n;
+  } while (draw - r > kMax - n);
+  return r;
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   FEDSHAP_CHECK(lo <= hi);
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(UniformInt(span));
+  // Unsigned arithmetic: hi - lo overflows int64_t once the span passes
+  // INT64_MAX, and the full range's span, 2^64, wraps to 0.
+  const uint64_t span =
+      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+  const uint64_t offset = span == 0 ? engine_() : UniformInt(span);
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + offset);
 }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {

@@ -28,6 +28,7 @@
 #include "data/synthetic.h"
 #include "ml/cnn.h"
 #include "ml/kernel_backend.h"
+#include "ml/kernel_dispatch.h"
 #include "ml/linear_regression.h"
 #include "ml/logistic_regression.h"
 #include "ml/matrix.h"
@@ -176,10 +177,56 @@ TEST_P(KernelBackendSuite, MatMulFromTransposesMatchesMatMulBitwise) {
         std::vector<float> expected(m * n), actual(m * n, -7.0f);
         MatMul(a.data(), m, k, b.data(), n, expected.data());
         MatMulFromTransposes(at.data(), m, k, bt.data(), n, actual.data());
+        // The backend body itself overwrites c: NaN left in c would
+        // survive any read of it.
+        std::vector<float> body(m * n, std::nanf(""));
+        internal::ActiveKernelTable().mat_mul_from_transposes_body(
+            at.data(), m, k, bt.data(), n, body.data());
         for (size_t i = 0; i < m * n; ++i) {
           ASSERT_EQ(std::bit_cast<uint32_t>(actual[i]),
                     std::bit_cast<uint32_t>(expected[i]))
               << "m=" << m << " k=" << k << " n=" << n << " element " << i;
+          ASSERT_EQ(std::bit_cast<uint32_t>(body[i]),
+                    std::bit_cast<uint32_t>(expected[i]))
+              << "body m=" << m << " k=" << k << " n=" << n << " element "
+              << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelBackendSuite, GatherRowsAndColumnsCopiesTheBatchBitwise) {
+  // dim crosses AVX2's 8-feature transposes and 4-feature tail, batch its
+  // groups of 8 rows; indices repeat, and the values include -0 and NaN.
+  constexpr size_t kRows = 50;
+  for (size_t dim : {1, 7, 8, 35, 36, 64}) {
+    Rng rng(dim);
+    Result<Dataset> created = Dataset::Create(static_cast<int>(dim), 3);
+    ASSERT_TRUE(created.ok());
+    Dataset data = std::move(created).value();
+    for (size_t i = 0; i < kRows; ++i) {
+      std::vector<float> row = RandomBuffer(dim, rng);
+      row[i % dim] = i % 2 == 0 ? -0.0f : std::nanf("");
+      data.Append(row, static_cast<float>(i % 3));
+    }
+    for (size_t bsz : {1, 7, 8, 13, 16, 17, 64}) {
+      SCOPED_TRACE(::testing::Message() << "dim=" << dim << " batch=" << bsz);
+      std::vector<size_t> batch(bsz);
+      for (size_t& index : batch) index = rng.UniformInt(kRows);
+      batch[bsz - 1] = batch[0];
+      AlignedFloats rows, cols;
+      GatherRowsAndColumns(data, batch, rows, cols);
+      ASSERT_EQ(rows.size(), bsz * dim);
+      ASSERT_EQ(cols.size(), dim * bsz);
+      for (size_t f = 0; f < dim; ++f) {
+        const float* column = data.Column(static_cast<int>(f));
+        for (size_t b = 0; b < bsz; ++b) {
+          const uint32_t expected = std::bit_cast<uint32_t>(column[batch[b]]);
+          ASSERT_EQ(std::bit_cast<uint32_t>(rows[b * dim + f]), expected)
+              << "row " << b << " feature " << f;
+          ASSERT_EQ(std::bit_cast<uint32_t>(cols[f * bsz + b]), expected)
+              << "row " << b << " feature " << f;
         }
       }
     }
@@ -283,15 +330,21 @@ TEST_P(KernelBackendSuite, BiasReluAndMaskKernelsAreExact) {
 
 TEST_P(KernelBackendSuite, SoftmaxRowsMatchesSoftmaxInPlaceBitwise) {
   Rng rng(31);
-  const size_t rows = 9, cols = 10;
-  std::vector<float> m = RandomBuffer(rows * cols, rng, -4.0, 4.0);
-  std::vector<float> batched = m;
-  SoftmaxRows(batched.data(), rows, cols);
-  for (size_t r = 0; r < rows; ++r) {
-    std::vector<float> row(m.begin() + r * cols, m.begin() + (r + 1) * cols);
-    SoftmaxInPlace(row);
-    for (size_t c = 0; c < cols; ++c) {
-      EXPECT_EQ(batched[r * cols + c], row[c]) << "row " << r;
+  const size_t rows = 9;
+  // cols 4, 5 and 12 reach AVX2's 4-lane divide tail, 10 its scalar one.
+  for (size_t cols : {4, 5, 10, 12}) {
+    std::vector<float> m = RandomBuffer(rows * cols, rng, -4.0, 4.0);
+    std::vector<float> batched = m;
+    SoftmaxRows(batched.data(), rows, cols);
+    for (size_t r = 0; r < rows; ++r) {
+      std::vector<float> row(m.begin() + r * cols,
+                             m.begin() + (r + 1) * cols);
+      SoftmaxInPlace(row);
+      for (size_t c = 0; c < cols; ++c) {
+        EXPECT_EQ(std::bit_cast<uint32_t>(batched[r * cols + c]),
+                  std::bit_cast<uint32_t>(row[c]))
+            << "cols " << cols << " row " << r;
+      }
     }
   }
 }

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <random>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -55,6 +59,94 @@ TEST(RngTest, UniformIntInclusiveRange) {
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 7u);
+}
+
+/// Uniform integer in [0, n) by the textbook two-division rejection
+/// test, drawing from `engine`: the reference Rng::UniformInt(n) must
+/// reproduce draw for draw.
+uint64_t TwoDivisionUniformInt(std::mt19937_64& engine, uint64_t n) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const uint64_t limit = kMax - kMax % n;
+  uint64_t draw;
+  do {
+    draw = engine();
+  } while (draw >= limit);
+  return draw % n;
+}
+
+TEST(RngTest, UniformIntMatchesTwoDivisionRejection) {
+  // Bounds where rejection is never, rarely and about half the time
+  // taken, plus a spread of small and mid-sized ones; 10^7 draws in all.
+  std::vector<uint64_t> bounds = {1,
+                                  2,
+                                  3,
+                                  7,
+                                  10,
+                                  120,
+                                  1ULL << 32,
+                                  (1ULL << 32) + 1,
+                                  1ULL << 63,
+                                  (1ULL << 63) + 5,
+                                  ~0ULL - 1,
+                                  ~0ULL};
+  Rng picker(5);
+  for (int i = 0; i < 88; ++i) {
+    bounds.push_back(picker.engine()() >> picker.UniformInt(64));
+    if (bounds.back() == 0) bounds.back() = 1;
+  }
+  constexpr int kDrawsPerBound = 100000;
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    const uint64_t n = bounds[i];
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    Rng rng(1000 + i);
+    Rng reference(1000 + i);
+    for (int d = 0; d < kDrawsPerBound; ++d) {
+      const uint64_t expected = TwoDivisionUniformInt(reference.engine(), n);
+      ASSERT_EQ(rng.UniformInt(n), expected) << "draw " << d;
+    }
+  }
+}
+
+TEST(RngTest, UniformIntSmallRangesKeepTheirStream) {
+  // lo + UniformInt(hi - lo + 1) for ranges whose span fits int64_t.
+  const std::pair<int64_t, int64_t> ranges[] = {
+      {-3, 3}, {0, 0}, {1, 40}, {-1000000, 999999}, {5, 1LL << 40}};
+  for (const auto& [lo, hi] : ranges) {
+    SCOPED_TRACE(::testing::Message() << "[" << lo << ", " << hi << "]");
+    Rng rng(17);
+    Rng reference(17);
+    const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
+    for (int d = 0; d < 1000; ++d) {
+      ASSERT_EQ(rng.UniformInt(lo, hi),
+                lo + static_cast<int64_t>(
+                         TwoDivisionUniformInt(reference.engine(), span)));
+    }
+  }
+}
+
+TEST(RngTest, UniformIntFullAndWideSignedRanges) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // The full range's span, 2^64, takes one raw engine draw.
+  Rng rng(19);
+  Rng reference(19);
+  std::set<int64_t> seen;
+  for (int d = 0; d < 1000; ++d) {
+    const int64_t v = rng.UniformInt(kMin, kMax);
+    EXPECT_EQ(static_cast<uint64_t>(v),
+              static_cast<uint64_t>(kMin) + reference.engine()());
+    seen.insert(v);
+  }
+  EXPECT_GT(seen.size(), 990u);
+  // Spans past INT64_MAX but short of 2^64 stay in range.
+  for (int d = 0; d < 1000; ++d) {
+    const int64_t v = rng.UniformInt(kMin + 1, kMax);
+    EXPECT_GT(v, kMin);
+    const int64_t w = rng.UniformInt(-5, kMax);
+    EXPECT_GE(w, -5);
+    const int64_t x = rng.UniformInt(kMin, 5);
+    EXPECT_LE(x, 5);
+  }
 }
 
 TEST(RngTest, GaussianMomentsMatch) {

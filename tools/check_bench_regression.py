@@ -231,6 +231,19 @@ def self_test() -> int:
               [dict(rec, backend="scalar", wall_seconds=99.0)])
         check("different label is a different record", run_gate(args) == 0)
 
+        # A record new in this run (a newly derived speedup) has no
+        # baseline yet and passes; once archived, it gates.
+        train = {"name": "logreg_train_speedup", "backend": "avx2",
+                 "speedup_vs_scalar": 1.4}
+        write(cur_dir, "BENCH_a.json",
+              [rec, dict(train, speedup_vs_scalar=0.1)])
+        check("record missing from the baseline passes", run_gate(args) == 0)
+        write(base_dir, "BENCH_a.json", [rec, train])
+        write(cur_dir, "BENCH_a.json",
+              [rec, dict(train, speedup_vs_scalar=0.7)])
+        check("halved speedup_vs_scalar fails", run_gate(args) == 1)
+        write(base_dir, "BENCH_a.json", [rec])
+
         write(cur_dir, "BENCH_a.json",
               [dict(rec, trainings_to_target_error=200.0)])
         check("grown trainings-to-target fails", run_gate(args) == 1)
