@@ -331,6 +331,35 @@ TEST(JobSpecTest, DigitsFingerprintIsPinned) {
   EXPECT_EQ((*utility)->Fingerprint(), 0x705b800a82df68feULL);
 }
 
+// The digits scenarios of the end-to-end benchmark, from data generation
+// through the model's initial weights: n = 6, 7 and 10 with the default
+// training, and train-heavy's n = 8 with 10 rounds of 5 local epochs.
+TEST(JobSpecTest, E2eDigitsFingerprintsArePinned) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "fingerprint literals assume no FMA contraction";
+#endif
+  const struct {
+    int n;
+    int fl_rounds;
+    int local_epochs;
+    uint64_t fingerprint;
+  } pins[] = {{6, 3, 1, 0x32522f1505a9fdceULL},
+              {7, 3, 1, 0x2f6f65081b52a89dULL},
+              {10, 3, 1, 0xbd42669c3574accfULL},
+              {8, 10, 5, 0x1fc8a8e390c0e7c4ULL}};
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(::testing::Message() << "n=" << pin.n);
+    ScenarioSpec scenario;
+    scenario.kind = "digits";
+    scenario.n = pin.n;
+    scenario.fl_rounds = pin.fl_rounds;
+    scenario.local_epochs = pin.local_epochs;
+    Result<std::unique_ptr<UtilityFunction>> utility = scenario.Build();
+    ASSERT_TRUE(utility.ok()) << utility.status();
+    EXPECT_EQ((*utility)->Fingerprint(), pin.fingerprint);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Logistic-regression training pin
 //
