@@ -15,6 +15,7 @@
 #include <cstring>
 #include <map>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "ml/mlp.h"
 #include "ml/model.h"
 #include "ml/sgd.h"
+#include "service/job_spec.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -484,6 +486,51 @@ void RegisterLogRegStepBenchmarks() {
 }
 
 // ---------------------------------------------------------------------------
+// The random stream. Rng::Gaussian against the libstdc++ distribution it
+// reproduces bit for bit (the pair behind rng_gaussian_speedup), the
+// local-SGD shuffle of a 120-row client, and building the n = 6 digits
+// federation every cluster-outage job values, fingerprint included.
+
+void BM_RngGaussian(benchmark::State& state) {
+  Rng rng(7);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.Gaussian());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngGaussian);
+
+void BM_StdNormalDistribution(benchmark::State& state) {
+  std::mt19937_64 engine(7);
+  std::normal_distribution<double> normal(0.0, 1.0);
+  for (auto _ : state) benchmark::DoNotOptimize(normal(engine));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StdNormalDistribution);
+
+void BM_RngShuffle(benchmark::State& state) {
+  Rng rng(11);
+  std::vector<size_t> items(static_cast<size_t>(state.range(0)));
+  std::iota(items.begin(), items.end(), 0);
+  for (auto _ : state) {
+    rng.Shuffle(items);
+    benchmark::DoNotOptimize(items.data());
+  }
+  state.SetItemsProcessed(state.iterations() * items.size());
+}
+BENCHMARK(BM_RngShuffle)->Arg(120);
+
+void BM_BuildScenario_Digits(benchmark::State& state) {
+  ScenarioSpec scenario;
+  scenario.kind = "digits";
+  scenario.n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    Result<std::unique_ptr<UtilityFunction>> utility = scenario.Build();
+    FEDSHAP_CHECK(utility.ok());
+    benchmark::DoNotOptimize((*utility)->Fingerprint());
+  }
+}
+BENCHMARK(BM_BuildScenario_Digits)->Arg(6);
+
+// ---------------------------------------------------------------------------
 // Main: standard google-benchmark flags plus --json=<path> (see
 // bench/common.h), which archives every benchmark's timing and the
 // derived speedup pairs (Batched vs PerExample gradients, AVX2 vs scalar
@@ -584,6 +631,14 @@ int RunMicroMl(int argc, char** argv) {
     json.Add("logreg_train_speedup")
         .Label("backend", avx2)
         .Metric("speedup_vs_scalar", train_speedup);
+  }
+  const double gaussian_speedup =
+      SpeedupOf(seconds, "BM_StdNormalDistribution", "BM_RngGaussian");
+  if (gaussian_speedup > 0.0) {
+    std::printf("  rng_gaussian vs std::normal_distribution: %.2fx\n",
+                gaussian_speedup);
+    json.Add("rng_gaussian_speedup").Metric("speedup_vs_std",
+                                            gaussian_speedup);
   }
   const struct {
     const char* label;

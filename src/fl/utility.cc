@@ -189,7 +189,7 @@ Result<double> FedAvgUtility::EvaluateParameters(
   return Status::Internal("unknown utility metric");
 }
 
-uint64_t FedAvgUtility::Fingerprint() const {
+uint64_t FedAvgUtility::ComputeFingerprint() const {
   // Everything Evaluate's result depends on: the client datasets, the
   // test set and metric, the architecture and its shared initialization,
   // and the FedAvg/SGD hyperparameters (including the seed that derives

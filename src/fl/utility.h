@@ -86,7 +86,8 @@ class FedAvgUtility : public UtilityFunction {
   /// negative-loss metric, fall back to per-model scoring.
   Result<std::vector<double>> EvaluateBatchFused(
       const std::vector<Coalition>& coalitions) const override;
-  uint64_t Fingerprint() const override;
+  /// The content hash, computed once in Create: the utility is immutable.
+  uint64_t Fingerprint() const override { return fingerprint_; }
 
   /// The i-th FL client (its dataset included).
   const FlClient& client(int i) const { return clients_[i]; }
@@ -112,13 +113,18 @@ class FedAvgUtility : public UtilityFunction {
         test_data_(std::move(test_data)),
         prototype_(std::move(prototype)),
         config_(config),
-        metric_(metric) {}
+        metric_(metric),
+        fingerprint_(ComputeFingerprint()) {}
+
+  /// Hashes everything Evaluate's result depends on.
+  uint64_t ComputeFingerprint() const;
 
   std::vector<FlClient> clients_;
   Dataset test_data_;
   std::unique_ptr<Model> prototype_;
   FedAvgConfig config_;
   UtilityMetric metric_;
+  uint64_t fingerprint_;  ///< Declared last: hashes the members above.
 };
 
 /// XGBoost-style utility for tabular FL (Table V): U(S) fits a GBDT on the

@@ -1,13 +1,49 @@
 #include "util/random.h"
 
+#include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <numeric>
-#include <sstream>
+#include <string_view>
 
 #include "util/logging.h"
 
 namespace fedshap {
+
+Mt19937_64::Mt19937_64(uint64_t seed) {
+  state_[0] = seed;
+  for (size_t i = 1; i < kStateWords; ++i) {
+    const uint64_t x = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (x ^ (x >> 62)) + i;
+  }
+  index_ = kStateWords;
+}
+
+void Mt19937_64::Twist() {
+  // The recurrence of std::mt19937_64 (m = 156, r = 31), with the
+  // conditional XOR of the twist matrix A written as a mask: the low bit
+  // of y, negated, is all ones or all zeros.
+  constexpr size_t kN = kStateWords;
+  constexpr size_t kM = 156;
+  constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
+  constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+  constexpr uint64_t kLowerMask = ~kUpperMask;
+  const auto twist = [](uint64_t upper, uint64_t lower, uint64_t far) {
+    const uint64_t y = (upper & kUpperMask) | (lower & kLowerMask);
+    return far ^ (y >> 1) ^ ((uint64_t{0} - (y & 1)) & kMatrixA);
+  };
+  for (size_t k = 0; k < kN - kM; ++k) {
+    state_[k] = twist(state_[k], state_[k + 1], state_[k + kM]);
+  }
+  for (size_t k = kN - kM; k < kN - 1; ++k) {
+    state_[k] = twist(state_[k], state_[k + 1], state_[k + kM - kN]);
+  }
+  state_[kN - 1] = twist(state_[kN - 1], state_[0], state_[kM - 1]);
+  index_ = 0;
+}
 
 uint64_t Rng::UniformInt(uint64_t n) {
   FEDSHAP_CHECK(n > 0);
@@ -32,6 +68,28 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
       static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
   const uint64_t offset = span == 0 ? engine_() : UniformInt(span);
   return static_cast<int64_t>(static_cast<uint64_t>(lo) + offset);
+}
+
+double Rng::Gaussian() {
+  // Marsaglia's polar method as libstdc++'s normal_distribution runs it,
+  // operation for operation: each accepted point yields two deviates; one
+  // is returned and the other kept as the spare for the next call.
+  // Each result ends with the distribution's `* stddev + mean`, stddev 1
+  // and mean 0: `+ 0.0` leaves every value but -0, which it turns into +0.
+  if (has_spare_) {
+    has_spare_ = false;
+    return spare_ + 0.0;
+  }
+  double x, y, r2;
+  do {
+    x = 2.0 * Uniform() - 1.0;
+    y = 2.0 * Uniform() - 1.0;
+    r2 = x * x + y * y;
+  } while (r2 > 1.0 || r2 == 0.0);
+  const double mult = std::sqrt(-2 * std::log(r2) / r2);
+  spare_ = x * mult;
+  has_spare_ = true;
+  return y * mult + 0.0;
 }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {
@@ -115,29 +173,117 @@ std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {
   return pool;
 }
 
+namespace {
+
+/// The distribution parameters SaveState writes, in the std types'
+/// format: uniform_real_distribution's a = 0 and b = 1, then
+/// normal_distribution's mean = 0 and stddev = 1.
+constexpr std::string_view kDistributionParams =
+    "0.00000000000000000e+00 1.00000000000000000e+00 "
+    "0.00000000000000000e+00 1.00000000000000000e+00";
+
+/// Splits `text` at whitespace, the std stream extractors' separators.
+std::vector<std::string_view> Tokens(std::string_view text) {
+  const auto is_space = [&](size_t i) {
+    return std::isspace(static_cast<unsigned char>(text[i])) != 0;
+  };
+  std::vector<std::string_view> tokens;
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && is_space(i)) ++i;
+    const size_t start = i;
+    while (i < text.size() && !is_space(i)) ++i;
+    if (i > start) tokens.push_back(text.substr(start, i - start));
+  }
+  return tokens;
+}
+
+/// Parses the whole of `token` into `value`.
+template <typename T>
+bool ParseToken(std::string_view token, T& value) {
+  const char* end = token.data() + token.size();
+  const std::from_chars_result parsed =
+      std::from_chars(token.data(), end, value);
+  return parsed.ec == std::errc() && parsed.ptr == end;
+}
+
+}  // namespace
+
 std::string Rng::SaveState() const {
-  // <random> engines and distributions define stream operators whose
-  // output round-trips exactly (values are emitted as integers / hex
-  // floats per the standard's requirements). The normal distribution is
-  // stateful (it caches the spare Box-Muller deviate), so it must be
-  // saved alongside the engine for bit-identical resumption.
-  std::ostringstream out;
-  out << engine_ << ' ' << unit_ << ' ' << normal_;
-  return out.str();
+  // The text `engine << ' ' << unit << ' ' << normal` writes for the std
+  // engine and distributions: the state words and index in decimal, then
+  // each distribution's parameters in scientific notation with
+  // max_digits10 digits, then the normal distribution's spare flag and,
+  // when set, its spare deviate.
+  std::string out;
+  out.reserve(Mt19937_64::kStateWords * 21 + 160);
+  char buffer[32];
+  const auto append_u64 = [&](uint64_t value) {
+    const std::to_chars_result printed =
+        std::to_chars(buffer, buffer + sizeof(buffer), value);
+    out.append(buffer, printed.ptr);
+  };
+  for (uint64_t word : engine_.state_) {
+    append_u64(word);
+    out += ' ';
+  }
+  append_u64(engine_.index_);
+  out += ' ';
+  out += kDistributionParams;
+  out += has_spare_ ? " 1" : " 0";
+  if (has_spare_) {
+    const int length = std::snprintf(buffer, sizeof(buffer), " %.*e",
+                                     std::numeric_limits<double>::max_digits10,
+                                     spare_);
+    out.append(buffer, static_cast<size_t>(length));
+  }
+  return out;
 }
 
 Status Rng::LoadState(const std::string& state) {
-  std::istringstream in(state);
-  std::mt19937_64 engine;
-  std::uniform_real_distribution<double> unit;
-  std::normal_distribution<double> normal;
-  in >> engine >> unit >> normal;
-  if (in.fail()) {
+  const std::vector<std::string_view> tokens = Tokens(state);
+  constexpr size_t kEngineTokens = Mt19937_64::kStateWords + 1;
+  constexpr size_t kFlagToken = kEngineTokens + 4;
+  if (tokens.size() != kFlagToken + 1 && tokens.size() != kFlagToken + 2) {
     return Status::InvalidArgument("malformed Rng state string");
   }
+  Mt19937_64 engine(0);
+  for (size_t i = 0; i < Mt19937_64::kStateWords; ++i) {
+    if (!ParseToken(tokens[i], engine.state_[i])) {
+      return Status::InvalidArgument("malformed Rng state word");
+    }
+  }
+  uint64_t index = 0;
+  if (!ParseToken(tokens[Mt19937_64::kStateWords], index) ||
+      index > Mt19937_64::kStateWords) {
+    return Status::InvalidArgument("Rng state index out of range");
+  }
+  engine.index_ = static_cast<size_t>(index);
+  // The parameters must be exactly the 0 1 / 0 1 SaveState writes (a
+  // mean of -0 would keep -0 deviates negative, so it is rejected too).
+  const double expected[] = {0.0, 1.0, 0.0, 1.0};
+  for (size_t i = 0; i < 4; ++i) {
+    double param = 0.0;
+    if (!ParseToken(tokens[kEngineTokens + i], param) ||
+        std::memcmp(&param, &expected[i], sizeof(param)) != 0) {
+      return Status::InvalidArgument(
+          "Rng state distribution parameters must be 0 1 0 1");
+    }
+  }
+  const std::string_view flag = tokens[kFlagToken];
+  if (flag != "0" && flag != "1") {
+    return Status::InvalidArgument("Rng state spare flag must be 0 or 1");
+  }
+  const bool has_spare = flag == "1";
+  double spare = 0.0;
+  if (has_spare != (tokens.size() == kFlagToken + 2) ||
+      (has_spare && (!ParseToken(tokens[kFlagToken + 1], spare) ||
+                     !std::isfinite(spare)))) {
+    return Status::InvalidArgument("malformed Rng state spare");
+  }
   engine_ = engine;
-  unit_ = unit;
-  normal_ = normal;
+  spare_ = spare;
+  has_spare_ = has_spare;
   return Status::OK();
 }
 

@@ -1,8 +1,8 @@
 #ifndef FEDSHAP_UTIL_RANDOM_H_
 #define FEDSHAP_UTIL_RANDOM_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -10,19 +10,70 @@
 
 namespace fedshap {
 
+/// The 64-bit Mersenne Twister MT19937-64 (Matsumoto & Nishimura), with
+/// the seeding, tempering and 312-word state of `std::mt19937_64`: the
+/// same seed gives the same draws. The twist is branch-free, so its cost
+/// does not depend on the state's bits.
+class Mt19937_64 {
+ public:
+  /// Number of 64-bit words of state.
+  static constexpr size_t kStateWords = 312;
+
+  /// Seeds the state as `std::mt19937_64(seed)` does.
+  explicit Mt19937_64(uint64_t seed);
+
+  /// Next tempered draw, uniform over all 64-bit values.
+  uint64_t operator()() {
+    if (index_ >= kStateWords) Twist();
+    uint64_t z = state_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  friend class Rng;  // SaveState / LoadState read and write the state.
+
+  /// Regenerates all 312 words and rewinds the index.
+  void Twist();
+
+  uint64_t state_[kStateWords];
+  size_t index_;
+};
+
 /// Deterministic random number generator used throughout the library.
 ///
 /// Every stochastic component (data generation, partitioning, sampling
 /// algorithms, SGD shuffling) takes an explicit `Rng` so experiments are
 /// reproducible from a single seed. `Fork()` derives independent streams so
 /// that adding randomness in one component does not perturb another.
+///
+/// The class owns its whole stream: the MT19937-64 engine, the mapping of
+/// draws to [0, 1) and the Gaussian sampler (Marsaglia's polar method and
+/// its spare deviate). All three are bit-identical to libstdc++'s
+/// `std::mt19937_64`, `std::uniform_real_distribution<double>` and
+/// `std::normal_distribution<double>`, so values do not depend on the
+/// standard library linked. SaveState writes the same text those std
+/// types write, so state saved by either resumes in the other.
 class Rng {
  public:
   /// Creates a generator with the given seed.
   explicit Rng(uint64_t seed) : engine_(seed) {}
 
-  /// Uniform double in [0, 1).
-  double Uniform() { return unit_(engine_); }
+  /// Uniform double in [0, 1): double(draw) * 2^-64, with draws that
+  /// round to 2^64 mapped to the largest double below 1.
+  double Uniform() {
+    // The sum of the draw's two 32-bit halves, each converted and scaled
+    // exactly, rounds once, to double(draw) * 2^-64. Unlike the baseline
+    // x86-64 conversion of a uint64_t, it does not branch on the top bit.
+    const uint64_t draw = engine_();
+    const double u =
+        static_cast<double>(static_cast<uint32_t>(draw >> 32)) * 0x1p-32 +
+        static_cast<double>(static_cast<uint32_t>(draw)) * 0x1p-64;
+    return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+  }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
@@ -34,7 +85,7 @@ class Rng {
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   /// Standard normal sample.
-  double Gaussian() { return normal_(engine_); }
+  double Gaussian();
 
   /// Normal sample with the given mean and standard deviation.
   double Gaussian(double mean, double stddev) {
@@ -76,24 +127,27 @@ class Rng {
   /// deterministic.
   Rng Fork();
 
-  /// Serializes the complete generator state (engine plus distribution
-  /// carry, e.g. the Box-Muller spare of the normal distribution) to a
-  /// portable text form. A generator restored with LoadState produces the
+  /// Serializes the complete generator state (the engine's 312 words and
+  /// index, then the Gaussian sampler's spare deviate) to a portable text
+  /// form, the one `engine << ' ' << unit << ' ' << normal` writes for the
+  /// std types above. A generator restored with LoadState produces the
   /// exact same stream this one would have — the basis of resumable
   /// sampling sweeps.
   std::string SaveState() const;
 
   /// Restores a state captured by SaveState. Fails with InvalidArgument
-  /// on malformed input, leaving the generator untouched.
+  /// on malformed input, leaving the generator untouched: an engine index
+  /// above 312, distribution parameters other than the `0 1` SaveState
+  /// writes, a spare flag other than 0 or 1, or a non-finite spare.
   Status LoadState(const std::string& state);
 
-  /// Underlying engine, for interoperating with <random> distributions.
-  std::mt19937_64& engine() { return engine_; }
+  /// Underlying engine, for raw 64-bit draws.
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
-  std::normal_distribution<double> normal_{0.0, 1.0};
+  Mt19937_64 engine_;
+  double spare_ = 0.0;      ///< Second deviate of the last polar pair.
+  bool has_spare_ = false;  ///< Whether Gaussian() returns spare_ next.
 };
 
 }  // namespace fedshap

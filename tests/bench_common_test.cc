@@ -4,6 +4,7 @@
 
 #include "bench/common.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>

@@ -360,6 +360,32 @@ TEST(JobSpecTest, E2eDigitsFingerprintsArePinned) {
   }
 }
 
+// FedAvgUtility hashes its workload once, in Create: every call returns
+// that value, and a utility created again from the same parts has it too.
+TEST(JobSpecTest, FedAvgFingerprintIsHashedOnceAtCreate) {
+  ScenarioSpec scenario;
+  scenario.kind = "digits";
+  scenario.n = 6;
+  Result<std::unique_ptr<UtilityFunction>> built = scenario.Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  const auto* utility = dynamic_cast<const FedAvgUtility*>(built->get());
+  ASSERT_NE(utility, nullptr);
+  const uint64_t fingerprint = utility->Fingerprint();
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(utility->Fingerprint(), fingerprint);
+#if !defined(__FMA__)
+  EXPECT_EQ(fingerprint, 0x32522f1505a9fdceULL);  // the n = 6 pin above
+#endif
+  std::vector<Dataset> clients;
+  for (int i = 0; i < utility->num_clients(); ++i) {
+    clients.push_back(utility->client(i).data());
+  }
+  Result<std::unique_ptr<FedAvgUtility>> again = FedAvgUtility::Create(
+      std::move(clients), utility->test_data(), utility->prototype(),
+      utility->config(), utility->metric());
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ((*again)->Fingerprint(), fingerprint);
+}
+
 // ---------------------------------------------------------------------------
 // Logistic-regression training pin
 //

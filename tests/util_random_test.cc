@@ -69,7 +69,7 @@ TEST(RngTest, UniformIntInclusiveRange) {
 /// Uniform integer in [0, n) by the textbook two-division rejection
 /// test, drawing from `engine`: the reference Rng::UniformInt(n) must
 /// reproduce draw for draw.
-uint64_t TwoDivisionUniformInt(std::mt19937_64& engine, uint64_t n) {
+uint64_t TwoDivisionUniformInt(Mt19937_64& engine, uint64_t n) {
   constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
   const uint64_t limit = kMax - kMax % n;
   uint64_t draw;
@@ -297,6 +297,87 @@ TEST(RngTest, LoadStateRejectsGarbage) {
   Rng rng(71);
   EXPECT_FALSE(rng.LoadState("not an rng state").ok());
   EXPECT_FALSE(rng.LoadState("").ok());
+}
+
+/// `state` split at spaces into its 312 words, index, four distribution
+/// parameters, spare flag and (when set) spare.
+std::vector<std::string> StateTokens(const std::string& state) {
+  std::istringstream in(state);
+  std::vector<std::string> tokens;
+  for (std::string token; in >> token;) tokens.push_back(token);
+  return tokens;
+}
+
+std::string JoinTokens(const std::vector<std::string>& tokens) {
+  std::string out;
+  for (const std::string& token : tokens) {
+    if (!out.empty()) out += ' ';
+    out += token;
+  }
+  return out;
+}
+
+TEST(RngTest, LoadStateRejectsHostileText) {
+  Rng source(73);
+  for (int i = 0; i < 5; ++i) source.Gaussian();
+  const std::vector<std::string> valid = StateTokens(source.SaveState());
+  ASSERT_EQ(valid.size(), 319u);  // 312 words, index, 4 params, flag, spare
+  constexpr size_t kIndex = 312, kStddev = 316, kFlag = 317;
+
+  std::vector<std::pair<std::string, std::vector<std::string>>> cases;
+  const auto with = [&](size_t at, const std::string& token) {
+    std::vector<std::string> tokens = valid;
+    tokens[at] = token;
+    return tokens;
+  };
+  cases.push_back({"index 313", with(kIndex, "313")});
+  cases.push_back({"index 2^64-1", with(kIndex, "18446744073709551615")});
+  cases.push_back({"index -1", with(kIndex, "-1")});
+  cases.push_back({"stddev -1", with(kStddev, "-1.00000000000000000e+00")});
+  cases.push_back({"stddev nan", with(kStddev, "nan")});
+  cases.push_back({"mean 2", with(kStddev - 1, "2")});
+  cases.push_back({"mean -0", with(kStddev - 1, "-0.0")});
+  cases.push_back({"unit b 2", with(kStddev - 2, "2")});
+  cases.push_back({"flag 2", with(kFlag, "2")});
+  cases.push_back({"spare nan", with(kFlag + 1, "nan")});
+  cases.push_back({"spare inf", with(kFlag + 1, "inf")});
+  cases.push_back({"word 1e3", with(7, "1e3")});
+  cases.push_back({"word 2^64", with(7, "18446744073709551616")});
+  cases.push_back({"truncated after 311 words",
+                   std::vector<std::string>(valid.begin(),
+                                            valid.begin() + 311)});
+  cases.push_back({"flag set without a spare",
+                   std::vector<std::string>(valid.begin(),
+                                            valid.begin() + kFlag + 1)});
+  std::vector<std::string> spare_without_flag = with(kFlag, "0");
+  cases.push_back({"spare without a flag", spare_without_flag});
+  std::vector<std::string> trailing = valid;
+  trailing.push_back("0");
+  cases.push_back({"trailing token", trailing});
+
+  for (const auto& [name, tokens] : cases) {
+    SCOPED_TRACE(name);
+    Rng rng(79);
+    rng.Gaussian();  // a spare is pending, so a partial load would show
+    Rng untouched = rng;
+    EXPECT_EQ(rng.LoadState(JoinTokens(tokens)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(rng.SaveState(), untouched.SaveState());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_EQ(rng.Gaussian(), untouched.Gaussian());
+      ASSERT_EQ(rng.engine()(), untouched.engine()());
+    }
+  }
+
+  // The edges that stay valid: index 312 (a twist is due), and the spare
+  // flag cleared with the spare dropped.
+  Rng rng(83);
+  EXPECT_TRUE(rng.LoadState(JoinTokens(with(kIndex, "312"))).ok());
+  std::vector<std::string> no_spare = with(kFlag, "0");
+  no_spare.pop_back();
+  EXPECT_TRUE(rng.LoadState(JoinTokens(no_spare)).ok());
+  EXPECT_TRUE(rng.LoadState(JoinTokens(valid)).ok());
+  EXPECT_EQ(rng.SaveState(), source.SaveState());
 }
 
 TEST(RngTest, ShuffleKeepsMultiset) {

@@ -242,6 +242,18 @@ def self_test() -> int:
         write(cur_dir, "BENCH_a.json",
               [rec, dict(train, speedup_vs_scalar=0.7)])
         check("halved speedup_vs_scalar fails", run_gate(args) == 1)
+
+        # Likewise the Rng-vs-std Gaussian ratio.
+        check("speedup_vs_std is higher-better",
+              direction_of("speedup_vs_std") == "higher")
+        gaussian = {"name": "rng_gaussian_speedup", "speedup_vs_std": 1.5}
+        write(base_dir, "BENCH_a.json", [rec])
+        write(cur_dir, "BENCH_a.json", [rec, gaussian])
+        check("new rng_gaussian_speedup record passes", run_gate(args) == 0)
+        write(base_dir, "BENCH_a.json", [rec, gaussian])
+        write(cur_dir, "BENCH_a.json",
+              [rec, dict(gaussian, speedup_vs_std=1.0)])
+        check("shrunk speedup_vs_std fails", run_gate(args) == 1)
         write(base_dir, "BENCH_a.json", [rec])
 
         write(cur_dir, "BENCH_a.json",
