@@ -207,8 +207,6 @@ Status BenchJson::WriteTo(const std::string& path) const {
   out += "  \"provenance\": {\n";
   out += "    \"kernel_backend\": \"" +
          std::string(KernelBackendName(SelectedKernelBackend())) + "\",\n";
-  out += "    \"worker_budget\": " +
-         std::to_string(WorkerBudget::Global().total()) + ",\n";
   out += "    \"hardware_threads\": " +
          std::to_string(ThreadPool::DefaultThreads()) + ",\n";
   out += "    \"peak_rss_bytes\": " + std::to_string(PeakRssBytes()) + "\n";

@@ -96,11 +96,11 @@ void PrintRunHeader(const char* title, const BenchOptions& options,
 /// each carrying string labels (case, backend, ...) and numeric metrics
 /// (seconds, speedups, ...), serialized as
 ///
-///   {"bench": "<name>", "provenance": {backend, worker budget, ...},
+///   {"bench": "<name>", "provenance": {backend, hardware threads, ...},
 ///    "records": [{"name": ..., <labels...>, <metrics...>}, ...]}
 ///
 /// The provenance object is captured at write time from the live
-/// process (kernel backend, worker budget, hardware threads), so every
+/// process (kernel backend, hardware threads, peak RSS), so every
 /// archived number is attributable to the configuration that produced
 /// it.
 class BenchJson {

@@ -22,7 +22,7 @@
 using namespace fedshap;
 
 int main() {
-  // Provenance: which kernel backend / worker budget produced this
+  // Provenance: which kernel backend produced this
   // run (see ml/kernel_backend.h).
   std::printf("%s\n", fedshap::KernelProvenanceString().c_str());
   const int n = 8;

@@ -19,7 +19,7 @@
 using namespace fedshap;
 
 int main() {
-  // Provenance: which kernel backend / worker budget produced this
+  // Provenance: which kernel backend produced this
   // run (see ml/kernel_backend.h).
   std::printf("%s\n", fedshap::KernelProvenanceString().c_str());
   // 1. Each hospital contributes writer-specific digit data; hospital 2

@@ -41,7 +41,7 @@ Result<ValuationResult> ValueAgainst(const std::vector<Dataset>& providers,
 }  // namespace
 
 int main() {
-  // Provenance: which kernel backend / worker budget produced this
+  // Provenance: which kernel backend produced this
   // run (see ml/kernel_backend.h).
   std::printf("%s\n", fedshap::KernelProvenanceString().c_str());
   Rng rng(99);

@@ -18,7 +18,7 @@
 using namespace fedshap;
 
 int main() {
-  // Provenance: which kernel backend / worker budget produced this
+  // Provenance: which kernel backend produced this
   // run (see ml/kernel_backend.h).
   std::printf("%s\n", fedshap::KernelProvenanceString().c_str());
   // U(S) for all 8 coalitions of {hospital0, hospital1, hospital2},

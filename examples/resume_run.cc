@@ -155,7 +155,7 @@ std::unique_ptr<ResumableEstimator> MakeEstimator(const Options& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Provenance: which kernel backend / worker budget produced this
+  // Provenance: which kernel backend produced this
   // run (see ml/kernel_backend.h).
   std::printf("%s\n", fedshap::KernelProvenanceString().c_str());
   Options options = ParseOptions(argc, argv);

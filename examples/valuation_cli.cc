@@ -75,7 +75,7 @@ CliOptions ParseArgs(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Provenance: which kernel backend / worker budget produced this
+  // Provenance: which kernel backend produced this
   // run (see ml/kernel_backend.h).
   std::printf("%s\n", fedshap::KernelProvenanceString().c_str());
   const CliOptions options = ParseArgs(argc, argv);

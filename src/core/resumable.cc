@@ -926,9 +926,14 @@ Status AdaptiveStratifiedSweep::Restore(std::string_view snapshot) {
   if (epoch_cursor > epoch_total) {
     return Status::InvalidArgument("snapshot epoch cursor out of range");
   }
+  // Every epoch plans at most the rounds still unspent, so no stratum's
+  // cumulative grant can exceed the run's budget.
   std::vector<int64_t> rounds_per_size(n_, 0);
   for (int k = 0; k < n_; ++k) {
     FEDSHAP_ASSIGN_OR_RETURN(uint64_t r, reader.GetVarint());
+    if (r > effective_total_) {
+      return Status::InvalidArgument("snapshot stratum rounds out of range");
+    }
     rounds_per_size[k] = static_cast<int64_t>(r);
   }
   FEDSHAP_ASSIGN_OR_RETURN(uint64_t bucket_count, reader.GetVarint());

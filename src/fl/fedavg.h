@@ -37,30 +37,11 @@ struct FedAvgConfig {
 /// Passing an empty client list returns a clone of the prototype (the
 /// "model trained on no data" M_empty used by U(M_empty)).
 ///
-/// **Hierarchical parallelism.** Within a round, the participating
-/// clients' local trainings are independent by construction, so they are
-/// fanned out over the shared training pool (util/thread_pool.h); round
-/// aggregation remains a barrier. The fan-out width is bounded by a
-/// WorkerBudget lease, so a TrainFedAvg nested under an already-parallel
-/// layer (UtilitySession::EvaluateBatch, the valuation service's
-/// workers) degrades to sequential instead of oversubscribing cores.
-/// The result is *bit-identical* at every worker count: per-client RNG
-/// streams are forked in client order before the fan-out, and the
-/// aggregation consumes local models in client order.
+/// Each round trains the participating clients one after another on the
+/// calling thread; callers parallelize across coalitions, not clients.
 Result<std::unique_ptr<Model>> TrainFedAvg(
     const Model& prototype, const std::vector<const FlClient*>& clients,
     const FedAvgConfig& config, TrainingLog* log = nullptr);
-
-/// Process-global cap on concurrent local client trainings inside one
-/// TrainFedAvg round. 0 (the default) lets the WorkerBudget decide;
-/// 1 forces sequential training. Also readable from the
-/// FEDSHAP_FEDAVG_WORKERS environment variable at first use. Not part of
-/// any workload fingerprint — the trained model is bit-identical at
-/// every setting (tests/fl_fedavg_test.cc pins this).
-void SetFedAvgClientParallelism(int max_workers);
-
-/// The current cap set by SetFedAvgClientParallelism (0 = budget-driven).
-int FedAvgClientParallelism();
 
 }  // namespace fedshap
 

@@ -1,6 +1,5 @@
 #include "fl/utility_cache.h"
 
-#include <algorithm>
 #include <atomic>
 
 #include "fl/utility_store.h"
@@ -124,13 +123,6 @@ Status UtilityCache::Prefetch(const std::vector<Coalition>& coalitions,
     }
     return Status::OK();
   }
-  // Lease one budget slot per pool worker that will compute, so nested
-  // TrainFedAvg client fan-outs see the cores this batch already uses
-  // and degrade to sequential instead of oversubscribing (the lease is
-  // advisory: the pool's size itself is fixed by its creator).
-  WorkerBudget::Lease lease(
-      WorkerBudget::Global(),
-      std::min(pool->num_threads(), static_cast<int>(coalitions.size())));
   // Capture the *first* failure's real Status (lowest index wins) so
   // callers — and through them service job reports — name the actual
   // cause, and the error matches what a sequential pass would return.

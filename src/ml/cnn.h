@@ -37,6 +37,7 @@ class Cnn : public Model {
   void Predict(const float* features,
                std::vector<float>& output) const override;
   int NumOutputs() const override { return num_classes_; }
+  int NumFeatures() const override { return side_ * side_; }
 
  private:
   // Derived sizes.

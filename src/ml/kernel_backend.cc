@@ -6,7 +6,6 @@
 
 #include "ml/kernel_dispatch.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace fedshap {
 
@@ -143,8 +142,6 @@ std::string KernelProvenanceString() {
   std::string line = "kernels: backend=";
   line += KernelBackendName(active);
   line += active == detected ? " (auto)" : " (pinned)";
-  line += " worker-budget=" +
-          std::to_string(WorkerBudget::Global().total());
   return line;
 }
 

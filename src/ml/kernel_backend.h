@@ -70,9 +70,9 @@ KernelBackend AutoDetectKernelBackend();
 /// benches do), not during one.
 Status SetKernelBackend(KernelBackend backend);
 
-/// One-line provenance string naming the active kernel backend and the
-/// effective worker budget, e.g.
-///   "kernels: backend=avx2 (auto) worker-budget=8"
+/// One-line provenance string naming the active kernel backend and
+/// whether it was auto-detected or pinned, e.g.
+///   "kernels: backend=avx2 (auto)"
 /// Every bench/example binary prints this (and fedshapd --status
 /// includes it) so performance numbers are attributable to a concrete
 /// hardware configuration.

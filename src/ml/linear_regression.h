@@ -34,6 +34,7 @@ class LinearRegression : public Model {
   void Predict(const float* features,
                std::vector<float>& output) const override;
   int NumOutputs() const override { return 1; }
+  int NumFeatures() const override { return dim_; }
   const float* AffineScorer(const float** bias) const override {
     *bias = weights_.data() + dim_;
     return weights_.data();

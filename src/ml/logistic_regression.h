@@ -31,6 +31,7 @@ class LogisticRegression : public Model {
   void Predict(const float* features,
                std::vector<float>& output) const override;
   int NumOutputs() const override { return num_classes_; }
+  int NumFeatures() const override { return dim_; }
   // Softmax is monotone per row, so argmax over the affine logits equals
   // argmax over Predict()'s probabilities.
   const float* AffineScorer(const float** bias) const override {

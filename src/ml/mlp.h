@@ -32,6 +32,7 @@ class Mlp : public Model {
   void Predict(const float* features,
                std::vector<float>& output) const override;
   int NumOutputs() const override { return num_classes_; }
+  int NumFeatures() const override { return dim_; }
 
   /// Hidden-layer width.
   int hidden() const { return hidden_; }

@@ -98,6 +98,9 @@ class Model {
 
   /// Number of model outputs (classes, or 1 for regression).
   virtual int NumOutputs() const = 0;
+
+  /// Number of input features each example must carry.
+  virtual int NumFeatures() const = 0;
 };
 
 /// Copies the selected rows of `data` into one contiguous row-major

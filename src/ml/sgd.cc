@@ -1,6 +1,7 @@
 #include "ml/sgd.h"
 
 #include <numeric>
+#include <string>
 
 #include "ml/matrix.h"
 #include "util/logging.h"
@@ -22,6 +23,11 @@ Result<double> TrainSgd(Model& model, const Dataset& data,
     return Status::InvalidArgument("proximal_mu must be >= 0");
   }
   if (data.empty() || config.epochs == 0) return 0.0;
+  if (data.num_features() != model.NumFeatures()) {
+    return Status::InvalidArgument(
+        "dataset has " + std::to_string(data.num_features()) +
+        " features, model expects " + std::to_string(model.NumFeatures()));
+  }
 
   std::vector<float> params = model.GetParameters();
   std::vector<float> velocity;

@@ -32,6 +32,8 @@ struct SgdConfig {
 /// mutating `model` in place. Returns the average training loss of the last
 /// epoch. A no-op (returning 0) on an empty dataset — an FL client with no
 /// data contributes nothing, which is what the null-player axiom expects.
+/// A non-empty dataset whose feature count differs from the model's
+/// fails with InvalidArgument before any step.
 ///
 /// Batch order is drawn from `rng`; each minibatch's forward/backward runs
 /// through Model::ComputeGradientBatched and the weight update through the

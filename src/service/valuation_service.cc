@@ -7,7 +7,6 @@
 #include "service/cluster.h"
 #include "util/logging.h"
 #include "util/serialization.h"
-#include "util/thread_pool.h"
 
 namespace fedshap {
 
@@ -495,11 +494,6 @@ bool ValuationService::RunSlice(const std::string& name, Job& job,
   ResumableEstimator* sweep = job.sweep.get();
   const JobSpec& spec = job.spec;
   lock.unlock();
-
-  // This worker thread is one compute thread for the slice's duration:
-  // lease its slot from the global budget so TrainFedAvg calls nested
-  // under a fully-busy service fan no further (see util/thread_pool.h).
-  WorkerBudget::Lease compute_slot(WorkerBudget::Global(), 1);
 
   bool finished = false;
   ValuationResult result;

@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/logging.h"
 
@@ -95,14 +94,8 @@ void TaskGroup::Wait() {
 WorkerBudget::WorkerBudget(int total) : total_(std::max(1, total)) {}
 
 WorkerBudget& WorkerBudget::Global() {
-  static WorkerBudget* budget = [] {
-    int total = ThreadPool::DefaultThreads();
-    if (const char* env = std::getenv("FEDSHAP_WORKER_BUDGET")) {
-      const int parsed = std::atoi(env);
-      if (parsed > 0) total = parsed;
-    }
-    return new WorkerBudget(total);
-  }();
+  static WorkerBudget* budget =
+      new WorkerBudget(ThreadPool::DefaultThreads());
   return *budget;
 }
 
@@ -136,11 +129,6 @@ void WorkerBudget::Release(int granted) {
   // Clamp rather than go negative: a double-release must not inflate
   // every later TryAcquire grant past the configured total.
   in_use_ = std::max(0, in_use_ - granted);
-}
-
-ThreadPool* SharedTrainingPool() {
-  static ThreadPool* pool = new ThreadPool(ThreadPool::DefaultThreads());
-  return pool;
 }
 
 void ThreadPool::WorkerLoop() {

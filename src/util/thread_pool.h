@@ -69,14 +69,12 @@ class ThreadPool {
 /// the others' work). A TaskGroup counts only its own submissions:
 /// `Run()` enqueues a task on the pool and `Wait()` blocks until exactly
 /// those tasks finished. Several TaskGroups can share one pool without
-/// cross-talk — this is how concurrent `TrainFedAvg` calls fan their
-/// clients out over the shared training pool.
+/// cross-talk — this is how concurrent ParallelFor calls share a pool.
 ///
 /// Tasks submitted through a group must never themselves submit to or
 /// wait on the same pool (no nesting): the group's waiter parks on its
 /// own condition variable, so a pool whose workers are all blocked on
-/// inner work would deadlock. The FedAvg client fan-out satisfies this
-/// by construction (local SGD never re-enters the pool).
+/// inner work would deadlock.
 class TaskGroup {
  public:
   /// Binds the group to `pool`. A null pool degrades Run() to inline
@@ -102,27 +100,17 @@ class TaskGroup {
   int pending_ = 0;
 };
 
-/// Process-wide accounting of compute-thread slots, so the parallelism
-/// layers cannot multiply into oversubscription: coalition batches
-/// (UtilitySession::EvaluateBatch), service workers and the per-round
-/// client fan-out inside TrainFedAvg all draw from this one budget.
-///
-/// The budget is advisory admission control, not a lock: `TryAcquire`
-/// never blocks, it grants between 0 and `wanted` slots depending on
-/// what is free, and the caller shrinks its parallelism to the grant
-/// (0 = run sequentially on the calling thread). Outer layers lease
-/// slots for their worker threads up front, so an inner TrainFedAvg
-/// nested under a saturated EvaluateBatch sees an empty budget and runs
-/// its clients sequentially — the hierarchy degrades to exactly one
-/// compute thread per core instead of threads^2.
+/// Advisory accounting of compute-thread slots: `TryAcquire` never
+/// blocks, it grants between 0 and `wanted` slots depending on what is
+/// free. No library code leases from it; it stays only because
+/// bench/e2e/replay.cc still names Lease and Global(), and goes with
+/// those leases in the next change to bench/e2e.
 class WorkerBudget {
  public:
   /// A budget of `total` slots (clamped to >= 1).
   explicit WorkerBudget(int total);
 
-  /// The process-wide budget. Sized to DefaultThreads(), overridable
-  /// via FEDSHAP_WORKER_BUDGET (useful for pinning benchmarks) before
-  /// first use, or SetTotal() afterwards.
+  /// The process-wide budget, sized to DefaultThreads().
   static WorkerBudget& Global();
 
   /// Total slots.
@@ -168,14 +156,6 @@ class WorkerBudget {
   int total_;
   int in_use_ = 0;
 };
-
-/// The lazily-created process-global pool that TrainFedAvg fans
-/// per-round client trainings out over (sized to DefaultThreads()).
-/// Callers coordinate via TaskGroup and size their fan-out by a
-/// WorkerBudget lease; the pool itself is never waited on globally.
-/// Intentionally leaked: it must outlive every static destructor that
-/// might still train.
-ThreadPool* SharedTrainingPool();
 
 }  // namespace fedshap
 

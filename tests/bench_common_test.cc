@@ -62,7 +62,7 @@ TEST(BenchJsonTest, WritesRecordsWithProvenance) {
   const std::string content = buffer.str();
   EXPECT_NE(content.find("\"bench\": \"unit_test\""), std::string::npos);
   EXPECT_NE(content.find("\"kernel_backend\""), std::string::npos);
-  EXPECT_NE(content.find("\"worker_budget\""), std::string::npos);
+  EXPECT_NE(content.find("\"hardware_threads\""), std::string::npos);
   EXPECT_NE(content.find("\"case_a\""), std::string::npos);
   EXPECT_NE(content.find("\"speedup\": 2"), std::string::npos);
   std::remove(path.c_str());

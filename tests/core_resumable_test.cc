@@ -527,6 +527,65 @@ TEST(AdaptiveSweepTest, OutOfRangeReallocationCountRejected) {
   EXPECT_EQ(restored.Restore(frame).code(), StatusCode::kInvalidArgument);
 }
 
+TEST(AdaptiveSweepTest, OutOfRangeStratumRoundsRejected) {
+  TableUtility fn = MonotoneTable(5);
+  AdaptiveAllocationConfig config;
+  config.total_rounds = 24;
+  config.reallocate_every = 4;
+  config.seed = 7;
+  AdaptiveStratifiedSweep sweep(5, config);
+  UtilityCache cache(&fn);
+  UtilitySession session(&cache);
+  ASSERT_TRUE(sweep.Step(session, 12).ok());
+  Result<std::string> snapshot = sweep.Snapshot();
+  ASSERT_TRUE(snapshot.ok());
+
+  // Walk the payload up to the per-stratum cumulative round counts and
+  // re-encode it with the first count set to 2^63, which would restore
+  // as a negative int64_t.
+  Result<std::string_view> payload = DecodeFramed(
+      kSweepSnapshotMagic, kSweepSnapshotVersion, *snapshot);
+  ASSERT_TRUE(payload.ok());
+  ByteReader reader(*payload);
+  Result<std::string> algorithm = reader.GetString();
+  Result<uint64_t> config_hash = reader.GetU64();
+  Result<std::string> rng_state = reader.GetString();
+  ASSERT_TRUE(algorithm.ok() && config_hash.ok() && rng_state.ok());
+  ByteWriter forged;
+  forged.PutString(*algorithm);
+  forged.PutU64(*config_hash);
+  forged.PutString(*rng_state);
+  // spent, reallocations, epoch cursor, then the epoch plan.
+  for (int field = 0; field < 3; ++field) {
+    Result<uint64_t> value = reader.GetVarint();
+    ASSERT_TRUE(value.ok());
+    forged.PutVarint(*value);
+  }
+  Result<uint64_t> plan_size = reader.GetVarint();
+  ASSERT_TRUE(plan_size.ok());
+  forged.PutVarint(*plan_size);
+  for (uint64_t k = 0; k < *plan_size; ++k) {
+    Result<uint64_t> m = reader.GetVarint();
+    ASSERT_TRUE(m.ok());
+    forged.PutVarint(*m);
+  }
+  Result<uint64_t> first_rounds = reader.GetVarint();
+  ASSERT_TRUE(first_rounds.ok());
+  ASSERT_GT(*first_rounds, 0u);
+  forged.PutVarint(uint64_t{1} << 63);
+  const std::string rest(payload->substr(payload->size() - reader.remaining()));
+  const std::string frame =
+      EncodeFramed(kSweepSnapshotMagic, kSweepSnapshotVersion,
+                   forged.bytes() + rest);
+
+  AdaptiveStratifiedSweep restored(5, config);
+  EXPECT_EQ(restored.Restore(frame).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(restored.completed_units(), 0u);
+  // The same walk without the forged count restores cleanly.
+  EXPECT_TRUE(restored.Restore(*snapshot).ok());
+  EXPECT_EQ(restored.completed_units(), 12u);
+}
+
 TEST(SnapshotValidationTest, VersionOneSnapshotsStillRestore) {
   // Snapshots written before the adaptive sweep existed carry frame
   // version 1; a service upgrade must keep restoring them. The payload

@@ -4,7 +4,6 @@
 
 #include "data/synthetic.h"
 #include "fl/server.h"
-#include "util/thread_pool.h"
 #include "fl/training_log.h"
 #include "ml/logistic_regression.h"
 #include "ml/metrics.h"
@@ -118,81 +117,28 @@ TEST(TrainFedAvgTest, DifferentCoalitionsDrawDifferentNoise) {
   EXPECT_NE((*ma)->GetParameters(), (*mab)->GetParameters());
 }
 
-TEST(TrainFedAvgTest, ClientParallelismInvariance) {
-  // The per-round client fan-out must be invisible in the result: the
-  // trained parameters are bit-identical at 1, 2 and 8 workers, and
-  // with the cap released to the budget. This is the determinism
-  // contract that lets backends/stores ignore the worker count.
-  LogisticRegression prototype = MakePrototype(91);
-  std::vector<FlClient> clients;
-  for (int i = 0; i < 6; ++i) {
-    clients.emplace_back(i, MakeBlobData(60 + 10 * i, 200 + i));
-  }
-  // One empty client: the null-player skip must hold under fan-out too.
-  clients.emplace_back(6, Dataset());
-  std::vector<const FlClient*> members;
-  for (const FlClient& client : clients) members.push_back(&client);
-
+TEST(TrainFedAvgTest, FailingClientFailsTheTraining) {
+  // The second client's rows have 3 features against the model's 4: its
+  // local update fails, and TrainFedAvg returns that error, not a model.
+  LogisticRegression prototype = MakePrototype();
+  FlClient good(0, MakeBlobData(60, 31));
+  Rng rng(32);
+  Result<Dataset> narrow = GenerateBlobs(2, 3, 5.0, 60, rng);
+  ASSERT_TRUE(narrow.ok());
+  FlClient bad(1, std::move(narrow).value());
   FedAvgConfig config;
-  config.rounds = 3;
-  config.local.epochs = 1;
 
-  // Widen the global budget so the fan-out actually runs parallel even
-  // on single-core CI machines (the invariance claim is vacuous when
-  // every setting degrades to sequential).
-  const int entry_total = WorkerBudget::Global().total();
-  WorkerBudget::Global().SetTotal(8);
-  const int entry_cap = FedAvgClientParallelism();
-  std::vector<std::vector<float>> params;
-  for (int workers : {1, 2, 8, 0}) {  // 0 = budget-driven (no cap)
-    SetFedAvgClientParallelism(workers);
-    Result<std::unique_ptr<Model>> model =
-        TrainFedAvg(prototype, members, config);
-    ASSERT_TRUE(model.ok()) << "workers=" << workers;
-    params.push_back((*model)->GetParameters());
-  }
-  SetFedAvgClientParallelism(entry_cap);
-  WorkerBudget::Global().SetTotal(entry_total);
-  for (size_t i = 1; i < params.size(); ++i) {
-    EXPECT_EQ(params[i], params[0]) << "worker setting #" << i;
-  }
-}
+  std::unique_ptr<Model> scratch = prototype.Clone();
+  Rng local_rng(0);
+  Result<std::vector<float>> local = bad.LocalUpdate(
+      prototype.GetParameters(), *scratch, config.local, local_rng);
+  ASSERT_FALSE(local.ok());
+  EXPECT_EQ(local.status().code(), StatusCode::kInvalidArgument);
 
-TEST(TrainFedAvgTest, ParallelClientTrainingMatchesLog) {
-  // The training log is order-sensitive (client deltas in client
-  // order); it must be identical under fan-out.
-  LogisticRegression prototype = MakePrototype(17);
-  FlClient a(0, MakeBlobData(80, 21));
-  FlClient b(1, MakeBlobData(90, 22));
-  FlClient c(2, MakeBlobData(70, 23));
-  FedAvgConfig config;
-  config.rounds = 2;
-
-  const int entry_total = WorkerBudget::Global().total();
-  WorkerBudget::Global().SetTotal(8);
-  const int entry_cap = FedAvgClientParallelism();
-  SetFedAvgClientParallelism(1);
-  TrainingLog sequential_log;
-  Result<std::unique_ptr<Model>> sequential =
-      TrainFedAvg(prototype, {&a, &b, &c}, config, &sequential_log);
-  SetFedAvgClientParallelism(8);
-  TrainingLog parallel_log;
-  Result<std::unique_ptr<Model>> parallel =
-      TrainFedAvg(prototype, {&a, &b, &c}, config, &parallel_log);
-  SetFedAvgClientParallelism(entry_cap);
-  WorkerBudget::Global().SetTotal(entry_total);
-
-  ASSERT_TRUE(sequential.ok());
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ((*sequential)->GetParameters(), (*parallel)->GetParameters());
-  ASSERT_EQ(sequential_log.rounds.size(), parallel_log.rounds.size());
-  EXPECT_EQ(sequential_log.final_params, parallel_log.final_params);
-  for (size_t r = 0; r < sequential_log.rounds.size(); ++r) {
-    EXPECT_EQ(sequential_log.rounds[r].client_ids,
-              parallel_log.rounds[r].client_ids);
-    EXPECT_EQ(sequential_log.rounds[r].client_deltas,
-              parallel_log.rounds[r].client_deltas);
-  }
+  Result<std::unique_ptr<Model>> model =
+      TrainFedAvg(prototype, {&good, &bad}, config);
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.status().ToString(), local.status().ToString());
 }
 
 TEST(TrainFedAvgTest, ZeroRoundsReturnsInitialModel) {

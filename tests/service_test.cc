@@ -316,12 +316,6 @@ TEST(JobSpecTest, ScenarioValidation) {
 // on disk. The literal pins one digits workload; a deliberate change must
 // update it and say why the old stores may be dropped.
 TEST(JobSpecTest, DigitsFingerprintIsPinned) {
-#if defined(__FMA__)
-  // The literal is the baseline-ISA build's. With FMA code generation the
-  // compiler may contract `mean + stddev * z` in the data and weight
-  // generators, so the hashed bits differ.
-  GTEST_SKIP() << "fingerprint literal assumes no FMA contraction";
-#endif
   ScenarioSpec scenario;
   scenario.kind = "digits";
   scenario.n = 4;
@@ -335,9 +329,6 @@ TEST(JobSpecTest, DigitsFingerprintIsPinned) {
 // through the model's initial weights: n = 6, 7 and 10 with the default
 // training, and train-heavy's n = 8 with 10 rounds of 5 local epochs.
 TEST(JobSpecTest, E2eDigitsFingerprintsArePinned) {
-#if defined(__FMA__)
-  GTEST_SKIP() << "fingerprint literals assume no FMA contraction";
-#endif
   const struct {
     int n;
     int fl_rounds;
@@ -372,9 +363,7 @@ TEST(JobSpecTest, FedAvgFingerprintIsHashedOnceAtCreate) {
   ASSERT_NE(utility, nullptr);
   const uint64_t fingerprint = utility->Fingerprint();
   for (int i = 0; i < 3; ++i) EXPECT_EQ(utility->Fingerprint(), fingerprint);
-#if !defined(__FMA__)
   EXPECT_EQ(fingerprint, 0x32522f1505a9fdceULL);  // the n = 6 pin above
-#endif
   std::vector<Dataset> clients;
   for (int i = 0; i < utility->num_clients(); ++i) {
     clients.push_back(utility->client(i).data());
@@ -591,11 +580,6 @@ TEST_F(LogRegStepPinTest, WideLogRegMatchesKernelComposition) {
 }
 
 TEST_F(LogRegStepPinTest, DigitsParameterHashIsPinned) {
-#if defined(__FMA__)
-  // As for DigitsFingerprintIsPinned: FMA code generation changes the
-  // generated data and initial weights, so the trained bits differ.
-  GTEST_SKIP() << "parameter-hash literal assumes no FMA contraction";
-#endif
   ASSERT_TRUE(SetKernelBackend(KernelBackend::kScalar).ok());
   std::unique_ptr<UtilityFunction> built = DigitsUtility(16);
   const auto* utility = dynamic_cast<const FedAvgUtility*>(built.get());
@@ -608,9 +592,6 @@ TEST_F(LogRegStepPinTest, DigitsParameterHashIsPinned) {
 // own kernels, so they cannot see a change to how the AVX2 kernels
 // round. These literals pin the AVX2 backend's trained bits.
 TEST_F(LogRegStepPinTest, Avx2ParameterHashesArePinned) {
-#if defined(__FMA__)
-  GTEST_SKIP() << "parameter-hash literals assume no FMA contraction";
-#endif
   if (!KernelBackendAvailable(KernelBackend::kAvx2)) {
     GTEST_SKIP() << "the avx2 backend cannot execute on this machine";
   }

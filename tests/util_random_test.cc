@@ -484,11 +484,7 @@ TEST(RngStreamPinTest, StreamsArePinned) {
     EXPECT_EQ(got.uniform, pinned[i].uniform);
     EXPECT_EQ(got.uniform_int, pinned[i].uniform_int);
     EXPECT_EQ(got.fork_chain, pinned[i].fork_chain);
-#if !defined(__FMA__)
-    // With FMA code generation the compiler may contract the polar
-    // method's x * x + y * y, so the deviates differ in the last bit.
     EXPECT_EQ(got.gaussian, pinned[i].gaussian);
-#endif
   }
 }
 
@@ -496,9 +492,6 @@ TEST(RngStreamPinTest, StreamsArePinned) {
 // spare deviate; after an even number it carries none. Stored sweep
 // snapshots hold this text, so it is pinned as well.
 TEST(RngStreamPinTest, SaveStateTextIsPinned) {
-#if defined(__FMA__)
-  GTEST_SKIP() << "state literals assume no FMA contraction";
-#endif
   const std::string params =
       " 0.00000000000000000e+00 1.00000000000000000e+00"
       " 0.00000000000000000e+00 1.00000000000000000e+00";

@@ -245,17 +245,5 @@ TEST(WorkerBudgetTest, ShrinkBelowInUseStopsGrantsUntilDrained) {
   EXPECT_EQ(budget.in_use(), 0);
 }
 
-TEST(SharedTrainingPoolTest, IsSingletonAndUsable) {
-  ThreadPool* pool = SharedTrainingPool();
-  ASSERT_NE(pool, nullptr);
-  EXPECT_EQ(pool, SharedTrainingPool());
-  EXPECT_GE(pool->num_threads(), 1);
-  std::atomic<int> ran{0};
-  TaskGroup group(pool);
-  group.Run([&ran] { ran.fetch_add(1); });
-  group.Wait();
-  EXPECT_EQ(ran.load(), 1);
-}
-
 }  // namespace
 }  // namespace fedshap

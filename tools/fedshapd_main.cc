@@ -302,7 +302,7 @@ int RunService(const CliOptions& options,
 
   if (options.status_only) {
     // Provenance first: perf numbers in the job table are attributable
-    // to this backend + worker budget (see ml/kernel_backend.h).
+    // to this kernel backend (see ml/kernel_backend.h).
     std::printf("[fedshapd] %s\n", KernelProvenanceString().c_str());
     for (const JobStatus& status : service.ListJobs()) {
       PrintJobLine(status);
