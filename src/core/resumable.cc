@@ -1,6 +1,7 @@
 #include "core/resumable.h"
 
 #include <algorithm>
+#include <climits>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
@@ -91,26 +92,18 @@ Result<ValuationResult> DecodeValuationResult(std::string_view encoded) {
                                         encoded));
   ByteReader reader(payload);
   ValuationResult result;
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, reader.GetVarint());
-  if (count > reader.remaining() / 8) {  // each value takes 8 bytes
-    return Status::InvalidArgument("ValuationResult value count too large");
-  }
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, reader.GetCount(8));
   result.values.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     FEDSHAP_ASSIGN_OR_RETURN(double value, reader.GetDouble());
     result.values.push_back(value);
   }
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t evaluations, reader.GetVarint());
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t trainings, reader.GetVarint());
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t fresh, reader.GetVarint());
-  result.num_evaluations = evaluations;
-  result.num_trainings = trainings;
-  result.num_fresh_trainings = fresh;
+  FEDSHAP_ASSIGN_OR_RETURN(result.num_evaluations, reader.GetVarint());
+  FEDSHAP_ASSIGN_OR_RETURN(result.num_trainings, reader.GetVarint());
+  FEDSHAP_ASSIGN_OR_RETURN(result.num_fresh_trainings, reader.GetVarint());
   FEDSHAP_ASSIGN_OR_RETURN(result.charged_seconds, reader.GetDouble());
   FEDSHAP_ASSIGN_OR_RETURN(result.wall_seconds, reader.GetDouble());
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after ValuationResult");
-  }
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd("ValuationResult"));
   return result;
 }
 
@@ -186,19 +179,15 @@ Status CoalitionPlanSweep::Restore(std::string_view snapshot) {
     return Status::FailedPrecondition(
         "snapshot evaluation plan does not match this sweep");
   }
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t cursor, reader.GetVarint());
-  if (cursor > plan_.size()) {
-    return Status::InvalidArgument("snapshot cursor exceeds the plan");
-  }
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t cursor,
+                           reader.GetVarintAtMost(plan_.size()));
   std::vector<double> utilities;
   utilities.reserve(cursor);
   for (uint64_t j = 0; j < cursor; ++j) {
     FEDSHAP_ASSIGN_OR_RETURN(double value, reader.GetDouble());
     utilities.push_back(value);
   }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("snapshot has trailing bytes");
-  }
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd("snapshot"));
   // All validated; commit. Wall accounting restarts: the resumed run
   // reports its own process's time, not the dead process's (nor time
   // spent on work a rollback just discarded).
@@ -508,11 +497,9 @@ Status PermutationMcSweep::Restore(std::string_view snapshot) {
   FEDSHAP_ASSIGN_OR_RETURN(
       ByteReader reader,
       CheckSnapshotHeader(snapshot, AlgorithmName(), ConfigHash()));
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t done_count, reader.GetVarint());
-  if (done_count > total_units()) {
-    return Status::InvalidArgument("snapshot sample count out of range");
-  }
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t sum_count, reader.GetVarint());
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t done_count,
+                           reader.GetVarintAtMost(total_units()));
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t sum_count, reader.GetCount(8));
   if (sum_count != static_cast<uint64_t>(n_)) {
     return Status::InvalidArgument("snapshot running-sum count mismatch");
   }
@@ -523,9 +510,7 @@ Status PermutationMcSweep::Restore(std::string_view snapshot) {
     sums.push_back(sum);
   }
   FEDSHAP_ASSIGN_OR_RETURN(std::string rng_state, reader.GetString());
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("snapshot has trailing bytes");
-  }
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd("snapshot"));
   Rng rng(0);
   FEDSHAP_RETURN_NOT_OK(rng.LoadState(rng_state));
   // All validated; commit (wall accounting restarts with this process).
@@ -900,26 +885,19 @@ Status AdaptiveStratifiedSweep::Restore(std::string_view snapshot) {
   FEDSHAP_ASSIGN_OR_RETURN(std::string rng_state, reader.GetString());
   Rng rng(0);
   FEDSHAP_RETURN_NOT_OK(rng.LoadState(rng_state));
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t spent, reader.GetVarint());
-  if (spent > effective_total_) {
-    return Status::InvalidArgument("snapshot round count out of range");
-  }
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t reallocations, reader.GetVarint());
-  if (reallocations > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    return Status::InvalidArgument("snapshot reallocation count out of range");
-  }
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t spent,
+                           reader.GetVarintAtMost(effective_total_));
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t reallocations,
+                           reader.GetVarintAtMost(INT_MAX));
   FEDSHAP_ASSIGN_OR_RETURN(uint64_t epoch_cursor, reader.GetVarint());
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t plan_size, reader.GetVarint());
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t plan_size, reader.GetCount(1));
   if (plan_size != 0 && plan_size != static_cast<uint64_t>(n_)) {
     return Status::InvalidArgument("snapshot epoch plan size mismatch");
   }
   std::vector<int> epoch_plan(plan_size, 0);
   uint64_t epoch_total = 0;
   for (uint64_t k = 0; k < plan_size; ++k) {
-    FEDSHAP_ASSIGN_OR_RETURN(uint64_t m, reader.GetVarint());
-    if (m > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-      return Status::InvalidArgument("snapshot epoch plan entry overflow");
-    }
+    FEDSHAP_ASSIGN_OR_RETURN(uint64_t m, reader.GetVarintAtMost(INT_MAX));
     epoch_plan[k] = static_cast<int>(m);
     epoch_total += m;
   }
@@ -930,21 +908,16 @@ Status AdaptiveStratifiedSweep::Restore(std::string_view snapshot) {
   // cumulative grant can exceed the run's budget.
   std::vector<int64_t> rounds_per_size(n_, 0);
   for (int k = 0; k < n_; ++k) {
-    FEDSHAP_ASSIGN_OR_RETURN(uint64_t r, reader.GetVarint());
-    if (r > effective_total_) {
-      return Status::InvalidArgument("snapshot stratum rounds out of range");
-    }
+    FEDSHAP_ASSIGN_OR_RETURN(uint64_t r,
+                             reader.GetVarintAtMost(effective_total_));
     rounds_per_size[k] = static_cast<int64_t>(r);
   }
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t bucket_count, reader.GetVarint());
-  if (bucket_count > static_cast<uint64_t>(n_)) {
-    return Status::InvalidArgument("snapshot bucket count out of range");
-  }
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t bucket_count, reader.GetVarintAtMost(n_));
   std::vector<AllocationBucket> buckets(bucket_count);
   for (uint64_t b = 0; b < bucket_count; ++b) {
-    FEDSHAP_ASSIGN_OR_RETURN(uint64_t lo, reader.GetVarint());
-    FEDSHAP_ASSIGN_OR_RETURN(uint64_t hi, reader.GetVarint());
-    if (lo < 1 || hi < lo || hi > static_cast<uint64_t>(n_)) {
+    FEDSHAP_ASSIGN_OR_RETURN(uint64_t lo, reader.GetVarintAtMost(n_));
+    FEDSHAP_ASSIGN_OR_RETURN(uint64_t hi, reader.GetVarintAtMost(n_));
+    if (lo < 1 || hi < lo) {
       return Status::InvalidArgument("snapshot bucket range invalid");
     }
     buckets[b].lo = static_cast<int>(lo);
@@ -956,10 +929,8 @@ Status AdaptiveStratifiedSweep::Restore(std::string_view snapshot) {
     FEDSHAP_ASSIGN_OR_RETURN(moments[k].sum, reader.GetDouble());
     FEDSHAP_ASSIGN_OR_RETURN(moments[k].sum_squares, reader.GetDouble());
   }
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t draw_count, reader.GetVarint());
-  if (draw_count > reader.remaining() / 8) {  // each draw takes > 8 bytes
-    return Status::InvalidArgument("snapshot draw count too large");
-  }
+  // Each draw is a coalition (at least its count byte) and a double.
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t draw_count, reader.GetCount(1 + 8));
   std::vector<Coalition> draws;
   std::vector<double> utilities;
   std::unordered_map<Coalition, size_t, CoalitionHash> index_of;
@@ -978,9 +949,7 @@ Status AdaptiveStratifiedSweep::Restore(std::string_view snapshot) {
     draws.push_back(c);
     utilities.push_back(u);
   }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("snapshot has trailing bytes");
-  }
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd("snapshot"));
   // All validated; commit (wall accounting restarts with this process).
   rng_ = rng;
   rounds_spent_ = spent;

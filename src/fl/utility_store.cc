@@ -29,9 +29,7 @@ Result<std::pair<Coalition, UtilityRecord>> DecodeRecordPayload(
   UtilityRecord record;
   FEDSHAP_ASSIGN_OR_RETURN(record.utility, reader.GetDouble());
   FEDSHAP_ASSIGN_OR_RETURN(record.cost_seconds, reader.GetDouble());
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("utility record has trailing bytes");
-  }
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd("utility record"));
   return std::make_pair(coalition, record);
 }
 
@@ -63,20 +61,21 @@ void PutCoalition(ByteWriter& writer, const Coalition& coalition) {
 }
 
 Result<Coalition> GetCoalition(ByteReader& reader) {
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, reader.GetVarint());
-  if (count > static_cast<uint64_t>(Coalition::kMaxClients)) {
-    return Status::InvalidArgument("coalition member count out of range");
-  }
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count,
+                           reader.GetVarintAtMost(Coalition::kMaxClients));
   Coalition coalition;
   int previous = -1;
   for (uint64_t j = 0; j < count; ++j) {
-    FEDSHAP_ASSIGN_OR_RETURN(uint64_t gap, reader.GetVarint());
-    const uint64_t member = static_cast<uint64_t>(previous) + 1 + gap;
-    if (member >= static_cast<uint64_t>(Coalition::kMaxClients)) {
+    // A gap below kMaxClients keeps `previous + 1 + gap` far from
+    // wrapping; the sum is then checked against the index range.
+    FEDSHAP_ASSIGN_OR_RETURN(
+        uint64_t gap, reader.GetVarintAtMost(Coalition::kMaxClients - 1));
+    const int member = previous + 1 + static_cast<int>(gap);
+    if (member >= Coalition::kMaxClients) {
       return Status::InvalidArgument("coalition member index out of range");
     }
-    coalition.Add(static_cast<int>(member));
-    previous = static_cast<int>(member);
+    coalition.Add(member);
+    previous = member;
   }
   return coalition;
 }
@@ -112,15 +111,13 @@ Status UtilityStore::LoadManifestLocked(std::string_view contents) {
                 "refusing to serve its utilities");
   }
   FEDSHAP_ASSIGN_OR_RETURN(active_id_, reader.GetVarint());
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, reader.GetVarint());
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, reader.GetCount(1));
   sealed_order_.clear();
   for (uint64_t j = 0; j < count; ++j) {
     FEDSHAP_ASSIGN_OR_RETURN(uint64_t id, reader.GetVarint());
     sealed_order_.push_back(id);
   }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument(path_ + "/MANIFEST has trailing bytes");
-  }
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd(path_ + "/MANIFEST"));
   next_segment_id_ = active_id_ + 1;
   for (uint64_t id : sealed_order_) {
     next_segment_id_ = std::max(next_segment_id_, id + 1);
@@ -235,15 +232,18 @@ Status UtilityStore::AdoptSealedLocked(
     uint64_t id, std::unique_ptr<SegmentReader> reader) {
   const std::string seg_path = SegmentPath(id);
   ByteReader footer(reader->footer());
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, footer.GetVarint());
+  // Each entry is a coalition and an offset, at least a byte each.
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, footer.GetCount(2));
   for (uint64_t j = 0; j < count; ++j) {
     FEDSHAP_ASSIGN_OR_RETURN(Coalition coalition, GetCoalition(footer));
-    FEDSHAP_ASSIGN_OR_RETURN(uint64_t offset, footer.GetVarint());
+    FEDSHAP_ASSIGN_OR_RETURN(uint64_t offset,
+                             footer.GetVarintAtMost(reader->data_end() - 1));
+    if (offset < kSegmentHeaderBytes) {
+      return Status::InvalidArgument(seg_path + " footer offset in header");
+    }
     index_[coalition] = Location{id, offset};
   }
-  if (!footer.AtEnd()) {
-    return Status::InvalidArgument(seg_path + " has a malformed footer");
-  }
+  FEDSHAP_RETURN_NOT_OK(footer.CheckAtEnd(seg_path + " footer"));
   Segment segment;
   segment.file_path = seg_path;
   segment.file_bytes = reader->file_bytes();

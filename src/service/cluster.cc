@@ -1,7 +1,8 @@
 #include "service/cluster.h"
 
 #include <algorithm>
-#include <limits>
+#include <climits>
+#include <cstdint>
 #include <utility>
 
 #include "fl/utility_store.h"
@@ -18,38 +19,6 @@ int MillisUntil(Clock::time_point now, Clock::time_point deadline) {
   const auto left =
       std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
   return left.count() < 0 ? 0 : static_cast<int>(left.count());
-}
-
-std::string EncodeAssign(uint64_t task_id, const std::string& key,
-                         const Coalition& coalition) {
-  ByteWriter writer;
-  writer.PutVarint(task_id);
-  writer.PutString(key);
-  PutCoalition(writer, coalition);
-  return std::string(writer.bytes());
-}
-
-std::string EncodeWorkloadAnnounce(const std::string& key,
-                                   const ScenarioSpec& scenario,
-                                   uint64_t fingerprint) {
-  ByteWriter writer;
-  writer.PutString(key);
-  EncodeScenarioSpec(scenario, writer);
-  writer.PutU64(fingerprint);
-  return std::string(writer.bytes());
-}
-
-std::string EncodeWelcome(uint32_t shard) {
-  ByteWriter writer;
-  writer.PutVarint(kClusterProtocolVersion);
-  writer.PutVarint(shard);
-  return std::string(writer.bytes());
-}
-
-std::string EncodeReject(const std::string& message) {
-  ByteWriter writer;
-  writer.PutString(message);
-  return std::string(writer.bytes());
 }
 
 // A registered shard index far past any real deployment is a corrupt or
@@ -69,36 +38,132 @@ std::string EncodeWorkerRegistration(const WorkerRegistration& registration) {
     writer.PutString(key);
     writer.PutU64(fingerprint);
   }
-  return std::string(writer.bytes());
+  return writer.bytes();
 }
 
 Result<WorkerRegistration> DecodeWorkerRegistration(std::string_view payload) {
   ByteReader reader(payload);
   WorkerRegistration registration;
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t version, reader.GetVarint());
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t shard_plus_1, reader.GetVarint());
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t pid, reader.GetVarint());
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, reader.GetVarint());
-  if (version > std::numeric_limits<uint32_t>::max()) {
-    return Status::InvalidArgument(
-        "registration protocol version out of range");
-  }
-  registration.protocol_version = static_cast<uint32_t>(version);
-  if (shard_plus_1 > static_cast<uint64_t>(kMaxShardIndex)) {
-    return Status::OutOfRange("registration shard index implausible");
-  }
+  FEDSHAP_ASSIGN_OR_RETURN(registration.protocol_version,
+                           reader.GetVarintAtMost(UINT32_MAX));
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t shard_plus_1,
+                           reader.GetVarintAtMost(kMaxShardIndex));
   registration.shard = static_cast<int>(shard_plus_1) - 1;
-  registration.pid = pid;
-  if (count > static_cast<uint64_t>(kMaxShardIndex)) {
-    return Status::OutOfRange("registration workload count implausible");
-  }
-  registration.workloads.reserve(static_cast<size_t>(count));
+  FEDSHAP_ASSIGN_OR_RETURN(registration.pid, reader.GetVarint());
+  // Each workload is a key (at least its length byte) and a u64.
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, reader.GetCount(1 + 8));
+  registration.workloads.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     FEDSHAP_ASSIGN_OR_RETURN(std::string key, reader.GetString());
     FEDSHAP_ASSIGN_OR_RETURN(uint64_t fingerprint, reader.GetU64());
     registration.workloads.emplace_back(std::move(key), fingerprint);
   }
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd("Register frame"));
   return registration;
+}
+
+std::string EncodeWelcome(const WorkerWelcome& welcome) {
+  ByteWriter writer;
+  writer.PutVarint(welcome.protocol_version);
+  writer.PutVarint(static_cast<uint64_t>(welcome.shard));
+  return writer.bytes();
+}
+
+Result<WorkerWelcome> DecodeWelcome(std::string_view payload) {
+  ByteReader reader(payload);
+  WorkerWelcome welcome;
+  FEDSHAP_ASSIGN_OR_RETURN(welcome.protocol_version,
+                           reader.GetVarintAtMost(UINT32_MAX));
+  FEDSHAP_ASSIGN_OR_RETURN(welcome.shard, reader.GetVarintAtMost(INT_MAX));
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd("Welcome frame"));
+  return welcome;
+}
+
+std::string EncodeReject(std::string_view reason) {
+  ByteWriter writer;
+  writer.PutString(reason);
+  return writer.bytes();
+}
+
+Result<std::string> DecodeReject(std::string_view payload) {
+  ByteReader reader(payload);
+  FEDSHAP_ASSIGN_OR_RETURN(std::string reason, reader.GetString());
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd("Reject frame"));
+  return reason;
+}
+
+std::string EncodeWorkload(const WorkloadAnnouncement& workload) {
+  ByteWriter writer;
+  writer.PutString(workload.key);
+  EncodeScenarioSpec(workload.scenario, writer);
+  writer.PutU64(workload.fingerprint);
+  return writer.bytes();
+}
+
+Result<WorkloadAnnouncement> DecodeWorkload(std::string_view payload) {
+  ByteReader reader(payload);
+  WorkloadAnnouncement workload;
+  FEDSHAP_ASSIGN_OR_RETURN(workload.key, reader.GetString());
+  FEDSHAP_ASSIGN_OR_RETURN(workload.scenario, DecodeScenarioSpec(reader));
+  FEDSHAP_ASSIGN_OR_RETURN(workload.fingerprint, reader.GetU64());
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd("Workload frame"));
+  return workload;
+}
+
+std::string EncodeAssign(const TaskAssignment& assignment) {
+  ByteWriter writer;
+  writer.PutVarint(assignment.task_id);
+  writer.PutString(assignment.workload_key);
+  PutCoalition(writer, assignment.coalition);
+  return writer.bytes();
+}
+
+Result<TaskAssignment> DecodeAssign(std::string_view payload) {
+  ByteReader reader(payload);
+  TaskAssignment assignment;
+  FEDSHAP_ASSIGN_OR_RETURN(assignment.task_id, reader.GetVarint());
+  FEDSHAP_ASSIGN_OR_RETURN(assignment.workload_key, reader.GetString());
+  FEDSHAP_ASSIGN_OR_RETURN(assignment.coalition, GetCoalition(reader));
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd("Assign frame"));
+  return assignment;
+}
+
+std::string EncodeResult(const TaskResult& result) {
+  ByteWriter writer;
+  writer.PutVarint(result.task_id);
+  writer.PutU64(result.coalition_hash);
+  writer.PutDouble(result.record.utility);
+  writer.PutDouble(result.record.cost_seconds);
+  writer.PutU8(result.fresh ? 1 : 0);
+  return writer.bytes();
+}
+
+Result<TaskResult> DecodeResult(std::string_view payload) {
+  ByteReader reader(payload);
+  TaskResult result;
+  FEDSHAP_ASSIGN_OR_RETURN(result.task_id, reader.GetVarint());
+  FEDSHAP_ASSIGN_OR_RETURN(result.coalition_hash, reader.GetU64());
+  FEDSHAP_ASSIGN_OR_RETURN(result.record.utility, reader.GetDouble());
+  FEDSHAP_ASSIGN_OR_RETURN(result.record.cost_seconds, reader.GetDouble());
+  FEDSHAP_ASSIGN_OR_RETURN(result.fresh, reader.GetU8());
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd("Result frame"));
+  return result;
+}
+
+std::string EncodeError(const TaskError& error) {
+  ByteWriter writer;
+  writer.PutVarint(error.task_id);
+  writer.PutString(error.message);
+  return writer.bytes();
+}
+
+Result<TaskError> DecodeError(std::string_view payload) {
+  ByteReader reader(payload);
+  TaskError error;
+  FEDSHAP_ASSIGN_OR_RETURN(error.task_id, reader.GetVarint());
+  FEDSHAP_ASSIGN_OR_RETURN(error.message, reader.GetString());
+  FEDSHAP_RETURN_NOT_OK(reader.CheckAtEnd("Error frame"));
+  return error;
 }
 
 int ClusterDispatcher::NextDeadlineMs(const MonitorDeadlines& deadlines) {
@@ -243,8 +308,8 @@ Status ClusterDispatcher::AssignLocked(uint64_t task_id, PendingTask& task,
     }
     Status sent = worker.channel->Send(
         cluster_proto::kWorkload,
-        EncodeWorkloadAnnounce(task.workload_key, it->second.scenario,
-                               it->second.fingerprint));
+        EncodeWorkload({task.workload_key, it->second.scenario,
+                        it->second.fingerprint}));
     if (!sent.ok()) {
       MarkWorkerDeadLocked(static_cast<size_t>(worker_index));
       return sent;
@@ -252,7 +317,7 @@ Status ClusterDispatcher::AssignLocked(uint64_t task_id, PendingTask& task,
   }
   Status sent = worker.channel->Send(
       cluster_proto::kAssign,
-      EncodeAssign(task_id, task.workload_key, task.coalition));
+      EncodeAssign({task_id, task.workload_key, task.coalition}));
   if (!sent.ok()) {
     MarkWorkerDeadLocked(static_cast<size_t>(worker_index));
     return sent;
@@ -539,7 +604,7 @@ void ClusterDispatcher::AttachWorker(std::unique_ptr<FrameChannel> channel) {
     // Welcome before alive: an Evaluate thread must not race an Assign
     // frame ahead of the shard grant.
     if (!shared->Send(cluster_proto::kWelcome,
-                      EncodeWelcome(static_cast<uint32_t>(index)))
+                      EncodeWelcome({.shard = static_cast<int>(index)}))
              .ok()) {
       state.channel.reset();
       return;
@@ -601,23 +666,18 @@ void ClusterDispatcher::HandleFrame(size_t index, uint64_t generation,
     case cluster_proto::kHeartbeat:
       return;  // liveness only; last_seen is already refreshed
     case cluster_proto::kResult: {
-      ByteReader reader(frame.payload);
-      Result<uint64_t> task_id = reader.GetVarint();
-      Result<uint64_t> hash = reader.GetU64();
-      Result<double> utility = reader.GetDouble();
-      Result<double> cost = reader.GetDouble();
-      Result<uint8_t> fresh = reader.GetU8();
-      if (!task_id.ok() || !hash.ok() || !utility.ok() || !cost.ok() ||
-          !fresh.ok()) {
+      Result<TaskResult> result = DecodeResult(frame.payload);
+      if (!result.ok()) {
         FEDSHAP_LOG(Warning) << "[cluster] malformed result frame from "
-                             << "worker " << index << "; ignored";
+                             << "worker " << index << "; ignored: "
+                             << result.status();
         return;
       }
       // Any well-formed task response proves the worker responsive.
       BreakerSuccessLocked(index);
-      auto it = pending_.find(*task_id);
+      auto it = pending_.find(result->task_id);
       if (it == pending_.end() || it->second.done ||
-          it->second.coalition.Hash() != *hash) {
+          it->second.coalition.Hash() != result->coalition_hash) {
         // Exactly-once application: a duplicate delivery, a frame for a
         // task already failed over and completed elsewhere, or a stale
         // id. The first accepted result won; drop this one.
@@ -626,11 +686,12 @@ void ClusterDispatcher::HandleFrame(size_t index, uint64_t generation,
       }
       PendingTask& task = it->second;
       task.done = true;
-      task.record = UtilityRecord{*utility, *cost};
-      task.fresh = *fresh != 0;
+      task.record = result->record;
+      task.fresh = result->fresh;
       if (task.worker >= 0 &&
           static_cast<size_t>(task.worker) < workers_.size()) {
-        workers_[static_cast<size_t>(task.worker)]->inflight.erase(*task_id);
+        workers_[static_cast<size_t>(task.worker)]->inflight.erase(
+            result->task_id);
       }
       ++stats_.results_applied;
       if (task.fresh) ++stats_.worker_fresh_trainings;
@@ -638,20 +699,24 @@ void ClusterDispatcher::HandleFrame(size_t index, uint64_t generation,
       return;
     }
     case cluster_proto::kError: {
-      ByteReader reader(frame.payload);
-      Result<uint64_t> task_id = reader.GetVarint();
-      Result<std::string> message = reader.GetString();
-      if (!task_id.ok() || !message.ok()) return;
+      Result<TaskError> error = DecodeError(frame.payload);
+      if (!error.ok()) {
+        FEDSHAP_LOG(Warning) << "[cluster] malformed error frame from "
+                             << "worker " << index << "; ignored: "
+                             << error.status();
+        return;
+      }
       BreakerSuccessLocked(index);
-      auto it = pending_.find(*task_id);
+      auto it = pending_.find(error->task_id);
       if (it == pending_.end() || it->second.done) {
         ++stats_.duplicate_results_ignored;
         return;
       }
-      worker.inflight.erase(*task_id);
-      FailTaskLocked(*task_id, it->second,
+      worker.inflight.erase(error->task_id);
+      FailTaskLocked(error->task_id, it->second,
                      Status::Internal("worker " + std::to_string(index) +
-                                      " failed evaluation: " + *message));
+                                      " failed evaluation: " +
+                                      error->message));
       return;
     }
     default:

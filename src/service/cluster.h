@@ -49,8 +49,11 @@ namespace fedshap {
 /// capped exponential backoff and re-registers under its original shard,
 /// so its store and cache stay its shard's.
 
-/// Cluster protocol frame types (FrameChannel `type` field). Payloads are
-/// ByteWriter-encoded; see cluster.cc for the per-message layout. Type 1
+/// Cluster protocol frame types (FrameChannel `type` field). Each read
+/// payload has an Encode/Decode pair below; every Decode bounds its
+/// fields through ByteReader and rejects trailing bytes, so frames from
+/// a corrupt or hostile peer fail with a Status and decode without a
+/// socket in tests. Heartbeat and Shutdown payloads are not read. Type 1
 /// is unassigned.
 namespace cluster_proto {
 inline constexpr uint32_t kWorkload = 2;   ///< coord->worker: key, spec, fp
@@ -75,15 +78,83 @@ inline constexpr uint32_t kClusterProtocolVersion = 2;
 /// coordinator verifies them bit-for-bit and skips re-announcing, so the
 /// worker resumes its shard home with warm caches.
 struct WorkerRegistration {
-  uint32_t protocol_version = kClusterProtocolVersion;
-  int shard = -1;
-  uint64_t pid = 0;
+  uint32_t protocol_version = kClusterProtocolVersion;  ///< Worker's.
+  int shard = -1;    ///< Shard to resume, or -1 for a new one.
+  uint64_t pid = 0;  ///< Worker process id, for logs.
+  /// (key, fingerprint) of every workload the worker has built.
   std::vector<std::pair<std::string, uint64_t>> workloads;
 };
 
-/// Wire codec for the Register frame payload.
+/// Encodes the Register frame payload.
 std::string EncodeWorkerRegistration(const WorkerRegistration& registration);
+/// Decodes a Register frame payload.
 Result<WorkerRegistration> DecodeWorkerRegistration(std::string_view payload);
+
+/// The Welcome frame: the coordinator accepted a registration.
+struct WorkerWelcome {
+  uint32_t protocol_version = kClusterProtocolVersion;  ///< Coordinator's.
+  int shard = 0;  ///< The shard the worker now serves.
+};
+
+/// Encodes the Welcome frame payload.
+std::string EncodeWelcome(const WorkerWelcome& welcome);
+/// Decodes a Welcome frame payload.
+Result<WorkerWelcome> DecodeWelcome(std::string_view payload);
+
+/// Encodes the Reject frame payload: the reason the coordinator refused
+/// a registration.
+std::string EncodeReject(std::string_view reason);
+/// Decodes a Reject frame payload into the reason.
+Result<std::string> DecodeReject(std::string_view payload);
+
+/// The Workload frame: announces a workload a worker must rebuild from
+/// `scenario` and match `fingerprint` bit-for-bit before training it.
+struct WorkloadAnnouncement {
+  std::string key;           ///< Workload key later Assign frames name.
+  ScenarioSpec scenario;     ///< What the worker rebuilds.
+  uint64_t fingerprint = 0;  ///< The coordinator's utility fingerprint.
+};
+
+/// Encodes the Workload frame payload.
+std::string EncodeWorkload(const WorkloadAnnouncement& workload);
+/// Decodes a Workload frame payload.
+Result<WorkloadAnnouncement> DecodeWorkload(std::string_view payload);
+
+/// The Assign frame: one coalition training for a worker.
+struct TaskAssignment {
+  uint64_t task_id = 0;      ///< Echoed by the Result or Error frame.
+  std::string workload_key;  ///< An announced workload.
+  Coalition coalition;       ///< The coalition to train.
+};
+
+/// Encodes the Assign frame payload.
+std::string EncodeAssign(const TaskAssignment& assignment);
+/// Decodes an Assign frame payload.
+Result<TaskAssignment> DecodeAssign(std::string_view payload);
+
+/// The Result frame: a worker's utility for one task.
+struct TaskResult {
+  uint64_t task_id = 0;         ///< The Assign frame's task id.
+  uint64_t coalition_hash = 0;  ///< Coalition::Hash() of what was trained.
+  UtilityRecord record;         ///< The trained (or cached) utility.
+  bool fresh = false;           ///< The worker trained it for this task.
+};
+
+/// Encodes the Result frame payload.
+std::string EncodeResult(const TaskResult& result);
+/// Decodes a Result frame payload.
+Result<TaskResult> DecodeResult(std::string_view payload);
+
+/// The Error frame: a task the worker could not evaluate.
+struct TaskError {
+  uint64_t task_id = 0;  ///< The Assign frame's task id.
+  std::string message;   ///< Why the evaluation failed.
+};
+
+/// Encodes the Error frame payload.
+std::string EncodeError(const TaskError& error);
+/// Decodes an Error frame payload.
+Result<TaskError> DecodeError(std::string_view payload);
 
 /// Counters describing one dispatcher's life so far. All monotonic.
 struct ClusterStats {

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <limits>
 #include <utility>
 
 #include "util/logging.h"
@@ -17,24 +16,6 @@
 namespace fedshap {
 
 namespace {
-
-std::string EncodeResult(uint64_t task_id, uint64_t coalition_hash,
-                         const UtilityRecord& record, bool fresh) {
-  ByteWriter writer;
-  writer.PutVarint(task_id);
-  writer.PutU64(coalition_hash);
-  writer.PutDouble(record.utility);
-  writer.PutDouble(record.cost_seconds);
-  writer.PutU8(fresh ? 1 : 0);
-  return std::string(writer.bytes());
-}
-
-std::string EncodeError(uint64_t task_id, const std::string& message) {
-  ByteWriter writer;
-  writer.PutVarint(task_id);
-  writer.PutString(message);
-  return std::string(writer.bytes());
-}
 
 // Errors that end the session but not the worker: the connection is gone
 // (or stalled past its send deadline) and a reconnect may succeed.
@@ -104,21 +85,19 @@ void ClusterWorker::AttachChannel(FrameChannel* channel) {
 }
 
 Status ClusterWorker::HandleWorkload(const Frame& frame) {
-  ByteReader reader(frame.payload);
-  FEDSHAP_ASSIGN_OR_RETURN(std::string key, reader.GetString());
-  FEDSHAP_ASSIGN_OR_RETURN(ScenarioSpec scenario, DecodeScenarioSpec(reader));
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t fingerprint, reader.GetU64());
-  if (workloads_.count(key) != 0) return Status::OK();  // re-announce
+  FEDSHAP_ASSIGN_OR_RETURN(WorkloadAnnouncement workload,
+                           DecodeWorkload(frame.payload));
+  if (workloads_.count(workload.key) != 0) return Status::OK();  // re-announce
   WorkloadContext context;
-  FEDSHAP_ASSIGN_OR_RETURN(context.utility, scenario.Build());
-  if (context.utility->Fingerprint() != fingerprint) {
+  FEDSHAP_ASSIGN_OR_RETURN(context.utility, workload.scenario.Build());
+  if (context.utility->Fingerprint() != workload.fingerprint) {
     // The worker rebuilt a different workload than the coordinator: an
     // environment skew that would silently corrupt values. Refuse.
     return Status::Internal(
-        "workload fingerprint mismatch for '" + key +
+        "workload fingerprint mismatch for '" + workload.key +
         "': worker built a different utility than the coordinator");
   }
-  context.fingerprint = fingerprint;
+  context.fingerprint = workload.fingerprint;
   context.cache = std::make_unique<UtilityCache>(context.utility.get());
   if (!options_.store_dir.empty()) {
     const std::string stem = options_.store_dir + "/shard-" +
@@ -128,7 +107,7 @@ Status ClusterWorker::HandleWorkload(const Frame& frame) {
         OpenAndAttachStore(stem, /*resume=*/true, *context.utility,
                            *context.cache, options_.store_flush_bytes));
   }
-  workloads_.emplace(std::move(key), std::move(context));
+  workloads_.emplace(std::move(workload.key), std::move(context));
   return Status::OK();
 }
 
@@ -174,23 +153,21 @@ Status ClusterWorker::SendResultFrame(const std::string& payload) {
 }
 
 Result<bool> ClusterWorker::HandleAssign(const Frame& frame) {
-  ByteReader reader(frame.payload);
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t task_id, reader.GetVarint());
-  FEDSHAP_ASSIGN_OR_RETURN(std::string key, reader.GetString());
-  FEDSHAP_ASSIGN_OR_RETURN(Coalition coalition, GetCoalition(reader));
-  auto it = workloads_.find(key);
+  FEDSHAP_ASSIGN_OR_RETURN(TaskAssignment task, DecodeAssign(frame.payload));
+  auto it = workloads_.find(task.workload_key);
   if (it == workloads_.end()) {
     FEDSHAP_RETURN_NOT_OK(SendControl(
         cluster_proto::kError,
-        EncodeError(task_id, "workload '" + key + "' not announced")));
+        EncodeError({task.task_id, "workload '" + task.workload_key +
+                                       "' not announced"})));
     return false;
   }
   bool fresh = false;
-  Result<UtilityRecord> record = it->second.cache->Get(coalition, &fresh);
+  Result<UtilityRecord> record = it->second.cache->Get(task.coalition, &fresh);
   if (!record.ok()) {
     FEDSHAP_RETURN_NOT_OK(
         SendControl(cluster_proto::kError,
-                    EncodeError(task_id, record.status().ToString())));
+                    EncodeError({task.task_id, record.status().ToString()})));
     return false;
   }
   if (fresh) {
@@ -206,8 +183,8 @@ Result<bool> ClusterWorker::HandleAssign(const Frame& frame) {
       return true;
     }
   }
-  FEDSHAP_RETURN_NOT_OK(
-      SendResultFrame(EncodeResult(task_id, coalition.Hash(), *record, fresh)));
+  FEDSHAP_RETURN_NOT_OK(SendResultFrame(
+      EncodeResult({task.task_id, task.coalition.Hash(), *record, fresh})));
   return false;
 }
 
@@ -260,30 +237,22 @@ Status ClusterWorker::Run() {
     const Frame& frame = **received;
     switch (frame.type) {
       case cluster_proto::kWelcome: {
-        ByteReader reader(frame.payload);
-        Result<uint64_t> version = reader.GetVarint();
-        Result<uint64_t> shard = reader.GetVarint();
-        if (!version.ok() || !shard.ok()) {
-          return Status::Internal("malformed Welcome frame");
-        }
-        if (*shard > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-          return Status::InvalidArgument("Welcome shard index out of range");
-        }
-        if (options_.shard < 0) options_.shard = static_cast<int>(*shard);
+        FEDSHAP_ASSIGN_OR_RETURN(WorkerWelcome welcome,
+                                 DecodeWelcome(frame.payload));
+        if (options_.shard < 0) options_.shard = welcome.shard;
         welcomed_ = true;
         FEDSHAP_LOG(Info) << "[cluster-worker " << options_.shard
                           << "] registered with coordinator (protocol v"
-                          << *version << ")";
+                          << welcome.protocol_version << ")";
         break;
       }
       case cluster_proto::kReject: {
-        ByteReader reader(frame.payload);
-        Result<std::string> message = reader.GetString();
+        Result<std::string> reason = DecodeReject(frame.payload);
         // Fatal by design: a version or fingerprint mismatch will not
         // heal by redialing the same coordinator.
         return Status::InvalidArgument(
             "registration rejected by coordinator: " +
-            (message.ok() ? *message : std::string("(unreadable reason)")));
+            (reason.ok() ? *reason : std::string("(unreadable reason)")));
       }
       case cluster_proto::kWorkload: {
         Status handled = HandleWorkload(frame);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cstdint>
 #include <limits>
 #include <cerrno>
@@ -438,18 +439,6 @@ Result<std::vector<JobSpec>> ParseJobFile(std::string_view contents) {
 
 namespace {
 constexpr uint8_t kScenarioSpecCodecVersion = 1;
-
-/// Reads one int field of a ScenarioSpec frame. Frames arrive over the
-/// network, so a varint above INT_MAX is rejected instead of truncated:
-/// n = 2^32 + 5 would otherwise decode as 5 and pass Build's range check.
-Result<int> GetIntField(ByteReader& reader, const char* field) {
-  FEDSHAP_ASSIGN_OR_RETURN(uint64_t value, reader.GetVarint());
-  if (value > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    return Status::InvalidArgument(std::string("ScenarioSpec ") + field +
-                                   " out of range: " + std::to_string(value));
-  }
-  return static_cast<int>(value);
-}
 }  // namespace
 
 void EncodeScenarioSpec(const ScenarioSpec& spec, ByteWriter& writer) {
@@ -472,17 +461,18 @@ Result<ScenarioSpec> DecodeScenarioSpec(ByteReader& reader) {
     return Status::InvalidArgument("unsupported ScenarioSpec codec version " +
                                    std::to_string(version));
   }
+  // The int fields are bounded, not truncated: n = 2^32 + 5 would
+  // otherwise decode as 5 and pass Build's range check.
   ScenarioSpec spec;
   FEDSHAP_ASSIGN_OR_RETURN(spec.kind, reader.GetString());
-  FEDSHAP_ASSIGN_OR_RETURN(spec.n, GetIntField(reader, "n"));
+  FEDSHAP_ASSIGN_OR_RETURN(spec.n, reader.GetVarintAtMost(INT_MAX));
   FEDSHAP_ASSIGN_OR_RETURN(spec.partition, reader.GetString());
   FEDSHAP_ASSIGN_OR_RETURN(spec.seed, reader.GetVarint());
-  FEDSHAP_ASSIGN_OR_RETURN(spec.fl_rounds, GetIntField(reader, "rounds"));
-  FEDSHAP_ASSIGN_OR_RETURN(spec.local_epochs, GetIntField(reader, "epochs"));
-  FEDSHAP_ASSIGN_OR_RETURN(spec.batch_size, GetIntField(reader, "batch"));
+  FEDSHAP_ASSIGN_OR_RETURN(spec.fl_rounds, reader.GetVarintAtMost(INT_MAX));
+  FEDSHAP_ASSIGN_OR_RETURN(spec.local_epochs, reader.GetVarintAtMost(INT_MAX));
+  FEDSHAP_ASSIGN_OR_RETURN(spec.batch_size, reader.GetVarintAtMost(INT_MAX));
   FEDSHAP_ASSIGN_OR_RETURN(spec.learning_rate, reader.GetDouble());
-  FEDSHAP_ASSIGN_OR_RETURN(spec.samples_per_client,
-                           GetIntField(reader, "samples"));
+  FEDSHAP_ASSIGN_OR_RETURN(spec.samples_per_client, reader.GetVarintAtMost(INT_MAX));
   FEDSHAP_ASSIGN_OR_RETURN(spec.noise_scale, reader.GetDouble());
   return spec;
 }

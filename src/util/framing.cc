@@ -21,20 +21,6 @@ namespace {
 // desynchronized stream, not a legitimate message.
 constexpr uint32_t kMaxFramePayload = 64u << 20;
 
-void PutU32Le(char* out, uint32_t value) {
-  out[0] = static_cast<char>(value & 0xff);
-  out[1] = static_cast<char>((value >> 8) & 0xff);
-  out[2] = static_cast<char>((value >> 16) & 0xff);
-  out[3] = static_cast<char>((value >> 24) & 0xff);
-}
-
-uint32_t GetU32Le(const char* in) {
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(in);
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
 }  // namespace
 
 FrameChannel::FrameChannel(int fd) : fd_(fd) {
@@ -126,19 +112,19 @@ Status FrameChannel::SendFaulted(uint32_t type, std::string_view payload,
     }
     corrupt = faults->Fire(FaultSite::kCorruptFrame);
   }
-  char header[12];
-  PutU32Le(header, static_cast<uint32_t>(payload.size()));
-  PutU32Le(header + 4, type);
-  PutU32Le(header + 8, Crc32(payload));
+  ByteWriter header;
+  header.PutU32(static_cast<uint32_t>(payload.size()));
+  header.PutU32(type);
+  header.PutU32(Crc32(payload));
   std::string buffer;
-  buffer.reserve(sizeof(header) + payload.size());
-  buffer.append(header, sizeof(header));
+  buffer.reserve(header.size() + payload.size());
+  buffer.append(header.bytes());
   buffer.append(payload.data(), payload.size());
   if (corrupt && !payload.empty()) {
     // The CRC above covered the clean payload; flipping a byte now means
     // the receiver's check must reject this frame.
     FEDSHAP_LOG(Warning) << "[frame] fault: corrupting frame payload";
-    buffer[sizeof(header)] = static_cast<char>(buffer[sizeof(header)] ^ 0x40);
+    buffer[header.size()] = static_cast<char>(buffer[header.size()] ^ 0x40);
   }
 
   std::lock_guard<std::mutex> lock(send_mutex_);
@@ -212,9 +198,10 @@ Result<std::optional<Frame>> FrameChannel::Recv(int timeout_ms) {
   if (timed_out || clean_eof) {
     return Status::OutOfRange("torn frame header");
   }
-  const uint32_t payload_len = GetU32Le(header);
-  const uint32_t type = GetU32Le(header + 4);
-  const uint32_t crc = GetU32Le(header + 8);
+  ByteReader fields(std::string_view(header, sizeof(header)));
+  const uint32_t payload_len = fields.GetU32().value();
+  const uint32_t type = fields.GetU32().value();
+  const uint32_t crc = fields.GetU32().value();
   if (payload_len > kMaxFramePayload) {
     return Status::OutOfRange("frame payload length implausible");
   }

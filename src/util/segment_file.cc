@@ -17,8 +17,6 @@ namespace fedshap {
 
 namespace {
 
-/// Bytes of the fixed segment header: magic + version + meta.
-constexpr uint64_t kHeaderBytes = 16;
 /// Bytes of a record frame before its payload: length + CRC.
 constexpr uint64_t kRecordFrameBytes = 8;
 /// Bytes of the sealed-segment trailer: footer length + footer magic.
@@ -78,7 +76,7 @@ Result<std::unique_ptr<SegmentWriter>> SegmentWriter::OpenForAppend(
     return Status::NotFound("cannot reopen segment " + path + ": " +
                             ec.message());
   }
-  if (resume_at < kHeaderBytes || resume_at > size) {
+  if (resume_at < kSegmentHeaderBytes || resume_at > size) {
     return Status::InvalidArgument("segment resume offset out of range");
   }
   if (resume_at < size) {
@@ -173,7 +171,7 @@ Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(
     const std::string& path, uint32_t magic, uint32_t max_version) {
   FEDSHAP_ASSIGN_OR_RETURN(std::unique_ptr<MappedFile> file,
                            MappedFile::Open(path));
-  if (file->size() < kHeaderBytes) {
+  if (file->size() < kSegmentHeaderBytes) {
     return Status::InvalidArgument("segment " + path + " has no header");
   }
   const char* base = file->data();
@@ -195,10 +193,10 @@ Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(
 
   // Sealed? The trailer is self-describing: [footer_len][footer_magic]
   // in the last 8 bytes, with the CRC-framed footer right before it.
-  if (size >= kHeaderBytes + 4 + kTrailerBytes &&
+  if (size >= kSegmentHeaderBytes + 4 + kTrailerBytes &&
       ReadU32(base + size - 4) == kSegmentFooterMagic) {
     const uint64_t footer_len = ReadU32(base + size - 8);
-    if (kHeaderBytes + 4 + footer_len + kTrailerBytes <= size) {
+    if (kSegmentHeaderBytes + 4 + footer_len + kTrailerBytes <= size) {
       const uint64_t footer_start = size - kTrailerBytes - footer_len - 4;
       const std::string_view payload(base + footer_start + 4, footer_len);
       if (Crc32(payload) == ReadU32(base + footer_start)) {
@@ -214,7 +212,7 @@ Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(
 
   // Unsealed: walk the records; the valid prefix ends at the first
   // incomplete or checksum-failing frame.
-  uint64_t pos = kHeaderBytes;
+  uint64_t pos = kSegmentHeaderBytes;
   while (pos + kRecordFrameBytes <= size) {
     const uint64_t len = ReadU32(base + pos);
     if (pos + kRecordFrameBytes + len > size) break;  // torn length/payload
@@ -230,7 +228,7 @@ Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(
 Status SegmentReader::ForEachRecord(
     const std::function<Status(uint64_t, std::string_view)>& fn) const {
   const char* base = file_->data();
-  uint64_t pos = kHeaderBytes;
+  uint64_t pos = kSegmentHeaderBytes;
   while (pos + kRecordFrameBytes <= data_end_) {
     const uint64_t len = ReadU32(base + pos);
     if (pos + kRecordFrameBytes + len > data_end_) {
@@ -250,11 +248,14 @@ Status SegmentReader::ForEachRecord(
 
 Result<std::string_view> SegmentReader::RecordAt(uint64_t offset) const {
   const char* base = file_->data();
-  if (offset < kHeaderBytes || offset + kRecordFrameBytes > data_end_) {
+  // Subtract from data_end_ (>= kSegmentHeaderBytes) rather than add to
+  // `offset`: an offset read from a footer may sit anywhere below 2^64.
+  if (offset < kSegmentHeaderBytes ||
+      offset > data_end_ - kRecordFrameBytes) {
     return Status::OutOfRange("record offset outside segment " + path());
   }
   const uint64_t len = ReadU32(base + offset);
-  if (offset + kRecordFrameBytes + len > data_end_) {
+  if (len > data_end_ - offset - kRecordFrameBytes) {
     return Status::OutOfRange("record length outside segment " + path());
   }
   const std::string_view payload(base + offset + kRecordFrameBytes, len);

@@ -38,6 +38,9 @@ namespace fedshap {
 
 /// Magic tag closing a sealed segment's trailer ("FSEG" little-endian).
 inline constexpr uint32_t kSegmentFooterMagic = 0x47455346u;
+/// Bytes of the fixed segment header (magic + version + meta): the
+/// offset of a segment's first record.
+inline constexpr uint64_t kSegmentHeaderBytes = 16;
 
 /// Appends CRC-framed records to a segment file.
 ///

@@ -92,6 +92,34 @@ Result<uint64_t> ByteReader::GetVarint() {
   return Status::InvalidArgument("varint longer than 10 bytes");
 }
 
+Result<uint64_t> ByteReader::GetVarintAtMost(uint64_t max) {
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t value, GetVarint());
+  if (value > max) {
+    return Status::InvalidArgument("decoded value " + std::to_string(value) +
+                                   " exceeds its bound " +
+                                   std::to_string(max));
+  }
+  return value;
+}
+
+Result<uint64_t> ByteReader::GetCount(size_t min_bytes_per_element) {
+  FEDSHAP_ASSIGN_OR_RETURN(uint64_t count, GetVarint());
+  // count * min_bytes > remaining(), without the product overflowing.
+  if (count > remaining() / std::max<size_t>(min_bytes_per_element, 1)) {
+    return Status::InvalidArgument(
+        "decoded count " + std::to_string(count) + " exceeds the " +
+        std::to_string(remaining()) + " bytes left");
+  }
+  return count;
+}
+
+Status ByteReader::CheckAtEnd(std::string_view what) const {
+  if (AtEnd()) return Status::OK();
+  return Status::InvalidArgument(std::string(what) + " has " +
+                                 std::to_string(remaining()) +
+                                 " trailing bytes");
+}
+
 Result<double> ByteReader::GetDouble() {
   FEDSHAP_ASSIGN_OR_RETURN(uint64_t bits, GetU64());
   return std::bit_cast<double>(bits);

@@ -11,8 +11,8 @@ namespace fedshap {
 
 /// \file
 /// Versioned binary serialization primitives shared by every on-disk
-/// artifact of the library (the persistent UtilityStore, resumable-sweep
-/// snapshots). The design goals are the ones persistence forces on us:
+/// artifact (the persistent UtilityStore, resumable-sweep snapshots,
+/// persisted ValuationResults) and every cluster wire payload.
 ///
 ///  - **Self-describing frames.** Every file is `magic + version +
 ///    crc32(payload) + payload`, so a reader can reject foreign files,
@@ -25,6 +25,26 @@ namespace fedshap {
 ///  - **Crash safety.** WriteFileAtomic writes a temp file in the target
 ///    directory and renames it into place; a crash leaves either the old
 ///    file or the new one, never a torn hybrid.
+///
+/// **Decoding contract.** Decoders read bytes this process did not write
+/// (frames from untrusted peers, files from disk), and the bounds policy
+/// lives here rather than beside each call site:
+///
+///  - a count read from the input (a vector length the decoder may
+///    reserve) goes through ByteReader::GetCount, which rejects a count
+///    the remaining bytes cannot hold;
+///  - a field with a range (an index, an int, a 32-bit value, a cursor
+///    into known state) goes through ByteReader::GetVarintAtMost;
+///  - plain GetVarint is left for values without a bound of their own
+///    (seeds, pids, task and segment ids, counters) and for fields
+///    checked against other decoded state once read;
+///  - every decoder of a whole payload or file ends with CheckAtEnd(),
+///    rejecting trailing bytes; a part decoder that reads from its
+///    caller's reader (GetCoalition, DecodeScenarioSpec) leaves that
+///    check to the caller.
+///
+/// Bound violations fail with InvalidArgument; truncation fails with
+/// OutOfRange.
 
 /// Append-only encoder producing a byte string.
 ///
@@ -59,8 +79,8 @@ class ByteWriter {
 ///
 /// Every getter returns OutOfRange instead of reading past the end, so a
 /// truncated file surfaces as a clean error rather than undefined
-/// behavior. The reader does not own the data; the underlying buffer must
-/// outlive it.
+/// behavior; the bounded reads also return InvalidArgument. The reader
+/// does not own the data; the underlying buffer must outlive it.
 class ByteReader {
  public:
   /// Wraps `data` without copying it.
@@ -75,6 +95,15 @@ class ByteReader {
   /// Reads an unsigned LEB128 varint; rejects encodings longer than 10
   /// bytes (the maximum for 64 bits).
   Result<uint64_t> GetVarint();
+  /// Reads a varint for a field whose range the format fixes; fails with
+  /// InvalidArgument above `max` instead of letting a caller truncate it
+  /// into a plausible value.
+  Result<uint64_t> GetVarintAtMost(uint64_t max);
+  /// Reads the length of a sequence whose every element takes at least
+  /// `min_bytes_per_element` (>= 1) bytes; fails with InvalidArgument
+  /// when the remaining bytes cannot hold that many elements. A count
+  /// read this way is safe to reserve.
+  Result<uint64_t> GetCount(size_t min_bytes_per_element);
   /// Reads a double written by ByteWriter::PutDouble.
   Result<double> GetDouble();
   /// Reads a varint length followed by that many raw bytes.
@@ -84,6 +113,9 @@ class ByteReader {
   size_t remaining() const { return data_.size() - pos_; }
   /// True once every byte has been consumed.
   bool AtEnd() const { return pos_ == data_.size(); }
+  /// OK once every byte has been consumed; otherwise InvalidArgument
+  /// saying `what` has trailing bytes.
+  Status CheckAtEnd(std::string_view what) const;
 
  private:
   std::string_view data_;

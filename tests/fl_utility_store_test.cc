@@ -1,7 +1,8 @@
 /// Tests for fl/utility_store.h: open/flush/reopen round-trips across the
 /// segment layout, torn-tail truncation, manifest/stray-segment crash
 /// recovery, rejection of non-store paths, superseding records across
-/// sealed segments, coalition codec edge cases, and the UtilityCache
+/// sealed segments, coalition codec edge cases, record offsets outside a
+/// sealed segment (direct and via its footer), and the UtilityCache
 /// read-through/write-through integration.
 
 #include "fl/utility_store.h"
@@ -16,6 +17,7 @@
 
 #include "test_util.h"
 #include "util/random.h"
+#include "util/segment_file.h"
 
 namespace fedshap {
 namespace {
@@ -75,6 +77,117 @@ TEST(CoalitionCodecTest, RejectsOutOfRangeMembers) {
   writer.PutVarint(256);  // member index 256 >= kMaxClients
   ByteReader reader(writer.bytes());
   EXPECT_FALSE(GetCoalition(reader).ok());
+
+  // A gap that wraps `previous + 1 + gap` past 2^64 back below the
+  // previous member (5 + 1 + (2^64 - 6) = 0) must not decode as {0, 5}.
+  ByteWriter wrapping;
+  wrapping.PutVarint(2);
+  wrapping.PutVarint(5);
+  wrapping.PutVarint(~uint64_t{0} - 5);
+  ByteReader wrapping_reader(wrapping.bytes());
+  Result<Coalition> wrapped = GetCoalition(wrapping_reader);
+  EXPECT_FALSE(wrapped.ok()) << "decoded " << wrapped->ToString();
+
+  // Members past the last index after a valid one are rejected too.
+  ByteWriter past_end;
+  past_end.PutVarint(2);
+  past_end.PutVarint(255);
+  past_end.PutVarint(0);  // member 256
+  ByteReader past_end_reader(past_end.bytes());
+  EXPECT_FALSE(GetCoalition(past_end_reader).ok());
+
+  ByteWriter too_many;
+  too_many.PutVarint(Coalition::kMaxClients + 1);
+  ByteReader too_many_reader(too_many.bytes());
+  EXPECT_EQ(GetCoalition(too_many_reader).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+/// Payload of one store record, as UtilityStore writes it.
+std::string RecordPayload(const Coalition& coalition, double utility) {
+  ByteWriter payload;
+  PutCoalition(payload, coalition);
+  payload.PutDouble(utility);
+  payload.PutDouble(0.0);
+  return payload.bytes();
+}
+
+TEST(SegmentFileTest, RecordAtRejectsOffsetsOutsideTheRecords) {
+  const std::string path = TempPath("record_at.seg");
+  Result<std::unique_ptr<SegmentWriter>> writer =
+      SegmentWriter::Create(path, UtilityStore::kMagic, UtilityStore::kVersion,
+                            /*meta=*/1);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  Result<uint64_t> offset =
+      (*writer)->Append(RecordPayload(Coalition::Of({1}), 0.5));
+  ASSERT_TRUE(offset.ok()) << offset.status();
+  ASSERT_TRUE((*writer)->Seal("footer").ok());
+  Result<std::unique_ptr<SegmentReader>> reader = SegmentReader::Open(
+      path, UtilityStore::kMagic, UtilityStore::kVersion);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_TRUE((*reader)->sealed());
+  EXPECT_TRUE((*reader)->RecordAt(*offset).ok());
+  const uint64_t data_end = (*reader)->data_end();
+  // Offsets near 2^64 wrap `offset + frame bytes` to a small number.
+  for (uint64_t bad : {uint64_t{0}, kSegmentHeaderBytes - 1, data_end,
+                       data_end - 1, ~uint64_t{0} - 3, ~uint64_t{0}}) {
+    EXPECT_EQ((*reader)->RecordAt(bad).status().code(),
+              StatusCode::kOutOfRange)
+        << "offset " << bad;
+  }
+}
+
+TEST(UtilityStoreTest, SealedFooterOffsetOutsideRecordsRejected) {
+  constexpr uint64_t kFingerprint = 23;
+  const Coalition coalition = Coalition::Of({0, 3});
+  const auto write_store = [&](const std::string& path, uint64_t offset) {
+    fs::create_directories(path);
+    Result<std::unique_ptr<SegmentWriter>> writer = SegmentWriter::Create(
+        ActiveSegmentPath(path, 1), UtilityStore::kMagic,
+        UtilityStore::kVersion, kFingerprint);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    ASSERT_TRUE((*writer)->Append(RecordPayload(coalition, 0.25)).ok());
+    // A CRC-valid footer indexing the one coalition at `offset`.
+    ByteWriter footer;
+    footer.PutVarint(1);
+    PutCoalition(footer, coalition);
+    footer.PutVarint(offset);
+    ASSERT_TRUE((*writer)->Seal(footer.bytes()).ok());
+    ByteWriter manifest;
+    manifest.PutU64(kFingerprint);
+    manifest.PutVarint(2);  // active segment id (not created yet)
+    manifest.PutVarint(1);  // one sealed segment: id 1
+    manifest.PutVarint(1);
+    ASSERT_TRUE(WriteFileAtomic(path + "/MANIFEST",
+                                EncodeFramed(UtilityStore::kManifestMagic,
+                                             UtilityStore::kVersion,
+                                             manifest.bytes()))
+                    .ok());
+  };
+
+  // The hand-built store is well formed with the record's real offset.
+  const std::string good = TempPath("footer_offset_good.fsus");
+  write_store(good, kSegmentHeaderBytes);
+  {
+    Result<std::unique_ptr<UtilityStore>> store =
+        UtilityStore::Open(good, kFingerprint);
+    ASSERT_TRUE(store.ok()) << store.status();
+    UtilityRecord record;
+    ASSERT_TRUE((*store)->Lookup(coalition, &record));
+    EXPECT_EQ(record.utility, 0.25);
+  }
+
+  const uint64_t data_end = kSegmentHeaderBytes + 8 +
+                            RecordPayload(coalition, 0.25).size();
+  for (uint64_t bad : {uint64_t{0}, kSegmentHeaderBytes - 1, data_end,
+                       ~uint64_t{0} - 3}) {
+    const std::string path = TempPath("footer_offset_bad.fsus");
+    write_store(path, bad);
+    Result<std::unique_ptr<UtilityStore>> store =
+        UtilityStore::Open(path, kFingerprint);
+    EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument)
+        << "offset " << bad;
+  }
 }
 
 TEST(UtilityStoreTest, OpensEmptyWhenFileMissing) {

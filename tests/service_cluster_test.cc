@@ -8,6 +8,7 @@
 // wrapper over fedshapd itself.
 
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <filesystem>
 #include <memory>
@@ -818,6 +819,80 @@ TEST(ClusterProtocolTest, WorkerRejectsOutOfRangeWelcomeShard) {
   EXPECT_EQ(worker.Run().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(worker.welcomed());
   EXPECT_EQ(worker.shard(), -1);
+}
+
+// Every payload codec is callable without a socket and round-trips its
+// fields exactly, the coordinator's and the worker's sides alike.
+TEST(ClusterProtocolTest, PayloadCodecsRoundTrip) {
+  Result<WorkerWelcome> welcome = DecodeWelcome(EncodeWelcome({.shard = 5}));
+  ASSERT_TRUE(welcome.ok()) << welcome.status();
+  EXPECT_EQ(welcome->protocol_version, kClusterProtocolVersion);
+  EXPECT_EQ(welcome->shard, 5);
+
+  Result<std::string> reject = DecodeReject(EncodeReject("version skew"));
+  ASSERT_TRUE(reject.ok()) << reject.status();
+  EXPECT_EQ(*reject, "version skew");
+
+  WorkloadAnnouncement announced{"digits/4/7", LinregScenario(4, 7), 99};
+  Result<WorkloadAnnouncement> workload =
+      DecodeWorkload(EncodeWorkload(announced));
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  EXPECT_EQ(workload->key, announced.key);
+  EXPECT_EQ(workload->scenario.CanonicalKey(),
+            announced.scenario.CanonicalKey());
+  EXPECT_EQ(workload->fingerprint, 99u);
+
+  Result<TaskAssignment> assign = DecodeAssign(
+      EncodeAssign({1ull << 40, "linreg/4/11", Coalition::Of({0, 2, 255})}));
+  ASSERT_TRUE(assign.ok()) << assign.status();
+  EXPECT_EQ(assign->task_id, 1ull << 40);
+  EXPECT_EQ(assign->workload_key, "linreg/4/11");
+  EXPECT_EQ(assign->coalition, Coalition::Of({0, 2, 255}));
+
+  Result<TaskResult> result =
+      DecodeResult(EncodeResult({12, 0xFEEDull, {-0.0, 1.5}, true}));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->task_id, 12u);
+  EXPECT_EQ(result->coalition_hash, 0xFEEDull);
+  EXPECT_TRUE(std::signbit(result->record.utility));
+  EXPECT_EQ(result->record.cost_seconds, 1.5);
+  EXPECT_TRUE(result->fresh);
+
+  Result<TaskError> error = DecodeError(EncodeError({13, "boom"}));
+  ASSERT_TRUE(error.ok()) << error.status();
+  EXPECT_EQ(error->task_id, 13u);
+  EXPECT_EQ(error->message, "boom");
+}
+
+// Every payload decoder consumes its whole payload: a trailing byte is
+// InvalidArgument and every strict prefix fails too.
+TEST(ClusterProtocolTest, PayloadDecodersRejectTrailingBytes) {
+  WorkerRegistration registration;
+  registration.shard = 2;
+  registration.workloads = {{"linreg/4/11", 7}};
+  const auto expect_strict = [](const std::string& name,
+                                const std::string& payload, auto decode) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(decode(payload).ok());
+    EXPECT_EQ(decode(payload + '\0').status().code(),
+              StatusCode::kInvalidArgument);
+    for (size_t length = 0; length < payload.size(); ++length) {
+      EXPECT_FALSE(decode(payload.substr(0, length)).ok()) << length;
+    }
+  };
+  expect_strict("Register", EncodeWorkerRegistration(registration),
+                DecodeWorkerRegistration);
+  expect_strict("Welcome", EncodeWelcome({.shard = 3}), DecodeWelcome);
+  expect_strict("Reject", EncodeReject("no"), DecodeReject);
+  expect_strict("Workload",
+                EncodeWorkload({"linreg/4/11", LinregScenario(4), 17}),
+                DecodeWorkload);
+  expect_strict("Assign",
+                EncodeAssign({4, "linreg/4/11", Coalition::Of({1, 3})}),
+                DecodeAssign);
+  expect_strict("Result", EncodeResult({5, 6, {0.5, 0.25}, false}),
+                DecodeResult);
+  expect_strict("Error", EncodeError({6, "failed"}), DecodeError);
 }
 
 // A worker speaking a different protocol version is vetoed at the

@@ -1,6 +1,7 @@
 /// Tests for util/serialization.h: byte-codec round-trips (fixed-width,
-/// varint, double, string), CRC behavior, framed encode/decode error
-/// paths, the content hasher, and atomic file IO.
+/// varint, double, string), the bounded varint and count reads, CRC
+/// behavior, framed encode/decode error paths, the content hasher, and
+/// atomic file IO.
 
 #include "util/serialization.h"
 
@@ -107,6 +108,67 @@ TEST(ByteCodecTest, OverlongVarintRejected) {
   std::string bad(11, static_cast<char>(0x80));
   ByteReader reader(bad);
   EXPECT_FALSE(reader.GetVarint().ok());
+}
+
+TEST(ByteCodecTest, GetVarintAtMostBoundsTheValue) {
+  constexpr uint64_t kMax = 300;
+  const uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
+  ByteWriter writer;
+  writer.PutVarint(kMax);
+  writer.PutVarint(kMax + 1);
+  writer.PutVarint(kMaxU64);
+  writer.PutVarint(kMaxU64);
+  ByteReader reader(writer.bytes());
+  Result<uint64_t> at_max = reader.GetVarintAtMost(kMax);
+  ASSERT_TRUE(at_max.ok()) << at_max.status();
+  EXPECT_EQ(*at_max, kMax);
+  EXPECT_EQ(reader.GetVarintAtMost(kMax).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(reader.GetVarintAtMost(kMax).status().code(),
+            StatusCode::kInvalidArgument);
+  // The full 64-bit range is a valid bound.
+  Result<uint64_t> widest = reader.GetVarintAtMost(kMaxU64);
+  ASSERT_TRUE(widest.ok()) << widest.status();
+  EXPECT_EQ(*widest, kMaxU64);
+  EXPECT_TRUE(reader.AtEnd());
+  // Truncation stays OutOfRange.
+  EXPECT_EQ(reader.GetVarintAtMost(kMax).status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(ByteCodecTest, GetCountRejectsCountsTheInputCannotHold) {
+  // Three 8-byte elements follow the count: 3 fits exactly, 4 does not.
+  for (uint64_t count : {uint64_t{3}, uint64_t{4}}) {
+    ByteWriter writer;
+    writer.PutVarint(count);
+    for (int i = 0; i < 3; ++i) writer.PutDouble(i);
+    ByteReader reader(writer.bytes());
+    Result<uint64_t> read = reader.GetCount(8);
+    if (count == 3) {
+      ASSERT_TRUE(read.ok()) << read.status();
+      EXPECT_EQ(*read, 3u);
+      EXPECT_EQ(reader.remaining(), 24u);
+    } else {
+      EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  // count * min_bytes wraps to 0 in 64 bits (2^61 * 8); the check must
+  // not be fooled into accepting it.
+  ByteWriter overflow;
+  overflow.PutVarint(uint64_t{1} << 61);
+  overflow.PutDouble(1.0);
+  ByteReader overflow_reader(overflow.bytes());
+  EXPECT_EQ(overflow_reader.GetCount(8).status().code(),
+            StatusCode::kInvalidArgument);
+  // An empty sequence at the end of the input is fine.
+  ByteWriter empty;
+  empty.PutVarint(0);
+  ByteReader empty_reader(empty.bytes());
+  Result<uint64_t> none = empty_reader.GetCount(8);
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_EQ(*none, 0u);
+  EXPECT_EQ(ByteReader("").GetCount(1).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(Crc32Test, KnownVectorAndSensitivity) {
