@@ -27,8 +27,17 @@ void Dataset::Reserve(size_t rows) {
   labels_.reserve(labels_.size() + rows);
 }
 
+void Dataset::CheckTarget(float target) const {
+  if (num_classes_ == 0) return;
+  // std::lround maps exactly (-0.5, n - 0.5) into [0, n); NaN fails both
+  // comparisons.
+  const double t = target;
+  FEDSHAP_CHECK(t > -0.5 && t < num_classes_ - 0.5);
+}
+
 void Dataset::Append(const float* features, float target) {
   FEDSHAP_CHECK(num_features_ > 0);
+  CheckTarget(target);
   for (int f = 0; f < num_features_; ++f) {
     columns_[f].push_back(features[f]);
   }
@@ -44,11 +53,17 @@ void Dataset::CopyRow(size_t i, float* out) const {
   for (int f = 0; f < num_features_; ++f) out[f] = columns_[f][i];
 }
 
+void Dataset::SetTarget(size_t i, float target) {
+  CheckTarget(target);
+  labels_[i] = target;
+}
+
 int Dataset::ClassLabel(size_t i) const {
   FEDSHAP_CHECK(num_classes_ > 0);
-  int label = static_cast<int>(std::lround(labels_[i]));
-  FEDSHAP_DCHECK(label >= 0 && label < num_classes_);
-  return label;
+  // Every target lies in (-0.5, num_classes_ - 0.5) (CheckTarget), where
+  // truncating target + 0.5, exact in double, is std::lround without the
+  // libm call.
+  return static_cast<int>(static_cast<double>(labels_[i]) + 0.5);
 }
 
 Dataset Dataset::Subset(const std::vector<size_t>& indices) const {

@@ -49,6 +49,8 @@ class Dataset {
   void Reserve(size_t rows);
 
   /// Appends one example. `features` must contain num_features() values.
+  /// A classification target must round to a class id in
+  /// [0, num_classes()); anything else is a fatal error.
   void Append(const float* features, float target);
   /// Appends one example from a vector of num_features() values.
   void Append(const std::vector<float>& features, float target);
@@ -70,10 +72,12 @@ class Dataset {
 
   /// Target value of row i (class id as float, or regression value).
   float Target(size_t i) const { return labels_[i]; }
-  /// Overwrites the target value of row i.
-  void SetTarget(size_t i, float target) { labels_[i] = target; }
+  /// Overwrites the target value of row i, under Append's check.
+  void SetTarget(size_t i, float target);
 
-  /// Class id of row i; only valid for classification datasets.
+  /// Class id of row i (its target rounded half away from zero, as
+  /// std::lround does); only valid for classification datasets. Always in
+  /// [0, num_classes()): Append and SetTarget admit no other target.
   int ClassLabel(size_t i) const;
 
   /// Contiguous target storage (size() floats).
@@ -114,6 +118,10 @@ class Dataset {
   uint64_t Fingerprint() const;
 
  private:
+  /// Fails fatally unless `target` is a regression value or rounds to a
+  /// class id in [0, num_classes_).
+  void CheckTarget(float target) const;
+
   Dataset(int num_features, int num_classes)
       : num_features_(num_features), num_classes_(num_classes),
         columns_(static_cast<size_t>(num_features)) {}

@@ -28,11 +28,14 @@ namespace fedshap {
 /// fixed backend, results are bit-identical across runs and across
 /// worker counts. GEMM-shaped kernels (MatMul/MatTMat/AddOuterBatch)
 /// agree with the scalar backend within the tolerance contract of
-/// ml/matrix.h (kKernelAbsTol/kKernelRelTol); MatMulFromTransposes
-/// matches the same backend's MatMul bit for bit; element-wise kernels
+/// ml/matrix.h (kKernelAbsTol/kKernelRelTol); element-wise kernels
 /// (bias/ReLU/softmax rows, ColumnSums, the fused SGD steps) perform the
 /// reference arithmetic per element in the reference order and match the
-/// scalar backend to float rounding. Persisted utility stores are
+/// scalar backend to float rounding. The fused logistic-regression step
+/// (LogRegGradient) matches the same backend's composition of those
+/// kernels bit for bit, so its trained bits differ between backends
+/// exactly where that backend's MatMul and AddOuterBatch round
+/// differently. Persisted utility stores are
 /// addressed by workload fingerprint only, so they are portable across
 /// backends *within that tolerance*; pin FEDSHAP_KERNEL_BACKEND=scalar
 /// when bit-exact cross-machine reproduction matters (the golden-value

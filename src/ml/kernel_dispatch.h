@@ -22,11 +22,13 @@ struct KernelTable {
   /// MatMul/MatMulAcc/MatTMat.
   void (*mat_mul_body)(const float* a, size_t m, size_t k, const float* b,
                        size_t n, float* c);
-  /// Body of MatMulFromTransposes: c = a * b from at = a^T (k x m) and
-  /// bt = b^T (n x k), overwriting c without reading it. Bit-identical
-  /// to `mat_mul_body` of the same table run on a zeroed c.
-  void (*mat_mul_from_transposes_body)(const float* at, size_t m, size_t k,
-                                       const float* bt, size_t n, float* c);
+  /// Backend body of LogRegGradient: the whole logistic-regression
+  /// minibatch step, writing every element of `grad`. Bit-identical to
+  /// the same table's mat_mul_body, add_bias_rows, softmax_rows,
+  /// add_outer_batch and column_sums composed (see LogRegGradient).
+  double (*logreg_gradient)(const float* xb, const float* xt, size_t bsz,
+                            size_t dim, const float* params, size_t classes,
+                            const int* labels, float* grad);
   /// Body of GatherRowsAndColumns: copies rows batch[0 .. bsz) of the
   /// `dim` feature columns into `rows` (bsz x dim, row-major) and `cols`
   /// (dim x bsz, its transpose). A pure copy on every backend.
@@ -56,6 +58,27 @@ struct KernelTable {
   /// Backend body of AddProximal.
   void (*add_proximal)(float* g, const float* p, const float* ref, size_t n,
                        float mu);
+};
+
+/// The per-class lanes of one 8-row block of the logistic-regression
+/// step: classes x 8 floats, on the stack for up to 64 classes and on the
+/// heap beyond, so any class count works. Not zeroed: the step writes
+/// every lane before it reads one. The constructor and destructor are
+/// defined in matrix.cc, so no allocator code is compiled with a vector
+/// backend's ISA flags (and linked into the scalar path).
+class ClassLanes {
+ public:
+  explicit ClassLanes(size_t classes);
+  ~ClassLanes();
+  ClassLanes(const ClassLanes&) = delete;
+  ClassLanes& operator=(const ClassLanes&) = delete;
+
+  float* data() { return heap_ != nullptr ? heap_ : stack_; }
+
+ private:
+  static constexpr size_t kStackClasses = 64;
+  alignas(32) float stack_[kStackClasses * 8];
+  float* heap_ = nullptr;
 };
 
 /// The portable scalar table (matrix.cc). Always present; also the

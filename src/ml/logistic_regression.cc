@@ -102,44 +102,25 @@ double LogisticRegression::ComputeGradient(const Dataset& data,
 double LogisticRegression::ComputeGradientBatched(
     const Dataset& data, const std::vector<size_t>& batch,
     std::vector<float>& grad) const {
-  grad.assign(params_.size(), 0.0f);
-  if (batch.empty()) return 0.0;
-  const size_t bsz = batch.size();
-  const size_t dim = static_cast<size_t>(dim_);
-  const size_t classes = static_cast<size_t>(num_classes_);
-  const size_t weight_count = classes * dim;
-  const float inv = 1.0f / static_cast<float>(bsz);
-
-  // X (batch x dim) feeds the weight gradient, X^T (dim x batch) the
-  // logits.
-  static thread_local AlignedFloats xb, xt, probs;
-  GatherRowsAndColumns(data, batch, xb, xt);
-
-  // Logits = X * W^T + b, then softmax over each row. The product runs
-  // from X^T and W as stored, with the batch rows in the vector lanes:
-  // there are too few classes to fill them.
-  probs.resize(bsz * classes);
-  MatMulFromTransposes(xt.data(), bsz, dim, params_.data(), classes,
-                       probs.data());
-  AddBiasRows(probs.data(), bsz, classes, params_.data() + weight_count);
-  SoftmaxRows(probs.data(), bsz, classes);
-
-  // Loss, then turn probs into the logit deltas in place.
-  double total_loss = 0.0;
-  for (size_t i = 0; i < bsz; ++i) {
-    const int label = data.ClassLabel(batch[i]);
-    float* row = probs.data() + i * classes;
-    total_loss += -std::log(std::max(row[label], 1e-12f));
-    row[label] -= 1.0f;
+  if (batch.empty()) {
+    grad.assign(params_.size(), 0.0f);
+    return 0.0;
   }
-
-  // grad_W = delta^T * X / bsz (the averaging rides along as alpha),
-  // grad_b = column sums of delta, averaged after.
-  AddOuterBatch(grad.data(), classes, dim, inv, probs.data(), xb.data(),
-                bsz);
-  ColumnSums(probs.data(), bsz, classes, grad.data() + weight_count);
-  for (size_t c = 0; c < classes; ++c) grad[weight_count + c] *= inv;
-  return total_loss / static_cast<double>(bsz);
+  // X (batch x dim) feeds the weight gradient, X^T (dim x batch) the
+  // logits; LogRegGradient writes every element of grad.
+  static thread_local AlignedFloats xb, xt;
+  static thread_local std::vector<int> labels;
+  GatherRowsAndColumns(data, batch, xb, xt);
+  labels.resize(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    labels[i] = data.ClassLabel(batch[i]);
+    FEDSHAP_CHECK(labels[i] < num_classes_);
+  }
+  grad.resize(params_.size());
+  return LogRegGradient(xb.data(), xt.data(), batch.size(),
+                        static_cast<size_t>(dim_), params_.data(),
+                        static_cast<size_t>(num_classes_), labels.data(),
+                        grad.data());
 }
 
 void LogisticRegression::Predict(const float* features,

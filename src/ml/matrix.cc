@@ -119,7 +119,7 @@ void MatMulBody(const float* __restrict a, size_t m, size_t k,
   }
 }
 
-/// Output rows one MatMulFromTransposes block keeps in its accumulator.
+/// Batch rows one block of the logistic-regression step holds per class.
 constexpr size_t kRowBlock = 8;
 
 /// acc[r] += x[r] * w[kk] for every k step, one product at a time: the
@@ -148,33 +148,6 @@ void AddPairs(const float* __restrict x, size_t ld, size_t k,
     for (size_t r = 0; r < rows; ++r) acc[r] += x0[r] * w0 + x1[r] * w1;
   }
   if (kk < k) AddSingles(x + kk * ld, ld, 1, w + kk, rows, acc);
-}
-
-/// c = a * b from at = a^T (k x m) and bt = b^T (n x k), with the batch
-/// rows of `at` in the vector lanes. Per output element it adds the same
-/// terms in the same order, from the same +0, as MatMulBody on a zeroed
-/// c, so the two are bit-identical.
-void MatMulFromTransposesBody(const float* __restrict at, size_t m,
-                              size_t k, const float* __restrict bt, size_t n,
-                              float* __restrict c) {
-  const size_t tiled = m & ~size_t{3};
-  for (size_t i0 = 0; i0 < m; i0 += kRowBlock) {
-    const size_t rows = std::min(kRowBlock, m - i0);
-    const size_t pair_rows = i0 < tiled ? std::min(rows, tiled - i0) : 0;
-    for (size_t j = 0; j < n; ++j) {
-      const float* w = bt + j * k;
-      float acc[kRowBlock] = {};
-      if (pair_rows == kRowBlock) {
-        // The common full block, at a constant width that vectorizes.
-        AddPairs(at + i0, m, k, w, kRowBlock, acc);
-      } else {
-        AddPairs(at + i0, m, k, w, pair_rows, acc);
-        AddSingles(at + i0 + pair_rows, m, k, w, rows - pair_rows,
-                   acc + pair_rows);
-      }
-      for (size_t r = 0; r < rows; ++r) c[(i0 + r) * n + j] = acc[r];
-    }
-  }
 }
 
 void GatherRowsAndColumnsScalar(const float* const* columns, size_t dim,
@@ -322,16 +295,78 @@ void AddProximalScalar(float* __restrict g, const float* __restrict p,
   for (size_t i = 0; i < n; ++i) g[i] += mu * (p[i] - ref[i]);
 }
 
+/// The logistic-regression step, kRowBlock batch rows at a time, in the
+/// composition's own kernels: the block's logits z (rows x classes) come
+/// from the same products in the same order as MatMulBody on X and W^T
+/// (k in pairs for rows inside its 4-row tiles, i < bsz & ~3, one product
+/// at a time for the rest), then SoftmaxRowsScalar, the loss loop, and
+/// AddOuterBatchScalar and a row-order sum of the block's deltas. Batch
+/// pairs never straddle a block, since blocks start at even rows. The
+/// reference body zero-fills grad and accumulates.
+double LogRegGradientScalar(const float* __restrict xb,
+                            const float* __restrict xt, size_t bsz,
+                            size_t dim, const float* __restrict params,
+                            size_t classes, const int* __restrict labels,
+                            float* __restrict grad) {
+  const size_t weight_count = classes * dim;
+  const float* bias = params + weight_count;
+  float* grad_b = grad + weight_count;
+  const float inv = 1.0f / static_cast<float>(bsz);
+  const size_t tiled = bsz & ~size_t{3};
+  std::fill(grad, grad + weight_count + classes, 0.0f);
+  internal::ClassLanes lanes(classes);
+  float* z = lanes.data();
+  double total_loss = 0.0;
+  for (size_t i0 = 0; i0 < bsz; i0 += kRowBlock) {
+    const size_t rows = std::min(kRowBlock, bsz - i0);
+    const size_t pair_rows = i0 < tiled ? std::min(rows, tiled - i0) : 0;
+    for (size_t j = 0; j < classes; ++j) {
+      const float* w = params + j * dim;
+      float acc[kRowBlock] = {};
+      if (pair_rows == kRowBlock) {
+        // The common full block, at a constant width that vectorizes.
+        AddPairs(xt + i0, bsz, dim, w, kRowBlock, acc);
+      } else {
+        AddPairs(xt + i0, bsz, dim, w, pair_rows, acc);
+        AddSingles(xt + i0 + pair_rows, bsz, dim, w, rows - pair_rows,
+                   acc + pair_rows);
+      }
+      for (size_t r = 0; r < rows; ++r) {
+        z[r * classes + j] = acc[r] + bias[j];
+      }
+    }
+    SoftmaxRowsScalar(z, rows, classes);
+    for (size_t r = 0; r < rows; ++r) {
+      float& p = z[r * classes + labels[i0 + r]];
+      total_loss += -std::log(std::max(p, 1e-12f));
+      p -= 1.0f;
+    }
+    for (size_t j = 0; j < classes; ++j) {
+      float sum = grad_b[j];
+      for (size_t r = 0; r < rows; ++r) sum += z[r * classes + j];
+      grad_b[j] = sum;
+    }
+    AddOuterBatchScalar(grad, classes, dim, inv, z, xb + i0 * dim, rows);
+  }
+  for (size_t j = 0; j < classes; ++j) grad_b[j] *= inv;
+  return total_loss / static_cast<double>(bsz);
+}
+
 const internal::KernelTable kScalarTable = {
-    MatMulBody,          MatMulFromTransposesBody, GatherRowsAndColumnsScalar,
-    AddOuterBatchScalar, AddBiasRowsScalar,        AddBiasReluRowsScalar,
-    ReluMaskBackwardScalar, SoftmaxRowsScalar,     ColumnSumsScalar,
-    SgdStepScalar,       SgdMomentumStepScalar,    AddProximalScalar,
+    MatMulBody,          LogRegGradientScalar,   GatherRowsAndColumnsScalar,
+    AddOuterBatchScalar, AddBiasRowsScalar,      AddBiasReluRowsScalar,
+    ReluMaskBackwardScalar, SoftmaxRowsScalar,   ColumnSumsScalar,
+    SgdStepScalar,       SgdMomentumStepScalar,  AddProximalScalar,
 };
 
 }  // namespace
 
 namespace internal {
+
+ClassLanes::ClassLanes(size_t classes)
+    : heap_(classes > kStackClasses ? new float[classes * 8] : nullptr) {}
+
+ClassLanes::~ClassLanes() { delete[] heap_; }
 
 const KernelTable& ScalarKernelTable() { return kScalarTable; }
 
@@ -351,11 +386,12 @@ void MatMul(const float* __restrict a, size_t m, size_t k,
   internal::ActiveKernelTable().mat_mul_body(a, m, k, b, n, c);
 }
 
-void MatMulFromTransposes(const float* __restrict at, size_t m, size_t k,
-                          const float* __restrict bt, size_t n,
-                          float* __restrict c) {
-  internal::ActiveKernelTable().mat_mul_from_transposes_body(at, m, k, bt, n,
-                                                             c);
+double LogRegGradient(const float* __restrict xb, const float* __restrict xt,
+                      size_t bsz, size_t dim, const float* __restrict params,
+                      size_t classes, const int* __restrict labels,
+                      float* __restrict grad) {
+  return internal::ActiveKernelTable().logreg_gradient(
+      xb, xt, bsz, dim, params, classes, labels, grad);
 }
 
 void MatTMat(const float* __restrict a, size_t m, size_t k,

@@ -18,7 +18,8 @@ namespace fedshap {
 ///  - a minimal dense row-major `Matrix` plus the historical per-example
 ///    kernels (`MatVec`, `MatTVec`, `Rank1Update`, `SolveLinearSystem`);
 ///  - the *batched* kernels (`MatMul`, `MatTMat`, `AddOuterBatch`, the
-///    fused bias/activation/softmax helpers and the fused SGD update
+///    fused bias/activation/softmax helpers, the one-pass
+///    logistic-regression step `LogRegGradient` and the fused SGD update
 ///    steps) that the models' `ComputeGradientBatched` paths and
 ///    `TrainSgd` are built on. They operate on raw row-major float
 ///    buffers so models can address slices of their flat parameter
@@ -125,21 +126,6 @@ void MatMul(const float* __restrict a, size_t m, size_t k,
 void MatMulAcc(const float* __restrict a, size_t m, size_t k,
                const float* __restrict b, size_t n, float* __restrict c);
 
-/// c = a * b (m x n, overwritten) from the operands' transposes: `at` is
-/// a^T (k x m) and `bt` is b^T (n x k). Bit-identical to
-/// MatMul(a, m, k, b, n, c) on every backend: per output element it adds
-/// the same products in the same order with the same rounding (k in
-/// pairs for rows inside MatMul's 4-row tiles, one product at a time for
-/// the last m % 4 rows and an odd last k; FMA exactly in the columns
-/// where the AVX2 MatMul fuses). What changes is the vector axis: the m
-/// rows of `at` fill the lanes, so a product with fewer columns than
-/// lanes — the logistic-regression logits, batch x classes — still runs
-/// vectorized, and a weight matrix stored classes x dim is used in place
-/// without a Transpose.
-void MatMulFromTransposes(const float* __restrict at, size_t m, size_t k,
-                          const float* __restrict bt, size_t n,
-                          float* __restrict c);
-
 /// c = a^T * b with a: m x k, b: m x n, c: k x n (overwritten). The
 /// transpose-side product of the gradient paths (weight gradient =
 /// deltas^T * activations), implemented as an internal transpose of `a`
@@ -156,6 +142,26 @@ void MatTMat(const float* __restrict a, size_t m, size_t k,
 void AddOuterBatch(float* __restrict acc, size_t rows, size_t cols,
                    float alpha, const float* __restrict a,
                    const float* __restrict b, size_t batch);
+
+/// The logistic-regression minibatch step in one pass: softmax
+/// cross-entropy of the logits X * W^T + b against `labels`, and its
+/// gradient. `xb` is X (bsz x dim) and `xt` its transpose X^T (dim x
+/// bsz), as GatherRowsAndColumns fills them; `params` holds W (classes x
+/// dim, row-major) then the classes biases b; `labels` holds bsz class
+/// ids in [0, classes). Writes every element of `grad` (the layout of
+/// `params`: grad_W = deltas^T * X / bsz, then grad_b = column sums of
+/// deltas / bsz) and returns the average loss. Requires bsz >= 1.
+///
+/// Bit-identical, on each backend, to that backend's Transpose + MatMul
+/// + AddBiasRows + SoftmaxRows + loss loop + AddOuterBatch (alpha
+/// 1/bsz) + ColumnSums composition: every element takes the same
+/// operations in the same order. The batch rows fill the vector lanes
+/// eight at a time, each class's logits stay a vector of those rows, and
+/// the probabilities never leave the block they were computed in.
+double LogRegGradient(const float* __restrict xb, const float* __restrict xt,
+                      size_t bsz, size_t dim, const float* __restrict params,
+                      size_t classes, const int* __restrict labels,
+                      float* __restrict grad);
 
 /// out = a^T with a: rows x cols, out: cols x rows (overwritten). Used to
 /// feed row-major weight matrices to MatMul's saxpy layout.

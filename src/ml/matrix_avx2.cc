@@ -14,6 +14,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -241,126 +242,70 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
   }
 }
 
-/// Writes a . b to kCols consecutive columns of up to 8 output rows, one
-/// lane per row: `x` is the rows' slice of a^T (row stride `ld`, lanes
-/// past `rows` unread), `w` the columns' first row of b^T (row stride
-/// `k`), `c` the rows' first element of those columns (row stride `n`).
-/// The columns share each load of x and give the core kCols independent
-/// add chains. kPairs selects the rounding MatMulBodyAvx2 gives rows
-/// inside its 4-row tiles (k in pairs, then an odd k alone) over the
-/// one-product-at-a-time rounding of the remaining rows; kFused selects
-/// its FMA lanes over its unfused scalar tail columns.
-template <bool kPairs, bool kFused, int kCols>
-void RowBlockColumns(const float* x, size_t ld, size_t k, const float* w,
-                     size_t n, float* c, int rows) {
-  const __m256i load = _mm256_cmpgt_epi32(
-      _mm256_set1_epi32(rows), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  __m256 acc[kCols];
-  for (int j = 0; j < kCols; ++j) acc[j] = _mm256_setzero_ps();
-  size_t kk = 0;
-  if constexpr (kPairs) {
-    for (; kk + 2 <= k; kk += 2) {
-      const __m256 x0 = _mm256_maskload_ps(x + kk * ld, load);
-      const __m256 x1 = _mm256_maskload_ps(x + (kk + 1) * ld, load);
-#pragma GCC unroll 4
-      for (int j = 0; j < kCols; ++j) {
-        const __m256 w0 = _mm256_broadcast_ss(w + j * k + kk);
-        const __m256 w1 = _mm256_broadcast_ss(w + j * k + kk + 1);
-        if constexpr (kFused) {
-          acc[j] = _mm256_fmadd_ps(x0, w0, _mm256_fmadd_ps(x1, w1, acc[j]));
-        } else {
-          acc[j] = _mm256_add_ps(
-              acc[j],
-              _mm256_add_ps(_mm256_mul_ps(x0, w0), _mm256_mul_ps(x1, w1)));
-        }
-      }
-    }
-  }
-  for (; kk < k; ++kk) {
-    const __m256 x0 = _mm256_maskload_ps(x + kk * ld, load);
-#pragma GCC unroll 4
-    for (int j = 0; j < kCols; ++j) {
-      const __m256 w0 = _mm256_broadcast_ss(w + j * k + kk);
-      if constexpr (kFused) {
-        acc[j] = _mm256_fmadd_ps(x0, w0, acc[j]);
-      } else {
-        acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(x0, w0));
-      }
-    }
-  }
-  alignas(32) float cols[kCols][8];
-  for (int j = 0; j < kCols; ++j) _mm256_store_ps(cols[j], acc[j]);
-  for (int r = 0; r < rows; ++r) {
-    for (int j = 0; j < kCols; ++j) c[r * n + j] = cols[j][r];
-  }
+/// f0 == 0 && f1 == 0, zeros of either sign, as one integer test: the
+/// float compares cost a flag-juggling sequence each.
+inline bool BothZero(float f0, float f1) {
+  return ((std::bit_cast<uint32_t>(f0) | std::bit_cast<uint32_t>(f1)) << 1) ==
+         0;
 }
 
-/// All n columns of up to 8 output rows with one rounding, four columns
-/// at a time: MatMulBodyAvx2's FMA columns (a multiple of 8), then its
-/// scalar tail.
-template <bool kPairs>
-void RowBlock(const float* x, size_t ld, size_t k, const float* bt,
-              size_t n, float* c, int rows) {
-  const size_t fused = n & ~size_t{7};
-  size_t j = 0;
-  for (; j < fused; j += 4) {
-    RowBlockColumns<kPairs, true, 4>(x, ld, k, bt + j * k, n, c + j, rows);
+/// AddOuterBatch's scalar tail on `singles` columns of one output row
+/// (`crow`, `b` at the first of them): batch pairs, the zero-pair skip,
+/// then `c + (f0*b0 + f1*b1)` unfused; an odd last row adds `f*b`. With
+/// `overwrite` the columns start from +0 instead of their content.
+void AddOuterSingles(float* crow, const float* a, size_t a_stride,
+                     float alpha, const float* b, size_t cols, size_t batch,
+                     size_t singles, bool overwrite) {
+  if (overwrite) {
+    for (size_t c = 0; c < singles; ++c) crow[c] = 0.0f;
   }
-  for (; j + 4 <= n; j += 4) {
-    RowBlockColumns<kPairs, false, 4>(x, ld, k, bt + j * k, n, c + j, rows);
+  size_t s = 0;
+  for (; s + 2 <= batch; s += 2) {
+    const float f0 = alpha * a[s * a_stride];
+    const float f1 = alpha * a[(s + 1) * a_stride];
+    if (BothZero(f0, f1)) continue;
+    const float* b0 = b + s * cols;
+    const float* b1 = b0 + cols;
+    for (size_t c = 0; c < singles; ++c) crow[c] += f0 * b0[c] + f1 * b1[c];
   }
-  for (; j < n; ++j) {
-    RowBlockColumns<kPairs, false, 1>(x, ld, k, bt + j * k, n, c + j, rows);
-  }
-}
-
-/// c = a * b from at = a^T (k x m) and bt = b^T (n x k), with eight
-/// output rows in the lanes instead of MatMulBodyAvx2's eight columns.
-/// Per output element it reproduces MatMulBodyAvx2's rounding sequence
-/// on a zeroed c, fused columns included, so the two are bit-identical.
-void MatMulFromTransposesBodyAvx2(const float* __restrict at, size_t m,
-                                  size_t k, const float* __restrict bt,
-                                  size_t n, float* __restrict c) {
-  const size_t tiled = m & ~size_t{3};
-  for (size_t i0 = 0; i0 < m; i0 += 8) {
-    const size_t rows = std::min<size_t>(8, m - i0);
-    const size_t pair_rows = i0 < tiled ? std::min(rows, tiled - i0) : 0;
-    if (pair_rows > 0) {
-      RowBlock<true>(at + i0, m, k, bt, n, c + i0 * n,
-                     static_cast<int>(pair_rows));
-    }
-    if (rows > pair_rows) {
-      const size_t i1 = i0 + pair_rows;
-      RowBlock<false>(at + i1, m, k, bt, n, c + i1 * n,
-                      static_cast<int>(rows - pair_rows));
-    }
+  if (s < batch) {
+    const float f = alpha * a[s * a_stride];
+    if (f == 0.0f) return;
+    const float* brow = b + s * cols;
+    for (size_t c = 0; c < singles; ++c) crow[c] += f * brow[c];
   }
 }
 
 /// AddOuterBatch on one output row's block of kVecs 8-lane columns,
-/// then, with kQuad, 4 more columns, then `singles` more, held in
-/// registers across the whole batch (the singles in place). `crow` is
-/// the block's first element of the row, `a` the row's first
-/// coefficient (stride `rows`), `b` the block's first column of b
+/// then, with kQuad, 4 more columns, then `singles` more, the vectors
+/// held in registers across the whole batch. `crow` is the block's first
+/// element of the row, `a` the row's first coefficient (stride
+/// `a_stride` between batch rows), `b` the block's first column of b
 /// (stride `cols`). Batch rows go in pairs, then an odd last one; a pair
 /// whose two coefficients are zero is skipped. The 8-lane columns take
 /// one FMA per product. The quad and the singles, which must lie past
 /// the last multiple of 8 columns, take the scalar tail's unfused
-/// `c + (f0*b0 + f1*b1)`.
+/// `c + (f0*b0 + f1*b1)`. With `overwrite` the block starts from +0
+/// instead of reading `crow`, as if it had been zeroed. Columns are
+/// independent, so the singles run in their own pass.
 template <int kVecs, bool kQuad>
-void AddOuterRowBlock(float* crow, const float* a, size_t rows, float alpha,
-                      const float* b, size_t cols, size_t batch,
-                      size_t singles) {
+void AddOuterRowBlock(float* crow, const float* a, size_t a_stride,
+                      float alpha, const float* b, size_t cols, size_t batch,
+                      size_t singles, bool overwrite) {
   constexpr size_t kSingles = 8 * kVecs + (kQuad ? 4 : 0);
   __m256 acc[kVecs > 0 ? kVecs : 1];
   __m128 quad = _mm_setzero_ps();
-  for (int j = 0; j < kVecs; ++j) acc[j] = _mm256_loadu_ps(crow + 8 * j);
-  if constexpr (kQuad) quad = _mm_loadu_ps(crow + 8 * kVecs);
+  if (overwrite) {
+    for (int j = 0; j < kVecs; ++j) acc[j] = _mm256_setzero_ps();
+  } else {
+    for (int j = 0; j < kVecs; ++j) acc[j] = _mm256_loadu_ps(crow + 8 * j);
+    if constexpr (kQuad) quad = _mm_loadu_ps(crow + 8 * kVecs);
+  }
   size_t s = 0;
   for (; s + 2 <= batch; s += 2) {
-    const float f0 = alpha * a[s * rows];
-    const float f1 = alpha * a[(s + 1) * rows];
-    if (f0 == 0.0f && f1 == 0.0f) continue;
+    const float f0 = alpha * a[s * a_stride];
+    const float f1 = alpha * a[(s + 1) * a_stride];
+    if (BothZero(f0, f1)) continue;
     const float* b0 = b + s * cols;
     const float* b1 = b0 + cols;
     const __m256 vf0 = _mm256_set1_ps(f0);
@@ -376,12 +321,9 @@ void AddOuterRowBlock(float* crow, const float* a, size_t rows, float alpha,
                                    _mm_loadu_ps(b1 + 8 * kVecs));
       quad = _mm_add_ps(quad, _mm_add_ps(p0, p1));
     }
-    for (size_t c = kSingles; c < kSingles + singles; ++c) {
-      crow[c] += f0 * b0[c] + f1 * b1[c];
-    }
   }
   if (s < batch) {
-    const float f = alpha * a[s * rows];
+    const float f = alpha * a[s * a_stride];
     if (f != 0.0f) {
       const float* brow = b + s * cols;
       const __m256 vf = _mm256_set1_ps(f);
@@ -392,22 +334,27 @@ void AddOuterRowBlock(float* crow, const float* a, size_t rows, float alpha,
         quad = _mm_add_ps(quad, _mm_mul_ps(_mm256_castps256_ps128(vf),
                                            _mm_loadu_ps(brow + 8 * kVecs)));
       }
-      for (size_t c = kSingles; c < kSingles + singles; ++c) {
-        crow[c] += f * brow[c];
-      }
     }
   }
   for (int j = 0; j < kVecs; ++j) _mm256_storeu_ps(crow + 8 * j, acc[j]);
   if constexpr (kQuad) _mm_storeu_ps(crow + 8 * kVecs, quad);
+  if (singles > 0) {
+    AddOuterSingles(crow + kSingles, a, a_stride, alpha, b + kSingles, cols,
+                    batch, singles, overwrite);
+  }
 }
 
+/// One column block of every output row; coefficient (batch row s,
+/// output row r) is a[s * batch_stride + r * row_stride].
 template <int kVecs, bool kQuad>
 void AddOuterBlockAllRows(float* acc, size_t rows, size_t cols, float alpha,
-                          const float* a, const float* b, size_t batch,
-                          size_t singles) {
+                          const float* a, size_t row_stride,
+                          size_t batch_stride, const float* b, size_t batch,
+                          size_t singles, bool overwrite) {
   for (size_t r = 0; r < rows; ++r) {
-    AddOuterRowBlock<kVecs, kQuad>(acc + r * cols, a + r, rows, alpha, b,
-                                   cols, batch, singles);
+    AddOuterRowBlock<kVecs, kQuad>(acc + r * cols, a + r * row_stride,
+                                   batch_stride, alpha, b, cols, batch,
+                                   singles, overwrite);
   }
 }
 
@@ -420,19 +367,23 @@ constexpr size_t kOuterVecs = 4;
 /// element; but with column blocks outermost and the batch innermost, so
 /// each block of an output row is loaded and stored once per call. The
 /// last block takes the columns past the last multiple of 8 along.
-void AddOuterBatchAvx2(float* __restrict acc, size_t rows, size_t cols,
-                       float alpha, const float* __restrict a,
-                       const float* __restrict b, size_t batch) {
+/// AddOuterBatch passes row_stride 1 and batch_stride rows.
+void AddOuterBatchStrided(float* __restrict acc, size_t rows, size_t cols,
+                          float alpha, const float* __restrict a,
+                          size_t row_stride, size_t batch_stride,
+                          const float* __restrict b, size_t batch,
+                          bool overwrite) {
   const size_t fused = cols & ~size_t{7};
   size_t c = 0;
   for (; c + 8 * kOuterVecs < fused; c += 8 * kOuterVecs) {
     AddOuterBlockAllRows<kOuterVecs, false>(acc + c, rows, cols, alpha, a,
-                                            b + c, batch, 0);
+                                            row_stride, batch_stride, b + c,
+                                            batch, 0, overwrite);
   }
   if (c == cols) return;
   const bool quad = cols - fused >= 4;
-  using Block = void (*)(float*, size_t, size_t, float, const float*,
-                         const float*, size_t, size_t);
+  using Block = void (*)(float*, size_t, size_t, float, const float*, size_t,
+                         size_t, const float*, size_t, size_t, bool);
   static constexpr Block kBlocks[kOuterVecs + 1][2] = {
       {AddOuterBlockAllRows<0, false>, AddOuterBlockAllRows<0, true>},
       {AddOuterBlockAllRows<1, false>, AddOuterBlockAllRows<1, true>},
@@ -440,8 +391,181 @@ void AddOuterBatchAvx2(float* __restrict acc, size_t rows, size_t cols,
       {AddOuterBlockAllRows<3, false>, AddOuterBlockAllRows<3, true>},
       {AddOuterBlockAllRows<4, false>, AddOuterBlockAllRows<4, true>},
   };
-  kBlocks[(fused - c) / 8][quad](acc + c, rows, cols, alpha, a, b + c, batch,
-                                 cols - fused - (quad ? 4 : 0));
+  kBlocks[(fused - c) / 8][quad](acc + c, rows, cols, alpha, a, row_stride,
+                                 batch_stride, b + c, batch,
+                                 cols - fused - (quad ? 4 : 0), overwrite);
+}
+
+void AddOuterBatchAvx2(float* __restrict acc, size_t rows, size_t cols,
+                       float alpha, const float* __restrict a,
+                       const float* __restrict b, size_t batch) {
+  AddOuterBatchStrided(acc, rows, cols, alpha, a, 1, rows, b, batch,
+                       /*overwrite=*/false);
+}
+
+// ---------------------------------------------------------------------------
+// The logistic-regression step (LogRegGradient).
+
+/// The lanes l of an 8-row block with lo <= l < hi.
+inline __m256i LaneMask(int lo, int hi) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  return _mm256_and_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(hi), lane),
+                          _mm256_cmpgt_epi32(lane, _mm256_set1_epi32(lo - 1)));
+}
+
+/// The logits x . w of kCols consecutive classes for the block rows in
+/// `lanes`, stored as one vector per class at z + 8 * j: `x` is the
+/// block's slice of X^T (row stride `ld`), `w` the first class's weight
+/// row (stride `k`). The classes share each load of x and give the core
+/// kCols independent add chains. kPairs selects the rounding
+/// MatMulBodyAvx2 gives rows inside its 4-row tiles (k in pairs, then an
+/// odd k alone) over the one-product-at-a-time rounding of the remaining
+/// rows; kFused selects its FMA columns over its unfused scalar tail.
+/// Lanes outside `lanes` compute +0 from zero loads; with `merge` they
+/// keep what z held instead.
+template <bool kPairs, bool kFused, int kCols>
+void LogitColumns(const float* x, size_t ld, size_t k, const float* w,
+                  __m256i lanes, bool merge, float* z) {
+  __m256 acc[kCols];
+  for (int j = 0; j < kCols; ++j) acc[j] = _mm256_setzero_ps();
+  size_t kk = 0;
+  if constexpr (kPairs) {
+    for (; kk + 2 <= k; kk += 2) {
+      const __m256 x0 = _mm256_maskload_ps(x + kk * ld, lanes);
+      const __m256 x1 = _mm256_maskload_ps(x + (kk + 1) * ld, lanes);
+#pragma GCC unroll 4
+      for (int j = 0; j < kCols; ++j) {
+        const __m256 w0 = _mm256_broadcast_ss(w + j * k + kk);
+        const __m256 w1 = _mm256_broadcast_ss(w + j * k + kk + 1);
+        if constexpr (kFused) {
+          acc[j] = _mm256_fmadd_ps(x0, w0, _mm256_fmadd_ps(x1, w1, acc[j]));
+        } else {
+          acc[j] = _mm256_add_ps(
+              acc[j],
+              _mm256_add_ps(_mm256_mul_ps(x0, w0), _mm256_mul_ps(x1, w1)));
+        }
+      }
+    }
+  }
+  for (; kk < k; ++kk) {
+    const __m256 x0 = _mm256_maskload_ps(x + kk * ld, lanes);
+#pragma GCC unroll 4
+    for (int j = 0; j < kCols; ++j) {
+      const __m256 w0 = _mm256_broadcast_ss(w + j * k + kk);
+      if constexpr (kFused) {
+        acc[j] = _mm256_fmadd_ps(x0, w0, acc[j]);
+      } else {
+        acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(x0, w0));
+      }
+    }
+  }
+  for (int j = 0; j < kCols; ++j) {
+    if (merge) {
+      _mm256_maskstore_ps(z + 8 * j, lanes, acc[j]);
+    } else {
+      _mm256_storeu_ps(z + 8 * j, acc[j]);
+    }
+  }
+}
+
+/// All classes' logits for the block rows in `lanes`, four classes at a
+/// time: MatMulBodyAvx2's FMA columns (a multiple of 8), then its scalar
+/// tail.
+template <bool kPairs>
+void Logits(const float* x, size_t ld, size_t k, const float* weights,
+            size_t classes, __m256i lanes, bool merge, float* z) {
+  const size_t fused = classes & ~size_t{7};
+  size_t j = 0;
+  for (; j < fused; j += 4) {
+    LogitColumns<kPairs, true, 4>(x, ld, k, weights + j * k, lanes, merge,
+                                  z + 8 * j);
+  }
+  for (; j + 4 <= classes; j += 4) {
+    LogitColumns<kPairs, false, 4>(x, ld, k, weights + j * k, lanes, merge,
+                                   z + 8 * j);
+  }
+  for (; j < classes; ++j) {
+    LogitColumns<kPairs, false, 1>(x, ld, k, weights + j * k, lanes, merge,
+                                   z + 8 * j);
+  }
+}
+
+/// The step eight batch rows at a time, one vector per class with the
+/// rows in the lanes. Per element it performs the operations of this
+/// table's kernels composed: MatMulBodyAvx2's logits (see
+/// LogitColumns), the bias add, SoftmaxRows' max, scalar expf and sum in
+/// class order and divide, the loss and delta of the label, then
+/// AddOuterBatchAvx2's FMA sequence on the block's deltas (blocks start
+/// at even rows, so no batch pair straddles two) and ColumnSums' row
+/// order. The first block writes the gradient instead of accumulating.
+double LogRegGradientAvx2(const float* __restrict xb,
+                          const float* __restrict xt, size_t bsz, size_t dim,
+                          const float* __restrict params, size_t classes,
+                          const int* __restrict labels,
+                          float* __restrict grad) {
+  const size_t weight_count = classes * dim;
+  const float* bias = params + weight_count;
+  float* grad_b = grad + weight_count;
+  const float inv = 1.0f / static_cast<float>(bsz);
+  const size_t tiled = bsz & ~size_t{3};
+  ClassLanes class_lanes(classes);
+  float* z = class_lanes.data();
+  double total_loss = 0.0;
+  for (size_t i0 = 0; i0 < bsz; i0 += 8) {
+    const int rows = static_cast<int>(std::min<size_t>(8, bsz - i0));
+    const int pair_rows =
+        i0 < tiled ? static_cast<int>(std::min<size_t>(rows, tiled - i0))
+                   : 0;
+    if (pair_rows > 0) {
+      Logits<true>(xt + i0, bsz, dim, params, classes,
+                   LaneMask(0, pair_rows), /*merge=*/false, z);
+    }
+    if (rows > pair_rows) {
+      Logits<false>(xt + i0, bsz, dim, params, classes,
+                    LaneMask(pair_rows, rows), /*merge=*/pair_rows > 0, z);
+    }
+
+    // Bias, then the softmax lane by lane. _mm256_max_ps(v, max) is
+    // std::max(max, v), NaN and signed zeros included.
+    __m256 max_logit = _mm256_setzero_ps();
+    for (size_t c = 0; c < classes; ++c) {
+      const __m256 v = _mm256_add_ps(_mm256_loadu_ps(z + 8 * c),
+                                     _mm256_set1_ps(bias[c]));
+      _mm256_storeu_ps(z + 8 * c, v);
+      max_logit = c == 0 ? v : _mm256_max_ps(v, max_logit);
+    }
+    alignas(32) float total[8] = {};
+    for (size_t c = 0; c < classes; ++c) {
+      float* zc = z + 8 * c;
+      _mm256_storeu_ps(zc, _mm256_sub_ps(_mm256_loadu_ps(zc), max_logit));
+      for (int r = 0; r < rows; ++r) {
+        zc[r] = std::exp(zc[r]);
+        total[r] += zc[r];
+      }
+    }
+    const __m256 vtotal = _mm256_load_ps(total);
+    for (size_t c = 0; c < classes; ++c) {
+      _mm256_storeu_ps(z + 8 * c,
+                       _mm256_div_ps(_mm256_loadu_ps(z + 8 * c), vtotal));
+    }
+
+    // Loss and deltas, then the block's share of both gradients.
+    for (int r = 0; r < rows; ++r) {
+      float& p = z[8 * static_cast<size_t>(labels[i0 + r]) + r];
+      total_loss += -std::log(std::max(p, 1e-12f));
+      p -= 1.0f;
+    }
+    const bool first = i0 == 0;
+    for (size_t c = 0; c < classes; ++c) {
+      float sum = first ? 0.0f : grad_b[c];
+      for (int r = 0; r < rows; ++r) sum += z[8 * c + r];
+      grad_b[c] = sum;
+    }
+    AddOuterBatchStrided(grad, classes, dim, inv, z, 8, 1, xb + i0 * dim,
+                         static_cast<size_t>(rows), first);
+  }
+  for (size_t c = 0; c < classes; ++c) grad_b[c] *= inv;
+  return total_loss / static_cast<double>(bsz);
 }
 
 // ---------------------------------------------------------------------------
@@ -609,10 +733,10 @@ void AddProximalAvx2(float* __restrict g, const float* __restrict p,
 }
 
 const KernelTable kAvx2Table = {
-    MatMulBodyAvx2,       MatMulFromTransposesBodyAvx2, GatherRowsAndColumnsAvx2,
-    AddOuterBatchAvx2,    AddBiasRowsAvx2,              AddBiasReluRowsAvx2,
-    ReluMaskBackwardAvx2, SoftmaxRowsAvx2,              ColumnSumsAvx2,
-    SgdStepAvx2,          SgdMomentumStepAvx2,          AddProximalAvx2,
+    MatMulBodyAvx2,       LogRegGradientAvx2,   GatherRowsAndColumnsAvx2,
+    AddOuterBatchAvx2,    AddBiasRowsAvx2,      AddBiasReluRowsAvx2,
+    ReluMaskBackwardAvx2, SoftmaxRowsAvx2,      ColumnSumsAvx2,
+    SgdStepAvx2,          SgdMomentumStepAvx2,  AddProximalAvx2,
 };
 
 }  // namespace

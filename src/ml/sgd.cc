@@ -28,6 +28,11 @@ Result<double> TrainSgd(Model& model, const Dataset& data,
         "dataset has " + std::to_string(data.num_features()) +
         " features, model expects " + std::to_string(model.NumFeatures()));
   }
+  if (data.num_classes() > model.NumOutputs()) {
+    return Status::InvalidArgument(
+        "dataset has " + std::to_string(data.num_classes()) +
+        " classes, model outputs " + std::to_string(model.NumOutputs()));
+  }
 
   std::vector<float> params = model.GetParameters();
   std::vector<float> velocity;

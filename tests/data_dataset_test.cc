@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace fedshap {
 namespace {
 
@@ -42,6 +44,31 @@ TEST(DatasetTest, AppendVectorChecksWidth) {
   ASSERT_TRUE(d.ok());
   d->Append({1.0f, 2.0f}, 0.0f);
   EXPECT_EQ(d->size(), 1u);
+}
+
+TEST(DatasetTest, ClassLabelsOutsideTheClassesAreFatal) {
+  // ClassLabel indexes per-class arrays (ClassHistogram, the partitions,
+  // a model's probabilities), so Append and SetTarget admit only targets
+  // that round to a class id: -0.4 and 2.4 do, -0.5, 2.5 and NaN do not.
+  Dataset d = MakeToy(2, 1, 3);
+  d.Append({0.0f}, -0.4f);
+  d.Append({0.0f}, 2.4f);
+  EXPECT_EQ(d.ClassLabel(2), 0);
+  EXPECT_EQ(d.ClassLabel(3), 2);
+  EXPECT_DEATH(d.Append({0.0f}, -0.5f), "num_classes_");
+  EXPECT_DEATH(d.Append({0.0f}, 2.5f), "num_classes_");
+  EXPECT_DEATH(d.Append({0.0f}, 10.0f), "num_classes_");
+  EXPECT_DEATH(d.Append({0.0f}, std::nanf("")), "num_classes_");
+  EXPECT_DEATH(d.SetTarget(0, 3.0f), "num_classes_");
+  d.SetTarget(0, 1.0f);
+  EXPECT_EQ(d.ClassLabel(0), 1);
+
+  // A regression target may be anything.
+  Result<Dataset> regression = Dataset::Create(1, 0);
+  ASSERT_TRUE(regression.ok());
+  regression->Append({0.0f}, -7.5f);
+  regression->SetTarget(0, 1e9f);
+  EXPECT_EQ(regression->Target(0), 1e9f);
 }
 
 TEST(DatasetTest, SubsetCopiesSelectedRows) {

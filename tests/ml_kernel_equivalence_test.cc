@@ -28,7 +28,6 @@
 #include "data/synthetic.h"
 #include "ml/cnn.h"
 #include "ml/kernel_backend.h"
-#include "ml/kernel_dispatch.h"
 #include "ml/linear_regression.h"
 #include "ml/logistic_regression.h"
 #include "ml/matrix.h"
@@ -161,36 +160,155 @@ TEST_P(KernelBackendSuite, MatMulAccAccumulatesOntoSeed) {
   }
 }
 
-TEST_P(KernelBackendSuite, MatMulFromTransposesMatchesMatMulBitwise) {
-  // m crosses the 4-row tiles and 8-row lane blocks, k the pair unroll
-  // and the 256-deep k-panel, n the 8 AVX2 lanes (n >= 8 reaches the
-  // fused columns).
-  for (size_t m : {1, 3, 4, 5, 13, 16, 17, 256}) {
-    for (size_t k : {1, 2, 35, 36, 257}) {
-      for (size_t n : {1, 5, 7, 8, 9, 10, 17}) {
-        Rng rng(m * 1009 + k * 31 + n);
-        std::vector<float> a = RandomBuffer(m * k, rng);
-        std::vector<float> b = RandomBuffer(k * n, rng);
-        std::vector<float> at(k * m), bt(n * k);
-        Transpose(a.data(), m, k, at.data());
-        Transpose(b.data(), k, n, bt.data());
-        std::vector<float> expected(m * n), actual(m * n, -7.0f);
-        MatMul(a.data(), m, k, b.data(), n, expected.data());
-        MatMulFromTransposes(at.data(), m, k, bt.data(), n, actual.data());
-        // The backend body itself overwrites c: NaN left in c would
-        // survive any read of it.
-        std::vector<float> body(m * n, std::nanf(""));
-        internal::ActiveKernelTable().mat_mul_from_transposes_body(
-            at.data(), m, k, bt.data(), n, body.data());
-        for (size_t i = 0; i < m * n; ++i) {
-          ASSERT_EQ(std::bit_cast<uint32_t>(actual[i]),
-                    std::bit_cast<uint32_t>(expected[i]))
-              << "m=" << m << " k=" << k << " n=" << n << " element " << i;
-          ASSERT_EQ(std::bit_cast<uint32_t>(body[i]),
-                    std::bit_cast<uint32_t>(expected[i]))
-              << "body m=" << m << " k=" << k << " n=" << n << " element "
-              << i;
+/// The logistic-regression step as separate kernels compose it: Gather
+/// + Transpose + MatMul for the logits, AddBiasRows, SoftmaxRows, the
+/// loss loop, AddOuterBatch with alpha 1/bsz and ColumnSums. `deltas`
+/// receives the bsz x classes logit deltas.
+double ComposedLogRegStep(const Dataset& data,
+                          const std::vector<size_t>& batch,
+                          const std::vector<float>& params, size_t dim,
+                          size_t classes, std::vector<float>& grad,
+                          std::vector<float>& deltas) {
+  const size_t bsz = batch.size();
+  const size_t weight_count = classes * dim;
+  const float inv = 1.0f / static_cast<float>(bsz);
+  AlignedFloats xb, wt(dim * classes);
+  GatherRows(data, batch, xb);
+  Transpose(params.data(), classes, dim, wt.data());
+  deltas.assign(bsz * classes, 0.0f);
+  MatMul(xb.data(), bsz, dim, wt.data(), classes, deltas.data());
+  AddBiasRows(deltas.data(), bsz, classes, params.data() + weight_count);
+  SoftmaxRows(deltas.data(), bsz, classes);
+  double total_loss = 0.0;
+  for (size_t i = 0; i < bsz; ++i) {
+    float* row = deltas.data() + i * classes;
+    const int label = data.ClassLabel(batch[i]);
+    total_loss += -std::log(std::max(row[label], 1e-12f));
+    row[label] -= 1.0f;
+  }
+  grad.assign(params.size(), 0.0f);
+  AddOuterBatch(grad.data(), classes, dim, inv, deltas.data(), xb.data(),
+                bsz);
+  ColumnSums(deltas.data(), bsz, classes, grad.data() + weight_count);
+  for (size_t c = 0; c < classes; ++c) grad[weight_count + c] *= inv;
+  return total_loss / static_cast<double>(bsz);
+}
+
+/// Batch pairs (rows 2p, 2p + 1) with a class whose two deltas are both
+/// exactly zero: the pairs AddOuterBatch skips.
+size_t ZeroDeltaPairs(const std::vector<float>& deltas, size_t bsz,
+                      size_t classes) {
+  size_t pairs = 0;
+  for (size_t s = 0; s + 2 <= bsz; s += 2) {
+    for (size_t c = 0; c < classes; ++c) {
+      if (deltas[s * classes + c] == 0.0f &&
+          deltas[(s + 1) * classes + c] == 0.0f) {
+        ++pairs;
+      }
+    }
+  }
+  return pairs;
+}
+
+/// LogisticRegression::ComputeGradientBatched (the fused LogRegGradient)
+/// against ComposedLogRegStep, loss and every gradient element bit for
+/// bit, into a NaN-filled gradient so an element left unwritten shows.
+void ExpectStepMatchesComposition(const LogisticRegression& model,
+                                  const Dataset& data,
+                                  const std::vector<size_t>& batch,
+                                  std::vector<float>* deltas = nullptr) {
+  const size_t dim = static_cast<size_t>(model.NumFeatures());
+  const size_t classes = static_cast<size_t>(model.NumOutputs());
+  std::vector<float> expected_grad, expected_deltas;
+  const double expected_loss =
+      ComposedLogRegStep(data, batch, model.GetParameters(), dim, classes,
+                         expected_grad, expected_deltas);
+  std::vector<float> grad(model.NumParameters(), std::nanf(""));
+  const double loss = model.ComputeGradientBatched(data, batch, grad);
+  ASSERT_EQ(std::bit_cast<uint64_t>(loss),
+            std::bit_cast<uint64_t>(expected_loss))
+      << "loss " << loss << " vs " << expected_loss;
+  ASSERT_EQ(grad.size(), expected_grad.size());
+  for (size_t i = 0; i < grad.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(grad[i]),
+              std::bit_cast<uint32_t>(expected_grad[i]))
+        << "gradient element " << i << " (" << (i < classes * dim ? "W" : "b")
+        << ")";
+  }
+  if (deltas != nullptr) *deltas = std::move(expected_deltas);
+}
+
+TEST_P(KernelBackendSuite, LogRegGradientMatchesKernelCompositionBitwise) {
+  // classes cross AVX2's 8 fused columns and its unfused tail, and 70
+  // the 64 classes a block keeps on the stack; bsz the 4-row tiles, 8-row
+  // blocks and Model::Loss's chunks; dim the pair unroll and
+  // AddOuterBatch's 8-lane columns, quad and single tails.
+  constexpr size_t kRows = 300;
+  for (size_t classes : {2, 5, 8, 9, 10, 17, 70}) {
+    for (size_t dim : {1, 7, 36, 64}) {
+      Rng rng(classes * 101 + dim);
+      Result<Dataset> created =
+          Dataset::Create(static_cast<int>(dim), static_cast<int>(classes));
+      ASSERT_TRUE(created.ok());
+      Dataset data = std::move(created).value();
+      for (size_t i = 0; i < kRows; ++i) {
+        data.Append(RandomBuffer(dim, rng, -2.0, 2.0),
+                    static_cast<float>(rng.UniformInt(classes)));
+      }
+      LogisticRegression model(static_cast<int>(dim),
+                               static_cast<int>(classes));
+      ASSERT_TRUE(
+          model.SetParameters(RandomBuffer(model.NumParameters(), rng)).ok());
+      for (size_t bsz : {1, 2, 3, 13, 16, 17, 203, 256}) {
+        SCOPED_TRACE(::testing::Message() << "classes=" << classes
+                                          << " dim=" << dim << " bsz=" << bsz);
+        std::vector<size_t> batch(bsz);
+        for (size_t& index : batch) index = rng.UniformInt(kRows);
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectStepMatchesComposition(model, data, batch));
+      }
+    }
+  }
+}
+
+TEST_P(KernelBackendSuite, LogRegGradientSkipsZeroDeltaPairsBitwise) {
+  // Row i is the unit vector e_(i % dim), and W gives feature f's class
+  // (f % classes) a logit 400 above the rest, so expf underflows to 0
+  // and every probability is exactly 0 or 1. Rows labeled with that
+  // class have all-zero deltas; every fourth row is labeled with another
+  // class. So pairs of the batch skip (both rows right, or a class
+  // neither row involves) and others do not.
+  for (size_t classes : {2, 5, 10, 17}) {
+    for (size_t dim : {1, 7, 36, 64}) {
+      Result<Dataset> created =
+          Dataset::Create(static_cast<int>(dim), static_cast<int>(classes));
+      ASSERT_TRUE(created.ok());
+      Dataset data = std::move(created).value();
+      for (size_t i = 0; i < 64; ++i) {
+        std::vector<float> row(dim, 0.0f);
+        row[i % dim] = 1.0f;
+        const size_t winner = (i % dim) % classes;
+        data.Append(row, static_cast<float>(i % 4 == 3 ? (winner + 1) % classes
+                                                       : winner));
+      }
+      std::vector<float> params(classes * dim + classes, 0.0f);
+      for (size_t c = 0; c < classes; ++c) {
+        for (size_t f = 0; f < dim; ++f) {
+          params[c * dim + f] = f % classes == c ? 200.0f : -200.0f;
         }
+      }
+      LogisticRegression model(static_cast<int>(dim),
+                               static_cast<int>(classes));
+      ASSERT_TRUE(model.SetParameters(params).ok());
+      for (size_t bsz : {2, 13, 16, 64}) {
+        SCOPED_TRACE(::testing::Message() << "classes=" << classes
+                                          << " dim=" << dim << " bsz=" << bsz);
+        std::vector<size_t> batch(bsz);
+        std::iota(batch.begin(), batch.end(), size_t{0});
+        std::vector<float> deltas;
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectStepMatchesComposition(model, data, batch, &deltas));
+        EXPECT_GT(ZeroDeltaPairs(deltas, bsz, classes), 0u);
       }
     }
   }

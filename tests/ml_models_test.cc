@@ -310,6 +310,33 @@ TEST(SgdTest, ValidatesConfig) {
   EXPECT_FALSE(TrainSgd(model, *data, config, train_rng).ok());
 }
 
+TEST(SgdTest, RejectsDataTheModelCannotFit) {
+  // Both checks run before any step, so the model is left as it was. A
+  // 10-class dataset in a 5-output model would otherwise index past the
+  // model's 5 probabilities.
+  Rng rng(21);
+  Result<Dataset> ten_classes = GenerateBlobs(10, 4, 4.0, 60, rng);
+  Result<Dataset> three_features = GenerateBlobs(5, 3, 4.0, 60, rng);
+  ASSERT_TRUE(ten_classes.ok() && three_features.ok());
+  LogisticRegression model(4, 5);
+  Rng init(22);
+  model.InitializeParameters(init);
+  const std::vector<float> before = model.GetParameters();
+  SgdConfig config;
+  for (const Dataset* data : {&*ten_classes, &*three_features}) {
+    Rng train_rng(23);
+    Result<double> loss = TrainSgd(model, *data, config, train_rng);
+    ASSERT_FALSE(loss.ok());
+    EXPECT_EQ(loss.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(model.GetParameters(), before);
+  }
+  Rng train_rng(24);
+  Result<double> loss = TrainSgd(model, *ten_classes, config, train_rng);
+  EXPECT_NE(loss.status().message().find("10 classes, model outputs 5"),
+            std::string::npos)
+      << loss.status();
+}
+
 TEST(SgdTest, EmptyDataIsNoOp) {
   Result<Dataset> empty = Dataset::Create(3, 2);
   ASSERT_TRUE(empty.ok());
