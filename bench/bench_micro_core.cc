@@ -67,8 +67,9 @@ void BM_MlpGradientStep(benchmark::State& state) {
   for (size_t i = 0; i < 16; ++i) batch.push_back(i);
   std::vector<float> grad;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.ComputeGradient(*data, batch, grad));
+    model.ComputeGradient(*data, batch, grad);
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_MlpGradientStep);
@@ -84,8 +85,9 @@ void BM_CnnGradientStep(benchmark::State& state) {
   for (size_t i = 0; i < 16; ++i) batch.push_back(i);
   std::vector<float> grad;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.ComputeGradient(source->data, batch, grad));
+    model.ComputeGradient(source->data, batch, grad);
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_CnnGradientStep);

@@ -182,9 +182,13 @@ void GradientBench(benchmark::State& state, MakeModel make_model,
   for (size_t i = 0; i < batch_size; ++i) batch.push_back(i % data.size());
   std::vector<float> grad;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        batched ? model.ComputeGradientBatched(data, batch, grad)
-                : model.ComputeGradient(data, batch, grad));
+    if (batched) {
+      model.ComputeGradientBatched(data, batch, grad);
+    } else {
+      model.ComputeGradient(data, batch, grad);
+    }
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * batch.size());
 }

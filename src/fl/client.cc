@@ -7,9 +7,7 @@ Result<std::vector<float>> FlClient::LocalUpdate(
     const SgdConfig& config, Rng& rng) const {
   FEDSHAP_RETURN_NOT_OK(model.SetParameters(global_params));
   if (data_.empty()) return global_params;
-  FEDSHAP_ASSIGN_OR_RETURN(double last_loss,
-                           TrainSgd(model, data_, config, rng));
-  (void)last_loss;
+  FEDSHAP_RETURN_NOT_OK(TrainSgd(model, data_, config, rng));
   return model.GetParameters();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "ml/matrix.h"
 #include "ml/metrics.h"
@@ -45,6 +46,23 @@ Result<std::unique_ptr<FedAvgUtility>> FedAvgUtility::Create(
   }
   if (test_data.empty()) {
     return Status::InvalidArgument("test dataset must not be empty");
+  }
+  if (metric == UtilityMetric::kAccuracy && test_data.num_classes() == 0) {
+    return Status::InvalidArgument("accuracy needs class labels");
+  }
+  // Scoring indexes the model by the test set's shape and training by
+  // each client's; an empty client never reaches the model.
+  Status fits = CheckDatasetFitsModel(test_data, prototype);
+  if (!fits.ok()) {
+    return Status::InvalidArgument("test set: " + fits.message());
+  }
+  for (size_t i = 0; i < client_data.size(); ++i) {
+    if (client_data[i].empty()) continue;
+    fits = CheckDatasetFitsModel(client_data[i], prototype);
+    if (!fits.ok()) {
+      return Status::InvalidArgument("client " + std::to_string(i) + ": " +
+                                     fits.message());
+    }
   }
   std::vector<FlClient> clients;
   clients.reserve(client_data.size());

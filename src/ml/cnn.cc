@@ -27,18 +27,6 @@ std::string Cnn::Name() const {
          std::to_string(num_classes_) + ")";
 }
 
-size_t Cnn::NumParameters() const { return params_.size(); }
-
-std::vector<float> Cnn::GetParameters() const { return params_; }
-
-Status Cnn::SetParameters(const std::vector<float>& params) {
-  if (params.size() != params_.size()) {
-    return Status::InvalidArgument("parameter size mismatch");
-  }
-  params_ = params;
-  return Status::OK();
-}
-
 void Cnn::InitializeParameters(Rng& rng) {
   const double conv_scale = std::sqrt(2.0 / 9.0);
   const double dense_scale = std::sqrt(1.0 / static_cast<double>(flat_size()));
@@ -113,11 +101,11 @@ void Cnn::Forward(const float* x, std::vector<float>& conv_act,
   SoftmaxInPlace(probs);
 }
 
-double Cnn::ComputeGradient(const Dataset& data,
-                            const std::vector<size_t>& batch,
-                            std::vector<float>& grad) const {
+void Cnn::ComputeGradient(const Dataset& data,
+                          const std::vector<size_t>& batch,
+                          std::vector<float>& grad) const {
   grad.assign(params_.size(), 0.0f);
-  if (batch.empty()) return 0.0;
+  if (batch.empty()) return;
   FEDSHAP_CHECK(data.num_features() == side_ * side_);
 
   const int cs = conv_side();
@@ -125,7 +113,6 @@ double Cnn::ComputeGradient(const Dataset& data,
   std::vector<int> pool_argmax;
   std::vector<float> dpooled(flat_size());
   std::vector<float> row(static_cast<size_t>(data.num_features()));
-  double total_loss = 0.0;
 
   const float* dense_w = params_.data() + DenseW();
   for (size_t idx : batch) {
@@ -133,7 +120,6 @@ double Cnn::ComputeGradient(const Dataset& data,
     const float* x = row.data();
     const int label = data.ClassLabel(idx);
     Forward(x, conv_act, pooled, pool_argmax, probs);
-    total_loss += -std::log(std::max(probs[label], 1e-12f));
 
     // Dense layer backward.
     std::fill(dpooled.begin(), dpooled.end(), 0.0f);
@@ -180,14 +166,13 @@ double Cnn::ComputeGradient(const Dataset& data,
   }
   const float inv = 1.0f / static_cast<float>(batch.size());
   for (float& g : grad) g *= inv;
-  return total_loss / static_cast<double>(batch.size());
 }
 
-double Cnn::ComputeGradientBatched(const Dataset& data,
-                                   const std::vector<size_t>& batch,
-                                   std::vector<float>& grad) const {
+void Cnn::ComputeGradientBatched(const Dataset& data,
+                                 const std::vector<size_t>& batch,
+                                 std::vector<float>& grad) const {
   grad.assign(params_.size(), 0.0f);
-  if (batch.empty()) return 0.0;
+  if (batch.empty()) return;
   FEDSHAP_CHECK(data.num_features() == side_ * side_);
   const size_t bsz = batch.size();
   const int cs = conv_side();
@@ -284,12 +269,9 @@ double Cnn::ComputeGradientBatched(const Dataset& data,
   AddBiasRows(probs.data(), bsz, classes, params_.data() + DenseB());
   SoftmaxRows(probs.data(), bsz, classes);
 
-  double total_loss = 0.0;
+  // probs becomes the logit deltas (p_c - 1[c == label]) in place.
   for (size_t i = 0; i < bsz; ++i) {
-    const int label = data.ClassLabel(batch[i]);
-    float* row = probs.data() + i * classes;
-    total_loss += -std::log(std::max(row[label], 1e-12f));
-    row[label] -= 1.0f;
+    probs[i * classes + data.ClassLabel(batch[i])] -= 1.0f;
   }
 
   // Dense gradients, then backprop onto the pooled activations.
@@ -328,7 +310,6 @@ double Cnn::ComputeGradientBatched(const Dataset& data,
   ColumnSums(dconv.data(), bsz * ca, filters, grad.data() + ConvB());
   for (size_t c = 0; c < classes; ++c) grad[DenseB() + c] *= inv;
   for (size_t f = 0; f < filters; ++f) grad[ConvB() + f] *= inv;
-  return total_loss / static_cast<double>(bsz);
 }
 
 void Cnn::Predict(const float* features, std::vector<float>& output) const {

@@ -24,16 +24,12 @@ class Cnn : public Model {
 
   std::unique_ptr<Model> Clone() const override;
   std::string Name() const override;
-  size_t NumParameters() const override;
-  std::vector<float> GetParameters() const override;
-  Status SetParameters(const std::vector<float>& params) override;
   void InitializeParameters(Rng& rng) override;
-  double ComputeGradient(const Dataset& data,
-                         const std::vector<size_t>& batch,
-                         std::vector<float>& grad) const override;
-  double ComputeGradientBatched(const Dataset& data,
-                                const std::vector<size_t>& batch,
-                                std::vector<float>& grad) const override;
+  void ComputeGradient(const Dataset& data, const std::vector<size_t>& batch,
+                       std::vector<float>& grad) const override;
+  void ComputeGradientBatched(const Dataset& data,
+                              const std::vector<size_t>& batch,
+                              std::vector<float>& grad) const override;
   void Predict(const float* features,
                std::vector<float>& output) const override;
   int NumOutputs() const override { return num_classes_; }
@@ -70,7 +66,6 @@ class Cnn : public Model {
   int side_;
   int filters_;
   int num_classes_;
-  std::vector<float> params_;
 };
 
 }  // namespace fedshap

@@ -26,9 +26,9 @@ struct KernelTable {
   /// minibatch step, writing every element of `grad`. Bit-identical to
   /// the same table's mat_mul_body, add_bias_rows, softmax_rows,
   /// add_outer_batch and column_sums composed (see LogRegGradient).
-  double (*logreg_gradient)(const float* xb, const float* xt, size_t bsz,
-                            size_t dim, const float* params, size_t classes,
-                            const int* labels, float* grad);
+  void (*logreg_gradient)(const float* xb, const float* xt, size_t bsz,
+                          size_t dim, const float* params, size_t classes,
+                          const int* labels, float* grad);
   /// Body of GatherRowsAndColumns: copies rows batch[0 .. bsz) of the
   /// `dim` feature columns into `rows` (bsz x dim, row-major) and `cols`
   /// (dim x bsz, its transpose). A pure copy on every backend.

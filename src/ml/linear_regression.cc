@@ -7,9 +7,9 @@
 
 namespace fedshap {
 
-LinearRegression::LinearRegression(int dim)
-    : dim_(dim), weights_(dim + 1, 0.0f) {
+LinearRegression::LinearRegression(int dim) : dim_(dim) {
   FEDSHAP_CHECK(dim >= 1);
+  params_.assign(static_cast<size_t>(dim) + 1, 0.0f);
 }
 
 std::unique_ptr<Model> LinearRegression::Clone() const {
@@ -20,42 +20,26 @@ std::string LinearRegression::Name() const {
   return "linreg(" + std::to_string(dim_) + ")";
 }
 
-size_t LinearRegression::NumParameters() const { return weights_.size(); }
-
-std::vector<float> LinearRegression::GetParameters() const {
-  return weights_;
-}
-
-Status LinearRegression::SetParameters(const std::vector<float>& params) {
-  if (params.size() != weights_.size()) {
-    return Status::InvalidArgument("parameter size mismatch");
-  }
-  weights_ = params;
-  return Status::OK();
-}
-
 void LinearRegression::InitializeParameters(Rng& rng) {
   const double scale = 1.0 / std::sqrt(static_cast<double>(dim_));
   for (int d = 0; d < dim_; ++d) {
-    weights_[d] = static_cast<float>(rng.Gaussian(0.0, scale));
+    params_[d] = static_cast<float>(rng.Gaussian(0.0, scale));
   }
-  weights_[dim_] = 0.0f;
+  params_[dim_] = 0.0f;
 }
 
-double LinearRegression::ComputeGradient(const Dataset& data,
-                                         const std::vector<size_t>& batch,
-                                         std::vector<float>& grad) const {
-  grad.assign(weights_.size(), 0.0f);
-  if (batch.empty()) return 0.0;
-  double total_loss = 0.0;
+void LinearRegression::ComputeGradient(const Dataset& data,
+                                       const std::vector<size_t>& batch,
+                                       std::vector<float>& grad) const {
+  grad.assign(params_.size(), 0.0f);
+  if (batch.empty()) return;
   std::vector<float> row(static_cast<size_t>(data.num_features()));
   for (size_t idx : batch) {
     data.CopyRow(idx, row.data());
     const float* x = row.data();
-    double pred = weights_[dim_];
-    for (int d = 0; d < dim_; ++d) pred += weights_[d] * x[d];
+    double pred = params_[dim_];
+    for (int d = 0; d < dim_; ++d) pred += params_[d] * x[d];
     const double err = pred - data.Target(idx);
-    total_loss += 0.5 * err * err;
     for (int d = 0; d < dim_; ++d) {
       grad[d] += static_cast<float>(err * x[d]);
     }
@@ -63,14 +47,13 @@ double LinearRegression::ComputeGradient(const Dataset& data,
   }
   const float inv = 1.0f / static_cast<float>(batch.size());
   for (float& g : grad) g *= inv;
-  return total_loss / static_cast<double>(batch.size());
 }
 
-double LinearRegression::ComputeGradientBatched(
+void LinearRegression::ComputeGradientBatched(
     const Dataset& data, const std::vector<size_t>& batch,
     std::vector<float>& grad) const {
-  grad.assign(weights_.size(), 0.0f);
-  if (batch.empty()) return 0.0;
+  grad.assign(params_.size(), 0.0f);
+  if (batch.empty()) return;
   const size_t bsz = batch.size();
   const size_t dim = static_cast<size_t>(dim_);
   const float inv = 1.0f / static_cast<float>(bsz);
@@ -82,16 +65,14 @@ double LinearRegression::ComputeGradientBatched(
   // vector (scaling before the reduction keeps the gradient GEMM below
   // alpha-free).
   err.resize(bsz);
-  const float bias = weights_[dim_];
-  double total_loss = 0.0;
+  const float bias = params_[dim_];
   float bias_grad = 0.0f;
   for (size_t i = 0; i < bsz; ++i) {
     const float* row = xb.data() + i * dim;
     float acc = 0.0f;
-    for (size_t d = 0; d < dim; ++d) acc += weights_[d] * row[d];
+    for (size_t d = 0; d < dim; ++d) acc += params_[d] * row[d];
     const double e =
         static_cast<double>(acc) + bias - data.Target(batch[i]);
-    total_loss += 0.5 * e * e;
     err[i] = static_cast<float>(e) * inv;
     bias_grad += err[i];
   }
@@ -101,13 +82,12 @@ double LinearRegression::ComputeGradientBatched(
   // width.
   MatMul(err.data(), 1, bsz, xb.data(), dim, grad.data());
   grad[dim_] = bias_grad;
-  return total_loss / static_cast<double>(bsz);
 }
 
 void LinearRegression::Predict(const float* features,
                                std::vector<float>& output) const {
-  double pred = weights_[dim_];
-  for (int d = 0; d < dim_; ++d) pred += weights_[d] * features[d];
+  double pred = params_[dim_];
+  for (int d = 0; d < dim_; ++d) pred += params_[d] * features[d];
   output.assign(1, static_cast<float>(pred));
 }
 
@@ -139,7 +119,7 @@ Status LinearRegression::FitClosedForm(const Dataset& data, double l2) {
   FEDSHAP_ASSIGN_OR_RETURN(std::vector<double> solution,
                            SolveLinearSystem(std::move(xtx), std::move(xty),
                                              n));
-  for (int a = 0; a < n; ++a) weights_[a] = static_cast<float>(solution[a]);
+  for (int a = 0; a < n; ++a) params_[a] = static_cast<float>(solution[a]);
   return Status::OK();
 }
 

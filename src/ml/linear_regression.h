@@ -10,6 +10,7 @@
 namespace fedshap {
 
 /// Ordinary least-squares linear model y = w.x + b with 0.5*(pred-y)^2 loss.
+/// Parameters: the dim weights followed by the bias.
 ///
 /// Used by the theory-side experiments (the paper's variance analysis in
 /// Thm. 2 and the error bound in Thm. 3 assume FL linear regression) and as
@@ -21,23 +22,19 @@ class LinearRegression : public Model {
 
   std::unique_ptr<Model> Clone() const override;
   std::string Name() const override;
-  size_t NumParameters() const override;
-  std::vector<float> GetParameters() const override;
-  Status SetParameters(const std::vector<float>& params) override;
   void InitializeParameters(Rng& rng) override;
-  double ComputeGradient(const Dataset& data,
-                         const std::vector<size_t>& batch,
-                         std::vector<float>& grad) const override;
-  double ComputeGradientBatched(const Dataset& data,
-                                const std::vector<size_t>& batch,
-                                std::vector<float>& grad) const override;
+  void ComputeGradient(const Dataset& data, const std::vector<size_t>& batch,
+                       std::vector<float>& grad) const override;
+  void ComputeGradientBatched(const Dataset& data,
+                              const std::vector<size_t>& batch,
+                              std::vector<float>& grad) const override;
   void Predict(const float* features,
                std::vector<float>& output) const override;
   int NumOutputs() const override { return 1; }
   int NumFeatures() const override { return dim_; }
   const float* AffineScorer(const float** bias) const override {
-    *bias = weights_.data() + dim_;
-    return weights_.data();
+    *bias = params_.data() + dim_;
+    return params_.data();
   }
 
   /// Exact least-squares fit via the normal equations (ridge-regularized by
@@ -49,7 +46,6 @@ class LinearRegression : public Model {
 
  private:
   int dim_;
-  std::vector<float> weights_;  // dim_ weights followed by a bias.
 };
 
 }  // namespace fedshap

@@ -19,11 +19,11 @@ void SoftmaxInPlace(std::vector<float>& logits) {
 }
 
 LogisticRegression::LogisticRegression(int dim, int num_classes)
-    : dim_(dim),
-      num_classes_(num_classes),
-      params_(static_cast<size_t>(num_classes) * dim + num_classes, 0.0f) {
+    : dim_(dim), num_classes_(num_classes) {
   FEDSHAP_CHECK(dim >= 1);
   FEDSHAP_CHECK(num_classes >= 2);
+  // [W (classes*dim), b (classes)]
+  params_.assign(static_cast<size_t>(num_classes) * dim + num_classes, 0.0f);
 }
 
 std::unique_ptr<Model> LogisticRegression::Clone() const {
@@ -33,20 +33,6 @@ std::unique_ptr<Model> LogisticRegression::Clone() const {
 std::string LogisticRegression::Name() const {
   return "logreg(" + std::to_string(dim_) + "->" +
          std::to_string(num_classes_) + ")";
-}
-
-size_t LogisticRegression::NumParameters() const { return params_.size(); }
-
-std::vector<float> LogisticRegression::GetParameters() const {
-  return params_;
-}
-
-Status LogisticRegression::SetParameters(const std::vector<float>& params) {
-  if (params.size() != params_.size()) {
-    return Status::InvalidArgument("parameter size mismatch");
-  }
-  params_ = params;
-  return Status::OK();
 }
 
 void LogisticRegression::InitializeParameters(Rng& rng) {
@@ -71,21 +57,19 @@ void LogisticRegression::Forward(const float* x,
   SoftmaxInPlace(probs);
 }
 
-double LogisticRegression::ComputeGradient(const Dataset& data,
-                                           const std::vector<size_t>& batch,
-                                           std::vector<float>& grad) const {
+void LogisticRegression::ComputeGradient(const Dataset& data,
+                                         const std::vector<size_t>& batch,
+                                         std::vector<float>& grad) const {
   grad.assign(params_.size(), 0.0f);
-  if (batch.empty()) return 0.0;
+  if (batch.empty()) return;
   const size_t weight_count = static_cast<size_t>(num_classes_) * dim_;
   std::vector<float> probs;
   std::vector<float> row(static_cast<size_t>(data.num_features()));
-  double total_loss = 0.0;
   for (size_t idx : batch) {
     data.CopyRow(idx, row.data());
     const float* x = row.data();
     const int label = data.ClassLabel(idx);
     Forward(x, probs);
-    total_loss += -std::log(std::max(probs[label], 1e-12f));
     for (int c = 0; c < num_classes_; ++c) {
       // d(CE)/d(logit_c) = p_c - 1[c == label]
       const float delta = probs[c] - (c == label ? 1.0f : 0.0f);
@@ -96,15 +80,14 @@ double LogisticRegression::ComputeGradient(const Dataset& data,
   }
   const float inv = 1.0f / static_cast<float>(batch.size());
   for (float& g : grad) g *= inv;
-  return total_loss / static_cast<double>(batch.size());
 }
 
-double LogisticRegression::ComputeGradientBatched(
+void LogisticRegression::ComputeGradientBatched(
     const Dataset& data, const std::vector<size_t>& batch,
     std::vector<float>& grad) const {
   if (batch.empty()) {
     grad.assign(params_.size(), 0.0f);
-    return 0.0;
+    return;
   }
   // X (batch x dim) feeds the weight gradient, X^T (dim x batch) the
   // logits; LogRegGradient writes every element of grad.
@@ -117,10 +100,10 @@ double LogisticRegression::ComputeGradientBatched(
     FEDSHAP_CHECK(labels[i] < num_classes_);
   }
   grad.resize(params_.size());
-  return LogRegGradient(xb.data(), xt.data(), batch.size(),
-                        static_cast<size_t>(dim_), params_.data(),
-                        static_cast<size_t>(num_classes_), labels.data(),
-                        grad.data());
+  LogRegGradient(xb.data(), xt.data(), batch.size(),
+                 static_cast<size_t>(dim_), params_.data(),
+                 static_cast<size_t>(num_classes_), labels.data(),
+                 grad.data());
 }
 
 void LogisticRegression::Predict(const float* features,

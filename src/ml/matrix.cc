@@ -299,15 +299,15 @@ void AddProximalScalar(float* __restrict g, const float* __restrict p,
 /// composition's own kernels: the block's logits z (rows x classes) come
 /// from the same products in the same order as MatMulBody on X and W^T
 /// (k in pairs for rows inside its 4-row tiles, i < bsz & ~3, one product
-/// at a time for the rest), then SoftmaxRowsScalar, the loss loop, and
-/// AddOuterBatchScalar and a row-order sum of the block's deltas. Batch
+/// at a time for the rest), then SoftmaxRowsScalar, the label deltas,
+/// and AddOuterBatchScalar and a row-order sum of the block's deltas. Batch
 /// pairs never straddle a block, since blocks start at even rows. The
 /// reference body zero-fills grad and accumulates.
-double LogRegGradientScalar(const float* __restrict xb,
-                            const float* __restrict xt, size_t bsz,
-                            size_t dim, const float* __restrict params,
-                            size_t classes, const int* __restrict labels,
-                            float* __restrict grad) {
+void LogRegGradientScalar(const float* __restrict xb,
+                          const float* __restrict xt, size_t bsz, size_t dim,
+                          const float* __restrict params, size_t classes,
+                          const int* __restrict labels,
+                          float* __restrict grad) {
   const size_t weight_count = classes * dim;
   const float* bias = params + weight_count;
   float* grad_b = grad + weight_count;
@@ -316,7 +316,6 @@ double LogRegGradientScalar(const float* __restrict xb,
   std::fill(grad, grad + weight_count + classes, 0.0f);
   internal::ClassLanes lanes(classes);
   float* z = lanes.data();
-  double total_loss = 0.0;
   for (size_t i0 = 0; i0 < bsz; i0 += kRowBlock) {
     const size_t rows = std::min(kRowBlock, bsz - i0);
     const size_t pair_rows = i0 < tiled ? std::min(rows, tiled - i0) : 0;
@@ -337,9 +336,7 @@ double LogRegGradientScalar(const float* __restrict xb,
     }
     SoftmaxRowsScalar(z, rows, classes);
     for (size_t r = 0; r < rows; ++r) {
-      float& p = z[r * classes + labels[i0 + r]];
-      total_loss += -std::log(std::max(p, 1e-12f));
-      p -= 1.0f;
+      z[r * classes + labels[i0 + r]] -= 1.0f;
     }
     for (size_t j = 0; j < classes; ++j) {
       float sum = grad_b[j];
@@ -349,7 +346,6 @@ double LogRegGradientScalar(const float* __restrict xb,
     AddOuterBatchScalar(grad, classes, dim, inv, z, xb + i0 * dim, rows);
   }
   for (size_t j = 0; j < classes; ++j) grad_b[j] *= inv;
-  return total_loss / static_cast<double>(bsz);
 }
 
 const internal::KernelTable kScalarTable = {
@@ -386,11 +382,11 @@ void MatMul(const float* __restrict a, size_t m, size_t k,
   internal::ActiveKernelTable().mat_mul_body(a, m, k, b, n, c);
 }
 
-double LogRegGradient(const float* __restrict xb, const float* __restrict xt,
-                      size_t bsz, size_t dim, const float* __restrict params,
-                      size_t classes, const int* __restrict labels,
-                      float* __restrict grad) {
-  return internal::ActiveKernelTable().logreg_gradient(
+void LogRegGradient(const float* __restrict xb, const float* __restrict xt,
+                    size_t bsz, size_t dim, const float* __restrict params,
+                    size_t classes, const int* __restrict labels,
+                    float* __restrict grad) {
+  internal::ActiveKernelTable().logreg_gradient(
       xb, xt, bsz, dim, params, classes, labels, grad);
 }
 

@@ -48,11 +48,11 @@ namespace fedshap {
 ///
 ///   |batched - reference| <= kKernelAbsTol + kKernelRelTol * |reference|
 ///
-/// per element, for every kernel and for every model's per-step loss and
-/// gradient (reduction dimensions up to a few thousand). Purely
-/// element-wise kernels (bias/ReLU/softmax rows, the fused SGD steps)
-/// perform the reference arithmetic per element in the same order and
-/// must match the scalar path to float rounding (4 ulp).
+/// per element, for every kernel and for every model's per-step gradient
+/// (reduction dimensions up to a few thousand). Purely element-wise
+/// kernels (bias/ReLU/softmax rows, the fused SGD steps) perform the
+/// reference arithmetic per element in the same order and must match the
+/// scalar path to float rounding (4 ulp).
 inline constexpr float kKernelAbsTol = 1e-4f;
 /// Relative term of the kernel tolerance contract (see kKernelAbsTol).
 inline constexpr float kKernelRelTol = 1e-3f;
@@ -143,25 +143,27 @@ void AddOuterBatch(float* __restrict acc, size_t rows, size_t cols,
                    float alpha, const float* __restrict a,
                    const float* __restrict b, size_t batch);
 
-/// The logistic-regression minibatch step in one pass: softmax
-/// cross-entropy of the logits X * W^T + b against `labels`, and its
-/// gradient. `xb` is X (bsz x dim) and `xt` its transpose X^T (dim x
-/// bsz), as GatherRowsAndColumns fills them; `params` holds W (classes x
-/// dim, row-major) then the classes biases b; `labels` holds bsz class
-/// ids in [0, classes). Writes every element of `grad` (the layout of
-/// `params`: grad_W = deltas^T * X / bsz, then grad_b = column sums of
-/// deltas / bsz) and returns the average loss. Requires bsz >= 1.
+/// The logistic-regression minibatch step in one pass: the gradient of
+/// the softmax cross-entropy of the logits X * W^T + b against `labels`.
+/// `xb` is X (bsz x dim) and `xt` its transpose X^T (dim x bsz), as
+/// GatherRowsAndColumns fills them; `params` holds W (classes x dim,
+/// row-major) then the classes biases b; `labels` holds bsz class ids in
+/// [0, classes). Writes every element of `grad` (the layout of `params`:
+/// grad_W = deltas^T * X / bsz, then grad_b = column sums of deltas /
+/// bsz). Computes no loss (Model::Loss is its one definition). Requires
+/// bsz >= 1.
 ///
 /// Bit-identical, on each backend, to that backend's Transpose + MatMul
-/// + AddBiasRows + SoftmaxRows + loss loop + AddOuterBatch (alpha
-/// 1/bsz) + ColumnSums composition: every element takes the same
-/// operations in the same order. The batch rows fill the vector lanes
-/// eight at a time, each class's logits stay a vector of those rows, and
-/// the probabilities never leave the block they were computed in.
-double LogRegGradient(const float* __restrict xb, const float* __restrict xt,
-                      size_t bsz, size_t dim, const float* __restrict params,
-                      size_t classes, const int* __restrict labels,
-                      float* __restrict grad);
+/// + AddBiasRows + SoftmaxRows + label delta (p_label - 1) +
+/// AddOuterBatch (alpha 1/bsz) + ColumnSums composition: every element
+/// takes the same operations in the same order. The batch rows fill the
+/// vector lanes eight at a time, each class's logits stay a vector of
+/// those rows, and the probabilities never leave the block they were
+/// computed in.
+void LogRegGradient(const float* __restrict xb, const float* __restrict xt,
+                    size_t bsz, size_t dim, const float* __restrict params,
+                    size_t classes, const int* __restrict labels,
+                    float* __restrict grad);
 
 /// out = a^T with a: rows x cols, out: cols x rows (overwritten). Used to
 /// feed row-major weight matrices to MatMul's saxpy layout.

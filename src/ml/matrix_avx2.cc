@@ -494,15 +494,15 @@ void Logits(const float* x, size_t ld, size_t k, const float* weights,
 /// rows in the lanes. Per element it performs the operations of this
 /// table's kernels composed: MatMulBodyAvx2's logits (see
 /// LogitColumns), the bias add, SoftmaxRows' max, scalar expf and sum in
-/// class order and divide, the loss and delta of the label, then
+/// class order and divide, the delta of the label, then
 /// AddOuterBatchAvx2's FMA sequence on the block's deltas (blocks start
 /// at even rows, so no batch pair straddles two) and ColumnSums' row
 /// order. The first block writes the gradient instead of accumulating.
-double LogRegGradientAvx2(const float* __restrict xb,
-                          const float* __restrict xt, size_t bsz, size_t dim,
-                          const float* __restrict params, size_t classes,
-                          const int* __restrict labels,
-                          float* __restrict grad) {
+void LogRegGradientAvx2(const float* __restrict xb,
+                        const float* __restrict xt, size_t bsz, size_t dim,
+                        const float* __restrict params, size_t classes,
+                        const int* __restrict labels,
+                        float* __restrict grad) {
   const size_t weight_count = classes * dim;
   const float* bias = params + weight_count;
   float* grad_b = grad + weight_count;
@@ -510,7 +510,6 @@ double LogRegGradientAvx2(const float* __restrict xb,
   const size_t tiled = bsz & ~size_t{3};
   ClassLanes class_lanes(classes);
   float* z = class_lanes.data();
-  double total_loss = 0.0;
   for (size_t i0 = 0; i0 < bsz; i0 += 8) {
     const int rows = static_cast<int>(std::min<size_t>(8, bsz - i0));
     const int pair_rows =
@@ -549,11 +548,9 @@ double LogRegGradientAvx2(const float* __restrict xb,
                        _mm256_div_ps(_mm256_loadu_ps(z + 8 * c), vtotal));
     }
 
-    // Loss and deltas, then the block's share of both gradients.
+    // Deltas, then the block's share of both gradients.
     for (int r = 0; r < rows; ++r) {
-      float& p = z[8 * static_cast<size_t>(labels[i0 + r]) + r];
-      total_loss += -std::log(std::max(p, 1e-12f));
-      p -= 1.0f;
+      z[8 * static_cast<size_t>(labels[i0 + r]) + r] -= 1.0f;
     }
     const bool first = i0 == 0;
     for (size_t c = 0; c < classes; ++c) {
@@ -565,7 +562,6 @@ double LogRegGradientAvx2(const float* __restrict xb,
                          static_cast<size_t>(rows), first);
   }
   for (size_t c = 0; c < classes; ++c) grad_b[c] *= inv;
-  return total_loss / static_cast<double>(bsz);
 }
 
 // ---------------------------------------------------------------------------

@@ -26,18 +26,6 @@ std::string Mlp::Name() const {
          "-" + std::to_string(num_classes_) + ")";
 }
 
-size_t Mlp::NumParameters() const { return params_.size(); }
-
-std::vector<float> Mlp::GetParameters() const { return params_; }
-
-Status Mlp::SetParameters(const std::vector<float>& params) {
-  if (params.size() != params_.size()) {
-    return Status::InvalidArgument("parameter size mismatch");
-  }
-  params_ = params;
-  return Status::OK();
-}
-
 void Mlp::InitializeParameters(Rng& rng) {
   // He initialization for the ReLU layer, Xavier-ish for the head.
   const double scale1 = std::sqrt(2.0 / dim_);
@@ -76,21 +64,19 @@ void Mlp::Forward(const float* x, std::vector<float>& hidden_act,
   SoftmaxInPlace(probs);
 }
 
-double Mlp::ComputeGradient(const Dataset& data,
-                            const std::vector<size_t>& batch,
-                            std::vector<float>& grad) const {
+void Mlp::ComputeGradient(const Dataset& data,
+                          const std::vector<size_t>& batch,
+                          std::vector<float>& grad) const {
   grad.assign(params_.size(), 0.0f);
-  if (batch.empty()) return 0.0;
+  if (batch.empty()) return;
   std::vector<float> hidden_act, probs, dhidden(hidden_);
   std::vector<float> row(static_cast<size_t>(data.num_features()));
-  double total_loss = 0.0;
   const float* w2 = params_.data() + W2();
   for (size_t idx : batch) {
     data.CopyRow(idx, row.data());
     const float* x = row.data();
     const int label = data.ClassLabel(idx);
     Forward(x, hidden_act, probs);
-    total_loss += -std::log(std::max(probs[label], 1e-12f));
 
     // Output layer: dlogit_c = p_c - 1[c==label].
     std::fill(dhidden.begin(), dhidden.end(), 0.0f);
@@ -119,14 +105,13 @@ double Mlp::ComputeGradient(const Dataset& data,
   }
   const float inv = 1.0f / static_cast<float>(batch.size());
   for (float& g : grad) g *= inv;
-  return total_loss / static_cast<double>(batch.size());
 }
 
-double Mlp::ComputeGradientBatched(const Dataset& data,
-                                   const std::vector<size_t>& batch,
-                                   std::vector<float>& grad) const {
+void Mlp::ComputeGradientBatched(const Dataset& data,
+                                 const std::vector<size_t>& batch,
+                                 std::vector<float>& grad) const {
   grad.assign(params_.size(), 0.0f);
-  if (batch.empty()) return 0.0;
+  if (batch.empty()) return;
   const size_t bsz = batch.size();
   const size_t dim = static_cast<size_t>(dim_);
   const size_t hidden = static_cast<size_t>(hidden_);
@@ -155,15 +140,11 @@ double Mlp::ComputeGradientBatched(const Dataset& data,
   AddBiasRows(probs.data(), bsz, classes, params_.data() + B2());
   SoftmaxRows(probs.data(), bsz, classes);
 
-  // Loss; probs becomes the logit deltas (p_c - 1[c == label]) in place,
+  // probs becomes the logit deltas (p_c - 1[c == label]) in place,
   // pre-scaled by 1/bsz so every downstream gradient product comes out
   // averaged with no separate scaling pass.
-  double total_loss = 0.0;
   for (size_t i = 0; i < bsz; ++i) {
-    const int label = data.ClassLabel(batch[i]);
-    float* row = probs.data() + i * classes;
-    total_loss += -std::log(std::max(row[label], 1e-12f));
-    row[label] -= 1.0f;
+    probs[i * classes + data.ClassLabel(batch[i])] -= 1.0f;
   }
   for (size_t i = 0; i < bsz * classes; ++i) probs[i] *= inv;
 
@@ -180,7 +161,6 @@ double Mlp::ComputeGradientBatched(const Dataset& data,
   // gW1 = dH^T * X (dH is already 1/bsz-scaled through the deltas).
   MatTMat(dh.data(), bsz, hidden, xb.data(), dim, grad.data() + W1());
   ColumnSums(dh.data(), bsz, hidden, grad.data() + B1());
-  return total_loss / static_cast<double>(bsz);
 }
 
 void Mlp::Predict(const float* features, std::vector<float>& output) const {

@@ -19,16 +19,12 @@ class Mlp : public Model {
 
   std::unique_ptr<Model> Clone() const override;
   std::string Name() const override;
-  size_t NumParameters() const override;
-  std::vector<float> GetParameters() const override;
-  Status SetParameters(const std::vector<float>& params) override;
   void InitializeParameters(Rng& rng) override;
-  double ComputeGradient(const Dataset& data,
-                         const std::vector<size_t>& batch,
-                         std::vector<float>& grad) const override;
-  double ComputeGradientBatched(const Dataset& data,
-                                const std::vector<size_t>& batch,
-                                std::vector<float>& grad) const override;
+  void ComputeGradient(const Dataset& data, const std::vector<size_t>& batch,
+                       std::vector<float>& grad) const override;
+  void ComputeGradientBatched(const Dataset& data,
+                              const std::vector<size_t>& batch,
+                              std::vector<float>& grad) const override;
   void Predict(const float* features,
                std::vector<float>& output) const override;
   int NumOutputs() const override { return num_classes_; }
@@ -56,7 +52,6 @@ class Mlp : public Model {
   int dim_;
   int hidden_;
   int num_classes_;
-  std::vector<float> params_;
 };
 
 }  // namespace fedshap

@@ -1,7 +1,8 @@
 #include "ml/model.h"
 
-#include <cstring>
-#include <numeric>
+#include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "ml/kernel_dispatch.h"
 #include "util/logging.h"
@@ -40,45 +41,68 @@ void GatherRowsAndColumns(const Dataset& data,
       cols.data());
 }
 
+Status Model::SetParameters(const std::vector<float>& params) {
+  if (params.size() != params_.size()) {
+    return Status::InvalidArgument("parameter size mismatch");
+  }
+  params_ = params;
+  return Status::OK();
+}
+
 double Model::Loss(const Dataset& data) const {
   if (data.empty()) return 0.0;
-  // Loss evaluation sits on the utility hot path (the kNegativeLoss
-  // metric runs it once per trained coalition), so it runs the batched
-  // gradient path in chunks: big enough to amortize the batched
-  // kernels, small enough that per-thread scratch never scales with the
-  // test-set size.
-  constexpr size_t kChunk = 256;
-  std::vector<size_t> rows;
-  std::vector<float> unused_grad;
+  FEDSHAP_CHECK_OK(CheckDatasetFitsModel(data, *this));
+  const bool regressor = NumOutputs() == 1;
+  std::vector<float> row(static_cast<size_t>(data.num_features()));
+  std::vector<float> output;
   double total = 0.0;
-  for (size_t start = 0; start < data.size(); start += kChunk) {
-    const size_t end = std::min(data.size(), start + kChunk);
-    rows.resize(end - start);
-    std::iota(rows.begin(), rows.end(), start);
-    const double avg = ComputeGradientBatched(data, rows, unused_grad);
-    total += avg * static_cast<double>(rows.size());
+  for (size_t i = 0; i < data.size(); ++i) {
+    data.CopyRow(i, row.data());
+    Predict(row.data(), output);
+    if (regressor) {
+      const double err = static_cast<double>(output[0]) - data.Target(i);
+      total += 0.5 * err * err;
+    } else {
+      total += -std::log(std::max(output[data.ClassLabel(i)], 1e-12f));
+    }
   }
   return total / static_cast<double>(data.size());
+}
+
+Status CheckDatasetFitsModel(const Dataset& data, const Model& model) {
+  if (data.num_features() != model.NumFeatures()) {
+    return Status::InvalidArgument(
+        "dataset has " + std::to_string(data.num_features()) +
+        " features, model expects " + std::to_string(model.NumFeatures()));
+  }
+  if (data.num_classes() > model.NumOutputs()) {
+    return Status::InvalidArgument(
+        "dataset has " + std::to_string(data.num_classes()) +
+        " classes, model outputs " + std::to_string(model.NumOutputs()));
+  }
+  if (data.num_classes() == 0 && model.NumOutputs() > 1) {
+    return Status::InvalidArgument(
+        "dataset has regression targets, model is a " +
+        std::to_string(model.NumOutputs()) + "-class classifier");
+  }
+  return Status::OK();
 }
 
 std::vector<float> NumericalGradient(Model& model, const Dataset& data,
                                      const std::vector<size_t>& batch,
                                      float epsilon) {
-  std::vector<float> params = model.GetParameters();
+  const Dataset rows = data.Subset(batch);
+  const std::span<float> params = model.MutableParameters();
   std::vector<float> grad(params.size(), 0.0f);
-  std::vector<float> scratch;
   for (size_t p = 0; p < params.size(); ++p) {
     const float saved = params[p];
     params[p] = saved + epsilon;
-    FEDSHAP_CHECK_OK(model.SetParameters(params));
-    double plus = model.ComputeGradient(data, batch, scratch);
+    const double plus = model.Loss(rows);
     params[p] = saved - epsilon;
-    FEDSHAP_CHECK_OK(model.SetParameters(params));
-    double minus = model.ComputeGradient(data, batch, scratch);
+    const double minus = model.Loss(rows);
     params[p] = saved;
     grad[p] = static_cast<float>((plus - minus) / (2.0 * epsilon));
   }
-  FEDSHAP_CHECK_OK(model.SetParameters(params));
   return grad;
 }
 

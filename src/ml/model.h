@@ -2,6 +2,7 @@
 #define FEDSHAP_ML_MODEL_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,7 +13,7 @@
 
 namespace fedshap {
 
-/// Interface every gradient-trainable FL model implements (linear/logistic
+/// Base class of every gradient-trainable FL model (linear/logistic
 /// regression, MLP, CNN).
 ///
 /// The FedAvg substrate only needs four capabilities: flat parameter access
@@ -20,9 +21,10 @@ namespace fedshap {
 /// local SGD), prediction (for utility evaluation) and cloning (to train an
 /// independent model per coalition from the same initialization).
 ///
-/// Parameters are exposed as one flat float vector; the layout is
-/// model-internal but stable for a given architecture, which is what FedAvg
-/// aggregation requires.
+/// The base class owns the parameters as one flat float vector; the layout
+/// is model-internal but stable for a given architecture, which is what
+/// FedAvg aggregation requires. Subclasses size it in their constructor
+/// and read it in their gradient and forward passes.
 class Model {
  public:
   virtual ~Model() = default;
@@ -34,45 +36,46 @@ class Model {
   virtual std::string Name() const = 0;
 
   /// Length of the flat parameter vector.
-  virtual size_t NumParameters() const = 0;
+  size_t NumParameters() const { return params_.size(); }
 
   /// Copy of the flat parameter vector.
-  virtual std::vector<float> GetParameters() const = 0;
+  std::vector<float> GetParameters() const { return params_; }
 
   /// Replaces all parameters; `params` must have NumParameters() entries.
-  virtual Status SetParameters(const std::vector<float>& params) = 0;
+  Status SetParameters(const std::vector<float>& params);
+
+  /// The parameters themselves, for optimizers that update them in place
+  /// (TrainSgd). The storage never moves, so AffineScorer's pointers stay
+  /// valid across in-place updates.
+  std::span<float> MutableParameters() { return params_; }
 
   /// Draws fresh initial parameters (e.g. scaled Gaussians).
   virtual void InitializeParameters(Rng& rng) = 0;
 
-  /// Computes the average loss over the given rows of `data` and
-  /// accumulates d(avg loss)/d(params) into `grad` (which the callee
-  /// resizes/zeroes). Returns the average loss.
+  /// Writes d(avg loss)/d(params) over the given rows of `data` into
+  /// `grad` (resized to NumParameters(); all zeros for an empty batch).
+  /// The loss itself is not computed: Loss is its one definition.
   ///
   /// This is the *reference* gradient path: one example at a time,
   /// scalar loops. It stays the ground truth that the batched path is
   /// tested against.
-  virtual double ComputeGradient(const Dataset& data,
-                                 const std::vector<size_t>& batch,
-                                 std::vector<float>& grad) const = 0;
+  virtual void ComputeGradient(const Dataset& data,
+                               const std::vector<size_t>& batch,
+                               std::vector<float>& grad) const = 0;
 
-  /// Batched-kernel twin of ComputeGradient: same contract (average loss
-  /// returned, averaged gradient in `grad`), computed by gathering the
-  /// batch into a contiguous matrix and running the blocked kernels of
-  /// ml/matrix.h over the whole minibatch at once. Results match
-  /// ComputeGradient within the kernel tolerance contract documented in
-  /// ml/matrix.h (not bitwise: batched kernels reassociate sums).
-  ///
-  /// The default forwards to ComputeGradient so models without a batched
-  /// implementation keep working; the four trainable models override it.
-  virtual double ComputeGradientBatched(const Dataset& data,
-                                        const std::vector<size_t>& batch,
-                                        std::vector<float>& grad) const {
-    return ComputeGradient(data, batch, grad);
-  }
+  /// Batched-kernel twin of ComputeGradient, the path TrainSgd runs: same
+  /// contract, computed by gathering the batch into a contiguous matrix
+  /// and running the blocked kernels of ml/matrix.h over the whole
+  /// minibatch at once. Results match ComputeGradient within the kernel
+  /// tolerance contract documented in ml/matrix.h (not bitwise: batched
+  /// kernels reassociate sums).
+  virtual void ComputeGradientBatched(const Dataset& data,
+                                      const std::vector<size_t>& batch,
+                                      std::vector<float>& grad) const = 0;
 
-  /// Model output for a single example: per-class scores for classifiers
-  /// (argmax = prediction), a single value for regressors.
+  /// Model output for a single example: the class probabilities for
+  /// classifiers (NumOutputs() > 1; argmax = prediction), the predicted
+  /// value for regressors (NumOutputs() == 1).
   virtual void Predict(const float* features,
                        std::vector<float>& output) const = 0;
 
@@ -85,23 +88,37 @@ class Model {
   /// W^T side by side and score them all with one GEMM dispatch (see
   /// FedAvgUtility::EvaluateBatchFused). Returns nullptr for models
   /// without an affine scoring head (the default); callers fall back to
-  /// per-example Predict. Pointers are valid until the parameters change.
+  /// per-example Predict. Pointers are valid until the parameters are
+  /// replaced by SetParameters.
   virtual const float* AffineScorer(const float** bias) const {
     (void)bias;
     return nullptr;
   }
 
-  /// Average loss over an entire dataset (no gradient returned). Runs
-  /// ComputeGradientBatched in bounded-size chunks, so its scratch stays
-  /// O(chunk), not O(dataset).
-  virtual double Loss(const Dataset& data) const;
+  /// Average loss over `data`, from one Predict per row: cross-entropy
+  /// -log(max(p_label, 1e-12)) for classifiers, 0.5 * (prediction -
+  /// target)^2 for regressors; 0 for an empty dataset. `data` must fit
+  /// the model (CheckDatasetFitsModel); anything else is a fatal error.
+  double Loss(const Dataset& data) const;
 
   /// Number of model outputs (classes, or 1 for regression).
   virtual int NumOutputs() const = 0;
 
   /// Number of input features each example must carry.
   virtual int NumFeatures() const = 0;
+
+ protected:
+  /// The flat parameter vector, in the subclass's layout.
+  std::vector<float> params_;
 };
+
+/// OK when every row of `data` is a valid input to `model`: the feature
+/// count matches NumFeatures(), the dataset has no more classes than the
+/// model has outputs, and a classifier (NumOutputs() > 1) gets
+/// classification data. InvalidArgument otherwise. Training, scoring and
+/// Loss all index the model's inputs and outputs by the dataset's
+/// shape, so callers check once before handing a dataset over.
+Status CheckDatasetFitsModel(const Dataset& data, const Model& model);
 
 /// Copies the selected rows of `data` into one contiguous row-major
 /// batch x num_features() matrix (`out` is resized, 64-byte-aligned so
@@ -119,9 +136,9 @@ void GatherRowsAndColumns(const Dataset& data,
                           const std::vector<size_t>& batch,
                           AlignedFloats& rows, AlignedFloats& cols);
 
-/// Numerically estimates d(loss)/d(params) by central differences; used by
-/// the gradient-check tests. O(NumParameters) loss evaluations — test-sized
-/// models only.
+/// Numerically estimates d(Loss)/d(params) over the given rows of `data`
+/// by central differences; used by the gradient-check tests.
+/// O(NumParameters) loss evaluations — test-sized models only.
 std::vector<float> NumericalGradient(Model& model, const Dataset& data,
                                      const std::vector<size_t>& batch,
                                      float epsilon = 1e-3f);

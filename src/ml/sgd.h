@@ -29,19 +29,20 @@ struct SgdConfig {
 };
 
 /// Runs `config.epochs` epochs of shuffled minibatch SGD on `data`,
-/// mutating `model` in place. Returns the average training loss of the last
-/// epoch. A no-op (returning 0) on an empty dataset — an FL client with no
-/// data contributes nothing, which is what the null-player axiom expects.
-/// A non-empty dataset whose feature count differs from the model's, or
-/// a classification dataset with more classes than the model has
-/// outputs, fails with InvalidArgument before any step.
+/// stepping `model`'s parameters in place. A no-op on an empty dataset —
+/// an FL client with no data contributes nothing, which is what the
+/// null-player axiom expects. A non-empty dataset that does not fit the
+/// model (CheckDatasetFitsModel) fails with InvalidArgument before any
+/// step. Computes no loss: evaluate Model::Loss for one.
 ///
 /// Batch order is drawn from `rng`; each minibatch's forward/backward runs
 /// through Model::ComputeGradientBatched (for logistic regression, the
 /// single LogRegGradient kernel of ml/matrix.h) and the weight update
-/// through the fused SGD kernels of ml/matrix.h.
-Result<double> TrainSgd(Model& model, const Dataset& data,
-                        const SgdConfig& config, Rng& rng);
+/// through the fused SGD kernels of ml/matrix.h, directly on
+/// Model::MutableParameters. The only parameter-sized copies are the
+/// gradient, the momentum velocity and the FedProx anchor.
+Status TrainSgd(Model& model, const Dataset& data, const SgdConfig& config,
+                Rng& rng);
 
 }  // namespace fedshap
 

@@ -7,6 +7,7 @@
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "ml/kernel_backend.h"
+#include "ml/linear_regression.h"
 #include "ml/logistic_regression.h"
 #include "ml/matrix.h"
 #include "test_util.h"
@@ -85,6 +86,52 @@ TEST(FedAvgUtilityTest, CreateValidation) {
   // Empty test set rejected.
   EXPECT_FALSE(
       FedAvgUtility::Create({*data}, Dataset(), prototype, config).ok());
+}
+
+TEST(FedAvgUtilityTest, CreateRejectsDataTheModelCannotFit) {
+  // Scoring reads each test row through the model (Predict reads
+  // NumFeatures() floats per row, the fused scorer indexes the weights by
+  // the test set's width, the loss reads the label's output), and
+  // training does the same with each client's rows, so every set must fit
+  // the model before any coalition is evaluated.
+  LogisticRegression prototype(4, 2);
+  FedAvgConfig config;
+  Rng rng(4);
+  Result<Dataset> fits = GenerateBlobs(2, 4, 4.0, 50, rng);
+  Result<Dataset> three_features = GenerateBlobs(2, 3, 4.0, 50, rng);
+  Result<Dataset> five_classes = GenerateBlobs(5, 4, 4.0, 50, rng);
+  RegressionConfig regression_config;
+  regression_config.dim = 4;
+  Result<Dataset> regression = GenerateRegression(regression_config, 50, rng);
+  ASSERT_TRUE(fits.ok() && three_features.ok() && five_classes.ok() &&
+              regression.ok());
+  for (const Dataset* bad : {&*three_features, &*five_classes, &*regression}) {
+    Result<std::unique_ptr<FedAvgUtility>> bad_test =
+        FedAvgUtility::Create({*fits}, *bad, prototype, config);
+    ASSERT_FALSE(bad_test.ok());
+    EXPECT_EQ(bad_test.status().code(), StatusCode::kInvalidArgument);
+    Result<std::unique_ptr<FedAvgUtility>> bad_client =
+        FedAvgUtility::Create({*fits, *bad}, *fits, prototype, config);
+    ASSERT_FALSE(bad_client.ok());
+    EXPECT_EQ(bad_client.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bad_client.status().message().find("client 1"),
+              std::string::npos)
+        << bad_client.status();
+  }
+  EXPECT_TRUE(FedAvgUtility::Create({*fits, Dataset()}, *fits, prototype,
+                                    config)
+                  .ok());
+  // A regressor fits regression data, but only its loss can score it:
+  // accuracy reads class labels the test set does not have.
+  LinearRegression regressor(4);
+  EXPECT_EQ(FedAvgUtility::Create({*regression}, *regression, regressor,
+                                  config, UtilityMetric::kAccuracy)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(FedAvgUtility::Create({*regression}, *regression, regressor,
+                                    config, UtilityMetric::kNegativeLoss)
+                  .ok());
 }
 
 TEST(FedAvgUtilityTest, NegativeLossMetric) {

@@ -1,7 +1,7 @@
 /// Kernel-equivalence suite: every batched kernel of ml/matrix.h is
 /// cross-checked against a naive scalar reference on randomized shapes
 /// (including non-multiple-of-tile sizes that exercise the remainder
-/// paths), every model's per-step loss/gradient from
+/// paths), every model's per-step gradient from
 /// ComputeGradientBatched is cross-checked against the per-example
 /// reference ComputeGradient, and so is a whole TrainSgd run against a
 /// per-example reference loop. The tolerance contract is the one
@@ -162,13 +162,12 @@ TEST_P(KernelBackendSuite, MatMulAccAccumulatesOntoSeed) {
 
 /// The logistic-regression step as separate kernels compose it: Gather
 /// + Transpose + MatMul for the logits, AddBiasRows, SoftmaxRows, the
-/// loss loop, AddOuterBatch with alpha 1/bsz and ColumnSums. `deltas`
+/// label deltas, AddOuterBatch with alpha 1/bsz and ColumnSums. `deltas`
 /// receives the bsz x classes logit deltas.
-double ComposedLogRegStep(const Dataset& data,
-                          const std::vector<size_t>& batch,
-                          const std::vector<float>& params, size_t dim,
-                          size_t classes, std::vector<float>& grad,
-                          std::vector<float>& deltas) {
+void ComposedLogRegStep(const Dataset& data, const std::vector<size_t>& batch,
+                        const std::vector<float>& params, size_t dim,
+                        size_t classes, std::vector<float>& grad,
+                        std::vector<float>& deltas) {
   const size_t bsz = batch.size();
   const size_t weight_count = classes * dim;
   const float inv = 1.0f / static_cast<float>(bsz);
@@ -179,19 +178,14 @@ double ComposedLogRegStep(const Dataset& data,
   MatMul(xb.data(), bsz, dim, wt.data(), classes, deltas.data());
   AddBiasRows(deltas.data(), bsz, classes, params.data() + weight_count);
   SoftmaxRows(deltas.data(), bsz, classes);
-  double total_loss = 0.0;
   for (size_t i = 0; i < bsz; ++i) {
-    float* row = deltas.data() + i * classes;
-    const int label = data.ClassLabel(batch[i]);
-    total_loss += -std::log(std::max(row[label], 1e-12f));
-    row[label] -= 1.0f;
+    deltas[i * classes + data.ClassLabel(batch[i])] -= 1.0f;
   }
   grad.assign(params.size(), 0.0f);
   AddOuterBatch(grad.data(), classes, dim, inv, deltas.data(), xb.data(),
                 bsz);
   ColumnSums(deltas.data(), bsz, classes, grad.data() + weight_count);
   for (size_t c = 0; c < classes; ++c) grad[weight_count + c] *= inv;
-  return total_loss / static_cast<double>(bsz);
 }
 
 /// Batch pairs (rows 2p, 2p + 1) with a class whose two deltas are both
@@ -211,8 +205,7 @@ size_t ZeroDeltaPairs(const std::vector<float>& deltas, size_t bsz,
 }
 
 /// LogisticRegression::ComputeGradientBatched (the fused LogRegGradient)
-/// against ComposedLogRegStep, loss and every gradient element bit for
-/// bit, into a NaN-filled gradient so an element left unwritten shows.
+/// against ComposedLogRegStep, every gradient element bit for bit, into a NaN-filled gradient so an element left unwritten shows.
 void ExpectStepMatchesComposition(const LogisticRegression& model,
                                   const Dataset& data,
                                   const std::vector<size_t>& batch,
@@ -220,14 +213,10 @@ void ExpectStepMatchesComposition(const LogisticRegression& model,
   const size_t dim = static_cast<size_t>(model.NumFeatures());
   const size_t classes = static_cast<size_t>(model.NumOutputs());
   std::vector<float> expected_grad, expected_deltas;
-  const double expected_loss =
-      ComposedLogRegStep(data, batch, model.GetParameters(), dim, classes,
-                         expected_grad, expected_deltas);
+  ComposedLogRegStep(data, batch, model.GetParameters(), dim, classes,
+                     expected_grad, expected_deltas);
   std::vector<float> grad(model.NumParameters(), std::nanf(""));
-  const double loss = model.ComputeGradientBatched(data, batch, grad);
-  ASSERT_EQ(std::bit_cast<uint64_t>(loss),
-            std::bit_cast<uint64_t>(expected_loss))
-      << "loss " << loss << " vs " << expected_loss;
+  model.ComputeGradientBatched(data, batch, grad);
   ASSERT_EQ(grad.size(), expected_grad.size());
   for (size_t i = 0; i < grad.size(); ++i) {
     ASSERT_EQ(std::bit_cast<uint32_t>(grad[i]),
@@ -241,7 +230,7 @@ void ExpectStepMatchesComposition(const LogisticRegression& model,
 TEST_P(KernelBackendSuite, LogRegGradientMatchesKernelCompositionBitwise) {
   // classes cross AVX2's 8 fused columns and its unfused tail, and 70
   // the 64 classes a block keeps on the stack; bsz the 4-row tiles, 8-row
-  // blocks and Model::Loss's chunks; dim the pair unroll and
+  // blocks and a 256-row batch; dim the pair unroll and
   // AddOuterBatch's 8-lane columns, quad and single tails.
   constexpr size_t kRows = 300;
   for (size_t classes : {2, 5, 8, 9, 10, 17, 70}) {
@@ -527,12 +516,8 @@ void ExpectGradientEquivalent(const Model& model, const Dataset& data,
   for (int p : picks) batch.push_back(static_cast<size_t>(p));
 
   std::vector<float> ref_grad, batched_grad;
-  const double ref_loss = model.ComputeGradient(data, batch, ref_grad);
-  const double batched_loss =
-      model.ComputeGradientBatched(data, batch, batched_grad);
-  EXPECT_NEAR(batched_loss, ref_loss,
-              kKernelAbsTol + kKernelRelTol * std::fabs(ref_loss))
-      << model.Name() << " loss, batch " << batch.size();
+  model.ComputeGradient(data, batch, ref_grad);
+  model.ComputeGradientBatched(data, batch, batched_grad);
   ExpectAllClose(batched_grad, ref_grad, model.Name().c_str());
 }
 
@@ -906,8 +891,7 @@ TEST(TrainSgdEquivalence, OneEpochParamsMatchWithinTolerance) {
 
   Mlp batched = prototype;
   Rng rng_a(42);
-  Result<double> loss_batched = TrainSgd(batched, data, config, rng_a);
-  ASSERT_TRUE(loss_batched.ok());
+  ASSERT_TRUE(TrainSgd(batched, data, config, rng_a).ok());
 
   // The reference is TrainSgd's loop with the per-example ComputeGradient
   // in place of the batched one: the same shuffles, minibatches, proximal
@@ -920,17 +904,13 @@ TEST(TrainSgdEquivalence, OneEpochParamsMatchWithinTolerance) {
   std::iota(order.begin(), order.end(), 0);
   const size_t batch_size = static_cast<size_t>(config.batch_size);
   std::vector<float> grad;
-  double loss_ref = 0.0;
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     rng_b.Shuffle(order);
-    double epoch_loss = 0.0;
-    size_t batches = 0;
     for (size_t begin = 0; begin < order.size(); begin += batch_size) {
       const std::vector<size_t> batch(
           order.begin() + begin,
           order.begin() + std::min(order.size(), begin + batch_size));
-      epoch_loss += per_example.ComputeGradient(data, batch, grad);
-      ++batches;
+      per_example.ComputeGradient(data, batch, grad);
       AddProximal(grad.data(), p_ref.data(), start.data(), p_ref.size(),
                   static_cast<float>(config.proximal_mu));
       SgdMomentumStep(p_ref.data(), velocity.data(), grad.data(),
@@ -939,7 +919,6 @@ TEST(TrainSgdEquivalence, OneEpochParamsMatchWithinTolerance) {
                       static_cast<float>(config.weight_decay));
       ASSERT_TRUE(per_example.SetParameters(p_ref).ok());
     }
-    loss_ref = epoch_loss / static_cast<double>(batches);
   }
 
   // Both consumed the same shuffles, so batch order is identical;
@@ -952,7 +931,7 @@ TEST(TrainSgdEquivalence, OneEpochParamsMatchWithinTolerance) {
         10.0f * (kKernelAbsTol + kKernelRelTol * std::fabs(p_ref[i]));
     EXPECT_NEAR(p_batched[i], p_ref[i], tol) << "param " << i;
   }
-  EXPECT_NEAR(*loss_batched, loss_ref, 1e-3);
+  EXPECT_NEAR(batched.Loss(data), per_example.Loss(data), 1e-3);
 }
 
 }  // namespace

@@ -139,9 +139,35 @@ TEST_P(ModelSuite, EmptyBatchYieldsZeroGradient) {
   Dataset data = MakeData(5, 7);
   std::unique_ptr<Model> model = MakeModel(data, 8);
   std::vector<float> grad;
-  const double loss = model->ComputeGradient(data, {}, grad);
-  EXPECT_EQ(loss, 0.0);
+  model->ComputeGradient(data, {}, grad);
+  EXPECT_EQ(grad.size(), model->NumParameters());
   for (float g : grad) EXPECT_EQ(g, 0.0f);
+  model->ComputeGradientBatched(data, {}, grad);
+  EXPECT_EQ(grad.size(), model->NumParameters());
+  for (float g : grad) EXPECT_EQ(g, 0.0f);
+}
+
+TEST_P(ModelSuite, LossAtZeroParametersHasClosedForm) {
+  // With every parameter zero a classifier predicts the uniform
+  // distribution, so its cross-entropy is log(C) on any row; a regressor
+  // predicts 0, so its loss is 0.5 * mean(y^2).
+  Dataset data = MakeData(40, 22);
+  std::unique_ptr<Model> model = MakeModel(data, 23);
+  ASSERT_TRUE(
+      model->SetParameters(std::vector<float>(model->NumParameters(), 0.0f))
+          .ok());
+  if (Case().classification) {
+    EXPECT_NEAR(model->Loss(data), std::log(model->NumOutputs()), 1e-6)
+        << Case().name;
+  } else {
+    double squares = 0.0;
+    for (size_t i = 0; i < data.size(); ++i) {
+      squares += static_cast<double>(data.Target(i)) * data.Target(i);
+    }
+    EXPECT_NEAR(model->Loss(data), 0.5 * squares / data.size(), 1e-12)
+        << Case().name;
+  }
+  EXPECT_EQ(model->Loss(data.Subset({})), 0.0);
 }
 
 TEST_P(ModelSuite, SgdReducesLoss) {
@@ -153,8 +179,7 @@ TEST_P(ModelSuite, SgdReducesLoss) {
   config.batch_size = 16;
   config.learning_rate = std::string(Case().name) == "linreg" ? 0.05 : 0.2;
   Rng rng(11);
-  Result<double> final_loss = TrainSgd(*model, data, config, rng);
-  ASSERT_TRUE(final_loss.ok());
+  ASSERT_TRUE(TrainSgd(*model, data, config, rng).ok());
   EXPECT_LT(model->Loss(data), initial_loss * 0.9) << Case().name;
 }
 
@@ -311,30 +336,35 @@ TEST(SgdTest, ValidatesConfig) {
 }
 
 TEST(SgdTest, RejectsDataTheModelCannotFit) {
-  // Both checks run before any step, so the model is left as it was. A
+  // The checks run before any step, so the model is left as it was. A
   // 10-class dataset in a 5-output model would otherwise index past the
-  // model's 5 probabilities.
+  // model's 5 probabilities, and a regression dataset has no class labels
+  // to read at all.
   Rng rng(21);
   Result<Dataset> ten_classes = GenerateBlobs(10, 4, 4.0, 60, rng);
   Result<Dataset> three_features = GenerateBlobs(5, 3, 4.0, 60, rng);
-  ASSERT_TRUE(ten_classes.ok() && three_features.ok());
+  RegressionConfig regression_config;
+  regression_config.dim = 4;
+  Result<Dataset> regression = GenerateRegression(regression_config, 60, rng);
+  ASSERT_TRUE(ten_classes.ok() && three_features.ok() && regression.ok());
   LogisticRegression model(4, 5);
   Rng init(22);
   model.InitializeParameters(init);
   const std::vector<float> before = model.GetParameters();
   SgdConfig config;
-  for (const Dataset* data : {&*ten_classes, &*three_features}) {
+  for (const Dataset* data :
+       {&*ten_classes, &*three_features, &*regression}) {
     Rng train_rng(23);
-    Result<double> loss = TrainSgd(model, *data, config, train_rng);
-    ASSERT_FALSE(loss.ok());
-    EXPECT_EQ(loss.status().code(), StatusCode::kInvalidArgument);
+    Status status = TrainSgd(model, *data, config, train_rng);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(model.GetParameters(), before);
   }
   Rng train_rng(24);
-  Result<double> loss = TrainSgd(model, *ten_classes, config, train_rng);
-  EXPECT_NE(loss.status().message().find("10 classes, model outputs 5"),
+  Status status = TrainSgd(model, *ten_classes, config, train_rng);
+  EXPECT_NE(status.message().find("10 classes, model outputs 5"),
             std::string::npos)
-      << loss.status();
+      << status;
 }
 
 TEST(SgdTest, EmptyDataIsNoOp) {
@@ -346,9 +376,7 @@ TEST(SgdTest, EmptyDataIsNoOp) {
   const std::vector<float> before = model.GetParameters();
   SgdConfig config;
   Rng rng(17);
-  Result<double> loss = TrainSgd(model, *empty, config, rng);
-  ASSERT_TRUE(loss.ok());
-  EXPECT_EQ(loss.value(), 0.0);
+  ASSERT_TRUE(TrainSgd(model, *empty, config, rng).ok());
   EXPECT_EQ(model.GetParameters(), before);
 }
 

@@ -397,33 +397,27 @@ class ReferenceLogReg : public LogisticRegression {
     return std::make_unique<ReferenceLogReg>(*this);
   }
 
-  double ComputeGradientBatched(const Dataset& data,
-                                const std::vector<size_t>& batch,
-                                std::vector<float>& grad) const override {
-    const std::vector<float> params = GetParameters();
-    grad.assign(params.size(), 0.0f);
-    if (batch.empty()) return 0.0;
+  void ComputeGradientBatched(const Dataset& data,
+                              const std::vector<size_t>& batch,
+                              std::vector<float>& grad) const override {
+    grad.assign(params_.size(), 0.0f);
+    if (batch.empty()) return;
     const size_t bsz = batch.size();
     const size_t weight_count = classes_ * dim_;
     const float inv = 1.0f / static_cast<float>(bsz);
     AlignedFloats xb, wt(dim_ * classes_), probs(bsz * classes_);
     GatherRows(data, batch, xb);
-    Transpose(params.data(), classes_, dim_, wt.data());
+    Transpose(params_.data(), classes_, dim_, wt.data());
     MatMul(xb.data(), bsz, dim_, wt.data(), classes_, probs.data());
-    AddBiasRows(probs.data(), bsz, classes_, params.data() + weight_count);
+    AddBiasRows(probs.data(), bsz, classes_, params_.data() + weight_count);
     SoftmaxRows(probs.data(), bsz, classes_);
-    double total_loss = 0.0;
     for (size_t i = 0; i < bsz; ++i) {
-      const int label = data.ClassLabel(batch[i]);
-      float* row = probs.data() + i * classes_;
-      total_loss += -std::log(std::max(row[label], 1e-12f));
-      row[label] -= 1.0f;
+      probs[i * classes_ + data.ClassLabel(batch[i])] -= 1.0f;
     }
     AddOuterBatch(grad.data(), classes_, dim_, inv, probs.data(), xb.data(),
                   bsz);
     ColumnSums(probs.data(), bsz, classes_, grad.data() + weight_count);
     for (size_t c = 0; c < classes_; ++c) grad[weight_count + c] *= inv;
-    return total_loss / static_cast<double>(bsz);
   }
 
  private:
