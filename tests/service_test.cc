@@ -575,11 +575,25 @@ TEST_F(LogRegStepPinTest, WideLogRegMatchesKernelComposition) {
 
 TEST_F(LogRegStepPinTest, DigitsParameterHashIsPinned) {
   ASSERT_TRUE(SetKernelBackend(KernelBackend::kScalar).ok());
-  std::unique_ptr<UtilityFunction> built = DigitsUtility(16);
-  const auto* utility = dynamic_cast<const FedAvgUtility*>(built.get());
-  ASSERT_NE(utility, nullptr);
-  EXPECT_EQ(ParameterHash(TrainAll(*utility, utility->prototype())),
-            0xedd9066de04e8074ULL);
+  const struct {
+    int batch_size;
+    uint64_t hash;
+  } digits[] = {{16, 0xedd9066de04e8074ULL},
+                {13, 0x85b4c48732c3d26aULL},
+                {1, 0x80645fed4e4cc554ULL}};
+  for (const auto& pin : digits) {
+    SCOPED_TRACE("batch " + std::to_string(pin.batch_size));
+    std::unique_ptr<UtilityFunction> built = DigitsUtility(pin.batch_size);
+    const auto* utility = dynamic_cast<const FedAvgUtility*>(built.get());
+    ASSERT_NE(utility, nullptr);
+    EXPECT_EQ(ParameterHash(TrainAll(*utility, utility->prototype())),
+              pin.hash);
+  }
+  const WideDigitsRun run;
+  Result<std::unique_ptr<Model>> wide = run.Train(run.initial());
+  ASSERT_TRUE(wide.ok()) << wide.status();
+  EXPECT_EQ(ParameterHash((*wide)->GetParameters()),
+            0xf0da152b7273bbaaULL);
 }
 
 // The kernel-composition tests above compare each backend only with its
