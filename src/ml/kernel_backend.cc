@@ -24,7 +24,7 @@ bool CpuSupports(KernelBackend backend) {
       return true;
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
     case KernelBackend::kAvx2:
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+      return __builtin_cpu_supports("avx2");
 #else
     case KernelBackend::kAvx2:
       return false;

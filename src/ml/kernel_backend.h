@@ -18,34 +18,26 @@ namespace fedshap {
 ///   - kScalar:  the portable blocked loops (compiler autovectorized at
 ///               the build's baseline ISA) — always available, and the
 ///               reference the vector backend is tested against;
-///   - kAvx2:    explicit AVX2+FMA micro-kernels (8-lane), only when
-///               both the compiler and the CPU support them. AVX-512
-///               CPUs bind it too: 16-lane kernels measured no faster.
+///   - kAvx2:    explicit AVX2 micro-kernels (8-lane, no FMA), only
+///               when both the compiler and the CPU support AVX2.
+///               AVX-512 CPUs bind it too: 16-lane kernels measured no
+///               faster.
 ///
-/// **Determinism contract.** The selected backend never changes *which*
-/// coalition is trained, any workload fingerprint, or the sequence of
-/// utility queries — only the float rounding inside a training. For a
-/// fixed backend, results are bit-identical across runs and across
-/// worker counts. GEMM-shaped kernels (MatMul/MatTMat/AddOuterBatch)
-/// agree with the scalar backend within the tolerance contract of
-/// ml/matrix.h (kKernelAbsTol/kKernelRelTol); element-wise kernels
-/// (bias/ReLU/softmax rows, ColumnSums, the fused SGD steps) perform the
-/// reference arithmetic per element in the reference order and match the
-/// scalar backend to float rounding. The fused logistic-regression step
-/// (LogRegGradient) matches the same backend's composition of those
-/// kernels bit for bit, so its trained bits differ between backends
-/// exactly where that backend's MatMul and AddOuterBatch round
-/// differently. Persisted utility stores are
-/// addressed by workload fingerprint only, so they are portable across
-/// backends *within that tolerance*; pin FEDSHAP_KERNEL_BACKEND=scalar
-/// when bit-exact cross-machine reproduction matters (the golden-value
-/// tests do exactly this).
+/// **Determinism contract.** Every backend trains the same bits. Each
+/// vector body computes every output element with exactly the scalar
+/// body's operations in the scalar body's order: the lanes run over
+/// independent output elements, and products and sums round separately
+/// (no FMA). So every kernel-table entry, and with them every training,
+/// is bit-identical across backends, runs and worker counts; the
+/// backend changes only the speed. Persisted utility stores, the
+/// golden-value tests and the parameter pins therefore hold under any
+/// backend, and a cluster may mix workers on different backends.
 ///
 /// Override order: SetKernelBackend() > FEDSHAP_KERNEL_BACKEND env var
 /// ("scalar" | "avx2" | "auto") > CPUID auto-detection.
 enum class KernelBackend {
   kScalar = 0,  ///< Portable blocked loops; always available reference.
-  kAvx2 = 1,    ///< Explicit AVX2+FMA micro-kernels (8-lane).
+  kAvx2 = 1,    ///< Explicit AVX2 micro-kernels (8-lane, no FMA).
 };
 
 /// Human-readable backend name ("scalar", "avx2").

@@ -85,8 +85,10 @@ class ClassLanes {
 /// reference the vector backends are tested against.
 const KernelTable& ScalarKernelTable();
 
-/// The AVX2+FMA table (matrix_avx2.cc), or nullptr when the build did
-/// not compile it. Callers must additionally check CPUID before binding.
+/// The AVX2 table (matrix_avx2.cc), or nullptr when the build did not
+/// compile it. Callers must additionally check CPUID before binding. It
+/// needs AVX2 only: its bodies round like the scalar table's, with no
+/// FMA.
 const KernelTable* Avx2KernelTable();
 
 /// The table the public kernels currently dispatch through. The first

@@ -30,8 +30,9 @@ namespace fedshap {
 /// reduction dependence). Their hot bodies dispatch at runtime through
 /// the SIMD backend table of ml/kernel_backend.h: the portable scalar
 /// loops (compiler autovectorized at the build's baseline ISA) are the
-/// always-available reference, and explicit AVX2+FMA implementations
-/// are bound when CPUID says the machine supports them.
+/// always-available reference, and explicit AVX2 implementations, which
+/// compute the same bits, are bound when CPUID says the machine supports
+/// them.
 /// This is where the per-training speedup of the valuation hot path
 /// comes from: every utility query is a full FL training, and these
 /// loops are its inner core. Buffers need no particular alignment (the
@@ -40,19 +41,19 @@ namespace fedshap {
 ///
 /// **Tolerance contract.** Batched kernels reassociate floating-point
 /// sums relative to the per-example reference path (e.g. a bias is added
-/// after the product sum instead of seeding the accumulator), and the
-/// SIMD backends additionally widen the saxpy loops and fuse
-/// multiply-adds, so results are equal only within tolerance, not
-/// bitwise. The contract, enforced by tests/ml_kernel_equivalence_test.cc
-/// on randomized shapes for every available kernel backend, is
+/// after the product sum instead of seeding the accumulator), so results
+/// are equal to that path only within tolerance, not bitwise. (Between
+/// kernel backends they are bitwise equal; see ml/kernel_backend.h.) The
+/// contract, enforced by tests/ml_kernel_equivalence_test.cc on
+/// randomized shapes for every available kernel backend, is
 ///
 ///   |batched - reference| <= kKernelAbsTol + kKernelRelTol * |reference|
 ///
 /// per element, for every kernel and for every model's per-step gradient
 /// (reduction dimensions up to a few thousand). Purely element-wise
 /// kernels (bias/ReLU/softmax rows, the fused SGD steps) perform the
-/// reference arithmetic per element in the same order and must match the
-/// scalar path to float rounding (4 ulp).
+/// reference arithmetic per element in the same order and must match it
+/// to float rounding (4 ulp).
 inline constexpr float kKernelAbsTol = 1e-4f;
 /// Relative term of the kernel tolerance contract (see kKernelAbsTol).
 inline constexpr float kKernelRelTol = 1e-3f;
@@ -153,10 +154,10 @@ void AddOuterBatch(float* __restrict acc, size_t rows, size_t cols,
 /// bsz). Computes no loss (Model::Loss is its one definition). Requires
 /// bsz >= 1.
 ///
-/// Bit-identical, on each backend, to that backend's Transpose + MatMul
-/// + AddBiasRows + SoftmaxRows + label delta (p_label - 1) +
-/// AddOuterBatch (alpha 1/bsz) + ColumnSums composition: every element
-/// takes the same operations in the same order. The batch rows fill the
+/// Bit-identical to the Transpose + MatMul + AddBiasRows + SoftmaxRows +
+/// label delta (p_label - 1) + AddOuterBatch (alpha 1/bsz) + ColumnSums
+/// composition: every element takes the same operations in the same
+/// order. The batch rows fill the
 /// vector lanes eight at a time, each class's logits stay a vector of
 /// those rows, and the probabilities never leave the block they were
 /// computed in.

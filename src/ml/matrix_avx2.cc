@@ -1,15 +1,15 @@
-// AVX2+FMA kernel backend (see ml/kernel_backend.h for the dispatch and
-// determinism contract). This translation unit is compiled with
-// -mavx2 -mfma -ffp-contract=off and must only be *executed* after a
-// CPUID check (kernel_backend.cc guards binding); -ffp-contract=off
-// keeps the element-wise kernels' separate mul/add intrinsics from being
-// re-fused, so they stay bit-identical to the scalar backend, while the
-// GEMM-shaped kernels use explicit _mm256_fmadd_ps under the tolerance
-// contract of ml/matrix.h.
+// AVX2 kernel backend (see ml/kernel_backend.h for the dispatch and
+// determinism contract). This translation unit is compiled with -mavx2
+// and must only be *executed* after a CPUID check (kernel_backend.cc
+// guards binding). Every body computes each output element with exactly
+// the scalar body's operations in the scalar body's order: the vector
+// lanes run over independent output elements, products and sums are
+// separate _mm256_mul_ps/_mm256_add_ps (no FMA), so this backend trains
+// the scalar backend's bits.
 
 #include "ml/kernel_dispatch.h"
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
@@ -132,13 +132,26 @@ void GatherRowsAndColumnsAvx2(const float* const* columns, size_t dim,
   GatherBatchRange(columns, dim, batch, bsz, b0, bsz, rows, cols);
 }
 
+/// c + (f0 * v0 + f1 * v1), rounded after each operation: the scalar
+/// bodies' `c += f0 * v0 + f1 * v1`.
+inline __m256 AddPair(__m256 c, __m256 f0, __m256 v0, __m256 f1, __m256 v1) {
+  return _mm256_add_ps(
+      c, _mm256_add_ps(_mm256_mul_ps(f0, v0), _mm256_mul_ps(f1, v1)));
+}
+
+/// c + f * v, rounded after each operation: the scalar `c += f * v`.
+inline __m256 AddProduct(__m256 c, __m256 f, __m256 v) {
+  return _mm256_add_ps(c, _mm256_mul_ps(f, v));
+}
+
 /// Same k-panel height as the scalar backend: bounds the b-slice the
 /// micro-tile walks so it stays hot in L1/L2.
 constexpr size_t kKc = 256;
 
 /// c += a * b (a: m x k, b: k x n, all row-major). The scalar backend's
 /// 4-row x 2-k micro-tile with the saxpy j-loop widened to 8 lanes: one
-/// load of b's row feeds four FMA output rows.
+/// load of b's row feeds four output rows. Columns past the last multiple
+/// of 8 run the scalar body's loop.
 void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
                     const float* __restrict b, size_t n,
                     float* __restrict c) {
@@ -170,18 +183,14 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
         for (; j + 8 <= n; j += 8) {
           const __m256 v0 = _mm256_loadu_ps(b0 + j);
           const __m256 v1 = _mm256_loadu_ps(b1 + j);
-          __m256 r0 = _mm256_loadu_ps(c0 + j);
-          __m256 r1 = _mm256_loadu_ps(c1 + j);
-          __m256 r2 = _mm256_loadu_ps(c2 + j);
-          __m256 r3 = _mm256_loadu_ps(c3 + j);
-          r0 = _mm256_fmadd_ps(f00, v0, _mm256_fmadd_ps(f01, v1, r0));
-          r1 = _mm256_fmadd_ps(f10, v0, _mm256_fmadd_ps(f11, v1, r1));
-          r2 = _mm256_fmadd_ps(f20, v0, _mm256_fmadd_ps(f21, v1, r2));
-          r3 = _mm256_fmadd_ps(f30, v0, _mm256_fmadd_ps(f31, v1, r3));
-          _mm256_storeu_ps(c0 + j, r0);
-          _mm256_storeu_ps(c1 + j, r1);
-          _mm256_storeu_ps(c2 + j, r2);
-          _mm256_storeu_ps(c3 + j, r3);
+          _mm256_storeu_ps(c0 + j, AddPair(_mm256_loadu_ps(c0 + j), f00, v0,
+                                           f01, v1));
+          _mm256_storeu_ps(c1 + j, AddPair(_mm256_loadu_ps(c1 + j), f10, v0,
+                                           f11, v1));
+          _mm256_storeu_ps(c2 + j, AddPair(_mm256_loadu_ps(c2 + j), f20, v0,
+                                           f21, v1));
+          _mm256_storeu_ps(c3 + j, AddPair(_mm256_loadu_ps(c3 + j), f30, v0,
+                                           f31, v1));
         }
         const float s00 = a0[kk], s01 = a0[kk + 1];
         const float s10 = a1[kk], s11 = a1[kk + 1];
@@ -205,14 +214,10 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
         size_t j = 0;
         for (; j + 8 <= n; j += 8) {
           const __m256 bv = _mm256_loadu_ps(brow + j);
-          _mm256_storeu_ps(
-              c0 + j, _mm256_fmadd_ps(f0, bv, _mm256_loadu_ps(c0 + j)));
-          _mm256_storeu_ps(
-              c1 + j, _mm256_fmadd_ps(f1, bv, _mm256_loadu_ps(c1 + j)));
-          _mm256_storeu_ps(
-              c2 + j, _mm256_fmadd_ps(f2, bv, _mm256_loadu_ps(c2 + j)));
-          _mm256_storeu_ps(
-              c3 + j, _mm256_fmadd_ps(f3, bv, _mm256_loadu_ps(c3 + j)));
+          _mm256_storeu_ps(c0 + j, AddProduct(_mm256_loadu_ps(c0 + j), f0, bv));
+          _mm256_storeu_ps(c1 + j, AddProduct(_mm256_loadu_ps(c1 + j), f1, bv));
+          _mm256_storeu_ps(c2 + j, AddProduct(_mm256_loadu_ps(c2 + j), f2, bv));
+          _mm256_storeu_ps(c3 + j, AddProduct(_mm256_loadu_ps(c3 + j), f3, bv));
         }
         for (; j < n; ++j) {
           const float bv = brow[j];
@@ -231,10 +236,8 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
         const __m256 f = _mm256_broadcast_ss(arow + kk);
         size_t j = 0;
         for (; j + 8 <= n; j += 8) {
-          _mm256_storeu_ps(
-              crow + j,
-              _mm256_fmadd_ps(f, _mm256_loadu_ps(brow + j),
-                              _mm256_loadu_ps(crow + j)));
+          _mm256_storeu_ps(crow + j, AddProduct(_mm256_loadu_ps(crow + j), f,
+                                                _mm256_loadu_ps(brow + j)));
         }
         for (; j < n; ++j) crow[j] += arow[kk] * brow[j];
       }
@@ -249,57 +252,32 @@ inline bool BothZero(float f0, float f1) {
          0;
 }
 
-/// AddOuterBatch's scalar tail on `singles` columns of one output row
-/// (`crow`, `b` at the first of them): batch pairs, the zero-pair skip,
-/// then `c + (f0*b0 + f1*b1)` unfused; an odd last row adds `f*b`. With
-/// `overwrite` the columns start from +0 instead of their content.
-void AddOuterSingles(float* crow, const float* a, size_t a_stride,
-                     float alpha, const float* b, size_t cols, size_t batch,
-                     size_t singles, bool overwrite) {
-  if (overwrite) {
-    for (size_t c = 0; c < singles; ++c) crow[c] = 0.0f;
-  }
-  size_t s = 0;
-  for (; s + 2 <= batch; s += 2) {
-    const float f0 = alpha * a[s * a_stride];
-    const float f1 = alpha * a[(s + 1) * a_stride];
-    if (BothZero(f0, f1)) continue;
-    const float* b0 = b + s * cols;
-    const float* b1 = b0 + cols;
-    for (size_t c = 0; c < singles; ++c) crow[c] += f0 * b0[c] + f1 * b1[c];
-  }
-  if (s < batch) {
-    const float f = alpha * a[s * a_stride];
-    if (f == 0.0f) return;
-    const float* brow = b + s * cols;
-    for (size_t c = 0; c < singles; ++c) crow[c] += f * brow[c];
-  }
+/// The lanes l of an 8-lane vector with lo <= l < hi.
+inline __m256i LaneMask(int lo, int hi) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  return _mm256_and_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(hi), lane),
+                          _mm256_cmpgt_epi32(lane, _mm256_set1_epi32(lo - 1)));
 }
 
-/// AddOuterBatch on one output row's block of kVecs 8-lane columns,
-/// then, with kQuad, 4 more columns, then `singles` more, the vectors
-/// held in registers across the whole batch. `crow` is the block's first
-/// element of the row, `a` the row's first coefficient (stride
-/// `a_stride` between batch rows), `b` the block's first column of b
-/// (stride `cols`). Batch rows go in pairs, then an odd last one; a pair
-/// whose two coefficients are zero is skipped. The 8-lane columns take
-/// one FMA per product. The quad and the singles, which must lie past
-/// the last multiple of 8 columns, take the scalar tail's unfused
-/// `c + (f0*b0 + f1*b1)`. With `overwrite` the block starts from +0
-/// instead of reading `crow`, as if it had been zeroed. Columns are
-/// independent, so the singles run in their own pass.
-template <int kVecs, bool kQuad>
+/// AddOuterBatch on one output row's block of kVecs 8-lane columns, held
+/// in registers across the whole batch; with kMasked the last vector
+/// holds only the lanes in `last`. `crow` is the block's first element of
+/// the row, `a` the row's first coefficient (stride `a_stride` between
+/// batch rows), `b` the block's first column of b (stride `cols`). Batch
+/// rows go in pairs, then an odd last one; a pair whose two coefficients
+/// are zero is skipped, as in the scalar body. With `overwrite` the block
+/// starts from +0 instead of reading `crow`, as if it had been zeroed.
+template <int kVecs, bool kMasked>
 void AddOuterRowBlock(float* crow, const float* a, size_t a_stride,
                       float alpha, const float* b, size_t cols, size_t batch,
-                      size_t singles, bool overwrite) {
-  constexpr size_t kSingles = 8 * kVecs + (kQuad ? 4 : 0);
-  __m256 acc[kVecs > 0 ? kVecs : 1];
-  __m128 quad = _mm_setzero_ps();
-  if (overwrite) {
-    for (int j = 0; j < kVecs; ++j) acc[j] = _mm256_setzero_ps();
-  } else {
-    for (int j = 0; j < kVecs; ++j) acc[j] = _mm256_loadu_ps(crow + 8 * j);
-    if constexpr (kQuad) quad = _mm_loadu_ps(crow + 8 * kVecs);
+                      __m256i last, bool overwrite) {
+  const auto load = [last](const float* p, int j) {
+    return kMasked && j == kVecs - 1 ? _mm256_maskload_ps(p + 8 * j, last)
+                                     : _mm256_loadu_ps(p + 8 * j);
+  };
+  __m256 acc[kVecs];
+  for (int j = 0; j < kVecs; ++j) {
+    acc[j] = overwrite ? _mm256_setzero_ps() : load(crow, j);
   }
   size_t s = 0;
   for (; s + 2 <= batch; s += 2) {
@@ -311,89 +289,77 @@ void AddOuterRowBlock(float* crow, const float* a, size_t a_stride,
     const __m256 vf0 = _mm256_set1_ps(f0);
     const __m256 vf1 = _mm256_set1_ps(f1);
     for (int j = 0; j < kVecs; ++j) {
-      acc[j] = _mm256_fmadd_ps(vf0, _mm256_loadu_ps(b0 + 8 * j), acc[j]);
-      acc[j] = _mm256_fmadd_ps(vf1, _mm256_loadu_ps(b1 + 8 * j), acc[j]);
-    }
-    if constexpr (kQuad) {
-      const __m128 p0 = _mm_mul_ps(_mm256_castps256_ps128(vf0),
-                                   _mm_loadu_ps(b0 + 8 * kVecs));
-      const __m128 p1 = _mm_mul_ps(_mm256_castps256_ps128(vf1),
-                                   _mm_loadu_ps(b1 + 8 * kVecs));
-      quad = _mm_add_ps(quad, _mm_add_ps(p0, p1));
+      acc[j] = AddPair(acc[j], vf0, load(b0, j), vf1, load(b1, j));
     }
   }
   if (s < batch) {
     const float f = alpha * a[s * a_stride];
     if (f != 0.0f) {
-      const float* brow = b + s * cols;
       const __m256 vf = _mm256_set1_ps(f);
       for (int j = 0; j < kVecs; ++j) {
-        acc[j] = _mm256_fmadd_ps(vf, _mm256_loadu_ps(brow + 8 * j), acc[j]);
-      }
-      if constexpr (kQuad) {
-        quad = _mm_add_ps(quad, _mm_mul_ps(_mm256_castps256_ps128(vf),
-                                           _mm_loadu_ps(brow + 8 * kVecs)));
+        acc[j] = AddProduct(acc[j], vf, load(b + s * cols, j));
       }
     }
   }
-  for (int j = 0; j < kVecs; ++j) _mm256_storeu_ps(crow + 8 * j, acc[j]);
-  if constexpr (kQuad) _mm_storeu_ps(crow + 8 * kVecs, quad);
-  if (singles > 0) {
-    AddOuterSingles(crow + kSingles, a, a_stride, alpha, b + kSingles, cols,
-                    batch, singles, overwrite);
+  for (int j = 0; j < kVecs; ++j) {
+    if (kMasked && j == kVecs - 1) {
+      _mm256_maskstore_ps(crow + 8 * j, last, acc[j]);
+    } else {
+      _mm256_storeu_ps(crow + 8 * j, acc[j]);
+    }
   }
 }
 
 /// One column block of every output row; coefficient (batch row s,
 /// output row r) is a[s * batch_stride + r * row_stride].
-template <int kVecs, bool kQuad>
+template <int kVecs, bool kMasked>
 void AddOuterBlockAllRows(float* acc, size_t rows, size_t cols, float alpha,
                           const float* a, size_t row_stride,
                           size_t batch_stride, const float* b, size_t batch,
-                          size_t singles, bool overwrite) {
+                          __m256i last, bool overwrite) {
   for (size_t r = 0; r < rows; ++r) {
-    AddOuterRowBlock<kVecs, kQuad>(acc + r * cols, a + r * row_stride,
-                                   batch_stride, alpha, b, cols, batch,
-                                   singles, overwrite);
+    AddOuterRowBlock<kVecs, kMasked>(acc + r * cols, a + r * row_stride,
+                                     batch_stride, alpha, b, cols, batch,
+                                     last, overwrite);
   }
 }
 
-/// Widest register block: 4 accumulators plus the quad, the pair's
-/// coefficients and the b loads fit the 16 ymm registers.
+/// Widest register block: 4 accumulators, the pair's coefficients and
+/// the b loads fit the 16 ymm registers.
 constexpr size_t kOuterVecs = 4;
 
 /// The scalar backend's loop shape (batch pairs, zero-coefficient skip)
-/// with its column loop widened to 8 FMA lanes, so the same rounding per
+/// with its column loop widened to 8 lanes, so the same rounding per
 /// element; but with column blocks outermost and the batch innermost, so
 /// each block of an output row is loaded and stored once per call. The
-/// last block takes the columns past the last multiple of 8 along.
-/// AddOuterBatch passes row_stride 1 and batch_stride rows.
+/// last block holds the remaining 1 to 8 * kOuterVecs columns, its last
+/// vector masked when they are not a multiple of 8. AddOuterBatch passes
+/// row_stride 1 and batch_stride rows.
 void AddOuterBatchStrided(float* __restrict acc, size_t rows, size_t cols,
                           float alpha, const float* __restrict a,
                           size_t row_stride, size_t batch_stride,
                           const float* __restrict b, size_t batch,
                           bool overwrite) {
-  const size_t fused = cols & ~size_t{7};
+  if (cols == 0) return;
+  const __m256i all = _mm256_set1_epi32(-1);
   size_t c = 0;
-  for (; c + 8 * kOuterVecs < fused; c += 8 * kOuterVecs) {
+  for (; c + 8 * kOuterVecs < cols; c += 8 * kOuterVecs) {
     AddOuterBlockAllRows<kOuterVecs, false>(acc + c, rows, cols, alpha, a,
                                             row_stride, batch_stride, b + c,
-                                            batch, 0, overwrite);
+                                            batch, all, overwrite);
   }
-  if (c == cols) return;
-  const bool quad = cols - fused >= 4;
+  const int tail = static_cast<int>((cols - c) % 8);
   using Block = void (*)(float*, size_t, size_t, float, const float*, size_t,
-                         size_t, const float*, size_t, size_t, bool);
-  static constexpr Block kBlocks[kOuterVecs + 1][2] = {
-      {AddOuterBlockAllRows<0, false>, AddOuterBlockAllRows<0, true>},
+                         size_t, const float*, size_t, __m256i, bool);
+  static constexpr Block kBlocks[kOuterVecs][2] = {
       {AddOuterBlockAllRows<1, false>, AddOuterBlockAllRows<1, true>},
       {AddOuterBlockAllRows<2, false>, AddOuterBlockAllRows<2, true>},
       {AddOuterBlockAllRows<3, false>, AddOuterBlockAllRows<3, true>},
       {AddOuterBlockAllRows<4, false>, AddOuterBlockAllRows<4, true>},
   };
-  kBlocks[(fused - c) / 8][quad](acc + c, rows, cols, alpha, a, row_stride,
-                                 batch_stride, b + c, batch,
-                                 cols - fused - (quad ? 4 : 0), overwrite);
+  kBlocks[(cols - c + 7) / 8 - 1][tail != 0](
+      acc + c, rows, cols, alpha, a, row_stride, batch_stride, b + c, batch,
+      LaneMask(0, tail), overwrite);
 }
 
 void AddOuterBatchAvx2(float* __restrict acc, size_t rows, size_t cols,
@@ -406,13 +372,6 @@ void AddOuterBatchAvx2(float* __restrict acc, size_t rows, size_t cols,
 // ---------------------------------------------------------------------------
 // The logistic-regression step (LogRegGradient).
 
-/// The lanes l of an 8-row block with lo <= l < hi.
-inline __m256i LaneMask(int lo, int hi) {
-  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  return _mm256_and_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(hi), lane),
-                          _mm256_cmpgt_epi32(lane, _mm256_set1_epi32(lo - 1)));
-}
-
 /// The logits x . w of kCols consecutive classes for the block rows in
 /// `lanes`, stored as one vector per class at z + 8 * j: `x` is the
 /// block's slice of X^T (row stride `ld`), `w` the first class's weight
@@ -420,10 +379,9 @@ inline __m256i LaneMask(int lo, int hi) {
 /// kCols independent add chains. kPairs selects the rounding
 /// MatMulBodyAvx2 gives rows inside its 4-row tiles (k in pairs, then an
 /// odd k alone) over the one-product-at-a-time rounding of the remaining
-/// rows; kFused selects its FMA columns over its unfused scalar tail.
-/// Lanes outside `lanes` compute +0 from zero loads; with `merge` they
-/// keep what z held instead.
-template <bool kPairs, bool kFused, int kCols>
+/// rows. Lanes outside `lanes` compute +0 from zero loads; with `merge`
+/// they keep what z held instead.
+template <bool kPairs, int kCols>
 void LogitColumns(const float* x, size_t ld, size_t k, const float* w,
                   __m256i lanes, bool merge, float* z) {
   __m256 acc[kCols];
@@ -435,15 +393,8 @@ void LogitColumns(const float* x, size_t ld, size_t k, const float* w,
       const __m256 x1 = _mm256_maskload_ps(x + (kk + 1) * ld, lanes);
 #pragma GCC unroll 4
       for (int j = 0; j < kCols; ++j) {
-        const __m256 w0 = _mm256_broadcast_ss(w + j * k + kk);
-        const __m256 w1 = _mm256_broadcast_ss(w + j * k + kk + 1);
-        if constexpr (kFused) {
-          acc[j] = _mm256_fmadd_ps(x0, w0, _mm256_fmadd_ps(x1, w1, acc[j]));
-        } else {
-          acc[j] = _mm256_add_ps(
-              acc[j],
-              _mm256_add_ps(_mm256_mul_ps(x0, w0), _mm256_mul_ps(x1, w1)));
-        }
+        acc[j] = AddPair(acc[j], x0, _mm256_broadcast_ss(w + j * k + kk), x1,
+                         _mm256_broadcast_ss(w + j * k + kk + 1));
       }
     }
   }
@@ -451,12 +402,7 @@ void LogitColumns(const float* x, size_t ld, size_t k, const float* w,
     const __m256 x0 = _mm256_maskload_ps(x + kk * ld, lanes);
 #pragma GCC unroll 4
     for (int j = 0; j < kCols; ++j) {
-      const __m256 w0 = _mm256_broadcast_ss(w + j * k + kk);
-      if constexpr (kFused) {
-        acc[j] = _mm256_fmadd_ps(x0, w0, acc[j]);
-      } else {
-        acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(x0, w0));
-      }
+      acc[j] = AddProduct(acc[j], x0, _mm256_broadcast_ss(w + j * k + kk));
     }
   }
   for (int j = 0; j < kCols; ++j) {
@@ -469,35 +415,29 @@ void LogitColumns(const float* x, size_t ld, size_t k, const float* w,
 }
 
 /// All classes' logits for the block rows in `lanes`, four classes at a
-/// time: MatMulBodyAvx2's FMA columns (a multiple of 8), then its scalar
-/// tail.
+/// time, then one at a time.
 template <bool kPairs>
 void Logits(const float* x, size_t ld, size_t k, const float* weights,
             size_t classes, __m256i lanes, bool merge, float* z) {
-  const size_t fused = classes & ~size_t{7};
   size_t j = 0;
-  for (; j < fused; j += 4) {
-    LogitColumns<kPairs, true, 4>(x, ld, k, weights + j * k, lanes, merge,
-                                  z + 8 * j);
-  }
   for (; j + 4 <= classes; j += 4) {
-    LogitColumns<kPairs, false, 4>(x, ld, k, weights + j * k, lanes, merge,
-                                   z + 8 * j);
+    LogitColumns<kPairs, 4>(x, ld, k, weights + j * k, lanes, merge,
+                            z + 8 * j);
   }
   for (; j < classes; ++j) {
-    LogitColumns<kPairs, false, 1>(x, ld, k, weights + j * k, lanes, merge,
-                                   z + 8 * j);
+    LogitColumns<kPairs, 1>(x, ld, k, weights + j * k, lanes, merge,
+                            z + 8 * j);
   }
 }
 
 /// The step eight batch rows at a time, one vector per class with the
-/// rows in the lanes. Per element it performs the operations of this
-/// table's kernels composed: MatMulBodyAvx2's logits (see
-/// LogitColumns), the bias add, SoftmaxRows' max, scalar expf and sum in
-/// class order and divide, the delta of the label, then
-/// AddOuterBatchAvx2's FMA sequence on the block's deltas (blocks start
-/// at even rows, so no batch pair straddles two) and ColumnSums' row
-/// order. The first block writes the gradient instead of accumulating.
+/// rows in the lanes. Per element it performs the operations of the
+/// scalar LogRegGradient: MatMulBodyAvx2's logits (see LogitColumns),
+/// the bias add, SoftmaxRows' max, scalar expf and sum in class order and
+/// divide, the delta of the label, then AddOuterBatchAvx2's sequence on
+/// the block's deltas (blocks start at even rows, so no batch pair
+/// straddles two) and ColumnSums' row order. The first block writes the
+/// gradient instead of accumulating.
 void LogRegGradientAvx2(const float* __restrict xb,
                         const float* __restrict xt, size_t bsz, size_t dim,
                         const float* __restrict params, size_t classes,
@@ -565,8 +505,7 @@ void LogRegGradientAvx2(const float* __restrict xb,
 }
 
 // ---------------------------------------------------------------------------
-// Element-wise kernels: separate mul/add intrinsics (no FMA), same
-// per-element arithmetic order as the scalar backend — bit-identical.
+// Element-wise kernels.
 
 void AddBiasRowsAvx2(float* __restrict m, size_t rows, size_t cols,
                      const float* __restrict bias) {
@@ -742,7 +681,7 @@ const KernelTable* Avx2KernelTable() { return &kAvx2Table; }
 }  // namespace internal
 }  // namespace fedshap
 
-#else  // !(__AVX2__ && __FMA__)
+#else  // !__AVX2__
 
 namespace fedshap {
 namespace internal {

@@ -280,10 +280,17 @@ TEST(GoldenValues, FedAvgMlpFourClients) {
                             config, UtilityMetric::kNegativeLoss);
   ASSERT_TRUE(fn.ok());
 
-  GoldenMap actual;
-  actual.emplace_back("exact", ExactValues(**fn));
-  actual.emplace_back("ipss_g8_s2025", IpssValues(**fn, 8, 2025));
-  CheckGolden("fedavg_mlp4", actual, kTrainedTol);
+  // Every backend trains the same bits, so one golden file holds for all.
+  const KernelBackend original = SelectedKernelBackend();
+  for (KernelBackend backend : testing_util::ExecutableBackends()) {
+    SCOPED_TRACE(KernelBackendName(backend));
+    ASSERT_TRUE(SetKernelBackend(backend).ok());
+    GoldenMap actual;
+    actual.emplace_back("exact", ExactValues(**fn));
+    actual.emplace_back("ipss_g8_s2025", IpssValues(**fn, 8, 2025));
+    CheckGolden("fedavg_mlp4", actual, kTrainedTol);
+  }
+  ASSERT_TRUE(SetKernelBackend(original).ok());
 }
 
 }  // namespace
@@ -291,11 +298,6 @@ TEST(GoldenValues, FedAvgMlpFourClients) {
 
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
-  // Golden numbers are pinned to the scalar kernel backend: SIMD
-  // backends round GEMM reductions differently, and goldens must stay
-  // portable across machines with different vector units.
-  FEDSHAP_CHECK(
-      fedshap::SetKernelBackend(fedshap::KernelBackend::kScalar).ok());
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--update-golden") {
       fedshap::g_update_golden = true;

@@ -13,7 +13,7 @@
 /// machine can execute* (scalar and AVX2 — see
 /// ml/kernel_backend.h): each TEST_P below runs once per backend with
 /// the dispatch table pinned to it, so a vector backend that drifts
-/// from the contract fails here by name. Element-wise kernels are
+/// from the contract fails here by name. Every kernel-table entry is
 /// additionally cross-checked *bitwise* against the scalar backend.
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include <cmath>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,6 +35,7 @@
 #include "ml/mlp.h"
 #include "ml/model.h"
 #include "ml/sgd.h"
+#include "test_util.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -59,15 +61,7 @@ void ExpectAllClose(const std::vector<float>& actual,
   }
 }
 
-/// Every backend compiled into this binary that the CPU can execute.
-std::vector<KernelBackend> AvailableBackends() {
-  std::vector<KernelBackend> backends;
-  for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
-    if (KernelBackendAvailable(backend)) backends.push_back(backend);
-  }
-  return backends;
-}
+using testing_util::ExecutableBackends;
 
 /// Pins the dispatch table to the parameter backend for the test body,
 /// restoring the entry backend afterwards.
@@ -87,7 +81,7 @@ class KernelBackendSuite : public ::testing::TestWithParam<KernelBackend> {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, KernelBackendSuite,
-    ::testing::ValuesIn(AvailableBackends()),
+    ::testing::ValuesIn(ExecutableBackends()),
     [](const ::testing::TestParamInfo<KernelBackend>& info) {
       return std::string(KernelBackendName(info.param));
     });
@@ -205,7 +199,8 @@ size_t ZeroDeltaPairs(const std::vector<float>& deltas, size_t bsz,
 }
 
 /// LogisticRegression::ComputeGradientBatched (the fused LogRegGradient)
-/// against ComposedLogRegStep, every gradient element bit for bit, into a NaN-filled gradient so an element left unwritten shows.
+/// against ComposedLogRegStep, every gradient element bit for bit, into a
+/// NaN-filled gradient so an element left unwritten shows.
 void ExpectStepMatchesComposition(const LogisticRegression& model,
                                   const Dataset& data,
                                   const std::vector<size_t>& batch,
@@ -228,10 +223,10 @@ void ExpectStepMatchesComposition(const LogisticRegression& model,
 }
 
 TEST_P(KernelBackendSuite, LogRegGradientMatchesKernelCompositionBitwise) {
-  // classes cross AVX2's 8 fused columns and its unfused tail, and 70
-  // the 64 classes a block keeps on the stack; bsz the 4-row tiles, 8-row
-  // blocks and a 256-row batch; dim the pair unroll and
-  // AddOuterBatch's 8-lane columns, quad and single tails.
+  // classes cross AVX2's four-class logit passes and its single-class
+  // tail, and 70 the 64 classes a block keeps on the stack; bsz the 4-row
+  // tiles, 8-row blocks and a 256-row batch; dim the pair unroll and
+  // AddOuterBatch's 8-lane columns and masked tail.
   constexpr size_t kRows = 300;
   for (size_t classes : {2, 5, 8, 9, 10, 17, 70}) {
     for (size_t dim : {1, 7, 36, 64}) {
@@ -627,9 +622,9 @@ TEST(ModelEquivalence, BatchedGradientAgreesWithNumericalGradient) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-backend checks: the scalar backend is the reference. GEMM-shaped
-// kernels agree within the tolerance contract; element-wise kernels are
-// bit-identical (they run the same per-element arithmetic order).
+// Cross-backend checks: the scalar backend is the reference, and every
+// kernel-table entry of every other backend matches it bit for bit (each
+// body performs the scalar body's operations per element, in its order).
 
 /// Runs `fn` under `backend`, restoring the entry backend afterwards.
 template <typename Fn>
@@ -640,189 +635,128 @@ void WithBackend(KernelBackend backend, Fn fn) {
   ASSERT_TRUE(SetKernelBackend(original).ok());
 }
 
-TEST(CrossBackendEquivalence, GemmKernelsMatchScalarWithinTolerance) {
+/// Each kernel's output, by kernel name.
+using KernelOutputs = std::vector<std::pair<std::string, std::vector<float>>>;
+
+/// Runs every kernel-table entry under the active backend on inputs drawn
+/// from `seed`: MatMul (m x k by k x n) and MatTMat; AddOuterBatch,
+/// LogRegGradient and GatherRowsAndColumns with batch m, k rows or
+/// features and n columns, classes or batch rows; the element-wise
+/// kernels on m x n. AddOuterBatch's coefficients include zeros of both
+/// signs and its accumulator -0 entries, which an added +0 product would
+/// turn into +0, so a skipped pair that touched its row shows.
+KernelOutputs RunEveryKernel(Shape s, uint64_t seed) {
+  Rng rng(seed);
+  const size_t m = s.m, k = s.k, n = s.n;
+  KernelOutputs out;
+  const std::vector<float> a = RandomBuffer(m * k, rng);
+  const std::vector<float> b = RandomBuffer(k * n, rng);
+  const std::vector<float> mn = RandomBuffer(m * n, rng);
+  std::vector<float> c(m * n, -1.0f);
+  MatMul(a.data(), m, k, b.data(), n, c.data());
+  out.emplace_back("MatMul", c);
+  c.assign(k * n, 3.0f);
+  MatTMat(a.data(), m, k, mn.data(), n, c.data());
+  out.emplace_back("MatTMat", c);
+
+  std::vector<float> coef = a;
+  for (float& v : coef) {
+    if (rng.Bernoulli(0.3)) v = rng.Bernoulli(0.5) ? 0.0f : -0.0f;
+  }
+  c = b;
+  for (size_t i = 0; i < c.size(); i += 3) c[i] = -0.0f;
+  AddOuterBatch(c.data(), k, n, 1.0f / 13.0f, coef.data(), mn.data(), m);
+  out.emplace_back("AddOuterBatch", c);
+
+  std::vector<float> at(k * m);
+  Transpose(a.data(), m, k, at.data());
+  const std::vector<float> params = RandomBuffer(n * k + n, rng);
+  std::vector<int> labels(m);
+  for (int& label : labels) label = static_cast<int>(rng.UniformInt(n));
+  c.assign(params.size(), std::nanf(""));
+  LogRegGradient(a.data(), at.data(), m, k, params.data(), n, labels.data(),
+                 c.data());
+  out.emplace_back("LogRegGradient", c);
+
+  Result<Dataset> data = Dataset::Create(static_cast<int>(k), 2);
+  FEDSHAP_CHECK(data.ok());
+  for (size_t i = 0; i < m; ++i) {
+    const auto row = a.begin() + static_cast<ptrdiff_t>(i * k);
+    data->Append(std::vector<float>(row, row + static_cast<ptrdiff_t>(k)),
+                 static_cast<float>(i % 2));
+  }
+  std::vector<size_t> batch(n);
+  for (size_t& index : batch) index = rng.UniformInt(m);
+  AlignedFloats rows, cols;
+  GatherRowsAndColumns(*data, batch, rows, cols);
+  out.emplace_back("GatherRowsAndColumns rows",
+                   std::vector<float>(rows.begin(), rows.end()));
+  out.emplace_back("GatherRowsAndColumns cols",
+                   std::vector<float>(cols.begin(), cols.end()));
+
+  const std::vector<float> bias = RandomBuffer(n, rng);
+  c = mn;
+  AddBiasRows(c.data(), m, n, bias.data());
+  out.emplace_back("AddBiasRows", c);
+  std::vector<float> relu = mn;
+  AddBiasReluRows(relu.data(), m, n, bias.data());
+  out.emplace_back("AddBiasReluRows", relu);
+  c = RandomBuffer(m * n, rng);
+  ReluMaskBackward(c.data(), relu.data(), m * n);
+  out.emplace_back("ReluMaskBackward", c);
+  c = RandomBuffer(m * n, rng, -4.0, 4.0);
+  SoftmaxRows(c.data(), m, n);
+  out.emplace_back("SoftmaxRows", c);
+  c.assign(n, 99.0f);
+  ColumnSums(mn.data(), m, n, c.data());
+  out.emplace_back("ColumnSums", c);
+
+  const float lr = 0.07f, wd = 2e-3f, momentum = 0.85f, mu = 0.02f;
+  const std::vector<float> g = RandomBuffer(m * n, rng);
+  std::vector<float> p = mn;
+  SgdStep(p.data(), g.data(), m * n, lr, wd);
+  out.emplace_back("SgdStep", p);
+  p = mn;
+  std::vector<float> v = RandomBuffer(m * n, rng);
+  SgdMomentumStep(p.data(), v.data(), g.data(), m * n, lr, momentum, wd);
+  out.emplace_back("SgdMomentumStep param", p);
+  out.emplace_back("SgdMomentumStep velocity", v);
+  c = g;
+  AddProximal(c.data(), mn.data(), relu.data(), m * n, mu);
+  out.emplace_back("AddProximal", c);
+  return out;
+}
+
+TEST(CrossBackendEquivalence, EveryKernelMatchesScalarBitwise) {
   for (Shape s : RandomShapes(61)) {
-    Rng rng(s.m * 3 + s.k * 7 + s.n * 13);
-    std::vector<float> a = RandomBuffer(s.m * s.k, rng);
-    std::vector<float> b = RandomBuffer(s.k * s.n, rng);
-    std::vector<float> scalar_out(s.m * s.n, 0.0f);
-    WithBackend(KernelBackend::kScalar, [&] {
-      MatMul(a.data(), s.m, s.k, b.data(), s.n, scalar_out.data());
-    });
-    for (KernelBackend backend : AvailableBackends()) {
+    SCOPED_TRACE(::testing::Message()
+                 << "m=" << s.m << " k=" << s.k << " n=" << s.n);
+    const uint64_t seed = s.m * 3 + s.k * 7 + s.n * 13;
+    KernelOutputs scalar;
+    WithBackend(KernelBackend::kScalar,
+                [&] { scalar = RunEveryKernel(s, seed); });
+    for (KernelBackend backend : ExecutableBackends()) {
       if (backend == KernelBackend::kScalar) continue;
       SCOPED_TRACE(KernelBackendName(backend));
-      std::vector<float> vector_out(s.m * s.n, -1.0f);
-      WithBackend(backend, [&] {
-        MatMul(a.data(), s.m, s.k, b.data(), s.n, vector_out.data());
-      });
-      ExpectAllClose(vector_out, scalar_out, "MatMul cross-backend");
-    }
-  }
-}
-
-TEST(CrossBackendEquivalence, ElementwiseKernelsBitIdenticalToScalar) {
-  Rng rng(67);
-  const size_t rows = 11, cols = 37;  // odd sizes: vector tails
-  const size_t n = rows * cols;
-  const float lr = 0.07f, wd = 2e-3f, momentum = 0.85f, mu = 0.02f;
-  std::vector<float> m0 = RandomBuffer(n, rng);
-  std::vector<float> bias = RandomBuffer(cols, rng);
-  std::vector<float> p0 = RandomBuffer(n, rng);
-  std::vector<float> v0 = RandomBuffer(n, rng);
-  std::vector<float> g0 = RandomBuffer(n, rng);
-  std::vector<float> ref = RandomBuffer(n, rng);
-  std::vector<float> logits = RandomBuffer(n, rng, -4.0, 4.0);
-
-  struct Snapshot {
-    std::vector<float> biased, relu, masked, softmax, sums, p, v, p2, v2, g;
-  };
-  auto run_all = [&] {
-    Snapshot out;
-    out.biased = m0;
-    AddBiasRows(out.biased.data(), rows, cols, bias.data());
-    out.relu = m0;
-    AddBiasReluRows(out.relu.data(), rows, cols, bias.data());
-    out.masked = g0;
-    ReluMaskBackward(out.masked.data(), out.relu.data(), n);
-    out.softmax = logits;
-    SoftmaxRows(out.softmax.data(), rows, cols);
-    out.sums.resize(cols);
-    ColumnSums(m0.data(), rows, cols, out.sums.data());
-    out.p = p0;
-    SgdStep(out.p.data(), g0.data(), n, lr, wd);
-    out.p2 = p0;
-    out.v2 = v0;
-    SgdMomentumStep(out.p2.data(), out.v2.data(), g0.data(), n, lr,
-                    momentum, wd);
-    out.g = g0;
-    AddProximal(out.g.data(), p0.data(), ref.data(), n, mu);
-    return out;
-  };
-
-  Snapshot scalar;
-  WithBackend(KernelBackend::kScalar, [&] { scalar = run_all(); });
-  for (KernelBackend backend : AvailableBackends()) {
-    if (backend == KernelBackend::kScalar) continue;
-    SCOPED_TRACE(KernelBackendName(backend));
-    Snapshot vec;
-    WithBackend(backend, [&] { vec = run_all(); });
-    auto expect_bits = [](const std::vector<float>& actual,
-                          const std::vector<float>& expected,
-                          const char* what) {
-      ASSERT_EQ(actual.size(), expected.size()) << what;
-      for (size_t i = 0; i < actual.size(); ++i) {
-        EXPECT_EQ(actual[i], expected[i]) << what << " element " << i;
-      }
-    };
-    expect_bits(vec.biased, scalar.biased, "AddBiasRows");
-    expect_bits(vec.relu, scalar.relu, "AddBiasReluRows");
-    expect_bits(vec.masked, scalar.masked, "ReluMaskBackward");
-    expect_bits(vec.softmax, scalar.softmax, "SoftmaxRows");
-    expect_bits(vec.sums, scalar.sums, "ColumnSums");
-    expect_bits(vec.p, scalar.p, "SgdStep");
-    expect_bits(vec.p2, scalar.p2, "SgdMomentumStep param");
-    expect_bits(vec.v2, scalar.v2, "SgdMomentumStep velocity");
-    expect_bits(vec.g, scalar.g, "AddProximal");
-  }
-}
-
-/// `x`, rounded to float on its own: the volatile store keeps a product
-/// out of any multiply-add the compiler might otherwise fuse it into.
-float Rounded(float x) {
-  volatile float stored = x;
-  return stored;
-}
-
-/// AddOuterBatch in the AVX2 backend's rounding order. Batch rows go in
-/// pairs, then an odd last row alone; a (pair, output row) whose
-/// coefficients are all zero is skipped. Columns below the last multiple
-/// of 8 take one fused multiply-add per product, in batch order. The
-/// remaining columns add the unfused sum of the pair's products.
-void Avx2AddOuterBatchReplay(std::vector<float>& acc, size_t rows,
-                             size_t cols, float alpha,
-                             const std::vector<float>& a,
-                             const std::vector<float>& b, size_t batch) {
-  const size_t fused = cols & ~size_t{7};
-  size_t s = 0;
-  for (; s + 2 <= batch; s += 2) {
-    const float* b0 = b.data() + s * cols;
-    const float* b1 = b0 + cols;
-    for (size_t r = 0; r < rows; ++r) {
-      const float f0 = alpha * a[s * rows + r];
-      const float f1 = alpha * a[(s + 1) * rows + r];
-      if (f0 == 0.0f && f1 == 0.0f) continue;
-      float* crow = acc.data() + r * cols;
-      for (size_t c = 0; c < cols; ++c) {
-        crow[c] = c < fused
-                      ? std::fmaf(f1, b1[c], std::fmaf(f0, b0[c], crow[c]))
-                      : crow[c] + (Rounded(f0 * b0[c]) +
-                                   Rounded(f1 * b1[c]));
-      }
-    }
-  }
-  if (s < batch) {
-    const float* brow = b.data() + s * cols;
-    for (size_t r = 0; r < rows; ++r) {
-      const float f = alpha * a[s * rows + r];
-      if (f == 0.0f) continue;
-      float* crow = acc.data() + r * cols;
-      for (size_t c = 0; c < cols; ++c) {
-        crow[c] = c < fused ? std::fmaf(f, brow[c], crow[c])
-                            : crow[c] + Rounded(f * brow[c]);
-      }
-    }
-  }
-}
-
-TEST(Avx2Numerics, AddOuterBatchMatchesRoundingReplayBitwise) {
-  if (!KernelBackendAvailable(KernelBackend::kAvx2)) {
-    GTEST_SKIP() << "the avx2 backend cannot execute on this machine";
-  }
-  const size_t rows = 5;
-  const float alpha = 1.0f / 13.0f;
-  for (size_t cols : {1, 4, 5, 7, 8, 12, 36, 37}) {
-    for (size_t batch : {1, 2, 7, 16}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "cols=" << cols << " batch=" << batch);
-      Rng rng(cols * 131 + batch);
-      // Row 0's coefficients are all +0 or -0, so every pair skips it;
-      // row 1 zeroes every other batch row, so its pairs mix a zero with
-      // a product; the rest draw a zero of either sign now and then.
-      std::vector<float> a = RandomBuffer(batch * rows, rng);
-      for (size_t s = 0; s < batch; ++s) {
-        a[s * rows] = s % 2 == 0 ? 0.0f : -0.0f;
-        if (s % 2 == 1) a[s * rows + 1] = -0.0f;
-        for (size_t r = 2; r < rows; ++r) {
-          if (rng.Bernoulli(0.2)) {
-            a[s * rows + r] = rng.Bernoulli(0.5) ? 0.0f : -0.0f;
-          }
+      KernelOutputs vec;
+      WithBackend(backend, [&] { vec = RunEveryKernel(s, seed); });
+      ASSERT_EQ(vec.size(), scalar.size());
+      for (size_t i = 0; i < vec.size(); ++i) {
+        const auto& [what, expected] = scalar[i];
+        const std::vector<float>& actual = vec[i].second;
+        ASSERT_EQ(actual.size(), expected.size()) << what;
+        for (size_t e = 0; e < actual.size(); ++e) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(actual[e]),
+                    std::bit_cast<uint32_t>(expected[e]))
+              << what << " element " << e;
         }
-      }
-      std::vector<float> b = RandomBuffer(batch * cols, rng);
-      // -0 entries show whether a skipped row was left untouched: adding
-      // a +0 product would turn them into +0.
-      std::vector<float> seed = RandomBuffer(rows * cols, rng);
-      for (size_t i = 0; i < seed.size(); i += 3) seed[i] = -0.0f;
-
-      std::vector<float> expected = seed;
-      Avx2AddOuterBatchReplay(expected, rows, cols, alpha, a, b, batch);
-      std::vector<float> actual = seed;
-      WithBackend(KernelBackend::kAvx2, [&] {
-        AddOuterBatch(actual.data(), rows, cols, alpha, a.data(), b.data(),
-                      batch);
-      });
-      for (size_t i = 0; i < actual.size(); ++i) {
-        ASSERT_EQ(std::bit_cast<uint32_t>(actual[i]),
-                  std::bit_cast<uint32_t>(expected[i]))
-            << "element " << i;
       }
     }
   }
 }
 
 TEST(CrossBackendEquivalence, FixedBackendIsDeterministicAcrossRuns) {
-  for (KernelBackend backend : AvailableBackends()) {
+  for (KernelBackend backend : ExecutableBackends()) {
     SCOPED_TRACE(KernelBackendName(backend));
     Rng rng(71);
     const size_t m = 13, k = 29, n = 21;

@@ -25,6 +25,7 @@
 #include "ml/matrix.h"
 #include "service/job_spec.h"
 #include "service/valuation_service.h"
+#include "test_util.h"
 #include "util/serialization.h"
 
 namespace fedshap {
@@ -380,8 +381,8 @@ TEST(JobSpecTest, FedAvgFingerprintIsHashedOnceAtCreate) {
 //
 // Stored utilities are only reusable while the trained parameters stay
 // bit-identical, so the FedAvg logistic-regression step is pinned against
-// a reference composed from the public batched kernels. Each backend must
-// reproduce its own reference exactly.
+// a reference composed from the public batched kernels, and its trained
+// bits against literals that hold under every backend.
 
 /// LogisticRegression whose minibatch step is the kernel composition
 /// GatherRows + Transpose + MatMul + AddBiasRows + SoftmaxRows +
@@ -425,14 +426,7 @@ class ReferenceLogReg : public LogisticRegression {
   size_t classes_;
 };
 
-std::vector<KernelBackend> ExecutableBackends() {
-  std::vector<KernelBackend> backends;
-  for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
-    if (KernelBackendAvailable(backend)) backends.push_back(backend);
-  }
-  return backends;
-}
+using testing_util::ExecutableBackends;
 
 /// Restores the entry kernel backend after each test, which pins its own.
 class LogRegStepPinTest : public ::testing::Test {
@@ -512,9 +506,9 @@ TEST_F(LogRegStepPinTest, DigitsTrainingMatchesKernelComposition) {
 }
 
 /// A 64 -> 10 digits federation: four 100-row clients, a 203-row test
-/// set and a 2-round FedAvg at batch 32. Eight classes fill AVX2's
-/// vector columns and two fall in its scalar tail; Loss runs the step on
-/// one 203-row chunk.
+/// set and a 2-round FedAvg at batch 32. Eight classes fill two of
+/// AVX2's four-class logit passes and two take its single-class tail;
+/// Loss scores the 203 test rows.
 class WideDigitsRun {
  public:
   WideDigitsRun() {
@@ -573,56 +567,31 @@ TEST_F(LogRegStepPinTest, WideLogRegMatchesKernelComposition) {
   }
 }
 
+// One literal set for every backend: each trains the scalar bits.
 TEST_F(LogRegStepPinTest, DigitsParameterHashIsPinned) {
-  ASSERT_TRUE(SetKernelBackend(KernelBackend::kScalar).ok());
   const struct {
     int batch_size;
     uint64_t hash;
   } digits[] = {{16, 0xedd9066de04e8074ULL},
                 {13, 0x85b4c48732c3d26aULL},
                 {1, 0x80645fed4e4cc554ULL}};
-  for (const auto& pin : digits) {
-    SCOPED_TRACE("batch " + std::to_string(pin.batch_size));
-    std::unique_ptr<UtilityFunction> built = DigitsUtility(pin.batch_size);
-    const auto* utility = dynamic_cast<const FedAvgUtility*>(built.get());
-    ASSERT_NE(utility, nullptr);
-    EXPECT_EQ(ParameterHash(TrainAll(*utility, utility->prototype())),
-              pin.hash);
+  for (KernelBackend backend : ExecutableBackends()) {
+    SCOPED_TRACE(KernelBackendName(backend));
+    ASSERT_TRUE(SetKernelBackend(backend).ok());
+    for (const auto& pin : digits) {
+      SCOPED_TRACE("batch " + std::to_string(pin.batch_size));
+      std::unique_ptr<UtilityFunction> built = DigitsUtility(pin.batch_size);
+      const auto* utility = dynamic_cast<const FedAvgUtility*>(built.get());
+      ASSERT_NE(utility, nullptr);
+      EXPECT_EQ(ParameterHash(TrainAll(*utility, utility->prototype())),
+                pin.hash);
+    }
+    const WideDigitsRun run;
+    Result<std::unique_ptr<Model>> wide = run.Train(run.initial());
+    ASSERT_TRUE(wide.ok()) << wide.status();
+    EXPECT_EQ(ParameterHash((*wide)->GetParameters()),
+              0xf0da152b7273bbaaULL);
   }
-  const WideDigitsRun run;
-  Result<std::unique_ptr<Model>> wide = run.Train(run.initial());
-  ASSERT_TRUE(wide.ok()) << wide.status();
-  EXPECT_EQ(ParameterHash((*wide)->GetParameters()),
-            0xf0da152b7273bbaaULL);
-}
-
-// The kernel-composition tests above compare each backend only with its
-// own kernels, so they cannot see a change to how the AVX2 kernels
-// round. These literals pin the AVX2 backend's trained bits.
-TEST_F(LogRegStepPinTest, Avx2ParameterHashesArePinned) {
-  if (!KernelBackendAvailable(KernelBackend::kAvx2)) {
-    GTEST_SKIP() << "the avx2 backend cannot execute on this machine";
-  }
-  ASSERT_TRUE(SetKernelBackend(KernelBackend::kAvx2).ok());
-  const struct {
-    int batch_size;
-    uint64_t hash;
-  } digits[] = {{16, 0x31fee349af62a366ULL},
-                {13, 0x7e2ef0995fff3f9dULL},
-                {1, 0x80645fed4e4cc554ULL}};
-  for (const auto& pin : digits) {
-    SCOPED_TRACE("batch " + std::to_string(pin.batch_size));
-    std::unique_ptr<UtilityFunction> built = DigitsUtility(pin.batch_size);
-    const auto* utility = dynamic_cast<const FedAvgUtility*>(built.get());
-    ASSERT_NE(utility, nullptr);
-    EXPECT_EQ(ParameterHash(TrainAll(*utility, utility->prototype())),
-              pin.hash);
-  }
-  const WideDigitsRun run;
-  Result<std::unique_ptr<Model>> wide = run.Train(run.initial());
-  ASSERT_TRUE(wide.ok()) << wide.status();
-  EXPECT_EQ(ParameterHash((*wide)->GetParameters()),
-            0x6f55bc96ce992aaeULL);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "fl/utility.h"
+#include "ml/kernel_backend.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -46,6 +47,17 @@ inline TableUtility MonotoneTable(int n, double cap = 0.9,
       });
   FEDSHAP_CHECK(table.ok());
   return std::move(table).value();
+}
+
+/// Every kernel backend compiled into this binary that the CPU can
+/// execute.
+inline std::vector<KernelBackend> ExecutableBackends() {
+  std::vector<KernelBackend> backends;
+  for (KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
+    if (KernelBackendAvailable(backend)) backends.push_back(backend);
+  }
+  return backends;
 }
 
 /// Max absolute difference between two valuations.
