@@ -225,10 +225,12 @@ uint64_t FedAvgUtility::ComputeFingerprint() const {
   // gradient averaging, so a different size must address a different
   // store.
   hasher.MixU64(static_cast<uint64_t>(config_.local.batch_size));
-  // The slot where the gradient mode was mixed. Every store on disk was
-  // trained by the batched mode, whose value was 0, so mixing 0 keeps
-  // their fingerprints and they keep serving.
-  hasher.MixU64(0);
+  // The training numerics version (the slot once held the gradient mode,
+  // 0). It is 1 since the AVX2 kernels stopped fusing multiply-adds and
+  // train the scalar backend's bits: stores that AVX2 processes wrote
+  // before hold other values, so they must be misses. Bump it whenever a
+  // change moves trained bits.
+  hasher.MixU64(1);
   hasher.MixDouble(config_.local.learning_rate);
   hasher.MixDouble(config_.local.momentum);
   hasher.MixDouble(config_.local.weight_decay);

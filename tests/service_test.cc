@@ -323,7 +323,7 @@ TEST(JobSpecTest, DigitsFingerprintIsPinned) {
   scenario.seed = 2025;
   Result<std::unique_ptr<UtilityFunction>> utility = scenario.Build();
   ASSERT_TRUE(utility.ok()) << utility.status();
-  EXPECT_EQ((*utility)->Fingerprint(), 0x705b800a82df68feULL);
+  EXPECT_EQ((*utility)->Fingerprint(), 0xbb7b9ab9e7a6842fULL);
 }
 
 // The digits scenarios of the end-to-end benchmark, from data generation
@@ -335,10 +335,10 @@ TEST(JobSpecTest, E2eDigitsFingerprintsArePinned) {
     int fl_rounds;
     int local_epochs;
     uint64_t fingerprint;
-  } pins[] = {{6, 3, 1, 0x32522f1505a9fdceULL},
-              {7, 3, 1, 0x2f6f65081b52a89dULL},
-              {10, 3, 1, 0xbd42669c3574accfULL},
-              {8, 10, 5, 0x1fc8a8e390c0e7c4ULL}};
+  } pins[] = {{6, 3, 1, 0x339a3ec2d3d995d3ULL},
+              {7, 3, 1, 0xc7c7fad4658897d0ULL},
+              {10, 3, 1, 0x8a6ffe6cd8ae802aULL},
+              {8, 10, 5, 0xf320db21fd3f550dULL}};
   for (const auto& pin : pins) {
     SCOPED_TRACE(::testing::Message() << "n=" << pin.n);
     ScenarioSpec scenario;
@@ -364,7 +364,7 @@ TEST(JobSpecTest, FedAvgFingerprintIsHashedOnceAtCreate) {
   ASSERT_NE(utility, nullptr);
   const uint64_t fingerprint = utility->Fingerprint();
   for (int i = 0; i < 3; ++i) EXPECT_EQ(utility->Fingerprint(), fingerprint);
-  EXPECT_EQ(fingerprint, 0x32522f1505a9fdceULL);  // the n = 6 pin above
+  EXPECT_EQ(fingerprint, 0x339a3ec2d3d995d3ULL);  // the n = 6 pin above
   std::vector<Dataset> clients;
   for (int i = 0; i < utility->num_clients(); ++i) {
     clients.push_back(utility->client(i).data());
