@@ -17,6 +17,15 @@ namespace fedshap {
 
 namespace {
 
+// Flush a worker store after every training (see
+// UtilityCache::AttachStore): a crash loses no finished training.
+constexpr size_t kStoreFlushBytes = 1;
+// Interval of the liveness heartbeat a worker sends while (possibly long)
+// trainings keep its serve loop busy.
+constexpr int kHeartbeatIntervalMs = 200;
+// How long LocalCluster::Start waits for every worker to register.
+constexpr int kStartTimeoutMs = 10000;
+
 // Errors that end the session but not the worker: the connection is gone
 // (or stalled past its send deadline) and a reconnect may succeed.
 bool IsConnectionLoss(const Status& status) {
@@ -105,7 +114,7 @@ Status ClusterWorker::HandleWorkload(const Frame& frame) {
     FEDSHAP_ASSIGN_OR_RETURN(
         context.store,
         OpenAndAttachStore(stem, /*resume=*/true, *context.utility,
-                           *context.cache, options_.store_flush_bytes));
+                           *context.cache, kStoreFlushBytes));
   }
   workloads_.emplace(std::move(workload.key), std::move(context));
   return Status::OK();
@@ -212,11 +221,10 @@ Status ClusterWorker::Run() {
     }
   }
   std::atomic<uint64_t> trainings{0};
-  HeartbeatThread heartbeat(channel_, options_.heartbeat_interval_ms,
-                            &trainings);
+  HeartbeatThread heartbeat(channel_, kHeartbeatIntervalMs, &trainings);
   for (;;) {
     Result<std::optional<Frame>> received =
-        channel_->Recv(options_.heartbeat_interval_ms);
+        channel_->Recv(kHeartbeatIntervalMs);
     if (!received.ok()) {
       // Coordinator gone (or our own injected death closed the socket).
       return Status::OK();
@@ -428,8 +436,6 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
     ClusterWorkerOptions worker_options;
     worker_options.shard = i;
     worker_options.store_dir = options.store_dir;
-    worker_options.store_flush_bytes = options.store_flush_bytes;
-    worker_options.heartbeat_interval_ms = options.heartbeat_interval_ms;
 
     TcpWorkerClientOptions client_options;
     client_options.endpoint = endpoint;
@@ -516,14 +522,14 @@ Result<std::unique_ptr<LocalCluster>> LocalCluster::Start(
   // wait until every shard is live so callers see a stable shard map
   // from the first Evaluate.
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options.start_timeout_ms);
+                        std::chrono::milliseconds(kStartTimeoutMs);
   while (cluster->dispatcher_->live_workers() <
          static_cast<size_t>(options.num_workers)) {
     if (std::chrono::steady_clock::now() > deadline) {
       cluster->Shutdown();
       return Status::DeadlineExceeded(
           "cluster workers failed to register within " +
-          std::to_string(options.start_timeout_ms) + "ms");
+          std::to_string(kStartTimeoutMs) + "ms");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }

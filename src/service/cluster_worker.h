@@ -34,11 +34,6 @@ struct ClusterWorkerOptions {
   /// the per-shard stores partition the cluster-wide training set without
   /// two writers ever sharing a segment file.
   std::string store_dir;
-  /// Byte-counted store flush interval (see UtilityCache::AttachStore).
-  size_t store_flush_bytes = 1;
-  /// Interval of the liveness heartbeat the worker sends while (possibly
-  /// long) trainings keep its main loop busy.
-  int heartbeat_interval_ms = 200;
   /// Scripted faults for this worker; null falls back to
   /// FaultInjector::Global() (the FEDSHAP_FAULT_SPEC env hook).
   FaultInjector* faults = nullptr;
@@ -186,16 +181,12 @@ struct LocalClusterOptions {
   bool fork_workers = false;
   ClusterTransport transport = ClusterTransport::kSocketPair;
   std::string store_dir;  ///< Worker store tier root; "" = memory only.
-  size_t store_flush_bytes = 1;
-  int heartbeat_interval_ms = 200;
   /// Per-worker fault specs (FaultInjector::Parse syntax); shorter
   /// vectors leave the remaining workers fault-free. In fork mode the
   /// spec is installed as the child's global injector, so store-flush
   /// sites fire in the child too.
   std::vector<std::string> fault_specs;
   ClusterDispatcher::Options dispatcher;
-  /// How long Start() waits for every worker to register before failing.
-  int start_timeout_ms = 10000;
   // TCP-transport knobs (ignored for socketpairs).
   int connect_timeout_ms = 5000;
   int reconnect_base_ms = 50;

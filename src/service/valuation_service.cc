@@ -13,6 +13,9 @@ namespace fedshap {
 namespace {
 
 /// Suffixes of a job's state files under `<state_dir>/jobs/`.
+// Flush a workload store after every training (see
+// UtilityCache::AttachStore): a crash loses no finished training.
+constexpr size_t kStoreFlushBytes = 1;
 constexpr const char* kSpecSuffix = ".job";
 constexpr const char* kSnapshotSuffix = ".snap";
 constexpr const char* kResultSuffix = ".result";
@@ -122,7 +125,7 @@ ValuationService::BuildWorkload(const ScenarioSpec& scenario,
         workload->store,
         OpenAndAttachStore(config_.state_dir + "/store/utilities",
                            /*resume=*/true, *workload->utility,
-                           *workload->cache, config_.store_flush_bytes));
+                           *workload->cache, kStoreFlushBytes));
   }
   return workload;
 }

@@ -129,10 +129,6 @@ struct ServiceConfig {
   /// live here, and Recover() resumes from it after a restart. Empty
   /// runs the service fully in memory (nothing survives the process).
   std::string state_dir;
-  /// Flush the utility store to disk after this many appended record
-  /// bytes (1 = after every training; the crash-loss bound, see
-  /// UtilityCache::AttachStore).
-  size_t store_flush_bytes = 1;
   /// Testing hook: when > 0, the service halts (stops scheduling slices,
   /// as if Stop() were called) after this many slices in total —
   /// a deterministic way to simulate a mid-job shutdown.
