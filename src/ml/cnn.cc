@@ -313,8 +313,8 @@ void Cnn::ComputeGradientBatched(const Dataset& data,
 }
 
 void Cnn::Predict(const float* features, std::vector<float>& output) const {
-  std::vector<float> conv_act, pooled;
-  std::vector<int> pool_argmax;
+  static thread_local std::vector<float> conv_act, pooled;
+  static thread_local std::vector<int> pool_argmax;
   Forward(features, conv_act, pooled, pool_argmax, output);
 }
 

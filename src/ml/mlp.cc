@@ -164,7 +164,7 @@ void Mlp::ComputeGradientBatched(const Dataset& data,
 }
 
 void Mlp::Predict(const float* features, std::vector<float>& output) const {
-  std::vector<float> hidden_act;
+  static thread_local std::vector<float> hidden_act;
   Forward(features, hidden_act, output);
 }
 
