@@ -144,88 +144,87 @@ inline __m256 AddProduct(__m256 c, __m256 f, __m256 v) {
   return _mm256_add_ps(c, _mm256_mul_ps(f, v));
 }
 
+/// The lanes l of an 8-lane vector with lo <= l < hi.
+inline __m256i LaneMask(int lo, int hi) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  return _mm256_and_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(hi), lane),
+                          _mm256_cmpgt_epi32(lane, _mm256_set1_epi32(lo - 1)));
+}
+
+/// Loads and stores all 8 lanes.
+struct AllLanes {
+  __m256 Load(const float* p) const { return _mm256_loadu_ps(p); }
+  void Store(float* p, __m256 v) const { _mm256_storeu_ps(p, v); }
+};
+
+/// Loads and stores only the lanes in `mask`: the others load +0 and are
+/// never written, so they may lie past the end of a row or buffer.
+struct SomeLanes {
+  __m256i mask;
+  __m256 Load(const float* p) const { return _mm256_maskload_ps(p, mask); }
+  void Store(float* p, __m256 v) const { _mm256_maskstore_ps(p, mask, v); }
+};
+
+/// Calls step(lanes, j) for each 8-column vector of n columns: whole
+/// vectors with AllLanes, then the last n % 8 columns with SomeLanes
+/// masked to `tail` (LaneMask(0, n % 8)).
+template <typename Step>
+inline void ForEachColumnVector(size_t n, __m256i tail, Step step) {
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) step(AllLanes{}, j);
+  if (j < n) step(SomeLanes{tail}, j);
+}
+
 /// Same k-panel height as the scalar backend: bounds the b-slice the
 /// micro-tile walks so it stays hot in L1/L2.
 constexpr size_t kKc = 256;
 
 /// c += a * b (a: m x k, b: k x n, all row-major). The scalar backend's
 /// 4-row x 2-k micro-tile with the saxpy j-loop widened to 8 lanes: one
-/// load of b's row feeds four output rows. Columns past the last multiple
-/// of 8 run the scalar body's loop.
+/// load of b's row feeds four output rows.
 void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
                     const float* __restrict b, size_t n,
                     float* __restrict c) {
+  const __m256i tail = LaneMask(0, static_cast<int>(n % 8));
   for (size_t k0 = 0; k0 < k; k0 += kKc) {
     const size_t k1 = std::min(k, k0 + kKc);
     size_t i = 0;
     for (; i + 4 <= m; i += 4) {
-      const float* a0 = a + i * k;
-      const float* a1 = a0 + k;
-      const float* a2 = a1 + k;
-      const float* a3 = a2 + k;
-      float* c0 = c + i * n;
-      float* c1 = c0 + n;
-      float* c2 = c1 + n;
-      float* c3 = c2 + n;
+      const float* arow[4];
+      float* crow[4];
+      for (int r = 0; r < 4; ++r) {
+        arow[r] = a + (i + r) * k;
+        crow[r] = c + (i + r) * n;
+      }
       size_t kk = k0;
       for (; kk + 2 <= k1; kk += 2) {
         const float* b0 = b + kk * n;
         const float* b1 = b0 + n;
-        const __m256 f00 = _mm256_broadcast_ss(a0 + kk);
-        const __m256 f01 = _mm256_broadcast_ss(a0 + kk + 1);
-        const __m256 f10 = _mm256_broadcast_ss(a1 + kk);
-        const __m256 f11 = _mm256_broadcast_ss(a1 + kk + 1);
-        const __m256 f20 = _mm256_broadcast_ss(a2 + kk);
-        const __m256 f21 = _mm256_broadcast_ss(a2 + kk + 1);
-        const __m256 f30 = _mm256_broadcast_ss(a3 + kk);
-        const __m256 f31 = _mm256_broadcast_ss(a3 + kk + 1);
-        size_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          const __m256 v0 = _mm256_loadu_ps(b0 + j);
-          const __m256 v1 = _mm256_loadu_ps(b1 + j);
-          _mm256_storeu_ps(c0 + j, AddPair(_mm256_loadu_ps(c0 + j), f00, v0,
-                                           f01, v1));
-          _mm256_storeu_ps(c1 + j, AddPair(_mm256_loadu_ps(c1 + j), f10, v0,
-                                           f11, v1));
-          _mm256_storeu_ps(c2 + j, AddPair(_mm256_loadu_ps(c2 + j), f20, v0,
-                                           f21, v1));
-          _mm256_storeu_ps(c3 + j, AddPair(_mm256_loadu_ps(c3 + j), f30, v0,
-                                           f31, v1));
+        __m256 f0[4], f1[4];
+        for (int r = 0; r < 4; ++r) {
+          f0[r] = _mm256_broadcast_ss(arow[r] + kk);
+          f1[r] = _mm256_broadcast_ss(arow[r] + kk + 1);
         }
-        const float s00 = a0[kk], s01 = a0[kk + 1];
-        const float s10 = a1[kk], s11 = a1[kk + 1];
-        const float s20 = a2[kk], s21 = a2[kk + 1];
-        const float s30 = a3[kk], s31 = a3[kk + 1];
-        for (; j < n; ++j) {
-          const float v0 = b0[j];
-          const float v1 = b1[j];
-          c0[j] += s00 * v0 + s01 * v1;
-          c1[j] += s10 * v0 + s11 * v1;
-          c2[j] += s20 * v0 + s21 * v1;
-          c3[j] += s30 * v0 + s31 * v1;
-        }
+        ForEachColumnVector(n, tail, [&](auto lanes, size_t j) {
+          const __m256 v0 = lanes.Load(b0 + j);
+          const __m256 v1 = lanes.Load(b1 + j);
+          for (int r = 0; r < 4; ++r) {
+            lanes.Store(crow[r] + j, AddPair(lanes.Load(crow[r] + j), f0[r],
+                                             v0, f1[r], v1));
+          }
+        });
       }
       for (; kk < k1; ++kk) {
         const float* brow = b + kk * n;
-        const __m256 f0 = _mm256_broadcast_ss(a0 + kk);
-        const __m256 f1 = _mm256_broadcast_ss(a1 + kk);
-        const __m256 f2 = _mm256_broadcast_ss(a2 + kk);
-        const __m256 f3 = _mm256_broadcast_ss(a3 + kk);
-        size_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          const __m256 bv = _mm256_loadu_ps(brow + j);
-          _mm256_storeu_ps(c0 + j, AddProduct(_mm256_loadu_ps(c0 + j), f0, bv));
-          _mm256_storeu_ps(c1 + j, AddProduct(_mm256_loadu_ps(c1 + j), f1, bv));
-          _mm256_storeu_ps(c2 + j, AddProduct(_mm256_loadu_ps(c2 + j), f2, bv));
-          _mm256_storeu_ps(c3 + j, AddProduct(_mm256_loadu_ps(c3 + j), f3, bv));
-        }
-        for (; j < n; ++j) {
-          const float bv = brow[j];
-          c0[j] += a0[kk] * bv;
-          c1[j] += a1[kk] * bv;
-          c2[j] += a2[kk] * bv;
-          c3[j] += a3[kk] * bv;
-        }
+        __m256 f[4];
+        for (int r = 0; r < 4; ++r) f[r] = _mm256_broadcast_ss(arow[r] + kk);
+        ForEachColumnVector(n, tail, [&](auto lanes, size_t j) {
+          const __m256 v = lanes.Load(brow + j);
+          for (int r = 0; r < 4; ++r) {
+            lanes.Store(crow[r] + j,
+                        AddProduct(lanes.Load(crow[r] + j), f[r], v));
+          }
+        });
       }
     }
     for (; i < m; ++i) {
@@ -234,12 +233,10 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
       for (size_t kk = k0; kk < k1; ++kk) {
         const float* brow = b + kk * n;
         const __m256 f = _mm256_broadcast_ss(arow + kk);
-        size_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          _mm256_storeu_ps(crow + j, AddProduct(_mm256_loadu_ps(crow + j), f,
-                                                _mm256_loadu_ps(brow + j)));
-        }
-        for (; j < n; ++j) crow[j] += arow[kk] * brow[j];
+        ForEachColumnVector(n, tail, [&](auto lanes, size_t j) {
+          lanes.Store(crow + j, AddProduct(lanes.Load(crow + j), f,
+                                           lanes.Load(brow + j)));
+        });
       }
     }
   }
@@ -250,13 +247,6 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
 inline bool BothZero(float f0, float f1) {
   return ((std::bit_cast<uint32_t>(f0) | std::bit_cast<uint32_t>(f1)) << 1) ==
          0;
-}
-
-/// The lanes l of an 8-lane vector with lo <= l < hi.
-inline __m256i LaneMask(int lo, int hi) {
-  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  return _mm256_and_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(hi), lane),
-                          _mm256_cmpgt_epi32(lane, _mm256_set1_epi32(lo - 1)));
 }
 
 /// AddOuterBatch on one output row's block of kVecs 8-lane columns, held
@@ -324,9 +314,9 @@ void AddOuterBlockAllRows(float* acc, size_t rows, size_t cols, float alpha,
   }
 }
 
-/// Widest register block: 4 accumulators, the pair's coefficients and
-/// the b loads fit the 16 ymm registers.
-constexpr size_t kOuterVecs = 4;
+/// Widest register block: 5 accumulators, the pair's coefficients and
+/// the products fit the 16 ymm registers.
+constexpr size_t kOuterVecs = 5;
 
 /// The scalar backend's loop shape (batch pairs, zero-coefficient skip)
 /// with its column loop widened to 8 lanes, so the same rounding per
@@ -356,6 +346,7 @@ void AddOuterBatchStrided(float* __restrict acc, size_t rows, size_t cols,
       {AddOuterBlockAllRows<2, false>, AddOuterBlockAllRows<2, true>},
       {AddOuterBlockAllRows<3, false>, AddOuterBlockAllRows<3, true>},
       {AddOuterBlockAllRows<4, false>, AddOuterBlockAllRows<4, true>},
+      {AddOuterBlockAllRows<5, false>, AddOuterBlockAllRows<5, true>},
   };
   kBlocks[(cols - c + 7) / 8 - 1][tail != 0](
       acc + c, rows, cols, alpha, a, row_stride, batch_stride, b + c, batch,
