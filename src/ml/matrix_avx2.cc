@@ -144,35 +144,30 @@ inline __m256 AddProduct(__m256 c, __m256 f, __m256 v) {
   return _mm256_add_ps(c, _mm256_mul_ps(f, v));
 }
 
-/// The lanes l of an 8-lane vector with lo <= l < hi.
-inline __m256i LaneMask(int lo, int hi) {
-  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  return _mm256_and_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(hi), lane),
-                          _mm256_cmpgt_epi32(lane, _mm256_set1_epi32(lo - 1)));
-}
-
 /// Loads and stores all 8 lanes.
 struct AllLanes {
   __m256 Load(const float* p) const { return _mm256_loadu_ps(p); }
   void Store(float* p, __m256 v) const { _mm256_storeu_ps(p, v); }
 };
 
-/// Loads and stores only the lanes in `mask`: the others load +0 and are
-/// never written, so they may lie past the end of a row or buffer.
-struct SomeLanes {
-  __m256i mask;
-  __m256 Load(const float* p) const { return _mm256_maskload_ps(p, mask); }
-  void Store(float* p, __m256 v) const { _mm256_maskstore_ps(p, mask, v); }
+/// Loads and stores lane 0 alone (the others load +0): one column, with
+/// the rounding of the scalar body's float operations.
+struct OneLane {
+  __m256 Load(const float* p) const {
+    return _mm256_zextps128_ps256(_mm_load_ss(p));
+  }
+  void Store(float* p, __m256 v) const {
+    _mm_store_ss(p, _mm256_castps256_ps128(v));
+  }
 };
 
-/// Calls step(lanes, j) for each 8-column vector of n columns: whole
-/// vectors with AllLanes, then the last n % 8 columns with SomeLanes
-/// masked to `tail` (LaneMask(0, n % 8)).
+/// Calls step(lanes, j) for each column group of n columns: whole 8-lane
+/// vectors with AllLanes, then each remaining column with OneLane.
 template <typename Step>
-inline void ForEachColumnVector(size_t n, __m256i tail, Step step) {
+inline void ForEachColumnVector(size_t n, Step step) {
   size_t j = 0;
   for (; j + 8 <= n; j += 8) step(AllLanes{}, j);
-  if (j < n) step(SomeLanes{tail}, j);
+  for (; j < n; ++j) step(OneLane{}, j);
 }
 
 /// Same k-panel height as the scalar backend: bounds the b-slice the
@@ -185,7 +180,6 @@ constexpr size_t kKc = 256;
 void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
                     const float* __restrict b, size_t n,
                     float* __restrict c) {
-  const __m256i tail = LaneMask(0, static_cast<int>(n % 8));
   for (size_t k0 = 0; k0 < k; k0 += kKc) {
     const size_t k1 = std::min(k, k0 + kKc);
     size_t i = 0;
@@ -205,7 +199,7 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
           f0[r] = _mm256_broadcast_ss(arow[r] + kk);
           f1[r] = _mm256_broadcast_ss(arow[r] + kk + 1);
         }
-        ForEachColumnVector(n, tail, [&](auto lanes, size_t j) {
+        ForEachColumnVector(n, [&](auto lanes, size_t j) {
           const __m256 v0 = lanes.Load(b0 + j);
           const __m256 v1 = lanes.Load(b1 + j);
           for (int r = 0; r < 4; ++r) {
@@ -218,7 +212,7 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
         const float* brow = b + kk * n;
         __m256 f[4];
         for (int r = 0; r < 4; ++r) f[r] = _mm256_broadcast_ss(arow[r] + kk);
-        ForEachColumnVector(n, tail, [&](auto lanes, size_t j) {
+        ForEachColumnVector(n, [&](auto lanes, size_t j) {
           const __m256 v = lanes.Load(brow + j);
           for (int r = 0; r < 4; ++r) {
             lanes.Store(crow[r] + j,
@@ -233,7 +227,7 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
       for (size_t kk = k0; kk < k1; ++kk) {
         const float* brow = b + kk * n;
         const __m256 f = _mm256_broadcast_ss(arow + kk);
-        ForEachColumnVector(n, tail, [&](auto lanes, size_t j) {
+        ForEachColumnVector(n, [&](auto lanes, size_t j) {
           lanes.Store(crow + j, AddProduct(lanes.Load(crow + j), f,
                                            lanes.Load(brow + j)));
         });
@@ -249,25 +243,55 @@ inline bool BothZero(float f0, float f1) {
          0;
 }
 
-/// AddOuterBatch on one output row's block of kVecs 8-lane columns, held
-/// in registers across the whole batch; with kMasked the last vector
-/// holds only the lanes in `last`. `crow` is the block's first element of
-/// the row, `a` the row's first coefficient (stride `a_stride` between
-/// batch rows), `b` the block's first column of b (stride `cols`). Batch
-/// rows go in pairs, then an odd last one; a pair whose two coefficients
-/// are zero is skipped, as in the scalar body. With `overwrite` the block
-/// starts from +0 instead of reading `crow`, as if it had been zeroed.
-template <int kVecs, bool kMasked>
+/// AddOuterBatch's scalar tail on `singles` columns of one output row
+/// (`crow`, `b` at the first of them): batch pairs, the zero-pair skip,
+/// then `c + (f0*b0 + f1*b1)`; an odd last row adds `f*b`. With
+/// `overwrite` the columns start from +0 instead of their content.
+void AddOuterSingles(float* crow, const float* a, size_t a_stride,
+                     float alpha, const float* b, size_t cols, size_t batch,
+                     size_t singles, bool overwrite) {
+  if (overwrite) {
+    for (size_t c = 0; c < singles; ++c) crow[c] = 0.0f;
+  }
+  size_t s = 0;
+  for (; s + 2 <= batch; s += 2) {
+    const float f0 = alpha * a[s * a_stride];
+    const float f1 = alpha * a[(s + 1) * a_stride];
+    if (BothZero(f0, f1)) continue;
+    const float* b0 = b + s * cols;
+    const float* b1 = b0 + cols;
+    for (size_t c = 0; c < singles; ++c) crow[c] += f0 * b0[c] + f1 * b1[c];
+  }
+  if (s < batch) {
+    const float f = alpha * a[s * a_stride];
+    if (f == 0.0f) return;
+    const float* brow = b + s * cols;
+    for (size_t c = 0; c < singles; ++c) crow[c] += f * brow[c];
+  }
+}
+
+/// AddOuterBatch on one output row's block of kVecs 8-lane columns,
+/// then, with kQuad, 4 more columns, then `singles` more, the vectors
+/// held in registers across the whole batch. `crow` is the block's first
+/// element of the row, `a` the row's first coefficient (stride
+/// `a_stride` between batch rows), `b` the block's first column of b
+/// (stride `cols`). Batch rows go in pairs, then an odd last one; a pair
+/// whose two coefficients are zero is skipped. Every column takes the
+/// scalar body's `c + (f0*b0 + f1*b1)`. With `overwrite` the block starts
+/// from +0 instead of reading `crow`, as if it had been zeroed. Columns
+/// are independent, so the singles run in their own pass.
+template <int kVecs, bool kQuad>
 void AddOuterRowBlock(float* crow, const float* a, size_t a_stride,
                       float alpha, const float* b, size_t cols, size_t batch,
-                      __m256i last, bool overwrite) {
-  const auto load = [last](const float* p, int j) {
-    return kMasked && j == kVecs - 1 ? _mm256_maskload_ps(p + 8 * j, last)
-                                     : _mm256_loadu_ps(p + 8 * j);
-  };
-  __m256 acc[kVecs];
-  for (int j = 0; j < kVecs; ++j) {
-    acc[j] = overwrite ? _mm256_setzero_ps() : load(crow, j);
+                      size_t singles, bool overwrite) {
+  constexpr size_t kSingles = 8 * kVecs + (kQuad ? 4 : 0);
+  __m256 acc[kVecs > 0 ? kVecs : 1];
+  __m128 quad = _mm_setzero_ps();
+  if (overwrite) {
+    for (int j = 0; j < kVecs; ++j) acc[j] = _mm256_setzero_ps();
+  } else {
+    for (int j = 0; j < kVecs; ++j) acc[j] = _mm256_loadu_ps(crow + 8 * j);
+    if constexpr (kQuad) quad = _mm_loadu_ps(crow + 8 * kVecs);
   }
   size_t s = 0;
   for (; s + 2 <= batch; s += 2) {
@@ -279,78 +303,89 @@ void AddOuterRowBlock(float* crow, const float* a, size_t a_stride,
     const __m256 vf0 = _mm256_set1_ps(f0);
     const __m256 vf1 = _mm256_set1_ps(f1);
     for (int j = 0; j < kVecs; ++j) {
-      acc[j] = AddPair(acc[j], vf0, load(b0, j), vf1, load(b1, j));
+      acc[j] = AddPair(acc[j], vf0, _mm256_loadu_ps(b0 + 8 * j), vf1,
+                       _mm256_loadu_ps(b1 + 8 * j));
+    }
+    if constexpr (kQuad) {
+      const __m128 p0 = _mm_mul_ps(_mm256_castps256_ps128(vf0),
+                                   _mm_loadu_ps(b0 + 8 * kVecs));
+      const __m128 p1 = _mm_mul_ps(_mm256_castps256_ps128(vf1),
+                                   _mm_loadu_ps(b1 + 8 * kVecs));
+      quad = _mm_add_ps(quad, _mm_add_ps(p0, p1));
     }
   }
   if (s < batch) {
     const float f = alpha * a[s * a_stride];
     if (f != 0.0f) {
+      const float* brow = b + s * cols;
       const __m256 vf = _mm256_set1_ps(f);
       for (int j = 0; j < kVecs; ++j) {
-        acc[j] = AddProduct(acc[j], vf, load(b + s * cols, j));
+        acc[j] = AddProduct(acc[j], vf, _mm256_loadu_ps(brow + 8 * j));
+      }
+      if constexpr (kQuad) {
+        quad = _mm_add_ps(quad, _mm_mul_ps(_mm256_castps256_ps128(vf),
+                                           _mm_loadu_ps(brow + 8 * kVecs)));
       }
     }
   }
-  for (int j = 0; j < kVecs; ++j) {
-    if (kMasked && j == kVecs - 1) {
-      _mm256_maskstore_ps(crow + 8 * j, last, acc[j]);
-    } else {
-      _mm256_storeu_ps(crow + 8 * j, acc[j]);
-    }
+  for (int j = 0; j < kVecs; ++j) _mm256_storeu_ps(crow + 8 * j, acc[j]);
+  if constexpr (kQuad) _mm_storeu_ps(crow + 8 * kVecs, quad);
+  if (singles > 0) {
+    AddOuterSingles(crow + kSingles, a, a_stride, alpha, b + kSingles, cols,
+                    batch, singles, overwrite);
   }
 }
 
 /// One column block of every output row; coefficient (batch row s,
 /// output row r) is a[s * batch_stride + r * row_stride].
-template <int kVecs, bool kMasked>
+template <int kVecs, bool kQuad>
 void AddOuterBlockAllRows(float* acc, size_t rows, size_t cols, float alpha,
                           const float* a, size_t row_stride,
                           size_t batch_stride, const float* b, size_t batch,
-                          __m256i last, bool overwrite) {
+                          size_t singles, bool overwrite) {
   for (size_t r = 0; r < rows; ++r) {
-    AddOuterRowBlock<kVecs, kMasked>(acc + r * cols, a + r * row_stride,
-                                     batch_stride, alpha, b, cols, batch,
-                                     last, overwrite);
+    AddOuterRowBlock<kVecs, kQuad>(acc + r * cols, a + r * row_stride,
+                                   batch_stride, alpha, b, cols, batch,
+                                   singles, overwrite);
   }
 }
 
-/// Widest register block: 5 accumulators, the pair's coefficients and
-/// the products fit the 16 ymm registers.
-constexpr size_t kOuterVecs = 5;
+/// Widest register block: 4 accumulators plus the quad, the pair's
+/// coefficients and the b loads fit the 16 ymm registers.
+constexpr size_t kOuterVecs = 4;
 
 /// The scalar backend's loop shape (batch pairs, zero-coefficient skip)
 /// with its column loop widened to 8 lanes, so the same rounding per
 /// element; but with column blocks outermost and the batch innermost, so
 /// each block of an output row is loaded and stored once per call. The
-/// last block holds the remaining 1 to 8 * kOuterVecs columns, its last
-/// vector masked when they are not a multiple of 8. AddOuterBatch passes
-/// row_stride 1 and batch_stride rows.
+/// last block takes the columns past the last multiple of 8 along.
+/// AddOuterBatch passes row_stride 1 and batch_stride rows.
 void AddOuterBatchStrided(float* __restrict acc, size_t rows, size_t cols,
                           float alpha, const float* __restrict a,
                           size_t row_stride, size_t batch_stride,
                           const float* __restrict b, size_t batch,
                           bool overwrite) {
-  if (cols == 0) return;
-  const __m256i all = _mm256_set1_epi32(-1);
+  const size_t whole = cols & ~size_t{7};
   size_t c = 0;
-  for (; c + 8 * kOuterVecs < cols; c += 8 * kOuterVecs) {
+  for (; c + 8 * kOuterVecs < whole; c += 8 * kOuterVecs) {
     AddOuterBlockAllRows<kOuterVecs, false>(acc + c, rows, cols, alpha, a,
                                             row_stride, batch_stride, b + c,
-                                            batch, all, overwrite);
+                                            batch, 0, overwrite);
   }
-  const int tail = static_cast<int>((cols - c) % 8);
+  if (c == cols) return;
+  const bool quad = cols - whole >= 4;
   using Block = void (*)(float*, size_t, size_t, float, const float*, size_t,
-                         size_t, const float*, size_t, __m256i, bool);
-  static constexpr Block kBlocks[kOuterVecs][2] = {
+                         size_t, const float*, size_t, size_t, bool);
+  static constexpr Block kBlocks[kOuterVecs + 1][2] = {
+      {AddOuterBlockAllRows<0, false>, AddOuterBlockAllRows<0, true>},
       {AddOuterBlockAllRows<1, false>, AddOuterBlockAllRows<1, true>},
       {AddOuterBlockAllRows<2, false>, AddOuterBlockAllRows<2, true>},
       {AddOuterBlockAllRows<3, false>, AddOuterBlockAllRows<3, true>},
       {AddOuterBlockAllRows<4, false>, AddOuterBlockAllRows<4, true>},
-      {AddOuterBlockAllRows<5, false>, AddOuterBlockAllRows<5, true>},
   };
-  kBlocks[(cols - c + 7) / 8 - 1][tail != 0](
-      acc + c, rows, cols, alpha, a, row_stride, batch_stride, b + c, batch,
-      LaneMask(0, tail), overwrite);
+  kBlocks[(whole - c) / 8][quad](acc + c, rows, cols, alpha, a, row_stride,
+                                 batch_stride, b + c, batch,
+                                 cols - whole - (quad ? 4 : 0), overwrite);
 }
 
 void AddOuterBatchAvx2(float* __restrict acc, size_t rows, size_t cols,
@@ -362,6 +397,13 @@ void AddOuterBatchAvx2(float* __restrict acc, size_t rows, size_t cols,
 
 // ---------------------------------------------------------------------------
 // The logistic-regression step (LogRegGradient).
+
+/// The lanes l of an 8-row block with lo <= l < hi.
+inline __m256i LaneMask(int lo, int hi) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  return _mm256_and_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(hi), lane),
+                          _mm256_cmpgt_epi32(lane, _mm256_set1_epi32(lo - 1)));
+}
 
 /// The logits x . w of kCols consecutive classes for the block rows in
 /// `lanes`, stored as one vector per class at z + 8 * j: `x` is the
