@@ -17,9 +17,6 @@ namespace fedshap {
 
 namespace {
 
-// Flush a worker store after every training (see
-// UtilityCache::AttachStore): a crash loses no finished training.
-constexpr size_t kStoreFlushBytes = 1;
 // Interval of the liveness heartbeat a worker sends while (possibly long)
 // trainings keep its serve loop busy.
 constexpr int kHeartbeatIntervalMs = 200;
@@ -111,10 +108,11 @@ Status ClusterWorker::HandleWorkload(const Frame& frame) {
   if (!options_.store_dir.empty()) {
     const std::string stem = options_.store_dir + "/shard-" +
                              std::to_string(options_.shard) + "/utilities";
+    // Flushed after every training, so a crash loses none.
     FEDSHAP_ASSIGN_OR_RETURN(
         context.store,
         OpenAndAttachStore(stem, /*resume=*/true, *context.utility,
-                           *context.cache, kStoreFlushBytes));
+                           *context.cache, /*flush_bytes=*/1));
   }
   workloads_.emplace(std::move(workload.key), std::move(context));
   return Status::OK();

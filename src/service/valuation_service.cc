@@ -13,9 +13,6 @@ namespace fedshap {
 namespace {
 
 /// Suffixes of a job's state files under `<state_dir>/jobs/`.
-// Flush a workload store after every training (see
-// UtilityCache::AttachStore): a crash loses no finished training.
-constexpr size_t kStoreFlushBytes = 1;
 constexpr const char* kSpecSuffix = ".job";
 constexpr const char* kSnapshotSuffix = ".snap";
 constexpr const char* kResultSuffix = ".result";
@@ -120,12 +117,13 @@ ValuationService::BuildWorkload(const ScenarioSpec& scenario,
   if (!config_.state_dir.empty()) {
     // One store per workload under the service's state directory; always
     // opened in resume mode — a service exists to accumulate and reuse
-    // trainings, so trusting its own store is the point.
+    // trainings, so trusting its own store is the point. It flushes after
+    // every training, so a crash loses none.
     FEDSHAP_ASSIGN_OR_RETURN(
         workload->store,
         OpenAndAttachStore(config_.state_dir + "/store/utilities",
                            /*resume=*/true, *workload->utility,
-                           *workload->cache, kStoreFlushBytes));
+                           *workload->cache, /*flush_bytes=*/1));
   }
   return workload;
 }
