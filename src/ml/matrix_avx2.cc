@@ -164,7 +164,7 @@ struct OneLane {
 /// Calls step(lanes, j) for each column group of n columns: whole 8-lane
 /// vectors with AllLanes, then each remaining column with OneLane.
 template <typename Step>
-inline void ForEachColumnVector(size_t n, Step step) {
+inline void ForEachColumnGroup(size_t n, Step step) {
   size_t j = 0;
   for (; j + 8 <= n; j += 8) step(AllLanes{}, j);
   for (; j < n; ++j) step(OneLane{}, j);
@@ -199,7 +199,7 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
           f0[r] = _mm256_broadcast_ss(arow[r] + kk);
           f1[r] = _mm256_broadcast_ss(arow[r] + kk + 1);
         }
-        ForEachColumnVector(n, [&](auto lanes, size_t j) {
+        ForEachColumnGroup(n, [&](auto lanes, size_t j) {
           const __m256 v0 = lanes.Load(b0 + j);
           const __m256 v1 = lanes.Load(b1 + j);
           for (int r = 0; r < 4; ++r) {
@@ -212,7 +212,7 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
         const float* brow = b + kk * n;
         __m256 f[4];
         for (int r = 0; r < 4; ++r) f[r] = _mm256_broadcast_ss(arow[r] + kk);
-        ForEachColumnVector(n, [&](auto lanes, size_t j) {
+        ForEachColumnGroup(n, [&](auto lanes, size_t j) {
           const __m256 v = lanes.Load(brow + j);
           for (int r = 0; r < 4; ++r) {
             lanes.Store(crow[r] + j,
@@ -227,7 +227,7 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
       for (size_t kk = k0; kk < k1; ++kk) {
         const float* brow = b + kk * n;
         const __m256 f = _mm256_broadcast_ss(arow + kk);
-        ForEachColumnVector(n, [&](auto lanes, size_t j) {
+        ForEachColumnGroup(n, [&](auto lanes, size_t j) {
           lanes.Store(crow + j, AddProduct(lanes.Load(crow + j), f,
                                            lanes.Load(brow + j)));
         });
