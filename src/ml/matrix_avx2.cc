@@ -161,22 +161,76 @@ struct OneLane {
   }
 };
 
-/// Calls step(lanes, j) for each column group of n columns: whole 8-lane
-/// vectors with AllLanes, then each remaining column with OneLane.
-template <typename Step>
-inline void ForEachColumnGroup(size_t n, Step step) {
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) step(AllLanes{}, j);
-  for (; j < n; ++j) step(OneLane{}, j);
-}
-
 /// Same k-panel height as the scalar backend: bounds the b-slice the
 /// micro-tile walks so it stays hot in L1/L2.
 constexpr size_t kKc = 256;
 
-/// c += a * b (a: m x k, b: k x n, all row-major). The scalar backend's
-/// 4-row x 2-k micro-tile with the saxpy j-loop widened to 8 lanes: one
-/// load of b's row feeds four output rows.
+/// The scalar body's k steps [k0, k1) on one tile of c: kRows rows by
+/// kVecs vectors of `lanes` from column j, held in registers for the
+/// whole panel. With 4 rows, k goes in pairs (`c + (a0*b0 + a1*b1)`),
+/// then an odd k alone; with 1 row, one product at a time.
+template <int kRows, int kVecs, typename Lanes>
+inline void MatMulTile(Lanes lanes, const float* arow, size_t k,
+                       const float* b, size_t n, float* crow, size_t j,
+                       size_t k0, size_t k1) {
+  __m256 acc[kRows][kVecs];
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = lanes.Load(crow + r * n + j + 8 * v);
+    }
+  }
+  size_t kk = k0;
+  if constexpr (kRows == 4) {
+    for (; kk + 2 <= k1; kk += 2) {
+      for (int v = 0; v < kVecs; ++v) {
+        const __m256 v0 = lanes.Load(b + kk * n + j + 8 * v);
+        const __m256 v1 = lanes.Load(b + (kk + 1) * n + j + 8 * v);
+        for (int r = 0; r < kRows; ++r) {
+          const float* ar = arow + r * k + kk;
+          acc[r][v] = AddPair(acc[r][v], _mm256_broadcast_ss(ar), v0,
+                              _mm256_broadcast_ss(ar + 1), v1);
+        }
+      }
+    }
+  }
+  for (; kk < k1; ++kk) {
+    for (int v = 0; v < kVecs; ++v) {
+      const __m256 bv = lanes.Load(b + kk * n + j + 8 * v);
+      for (int r = 0; r < kRows; ++r) {
+        acc[r][v] = AddProduct(acc[r][v],
+                               _mm256_broadcast_ss(arow + r * k + kk), bv);
+      }
+    }
+  }
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      lanes.Store(crow + r * n + j + 8 * v, acc[r][v]);
+    }
+  }
+}
+
+/// MatMulTile over every column of kRows rows: 16 columns at a time,
+/// then 8, then one (lane 0 of a vector).
+template <int kRows>
+void MatMulRows(const float* arow, size_t k, const float* b, size_t n,
+                float* crow, size_t k0, size_t k1) {
+  size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    MatMulTile<kRows, 2>(AllLanes{}, arow, k, b, n, crow, j, k0, k1);
+  }
+  if (j + 8 <= n) {
+    MatMulTile<kRows, 1>(AllLanes{}, arow, k, b, n, crow, j, k0, k1);
+    j += 8;
+  }
+  for (; j < n; ++j) {
+    MatMulTile<kRows, 1>(OneLane{}, arow, k, b, n, crow, j, k0, k1);
+  }
+}
+
+/// c += a * b (a: m x k, b: k x n, all row-major), in the scalar body's
+/// per-element order: per k panel, 4-row tiles take k in pairs, the
+/// remaining rows one product at a time. Each tile keeps its block of c
+/// in registers for the whole panel.
 void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
                     const float* __restrict b, size_t n,
                     float* __restrict c) {
@@ -184,55 +238,9 @@ void MatMulBodyAvx2(const float* __restrict a, size_t m, size_t k,
     const size_t k1 = std::min(k, k0 + kKc);
     size_t i = 0;
     for (; i + 4 <= m; i += 4) {
-      const float* arow[4];
-      float* crow[4];
-      for (int r = 0; r < 4; ++r) {
-        arow[r] = a + (i + r) * k;
-        crow[r] = c + (i + r) * n;
-      }
-      size_t kk = k0;
-      for (; kk + 2 <= k1; kk += 2) {
-        const float* b0 = b + kk * n;
-        const float* b1 = b0 + n;
-        __m256 f0[4], f1[4];
-        for (int r = 0; r < 4; ++r) {
-          f0[r] = _mm256_broadcast_ss(arow[r] + kk);
-          f1[r] = _mm256_broadcast_ss(arow[r] + kk + 1);
-        }
-        ForEachColumnGroup(n, [&](auto lanes, size_t j) {
-          const __m256 v0 = lanes.Load(b0 + j);
-          const __m256 v1 = lanes.Load(b1 + j);
-          for (int r = 0; r < 4; ++r) {
-            lanes.Store(crow[r] + j, AddPair(lanes.Load(crow[r] + j), f0[r],
-                                             v0, f1[r], v1));
-          }
-        });
-      }
-      for (; kk < k1; ++kk) {
-        const float* brow = b + kk * n;
-        __m256 f[4];
-        for (int r = 0; r < 4; ++r) f[r] = _mm256_broadcast_ss(arow[r] + kk);
-        ForEachColumnGroup(n, [&](auto lanes, size_t j) {
-          const __m256 v = lanes.Load(brow + j);
-          for (int r = 0; r < 4; ++r) {
-            lanes.Store(crow[r] + j,
-                        AddProduct(lanes.Load(crow[r] + j), f[r], v));
-          }
-        });
-      }
+      MatMulRows<4>(a + i * k, k, b, n, c + i * n, k0, k1);
     }
-    for (; i < m; ++i) {
-      const float* arow = a + i * k;
-      float* crow = c + i * n;
-      for (size_t kk = k0; kk < k1; ++kk) {
-        const float* brow = b + kk * n;
-        const __m256 f = _mm256_broadcast_ss(arow + kk);
-        ForEachColumnGroup(n, [&](auto lanes, size_t j) {
-          lanes.Store(crow + j, AddProduct(lanes.Load(crow + j), f,
-                                           lanes.Load(brow + j)));
-        });
-      }
-    }
+    for (; i < m; ++i) MatMulRows<1>(a + i * k, k, b, n, c + i * n, k0, k1);
   }
 }
 
