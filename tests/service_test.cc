@@ -352,6 +352,49 @@ TEST(JobSpecTest, E2eDigitsFingerprintsArePinned) {
   }
 }
 
+/// Hash of the IEEE-754 bits of U(S) over every non-empty coalition of
+/// `utility`, in coalition-mask order.
+uint64_t AllCoalitionsHash(const UtilityFunction& utility) {
+  const int n = utility.num_clients();
+  Hasher64 hasher;
+  for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {
+    Coalition coalition;
+    for (int i = 0; i < n; ++i) {
+      if ((mask >> i) & 1) coalition.Add(i);
+    }
+    Result<double> value = utility.Evaluate(coalition);
+    EXPECT_TRUE(value.ok()) << value.status();
+    hasher.MixDouble(value.ok() ? *value : -1.0);
+  }
+  return hasher.digest();
+}
+
+// The scored values themselves, not only the workload identity: test
+// accuracy over every coalition of two seed-2025 e2e digits federations,
+// n = 6 with the default training and train-heavy's n = 8 with 10 rounds
+// of 5 local epochs. A change to how a trained model is scored must keep
+// each accuracy bit for bit.
+TEST(JobSpecTest, E2eDigitsUtilitiesArePinned) {
+  const struct {
+    int n;
+    int fl_rounds;
+    int local_epochs;
+    uint64_t hash;
+  } pins[] = {{6, 3, 1, 0xab82d63addaf8fa1ULL},
+              {8, 10, 5, 0x9cc8bf5b92830c19ULL}};
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(::testing::Message() << "n=" << pin.n);
+    ScenarioSpec scenario;
+    scenario.kind = "digits";
+    scenario.n = pin.n;
+    scenario.fl_rounds = pin.fl_rounds;
+    scenario.local_epochs = pin.local_epochs;
+    Result<std::unique_ptr<UtilityFunction>> utility = scenario.Build();
+    ASSERT_TRUE(utility.ok()) << utility.status();
+    EXPECT_EQ(AllCoalitionsHash(**utility), pin.hash);
+  }
+}
+
 // FedAvgUtility hashes its workload once, in Create: every call returns
 // that value, and a utility created again from the same parts has it too.
 TEST(JobSpecTest, FedAvgFingerprintIsHashedOnceAtCreate) {
