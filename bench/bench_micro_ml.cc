@@ -291,105 +291,28 @@ void BM_LinRegGradient_Batched(benchmark::State& state) {
 BENCHMARK(BM_LinRegGradient_Batched);
 
 // ---------------------------------------------------------------------------
-// Fused multi-model scoring (what fuse=on buys a valuation job): scoring
-// M trained models on the shared test set as M per-example accuracy
-// sweeps vs one stacked X * [W_1^T | ... | W_M^T] GEMM per test chunk —
-// the scoring arithmetic of FedAvgUtility::EvaluateBatchFused. Trainings
-// are outside both loops; the pair isolates the dispatch overhead that
-// fusion amortizes on small models.
+// Scoring one trained model on a test set, as U(S) does: Loss and
+// EvaluateAccuracy over 1000 8x8 digit rows, each one ScoreRows pass of
+// batched forwards. The shapes are the gradient cases' above.
 
-constexpr size_t kFusedModels = 16;
-
-std::vector<LogisticRegression> MakeScoringModels(size_t count) {
-  std::vector<LogisticRegression> models;
-  models.reserve(count);
-  for (size_t m = 0; m < count; ++m) {
-    LogisticRegression model(64, 10);
-    Rng rng(100 + m);
-    model.InitializeParameters(rng);
-    models.push_back(std::move(model));
-  }
-  return models;
-}
-
-void BM_ScoreModels_PerModel(benchmark::State& state) {
+template <typename ModelT>
+void BM_Score(benchmark::State& state, ModelT model) {
   Rng rng(7);
-  const Dataset data = MakeBlobData(rng);
-  const std::vector<LogisticRegression> models =
-      MakeScoringModels(kFusedModels);
+  DigitsConfig config;
+  config.image_size = 8;
+  Result<FederatedSource> source = GenerateDigits(config, 1000, rng);
+  const Dataset data = std::move(source).value().data;
+  model.InitializeParameters(rng);
   double sink = 0.0;
   for (auto _ : state) {
-    for (const LogisticRegression& model : models) {
-      sink += EvaluateAccuracy(model, data);
-    }
+    sink += model.Loss(data) + EvaluateAccuracy(model, data);
     benchmark::DoNotOptimize(sink);
   }
-  state.SetItemsProcessed(state.iterations() * models.size() * data.size());
+  state.SetItemsProcessed(state.iterations() * data.size());
 }
-BENCHMARK(BM_ScoreModels_PerModel);
-
-void BM_ScoreModels_FusedStacked(benchmark::State& state) {
-  Rng rng(7);
-  const Dataset data = MakeBlobData(rng);
-  const std::vector<LogisticRegression> models =
-      MakeScoringModels(kFusedModels);
-  const size_t num_features = static_cast<size_t>(data.num_features());
-  const size_t classes = static_cast<size_t>(models.front().NumOutputs());
-  const size_t stacked_cols = models.size() * classes;
-  AlignedFloats stacked_wt(num_features * stacked_cols), xb, logits;
-  std::vector<float> stacked_bias(stacked_cols);
-  std::vector<size_t> batch;
-  std::vector<size_t> correct(models.size());
-  double sink = 0.0;
-  for (auto _ : state) {
-    // Stacking the heads is part of the fused path's cost: the service
-    // pays it once per coalition batch, so the benchmark pays it once
-    // per iteration.
-    for (size_t j = 0; j < models.size(); ++j) {
-      const float* bias = nullptr;
-      const float* weights = models[j].AffineScorer(&bias);
-      for (size_t c = 0; c < classes; ++c) {
-        stacked_bias[j * classes + c] = bias[c];
-      }
-      for (size_t f = 0; f < num_features; ++f) {
-        for (size_t c = 0; c < classes; ++c) {
-          stacked_wt[f * stacked_cols + j * classes + c] =
-              weights[c * num_features + f];
-        }
-      }
-    }
-    std::fill(correct.begin(), correct.end(), size_t{0});
-    constexpr size_t kChunkRows = 256;
-    for (size_t begin = 0; begin < data.size(); begin += kChunkRows) {
-      const size_t rows = std::min(kChunkRows, data.size() - begin);
-      batch.resize(rows);
-      for (size_t i = 0; i < rows; ++i) batch[i] = begin + i;
-      GatherRows(data, batch, xb);
-      logits.resize(rows * stacked_cols);
-      MatMul(xb.data(), rows, num_features, stacked_wt.data(), stacked_cols,
-             logits.data());
-      AddBiasRows(logits.data(), rows, stacked_cols, stacked_bias.data());
-      for (size_t i = 0; i < rows; ++i) {
-        const int label = data.ClassLabel(begin + i);
-        const float* row = logits.data() + i * stacked_cols;
-        for (size_t j = 0; j < models.size(); ++j) {
-          const float* scores = row + j * classes;
-          size_t best = 0;
-          for (size_t c = 1; c < classes; ++c) {
-            if (scores[c] > scores[best]) best = c;
-          }
-          if (static_cast<int>(best) == label) ++correct[j];
-        }
-      }
-    }
-    for (size_t count : correct) {
-      sink += static_cast<double>(count) / static_cast<double>(data.size());
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * models.size() * data.size());
-}
-BENCHMARK(BM_ScoreModels_FusedStacked);
+BENCHMARK_CAPTURE(BM_Score, logreg, LogisticRegression(64, 10));
+BENCHMARK_CAPTURE(BM_Score, mlp, Mlp(64, 16, 10));
+BENCHMARK_CAPTURE(BM_Score, cnn, Cnn(8, 4, 10));
 
 // ---------------------------------------------------------------------------
 // A whole local training (what one FL client does per round): one epoch
@@ -686,8 +609,6 @@ int RunMicroMl(int argc, char** argv) {
       {"linreg_gradient", "BM_LinRegGradient_PerExample",
        "BM_LinRegGradient_Batched"},
       {"matmul_blocked", "BM_MatMulNaive", "BM_MatMulBlocked"},
-      {"fused_scoring", "BM_ScoreModels_PerModel",
-       "BM_ScoreModels_FusedStacked"},
   };
   for (const auto& pair : pairs) {
     const double speedup = SpeedupOf(seconds, pair.baseline, pair.faster);

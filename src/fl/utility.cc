@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "ml/matrix.h"
 #include "ml/metrics.h"
 #include "util/logging.h"
 #include "util/serialization.h"
@@ -91,107 +90,6 @@ Result<double> FedAvgUtility::Evaluate(const Coalition& coalition) const {
       return -model->Loss(test_data_);
   }
   return Status::Internal("unknown utility metric");
-}
-
-Result<std::vector<double>> FedAvgUtility::EvaluateBatchFused(
-    const std::vector<Coalition>& coalitions) const {
-  // Train exactly as Evaluate would: the fusion below changes only how
-  // the resulting models are *scored*, so the trained parameters are
-  // bit-identical to the unfused path and only the scoring arithmetic is
-  // subject to the kernel tolerance contract.
-  std::vector<std::unique_ptr<Model>> models;
-  models.reserve(coalitions.size());
-  for (const Coalition& coalition : coalitions) {
-    std::vector<const FlClient*> members;
-    for (const FlClient& client : clients_) {
-      if (coalition.Contains(client.id())) members.push_back(&client);
-    }
-    if (members.size() != static_cast<size_t>(coalition.Count())) {
-      return Status::InvalidArgument("coalition references unknown clients");
-    }
-    FEDSHAP_ASSIGN_OR_RETURN(std::unique_ptr<Model> model,
-                             TrainFedAvg(*prototype_, members, config_));
-    models.push_back(std::move(model));
-  }
-
-  std::vector<double> values(models.size(), 0.0);
-  // Partition: models whose accuracy can be read off stacked affine
-  // logits are scored together below; everything else (no affine head,
-  // or the negative-loss metric) scores exactly like Evaluate.
-  std::vector<size_t> fusable;
-  for (size_t m = 0; m < models.size(); ++m) {
-    const float* bias = nullptr;
-    if (metric_ == UtilityMetric::kAccuracy &&
-        models[m]->AffineScorer(&bias) != nullptr) {
-      fusable.push_back(m);
-      continue;
-    }
-    switch (metric_) {
-      case UtilityMetric::kAccuracy:
-        values[m] = EvaluateAccuracy(*models[m], test_data_);
-        break;
-      case UtilityMetric::kNegativeLoss:
-        values[m] = -models[m]->Loss(test_data_);
-        break;
-    }
-  }
-  if (fusable.empty()) return values;
-
-  // Stack the M fusable models' scoring heads into one F x (M*C) weight
-  // block and concatenated biases, then score the whole test set in
-  // chunked GEMMs: logits = X * [W_1^T | ... | W_M^T] + [b_1 | ... | b_M].
-  // Argmax within each model's C-column block is its prediction (the
-  // models' final activations are monotone per row, see AffineScorer).
-  const size_t num_features = static_cast<size_t>(test_data_.num_features());
-  const size_t classes =
-      static_cast<size_t>(models[fusable.front()]->NumOutputs());
-  const size_t stacked_cols = fusable.size() * classes;
-  AlignedFloats stacked_wt(num_features * stacked_cols);
-  std::vector<float> stacked_bias(stacked_cols);
-  for (size_t j = 0; j < fusable.size(); ++j) {
-    const float* bias = nullptr;
-    const float* weights = models[fusable[j]]->AffineScorer(&bias);
-    for (size_t c = 0; c < classes; ++c) {
-      stacked_bias[j * classes + c] = bias[c];
-    }
-    for (size_t f = 0; f < num_features; ++f) {
-      for (size_t c = 0; c < classes; ++c) {
-        stacked_wt[f * stacked_cols + j * classes + c] =
-            weights[c * num_features + f];
-      }
-    }
-  }
-  constexpr size_t kChunkRows = 256;
-  AlignedFloats xb, logits;
-  std::vector<size_t> batch;
-  std::vector<size_t> correct(fusable.size(), 0);
-  for (size_t begin = 0; begin < test_data_.size(); begin += kChunkRows) {
-    const size_t rows = std::min(kChunkRows, test_data_.size() - begin);
-    batch.resize(rows);
-    for (size_t i = 0; i < rows; ++i) batch[i] = begin + i;
-    GatherRows(test_data_, batch, xb);
-    logits.resize(rows * stacked_cols);
-    MatMul(xb.data(), rows, num_features, stacked_wt.data(), stacked_cols,
-           logits.data());
-    AddBiasRows(logits.data(), rows, stacked_cols, stacked_bias.data());
-    for (size_t i = 0; i < rows; ++i) {
-      const int label = test_data_.ClassLabel(begin + i);
-      const float* row = logits.data() + i * stacked_cols;
-      for (size_t j = 0; j < fusable.size(); ++j) {
-        const float* scores = row + j * classes;
-        size_t best = 0;
-        for (size_t c = 1; c < classes; ++c) {
-          if (scores[c] > scores[best]) best = c;
-        }
-        if (static_cast<int>(best) == label) ++correct[j];
-      }
-    }
-  }
-  for (size_t j = 0; j < fusable.size(); ++j) {
-    values[fusable[j]] = static_cast<double>(correct[j]) /
-                         static_cast<double>(test_data_.size());
-  }
-  return values;
 }
 
 Result<double> FedAvgUtility::EvaluateParameters(

@@ -32,17 +32,7 @@ class UtilityFunction {
   /// U(M_S): utility of the model trained on coalition `coalition`.
   virtual Result<double> Evaluate(const Coalition& coalition) const = 0;
 
-  /// Evaluates several coalitions through one fused dispatch where the
-  /// implementation supports it: trainings stay identical to Evaluate
-  /// (bit-for-bit per coalition), but the trained models' test-set
-  /// scoring may be stacked into larger GEMM dispatches, amortizing the
-  /// per-model kernel overhead that dominates small models. Fused values
-  /// agree with per-coalition Evaluate within the kernel tolerance
-  /// contract of ml/matrix.h (kKernelAbsTol/kKernelRelTol) — not bitwise,
-  /// which is why callers opt in (see UtilitySession::set_fused). The
-  /// base implementation is a plain Evaluate loop, so every utility
-  /// accepts the fused route; on failure the first failing coalition's
-  /// status is returned and no values are produced.
+  /// An Evaluate loop that nothing calls; kept only because bench/e2e does.
   virtual Result<std::vector<double>> EvaluateBatchFused(
       const std::vector<Coalition>& coalitions) const;
 
@@ -78,14 +68,6 @@ class FedAvgUtility : public UtilityFunction {
     return static_cast<int>(clients_.size());
   }
   Result<double> Evaluate(const Coalition& coalition) const override;
-  /// Trains every coalition exactly as Evaluate would (bit-identical
-  /// models), then scores all models with an affine scoring head
-  /// (Model::AffineScorer) on the test set through stacked GEMMs: one
-  /// X * [W_1^T | ... | W_M^T] product per test chunk instead of M
-  /// per-example Predict sweeps. Models without an affine head, and the
-  /// negative-loss metric, fall back to per-model scoring.
-  Result<std::vector<double>> EvaluateBatchFused(
-      const std::vector<Coalition>& coalitions) const override;
   /// The content hash, computed once in Create: the utility is immutable.
   uint64_t Fingerprint() const override { return fingerprint_; }
 

@@ -1,7 +1,5 @@
 #include "fl/utility_cache.h"
 
-#include <atomic>
-
 #include "fl/utility_store.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -146,73 +144,6 @@ Status UtilityCache::Prefetch(const std::vector<Coalition>& coalitions,
   return first_status;
 }
 
-Status UtilityCache::PrefetchFused(const std::vector<Coalition>& coalitions,
-                                   std::vector<uint8_t>* fresh) {
-  if (fresh != nullptr) fresh->assign(coalitions.size(), 0);
-  // Claim the single-flight slot of every coalition that is neither
-  // cached nor already being computed elsewhere; those are the ones this
-  // call may evaluate. Duplicates within `coalitions` claim once.
-  std::vector<size_t> claimed;
-  UtilityStore* store = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    store = store_;
-    for (size_t i = 0; i < coalitions.size(); ++i) {
-      if (entries_.find(coalitions[i]) != entries_.end()) continue;
-      if (inflight_.insert(coalitions[i]).second) claimed.push_back(i);
-    }
-  }
-  // Read-through first: store hits train nothing and keep their original
-  // recorded cost, exactly like Get's miss path.
-  std::vector<size_t> misses;
-  for (size_t i : claimed) {
-    UtilityRecord stored;
-    if (store != nullptr && store->Lookup(coalitions[i], &stored)) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      inflight_.erase(coalitions[i]);
-      inflight_done_.notify_all();
-      if (entries_.emplace(coalitions[i], stored).second) {
-        ++preloaded_;
-        recorded_cost_seconds_ += stored.cost_seconds;
-      }
-      ++hits_;
-    } else {
-      misses.push_back(i);
-    }
-  }
-  if (misses.empty()) return Status::OK();
-  std::vector<Coalition> batch;
-  batch.reserve(misses.size());
-  for (size_t i : misses) batch.push_back(coalitions[i]);
-  Stopwatch timer;
-  Result<std::vector<double>> values = fn_->EvaluateBatchFused(batch);
-  // The fused dispatch's wall time is amortized evenly: per-record cost
-  // has no per-coalition breakdown once the scoring GEMMs are stacked.
-  const double per_record_seconds =
-      timer.ElapsedSeconds() / static_cast<double>(misses.size());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i : misses) inflight_.erase(coalitions[i]);
-    inflight_done_.notify_all();
-    // On failure no entry is published (mirrors Get: a failed evaluation
-    // is neither hit nor miss; retries recompute).
-    if (!values.ok()) return values.status();
-    for (size_t j = 0; j < misses.size(); ++j) {
-      UtilityRecord record{(*values)[j], per_record_seconds};
-      entries_.emplace(coalitions[misses[j]], record);
-      ++misses_;
-      total_compute_seconds_ += per_record_seconds;
-      recorded_cost_seconds_ += per_record_seconds;
-      if (fresh != nullptr) (*fresh)[misses[j]] = 1;
-    }
-  }
-  for (size_t j = 0; j < misses.size(); ++j) {
-    WriteThrough(store, coalitions[misses[j]],
-                 UtilityRecord{(*values)[j], per_record_seconds});
-  }
-  return Status::OK();
-}
-
 void UtilityCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
@@ -308,14 +239,8 @@ double UtilitySession::charged_seconds() const {
 Result<std::vector<double>> UtilitySession::EvaluateBatch(
     const std::vector<Coalition>& coalitions) {
   std::vector<uint8_t> fresh;
-  if (fused_ && coalitions.size() > 1) {
-    // Fused dispatch: one stacked evaluation for all misses. A failure
-    // is deliberately ignored here for the same reason as the pool
-    // prefetch below — the sequential pass rediscovers it at the same
-    // coalition a sequential run would have.
-    (void)cache_->PrefetchFused(coalitions, &fresh);
-  } else if (pool_ != nullptr && pool_->num_threads() > 1 &&
-             coalitions.size() > 1) {
+  if (pool_ != nullptr && pool_->num_threads() > 1 &&
+      coalitions.size() > 1) {
     // Fan the misses out over the pool. A failure here is deliberately
     // ignored: the sequential pass below rediscovers it at the same
     // coalition a sequential run would have, so the returned error and

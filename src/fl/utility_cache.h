@@ -72,17 +72,6 @@ class UtilityCache {
                   ThreadPool* pool = nullptr,
                   std::vector<uint8_t>* fresh = nullptr);
 
-  /// Like Prefetch, but routes the misses through one
-  /// UtilityFunction::EvaluateBatchFused dispatch instead of per-coalition
-  /// Evaluate calls: same single-flight and store read/write-through
-  /// semantics, but the underlying utility may stack the coalitions'
-  /// model evaluations into fused GEMM dispatches (values then agree with
-  /// Evaluate within the kernel tolerance contract, see ml/matrix.h).
-  /// Each fused record's cost_seconds is the batch's wall time amortized
-  /// evenly over the coalitions it trained.
-  Status PrefetchFused(const std::vector<Coalition>& coalitions,
-                       std::vector<uint8_t>* fresh = nullptr);
-
   /// Attaches a persistent store as the cache's cross-process backing:
   ///
   ///  - on a cache miss the store is consulted *first* (read-through): a
@@ -133,7 +122,7 @@ class UtilityCache {
 
  private:
   /// Write-through + byte-counted flush for one freshly computed record;
-  /// called outside the cache mutex (Get and PrefetchFused share it).
+  /// called outside the cache mutex.
   void WriteThrough(UtilityStore* store, const Coalition& coalition,
                     const UtilityRecord& record);
   const UtilityFunction* fn_;
@@ -184,14 +173,8 @@ class UtilitySession {
   Result<std::vector<double>> EvaluateBatch(
       const std::vector<Coalition>& coalitions);
 
-  /// Routes EvaluateBatch misses through the utility's fused
-  /// multi-coalition path (UtilityCache::PrefetchFused) instead of
-  /// per-coalition dispatch. Off by default: fused values agree with the
-  /// unfused path only within the kernel tolerance contract, so callers
-  /// opt in per job (`fuse=on`).
-  void set_fused(bool fused) { fused_ = fused; }
-  /// Whether the fused dispatch path is enabled.
-  bool fused() const { return fused_; }
+  /// Does nothing; kept only because bench/e2e calls it.
+  void set_fused(bool) {}
 
   /// Total U(.) queries this run issued (statistics for ValuationResult).
   size_t num_evaluations() const;
@@ -216,7 +199,6 @@ class UtilitySession {
 
   UtilityCache* cache_;
   ThreadPool* pool_;
-  bool fused_ = false;
   /// Guards all accounting below, so the counters may be read from any
   /// thread while the run thread evaluates.
   mutable std::mutex mutex_;

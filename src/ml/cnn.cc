@@ -168,13 +168,8 @@ void Cnn::ComputeGradient(const Dataset& data,
   for (float& g : grad) g *= inv;
 }
 
-void Cnn::ComputeGradientBatched(const Dataset& data,
-                                 const std::vector<size_t>& batch,
-                                 std::vector<float>& grad) const {
-  grad.assign(params_.size(), 0.0f);
-  if (batch.empty()) return;
-  FEDSHAP_CHECK(data.num_features() == side_ * side_);
-  const size_t bsz = batch.size();
+void Cnn::ForwardRows(const float* xb, size_t n, BatchActivations& act,
+                      float* logits) const {
   const int cs = conv_side();
   const int ps = pool_side();
   const size_t ca = conv_area();
@@ -183,23 +178,18 @@ void Cnn::ComputeGradientBatched(const Dataset& data,
   const size_t classes = static_cast<size_t>(num_classes_);
   const size_t filters = static_cast<size_t>(filters_);
   const size_t feat = static_cast<size_t>(side_) * side_;
-  const float inv = 1.0f / static_cast<float>(bsz);
-
-  static thread_local AlignedFloats xb, col, col_t, conv, pooled, wdt,
-      probs, dpooled, dconv;
-  static thread_local std::vector<int> pool_argmax;
-  GatherRows(data, batch, xb);
+  static thread_local AlignedFloats col_t, wdt;
 
   // im2col: one row of 9 patch pixels per (example, conv position),
   // plus its transpose. The whole batch's 3x3 convolution then becomes
-  // one (filters x 9) * (9 x bsz*ca) product whose inner loops run over
-  // all bsz*ca conv positions at once — with only `filters` output rows,
+  // one (filters x 9) * (9 x n*ca) product whose inner loops run over
+  // all n*ca conv positions at once — with only `filters` output rows,
   // the row-major orientation would leave the saxpy width at `filters`.
-  const size_t n_conv = bsz * ca;
-  col.resize(n_conv * 9);
-  for (size_t i = 0; i < bsz; ++i) {
-    const float* x = xb.data() + i * feat;
-    float* example_rows = col.data() + i * ca * 9;
+  const size_t n_conv = n * ca;
+  act.col.resize(n_conv * 9);
+  for (size_t i = 0; i < n; ++i) {
+    const float* x = xb + i * feat;
+    float* example_rows = act.col.data() + i * ca * 9;
     for (int r = 0; r < cs; ++r) {
       for (int c = 0; c < cs; ++c) {
         float* row = example_rows + (static_cast<size_t>(r) * cs + c) * 9;
@@ -213,17 +203,17 @@ void Cnn::ComputeGradientBatched(const Dataset& data,
     }
   }
   col_t.resize(9 * n_conv);
-  Transpose(col.data(), n_conv, 9, col_t.data());
+  Transpose(act.col.data(), n_conv, 9, col_t.data());
 
-  // conv: filter-major (filters x bsz*ca) with each filter's maps laid
+  // conv: filter-major (filters x n*ca) with each filter's maps laid
   // out exactly like the per-example path's conv_act, then fused
   // per-filter bias + ReLU.
-  conv.resize(filters * n_conv);
+  act.conv.resize(filters * n_conv);
   MatMul(params_.data() + ConvW(), filters, 9, col_t.data(), n_conv,
-         conv.data());
+         act.conv.data());
   const float* conv_b = params_.data() + ConvB();
   for (size_t f = 0; f < filters; ++f) {
-    float* map = conv.data() + f * n_conv;
+    float* map = act.conv.data() + f * n_conv;
     const float bias = conv_b[f];
     for (size_t p = 0; p < n_conv; ++p) {
       const float v = map[p] + bias;
@@ -234,13 +224,13 @@ void Cnn::ComputeGradientBatched(const Dataset& data,
   // 2x2/2 max pooling into the per-example flatten order the dense head
   // expects ([filter][pool position]), remembering each window's argmax
   // with the same strictly-greater tie-breaking as the reference path.
-  pooled.resize(bsz * flat);
-  pool_argmax.resize(bsz * flat);
-  for (size_t i = 0; i < bsz; ++i) {
-    float* pooled_i = pooled.data() + i * flat;
-    int* argmax_i = pool_argmax.data() + i * flat;
+  act.pooled.resize(n * flat);
+  act.pool_argmax.resize(n * flat);
+  for (size_t i = 0; i < n; ++i) {
+    float* pooled_i = act.pooled.data() + i * flat;
+    int* argmax_i = act.pool_argmax.data() + i * flat;
     for (size_t f = 0; f < filters; ++f) {
-      const float* map = conv.data() + f * n_conv + i * ca;
+      const float* map = act.conv.data() + f * n_conv + i * ca;
       for (int pr = 0; pr < ps; ++pr) {
         for (int pc = 0; pc < ps; ++pc) {
           float best = -1.0f;
@@ -261,12 +251,33 @@ void Cnn::ComputeGradientBatched(const Dataset& data,
     }
   }
 
-  // Dense head: probs = softmax(pooled * Wd^T + bd).
+  // Dense head: logits = pooled * Wd^T + bd.
   wdt.resize(flat * classes);
   Transpose(params_.data() + DenseW(), classes, flat, wdt.data());
+  MatMul(act.pooled.data(), n, flat, wdt.data(), classes, logits);
+  AddBiasRows(logits, n, classes, params_.data() + DenseB());
+}
+
+void Cnn::ComputeGradientBatched(const Dataset& data,
+                                 const std::vector<size_t>& batch,
+                                 std::vector<float>& grad) const {
+  grad.assign(params_.size(), 0.0f);
+  if (batch.empty()) return;
+  FEDSHAP_CHECK(data.num_features() == side_ * side_);
+  const size_t bsz = batch.size();
+  const size_t ca = conv_area();
+  const size_t pa = pool_area();
+  const size_t flat = flat_size();
+  const size_t classes = static_cast<size_t>(num_classes_);
+  const size_t filters = static_cast<size_t>(filters_);
+  const size_t n_conv = bsz * ca;
+  const float inv = 1.0f / static_cast<float>(bsz);
+
+  static thread_local AlignedFloats xb, probs, dpooled, dconv;
+  static thread_local BatchActivations act;
+  GatherRows(data, batch, xb);
   probs.resize(bsz * classes);
-  MatMul(pooled.data(), bsz, flat, wdt.data(), classes, probs.data());
-  AddBiasRows(probs.data(), bsz, classes, params_.data() + DenseB());
+  ForwardRows(xb.data(), bsz, act, probs.data());
   SoftmaxRows(probs.data(), bsz, classes);
 
   // probs becomes the logit deltas (p_c - 1[c == label]) in place.
@@ -276,7 +287,7 @@ void Cnn::ComputeGradientBatched(const Dataset& data,
 
   // Dense gradients, then backprop onto the pooled activations.
   AddOuterBatch(grad.data() + DenseW(), classes, flat, inv, probs.data(),
-                pooled.data(), bsz);
+                act.pooled.data(), bsz);
   ColumnSums(probs.data(), bsz, classes, grad.data() + DenseB());
   dpooled.resize(bsz * flat);
   MatMul(probs.data(), bsz, classes, params_.data() + DenseW(), flat,
@@ -290,10 +301,10 @@ void Cnn::ComputeGradientBatched(const Dataset& data,
   dconv.assign(n_conv * filters, 0.0f);
   for (size_t i = 0; i < bsz; ++i) {
     const float* dpooled_i = dpooled.data() + i * flat;
-    const int* argmax_i = pool_argmax.data() + i * flat;
+    const int* argmax_i = act.pool_argmax.data() + i * flat;
     float* dconv_i = dconv.data() + i * ca * filters;
     for (size_t f = 0; f < filters; ++f) {
-      const float* map = conv.data() + f * n_conv + i * ca;
+      const float* map = act.conv.data() + f * n_conv + i * ca;
       for (size_t p = 0; p < pa; ++p) {
         const float dact = dpooled_i[f * pa + p];
         if (dact == 0.0f) continue;
@@ -306,16 +317,15 @@ void Cnn::ComputeGradientBatched(const Dataset& data,
 
   // Conv gradients: gW = dconv^T * im2col, gb = column sums of dconv.
   AddOuterBatch(grad.data() + ConvW(), filters, 9, inv, dconv.data(),
-                col.data(), bsz * ca);
-  ColumnSums(dconv.data(), bsz * ca, filters, grad.data() + ConvB());
+                act.col.data(), n_conv);
+  ColumnSums(dconv.data(), n_conv, filters, grad.data() + ConvB());
   for (size_t c = 0; c < classes; ++c) grad[DenseB() + c] *= inv;
   for (size_t f = 0; f < filters; ++f) grad[ConvB() + f] *= inv;
 }
 
-void Cnn::Predict(const float* features, std::vector<float>& output) const {
-  static thread_local std::vector<float> conv_act, pooled;
-  static thread_local std::vector<int> pool_argmax;
-  Forward(features, conv_act, pooled, pool_argmax, output);
+void Cnn::ForwardBatch(const float* rows, size_t n, float* out) const {
+  static thread_local BatchActivations act;
+  ForwardRows(rows, n, act, out);
 }
 
 }  // namespace fedshap

@@ -30,12 +30,30 @@ class Cnn : public Model {
   void ComputeGradientBatched(const Dataset& data,
                               const std::vector<size_t>& batch,
                               std::vector<float>& grad) const override;
-  void Predict(const float* features,
-               std::vector<float>& output) const override;
+  void ForwardBatch(const float* rows, size_t n, float* out) const override;
   int NumOutputs() const override { return num_classes_; }
   int NumFeatures() const override { return side_ * side_; }
 
+  /// Reference forward pass for one image. Fills the post-ReLU conv maps,
+  /// the pooled activations with their argmax positions (for backprop
+  /// routing) and the softmax probabilities. ComputeGradient runs it;
+  /// tests hold ForwardBatch against it.
+  void Forward(const float* x, std::vector<float>& conv_act,
+               std::vector<float>& pooled, std::vector<int>& pool_argmax,
+               std::vector<float>& probs) const;
+
  private:
+  /// What the batched forward pass leaves for the backward pass.
+  struct BatchActivations {
+    /// im2col patches: one row of 9 pixels per (example, conv position).
+    AlignedFloats col;
+    /// Post-ReLU conv maps, filter-major: filters x (n * conv_area).
+    AlignedFloats conv;
+    /// Pooled activations, n x flat_size(), and each window's argmax.
+    AlignedFloats pooled;
+    std::vector<int> pool_argmax;
+  };
+
   // Derived sizes.
   int conv_side() const { return side_ - 2; }        // valid 3x3 conv
   int pool_side() const { return conv_side() / 2; }  // 2x2/2 maxpool
@@ -56,12 +74,11 @@ class Cnn : public Model {
     return DenseW() + static_cast<size_t>(num_classes_) * flat_size();
   }
 
-  /// Forward pass for one image. Fills the post-ReLU conv maps, the pooled
-  /// activations with their argmax positions (for backprop routing) and the
-  /// softmax probabilities.
-  void Forward(const float* x, std::vector<float>& conv_act,
-               std::vector<float>& pooled, std::vector<int>& pool_argmax,
-               std::vector<float>& probs) const;
+  /// The batched forward pass of training and scoring over `n` gathered
+  /// images `xb`: fills `act` and writes the dense head's logits
+  /// (n x classes) into `logits`.
+  void ForwardRows(const float* xb, size_t n, BatchActivations& act,
+                   float* logits) const;
 
   int side_;
   int filters_;

@@ -84,11 +84,16 @@ void LinearRegression::ComputeGradientBatched(
   grad[dim_] = bias_grad;
 }
 
-void LinearRegression::Predict(const float* features,
-                               std::vector<float>& output) const {
-  double pred = params_[dim_];
-  for (int d = 0; d < dim_; ++d) pred += params_[d] * features[d];
-  output.assign(1, static_cast<float>(pred));
+void LinearRegression::ForwardBatch(const float* rows, size_t n,
+                                    float* out) const {
+  // The per-row dot product of ComputeGradientBatched, then the bias.
+  const size_t dim = static_cast<size_t>(dim_);
+  for (size_t i = 0; i < n; ++i) {
+    const float* row = rows + i * dim;
+    float acc = 0.0f;
+    for (size_t d = 0; d < dim; ++d) acc += params_[d] * row[d];
+    out[i] = acc + params_[dim_];
+  }
 }
 
 Status LinearRegression::FitClosedForm(const Dataset& data, double l2) {

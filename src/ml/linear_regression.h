@@ -28,14 +28,9 @@ class LinearRegression : public Model {
   void ComputeGradientBatched(const Dataset& data,
                               const std::vector<size_t>& batch,
                               std::vector<float>& grad) const override;
-  void Predict(const float* features,
-               std::vector<float>& output) const override;
+  void ForwardBatch(const float* rows, size_t n, float* out) const override;
   int NumOutputs() const override { return 1; }
   int NumFeatures() const override { return dim_; }
-  const float* AffineScorer(const float** bias) const override {
-    *bias = params_.data() + dim_;
-    return params_.data();
-  }
 
   /// Exact least-squares fit via the normal equations (ridge-regularized by
   /// `l2` for numerical stability). Replaces the current parameters.

@@ -106,9 +106,15 @@ void LogisticRegression::ComputeGradientBatched(
                  grad.data());
 }
 
-void LogisticRegression::Predict(const float* features,
-                                 std::vector<float>& output) const {
-  Forward(features, output);
+void LogisticRegression::ForwardBatch(const float* rows, size_t n,
+                                      float* out) const {
+  const size_t dim = static_cast<size_t>(dim_);
+  const size_t classes = static_cast<size_t>(num_classes_);
+  static thread_local AlignedFloats wt;
+  wt.resize(dim * classes);
+  Transpose(params_.data(), classes, dim, wt.data());
+  MatMul(rows, n, dim, wt.data(), classes, out);
+  AddBiasRows(out, n, classes, params_.data() + classes * dim);
 }
 
 }  // namespace fedshap

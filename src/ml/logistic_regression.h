@@ -24,20 +24,16 @@ class LogisticRegression : public Model {
   void ComputeGradientBatched(const Dataset& data,
                               const std::vector<size_t>& batch,
                               std::vector<float>& grad) const override;
-  void Predict(const float* features,
-               std::vector<float>& output) const override;
+  void ForwardBatch(const float* rows, size_t n, float* out) const override;
   int NumOutputs() const override { return num_classes_; }
   int NumFeatures() const override { return dim_; }
-  // Softmax is monotone per row, so argmax over the affine logits equals
-  // argmax over Predict()'s probabilities.
-  const float* AffineScorer(const float** bias) const override {
-    *bias = params_.data() + static_cast<size_t>(num_classes_) * dim_;
-    return params_.data();
-  }
+
+  /// Reference forward pass for one row: writes the softmax
+  /// probabilities into `probs`. ComputeGradient runs it; tests hold
+  /// ForwardBatch against it.
+  void Forward(const float* x, std::vector<float>& probs) const;
 
  private:
-  /// Writes softmax probabilities for one row into `probs`.
-  void Forward(const float* x, std::vector<float>& probs) const;
 
   int dim_;
   int num_classes_;

@@ -1,8 +1,5 @@
 #include "ml/metrics.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/logging.h"
 
 namespace fedshap {
@@ -10,44 +7,7 @@ namespace fedshap {
 double EvaluateAccuracy(const Model& model, const Dataset& data) {
   if (data.empty()) return 0.0;
   FEDSHAP_CHECK(data.num_classes() > 0);
-  std::vector<float> scores;
-  std::vector<float> row(static_cast<size_t>(data.num_features()));
-  size_t correct = 0;
-  for (size_t i = 0; i < data.size(); ++i) {
-    data.CopyRow(i, row.data());
-    model.Predict(row.data(), scores);
-    int prediction = static_cast<int>(
-        std::max_element(scores.begin(), scores.end()) - scores.begin());
-    if (prediction == data.ClassLabel(i)) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(data.size());
-}
-
-double EvaluateMse(const Model& model, const Dataset& data) {
-  if (data.empty()) return 0.0;
-  std::vector<float> out;
-  std::vector<float> row(static_cast<size_t>(data.num_features()));
-  double total = 0.0;
-  for (size_t i = 0; i < data.size(); ++i) {
-    data.CopyRow(i, row.data());
-    model.Predict(row.data(), out);
-    double diff = static_cast<double>(out[0]) - data.Target(i);
-    total += diff * diff;
-  }
-  return total / static_cast<double>(data.size());
-}
-
-double EvaluateMae(const Model& model, const Dataset& data) {
-  if (data.empty()) return 0.0;
-  std::vector<float> out;
-  std::vector<float> row(static_cast<size_t>(data.num_features()));
-  double total = 0.0;
-  for (size_t i = 0; i < data.size(); ++i) {
-    data.CopyRow(i, row.data());
-    model.Predict(row.data(), out);
-    total += std::fabs(static_cast<double>(out[0]) - data.Target(i));
-  }
-  return total / static_cast<double>(data.size());
+  return ScoreRows(model, data, RowScore::kCorrect);
 }
 
 double MseBetween(const std::vector<double>& a,

@@ -6,15 +6,11 @@
 
 namespace fedshap {
 
-/// Fraction of rows whose argmax score equals the class label. Returns 0 for
-/// an empty dataset. Classification models only.
+/// Fraction of rows whose argmax logit equals the class label (ScoreRows
+/// with RowScore::kCorrect). Returns 0 for an empty dataset.
+/// Classification data only; `data` must fit the model
+/// (CheckDatasetFitsModel), anything else is a fatal error.
 double EvaluateAccuracy(const Model& model, const Dataset& data);
-
-/// Mean squared error of the model's scalar output against the targets.
-double EvaluateMse(const Model& model, const Dataset& data);
-
-/// Mean absolute error of the model's scalar output against the targets.
-double EvaluateMae(const Model& model, const Dataset& data);
 
 /// MSE between two raw vectors (used for theory checks).
 double MseBetween(const std::vector<double>& a, const std::vector<double>& b);

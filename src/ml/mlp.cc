@@ -107,6 +107,29 @@ void Mlp::ComputeGradient(const Dataset& data,
   for (float& g : grad) g *= inv;
 }
 
+void Mlp::ForwardRows(const float* xb, size_t n, AlignedFloats& h,
+                      float* logits) const {
+  const size_t dim = static_cast<size_t>(dim_);
+  const size_t hidden = static_cast<size_t>(hidden_);
+  const size_t classes = static_cast<size_t>(num_classes_);
+  static thread_local AlignedFloats w1t, w2t;
+
+  // Hidden layer: H = relu(X * W1^T + b1). W1 is transposed once per
+  // call so the product runs in saxpy form; the cost amortizes over the
+  // rows.
+  w1t.resize(dim * hidden);
+  Transpose(params_.data() + W1(), hidden, dim, w1t.data());
+  h.resize(n * hidden);
+  MatMul(xb, n, dim, w1t.data(), hidden, h.data());
+  AddBiasReluRows(h.data(), n, hidden, params_.data() + B1());
+
+  // Output layer: logits = H * W2^T + b2.
+  w2t.resize(hidden * classes);
+  Transpose(params_.data() + W2(), classes, hidden, w2t.data());
+  MatMul(h.data(), n, hidden, w2t.data(), classes, logits);
+  AddBiasRows(logits, n, classes, params_.data() + B2());
+}
+
 void Mlp::ComputeGradientBatched(const Dataset& data,
                                  const std::vector<size_t>& batch,
                                  std::vector<float>& grad) const {
@@ -120,24 +143,10 @@ void Mlp::ComputeGradientBatched(const Dataset& data,
 
   // Per-thread scratch: gradient steps run once per minibatch, so these
   // amortize to zero allocations per epoch.
-  static thread_local AlignedFloats xb, w1t, h, w2t, probs, dh;
+  static thread_local AlignedFloats xb, h, probs, dh;
   GatherRows(data, batch, xb);
-
-  // Hidden layer: H = relu(X * W1^T + b1). W1 is transposed once per
-  // batch so the product runs in saxpy form; the cost amortizes over the
-  // batch rows.
-  w1t.resize(dim * hidden);
-  Transpose(params_.data() + W1(), hidden, dim, w1t.data());
-  h.resize(bsz * hidden);
-  MatMul(xb.data(), bsz, dim, w1t.data(), hidden, h.data());
-  AddBiasReluRows(h.data(), bsz, hidden, params_.data() + B1());
-
-  // Output layer: probs = softmax(H * W2^T + b2).
-  w2t.resize(hidden * classes);
-  Transpose(params_.data() + W2(), classes, hidden, w2t.data());
   probs.resize(bsz * classes);
-  MatMul(h.data(), bsz, hidden, w2t.data(), classes, probs.data());
-  AddBiasRows(probs.data(), bsz, classes, params_.data() + B2());
+  ForwardRows(xb.data(), bsz, h, probs.data());
   SoftmaxRows(probs.data(), bsz, classes);
 
   // probs becomes the logit deltas (p_c - 1[c == label]) in place,
@@ -163,9 +172,9 @@ void Mlp::ComputeGradientBatched(const Dataset& data,
   ColumnSums(dh.data(), bsz, hidden, grad.data() + B1());
 }
 
-void Mlp::Predict(const float* features, std::vector<float>& output) const {
-  static thread_local std::vector<float> hidden_act;
-  Forward(features, hidden_act, output);
+void Mlp::ForwardBatch(const float* rows, size_t n, float* out) const {
+  static thread_local AlignedFloats h;
+  ForwardRows(rows, n, h, out);
 }
 
 }  // namespace fedshap

@@ -25,13 +25,18 @@ class Mlp : public Model {
   void ComputeGradientBatched(const Dataset& data,
                               const std::vector<size_t>& batch,
                               std::vector<float>& grad) const override;
-  void Predict(const float* features,
-               std::vector<float>& output) const override;
+  void ForwardBatch(const float* rows, size_t n, float* out) const override;
   int NumOutputs() const override { return num_classes_; }
   int NumFeatures() const override { return dim_; }
 
   /// Hidden-layer width.
   int hidden() const { return hidden_; }
+
+  /// Reference forward pass for one row; fills the hidden activations
+  /// (post-ReLU) and the softmax probabilities. ComputeGradient runs it;
+  /// tests hold ForwardBatch against it.
+  void Forward(const float* x, std::vector<float>& hidden_act,
+               std::vector<float>& probs) const;
 
  private:
   // Parameter layout inside the flat vector:
@@ -44,10 +49,11 @@ class Mlp : public Model {
   size_t W2() const { return B1() + hidden_; }
   size_t B2() const { return W2() + static_cast<size_t>(num_classes_) * hidden_; }
 
-  /// Forward pass for one row; fills hidden activations (post-ReLU) and
-  /// softmax probabilities.
-  void Forward(const float* x, std::vector<float>& hidden_act,
-               std::vector<float>& probs) const;
+  /// The batched forward pass of training and scoring over `n` gathered
+  /// rows `xb`: the hidden activations relu(X * W1^T + b1) into `h`,
+  /// then the logits H * W2^T + b2 into `logits` (n x classes).
+  void ForwardRows(const float* xb, size_t n, AlignedFloats& h,
+                   float* logits) const;
 
   int dim_;
   int hidden_;

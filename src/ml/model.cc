@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 
 #include "ml/kernel_dispatch.h"
@@ -50,20 +51,40 @@ Status Model::SetParameters(const std::vector<float>& params) {
 }
 
 double Model::Loss(const Dataset& data) const {
+  return ScoreRows(*this, data, RowScore::kLoss);
+}
+
+double ScoreRows(const Model& model, const Dataset& data, RowScore score) {
   if (data.empty()) return 0.0;
-  FEDSHAP_CHECK_OK(CheckDatasetFitsModel(data, *this));
-  const bool regressor = NumOutputs() == 1;
-  std::vector<float> row(static_cast<size_t>(data.num_features()));
-  std::vector<float> output;
+  FEDSHAP_CHECK_OK(CheckDatasetFitsModel(data, model));
+  constexpr size_t kChunkRows = 256;
+  const size_t outputs = static_cast<size_t>(model.NumOutputs());
+  const bool regressor = outputs == 1;
+  static thread_local AlignedFloats rows, out;
+  static thread_local std::vector<size_t> chunk;
   double total = 0.0;
-  for (size_t i = 0; i < data.size(); ++i) {
-    data.CopyRow(i, row.data());
-    Predict(row.data(), output);
-    if (regressor) {
-      const double err = static_cast<double>(output[0]) - data.Target(i);
-      total += 0.5 * err * err;
-    } else {
-      total += -std::log(std::max(output[data.ClassLabel(i)], 1e-12f));
+  for (size_t begin = 0; begin < data.size(); begin += kChunkRows) {
+    chunk.resize(std::min(kChunkRows, data.size() - begin));
+    std::iota(chunk.begin(), chunk.end(), begin);
+    GatherRows(data, chunk, rows);
+    out.resize(chunk.size() * outputs);
+    model.ForwardBatch(rows.data(), chunk.size(), out.data());
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      const float* o = out.data() + i * outputs;
+      const size_t row = chunk[i];
+      if (score == RowScore::kCorrect) {
+        const size_t best =
+            static_cast<size_t>(std::max_element(o, o + outputs) - o);
+        if (static_cast<int>(best) == data.ClassLabel(row)) total += 1.0;
+      } else if (regressor) {
+        const double err = static_cast<double>(o[0]) - data.Target(row);
+        total += 0.5 * err * err;
+      } else {
+        const double top = *std::max_element(o, o + outputs);
+        double sum = 0.0;
+        for (size_t c = 0; c < outputs; ++c) sum += std::exp(o[c] - top);
+        total += std::log(sum) - (o[data.ClassLabel(row)] - top);
+      }
     }
   }
   return total / static_cast<double>(data.size());

@@ -18,8 +18,9 @@ namespace fedshap {
 ///
 /// The FedAvg substrate only needs four capabilities: flat parameter access
 /// (to ship models between server and clients), minibatch gradients (for
-/// local SGD), prediction (for utility evaluation) and cloning (to train an
-/// independent model per coalition from the same initialization).
+/// local SGD), a batched forward pass (for utility evaluation) and cloning
+/// (to train an independent model per coalition from the same
+/// initialization).
 ///
 /// The base class owns the parameters as one flat float vector; the layout
 /// is model-internal but stable for a given architecture, which is what
@@ -45,8 +46,7 @@ class Model {
   Status SetParameters(const std::vector<float>& params);
 
   /// The parameters themselves, for optimizers that update them in place
-  /// (TrainSgd). The storage never moves, so AffineScorer's pointers stay
-  /// valid across in-place updates.
+  /// (TrainSgd).
   std::span<float> MutableParameters() { return params_; }
 
   /// Draws fresh initial parameters (e.g. scaled Gaussians).
@@ -73,32 +73,17 @@ class Model {
                                       const std::vector<size_t>& batch,
                                       std::vector<float>& grad) const = 0;
 
-  /// Model output for a single example: the class probabilities for
-  /// classifiers (NumOutputs() > 1; argmax = prediction), the predicted
-  /// value for regressors (NumOutputs() == 1).
-  virtual void Predict(const float* features,
-                       std::vector<float>& output) const = 0;
+  /// The model's outputs for `n` gathered rows: `rows` is a row-major
+  /// n x NumFeatures() matrix (GatherRows), `out` receives n x
+  /// NumOutputs() values, the pre-softmax logits of a classifier
+  /// (NumOutputs() > 1) or the prediction of a regressor. Runs the
+  /// batched kernels ComputeGradientBatched runs; n may be 0.
+  virtual void ForwardBatch(const float* rows, size_t n,
+                            float* out) const = 0;
 
-  /// Fused multi-model scoring capability. When the model's per-example
-  /// scores are an affine map logits = W*x + b — with W a NumOutputs() x
-  /// num-features row-major block followed by the NumOutputs() biases,
-  /// and any final activation monotone per row so argmax over the logits
-  /// equals argmax over Predict()'s output — returns the W block and sets
-  /// `*bias` to the bias block. Callers can then stack several models'
-  /// W^T side by side and score them all with one GEMM dispatch (see
-  /// FedAvgUtility::EvaluateBatchFused). Returns nullptr for models
-  /// without an affine scoring head (the default); callers fall back to
-  /// per-example Predict. Pointers are valid until the parameters are
-  /// replaced by SetParameters.
-  virtual const float* AffineScorer(const float** bias) const {
-    (void)bias;
-    return nullptr;
-  }
-
-  /// Average loss over `data`, from one Predict per row: cross-entropy
-  /// -log(max(p_label, 1e-12)) for classifiers, 0.5 * (prediction -
-  /// target)^2 for regressors; 0 for an empty dataset. `data` must fit
-  /// the model (CheckDatasetFitsModel); anything else is a fatal error.
+  /// Average loss over `data` (ScoreRows with RowScore::kLoss): 0 for an
+  /// empty dataset. `data` must fit the model (CheckDatasetFitsModel);
+  /// anything else is a fatal error.
   double Loss(const Dataset& data) const;
 
   /// Number of model outputs (classes, or 1 for regression).
@@ -119,6 +104,22 @@ class Model {
 /// Loss all index the model's inputs and outputs by the dataset's
 /// shape, so callers check once before handing a dataset over.
 Status CheckDatasetFitsModel(const Dataset& data, const Model& model);
+
+/// What ScoreRows averages over a dataset's rows: the two model-quality
+/// metrics a utility reports (fl/utility.h UtilityMetric).
+enum class RowScore {
+  /// 1 when the argmax of the row's outputs is its class label, else 0.
+  kCorrect,
+  /// Cross-entropy for classifiers, log-sum-exp of the logits minus the
+  /// label's logit; 0.5 * (prediction - target)^2 for regressors.
+  kLoss,
+};
+
+/// Mean of `score` over the rows of `data`, 0 for an empty dataset. The
+/// one way a trained model is scored: the rows are gathered in chunks
+/// of 256 and run through Model::ForwardBatch. `data` must fit the model
+/// (CheckDatasetFitsModel); anything else is a fatal error.
+double ScoreRows(const Model& model, const Dataset& data, RowScore score);
 
 /// Copies the selected rows of `data` into one contiguous row-major
 /// batch x num_features() matrix (`out` is resized, 64-byte-aligned so

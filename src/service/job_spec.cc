@@ -376,7 +376,6 @@ std::string JobSpec::ToLine() const {
                      " seed=" + std::to_string(seed) +
                      " chunk=" + std::to_string(checkpoint_every) +
                      " allocation=" + allocation +
-                     " fuse=" + (fuse ? "on" : "off") +
                      " scenario=" + scenario.kind +
                      " n=" + std::to_string(scenario.n) +
                      " scenario-seed=" + std::to_string(scenario.seed);

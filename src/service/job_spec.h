@@ -137,11 +137,7 @@ struct JobSpec {
   /// nothing reads the value. Kept only because bench/e2e sets it;
   /// delete with that reference.
   int prefetch = 0;
-  /// Fused multi-coalition dispatch (`fuse=on|off` key): route slice
-  /// batches through UtilityFunction::EvaluateBatchFused, stacking
-  /// same-shape model scoring into larger GEMM dispatches. Off by
-  /// default: fused values agree with the unfused path only within the
-  /// kernel tolerance contract (ml/matrix.h), not bitwise.
+  /// Parsed (on|off) and ignored like `prefetch`; kept for bench/e2e.
   bool fuse = false;
   /// The workload to value.
   ScenarioSpec scenario;
@@ -151,8 +147,8 @@ struct JobSpec {
   static Result<JobSpec> FromLine(std::string_view line);
 
   /// Serializes the spec as a job line that FromLine parses back
-  /// identically, apart from the ignored `prefetch` (the service
-  /// persists submitted jobs in this form).
+  /// identically, apart from the ignored `prefetch` and `fuse` (the
+  /// service persists submitted jobs in this form).
   std::string ToLine() const;
 };
 

@@ -148,7 +148,6 @@ Status ValuationService::SubmitInternal(const JobSpec& spec,
   job->spec = spec;
   FEDSHAP_ASSIGN_OR_RETURN(job->workload, GetOrBuildWorkload(spec.scenario));
   job->session = std::make_unique<UtilitySession>(job->workload->cache.get());
-  job->session->set_fused(spec.fuse);
   if (IsResumable(spec.estimator)) {
     FEDSHAP_ASSIGN_OR_RETURN(
         job->sweep, MakeSweep(spec, job->workload->utility->num_clients()));

@@ -289,28 +289,6 @@ TEST(UtilityCacheTest, ClearResetsUnflushedByteAccounting) {
   std::filesystem::remove_all(path);
 }
 
-TEST(UtilityCacheTest, PrefetchFusedComputesEachOnceAndMarksFresh) {
-  CountingUtility fn(6);
-  UtilityCache cache(&fn);
-  std::vector<Coalition> batch;
-  ForEachSubsetOfSize(6, 2, [&](const Coalition& c) { batch.push_back(c); });
-  std::vector<uint8_t> fresh;
-  ASSERT_TRUE(cache.PrefetchFused(batch, &fresh).ok());
-  ASSERT_EQ(fresh.size(), batch.size());
-  for (size_t i = 0; i < fresh.size(); ++i) EXPECT_EQ(fresh[i], 1) << i;
-  EXPECT_EQ(cache.misses(), batch.size());
-  EXPECT_EQ(fn.calls(), static_cast<int>(batch.size()));
-  for (const Coalition& c : batch) {
-    Result<UtilityRecord> record = cache.Get(c);
-    ASSERT_TRUE(record.ok());
-    EXPECT_DOUBLE_EQ(record->utility, 2.0);
-  }
-  // A second fused pass is all hits: nothing retrained, nothing fresh.
-  ASSERT_TRUE(cache.PrefetchFused(batch, &fresh).ok());
-  for (size_t i = 0; i < fresh.size(); ++i) EXPECT_EQ(fresh[i], 0) << i;
-  EXPECT_EQ(fn.calls(), static_cast<int>(batch.size()));
-}
-
 TEST(UtilitySessionTest, CountsEvaluationsAndDistinct) {
   CountingUtility fn(5);
   UtilityCache cache(&fn);
@@ -399,34 +377,6 @@ TEST(UtilitySessionTest, EvaluateBatchPropagatesFailure) {
   UtilitySession session(&cache, &pool);
   EXPECT_FALSE(session.EvaluateBatch({Coalition(), Coalition::Of({0})}).ok());
   EXPECT_EQ(session.num_evaluations(), 0u);
-}
-
-TEST(UtilitySessionTest, FusedBatchMatchesUnfusedValuesAndAccounting) {
-  std::vector<Coalition> batch;
-  ForEachSubsetOfSize(8, 2, [&](const Coalition& c) { batch.push_back(c); });
-  batch.push_back(batch.front());  // repeat exercises hit accounting
-
-  CountingUtility unfused_fn(8);
-  UtilityCache unfused_cache(&unfused_fn);
-  UtilitySession unfused(&unfused_cache);
-  Result<std::vector<double>> expected = unfused.EvaluateBatch(batch);
-  ASSERT_TRUE(expected.ok());
-
-  CountingUtility fused_fn(8);
-  UtilityCache fused_cache(&fused_fn);
-  UtilitySession fused(&fused_cache);
-  fused.set_fused(true);
-  ASSERT_TRUE(fused.fused());
-  Result<std::vector<double>> values = fused.EvaluateBatch(batch);
-  ASSERT_TRUE(values.ok());
-
-  // The base fused dispatch routes through the same Evaluate, so values
-  // are identical here; accounting must match the unfused path exactly.
-  EXPECT_EQ(*values, *expected);
-  EXPECT_EQ(fused.num_evaluations(), unfused.num_evaluations());
-  EXPECT_EQ(fused.num_distinct(), unfused.num_distinct());
-  EXPECT_EQ(fused.num_fresh_trainings(), unfused.num_fresh_trainings());
-  EXPECT_EQ(fused_fn.calls(), unfused_fn.calls());
 }
 
 TEST(UtilitySessionTest, PaperTableOneRoundTrip) {

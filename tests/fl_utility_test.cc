@@ -6,12 +6,9 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "ml/kernel_backend.h"
 #include "ml/linear_regression.h"
 #include "ml/logistic_regression.h"
-#include "ml/matrix.h"
 #include "test_util.h"
-#include "util/combinatorics.h"
 
 namespace fedshap {
 namespace {
@@ -164,79 +161,6 @@ TEST(FedAvgUtilityTest, EvaluateParametersMatchesPrototypeEval) {
   ASSERT_TRUE(via_params.ok());
   ASSERT_TRUE(via_empty.ok());
   EXPECT_DOUBLE_EQ(*via_params, *via_empty);
-}
-
-// The fused multi-coalition dispatch stacks every trained model's affine
-// scorer into one wide GEMM per test chunk. Training is bit-identical to
-// Evaluate; only the scoring arithmetic regroups, so each fused accuracy
-// must agree with its per-coalition counterpart within the kernel
-// tolerance contract — on every available kernel backend.
-TEST(FedAvgUtilityTest, EvaluateBatchFusedMatchesEvaluatePerBackend) {
-  std::unique_ptr<FedAvgUtility> utility = MakeFedAvgUtility(4, 7);
-  std::vector<Coalition> batch;
-  ForEachSubsetOf(Coalition::Full(4),
-                  [&](const Coalition& c) { batch.push_back(c); });
-  ASSERT_EQ(batch.size(), 16u);
-
-  std::vector<double> reference;
-  for (const Coalition& c : batch) {
-    Result<double> u = utility->Evaluate(c);
-    ASSERT_TRUE(u.ok());
-    reference.push_back(*u);
-  }
-
-  const KernelBackend original = SelectedKernelBackend();
-  for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
-    if (!KernelBackendAvailable(backend)) continue;
-    ASSERT_TRUE(SetKernelBackend(backend).ok());
-    Result<std::vector<double>> fused = utility->EvaluateBatchFused(batch);
-    ASSERT_TRUE(fused.ok());
-    ASSERT_EQ(fused->size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const double tolerance =
-          kKernelAbsTol + kKernelRelTol * std::fabs(reference[i]);
-      EXPECT_NEAR((*fused)[i], reference[i], tolerance)
-          << "coalition " << i << " on backend "
-          << KernelBackendName(backend);
-    }
-  }
-  ASSERT_TRUE(SetKernelBackend(original).ok());
-}
-
-// The base-class fused dispatch (utilities without an affine scorer or a
-// non-accuracy metric) must degrade to exactly the per-coalition path.
-TEST(FedAvgUtilityTest, EvaluateBatchFusedLossMetricMatchesExactly) {
-  Rng rng(31);
-  Result<Dataset> pool = GenerateBlobs(2, 4, 5.0, 900, rng);
-  ASSERT_TRUE(pool.ok());
-  auto [train, test] = pool->Split(0.7, rng);
-  PartitionConfig part;
-  part.scheme = PartitionScheme::kSameSizeSameDist;
-  part.num_clients = 3;
-  Result<std::vector<Dataset>> clients = PartitionDataset(train, part, rng);
-  ASSERT_TRUE(clients.ok());
-  LogisticRegression prototype(4, 2);
-  Rng init(131);
-  prototype.InitializeParameters(init);
-  FedAvgConfig config;
-  config.rounds = 2;
-  Result<std::unique_ptr<FedAvgUtility>> utility =
-      FedAvgUtility::Create(std::move(clients).value(), std::move(test),
-                            prototype, config, UtilityMetric::kNegativeLoss);
-  ASSERT_TRUE(utility.ok());
-
-  std::vector<Coalition> batch;
-  ForEachSubsetOf(Coalition::Full(3),
-                  [&](const Coalition& c) { batch.push_back(c); });
-  Result<std::vector<double>> fused = (*utility)->EvaluateBatchFused(batch);
-  ASSERT_TRUE(fused.ok());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Result<double> u = (*utility)->Evaluate(batch[i]);
-    ASSERT_TRUE(u.ok());
-    // Loss scoring is not fused: identical code path, identical bits.
-    EXPECT_DOUBLE_EQ((*fused)[i], *u) << "coalition " << i;
-  }
 }
 
 TEST(GbdtUtilityTest, MonotoneOnNestedCoalitions) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numeric>
@@ -8,6 +9,7 @@
 #include "ml/cnn.h"
 #include "ml/linear_regression.h"
 #include "ml/logistic_regression.h"
+#include "ml/matrix.h"
 #include "ml/metrics.h"
 #include "ml/mlp.h"
 #include "ml/model.h"
@@ -183,22 +185,80 @@ TEST_P(ModelSuite, SgdReducesLoss) {
   EXPECT_LT(model->Loss(data), initial_loss * 0.9) << Case().name;
 }
 
-TEST_P(ModelSuite, PredictOutputShape) {
-  Dataset data = MakeData(3, 12);
-  std::unique_ptr<Model> model = MakeModel(data, 13);
-  std::vector<float> out;
+/// The per-example reference outputs of one row: the softmax
+/// probabilities of a classifier's Forward, or w.x + b for LinearRegression
+/// (which has no Forward).
+std::vector<float> ReferenceOutputs(const Model& model, const float* x) {
+  std::vector<float> out, hidden, conv, pooled;
+  std::vector<int> argmax;
+  if (const auto* m = dynamic_cast<const LogisticRegression*>(&model)) {
+    m->Forward(x, out);
+  } else if (const auto* m = dynamic_cast<const Mlp*>(&model)) {
+    m->Forward(x, hidden, out);
+  } else if (const auto* m = dynamic_cast<const Cnn*>(&model)) {
+    m->Forward(x, conv, pooled, argmax, out);
+  } else {
+    const std::vector<float> params = model.GetParameters();
+    const size_t dim = static_cast<size_t>(model.NumFeatures());
+    double pred = params[dim];
+    for (size_t d = 0; d < dim; ++d) pred += params[d] * x[d];
+    out.assign(1, static_cast<float>(pred));
+  }
+  return out;
+}
+
+float KernelTolerance(float reference) {
+  return kKernelAbsTol + kKernelRelTol * std::fabs(reference);
+}
+
+// ForwardBatch against the per-example reference, on row counts either
+// side of ScoreRows' 256-row chunk. A classifier's softmax of the logits
+// stays within the kernel tolerance of Forward's probabilities, and its
+// argmax is Forward's wherever the top two probabilities are further
+// apart than their tolerances.
+TEST_P(ModelSuite, ForwardBatchMatchesReference) {
+  const Dataset data = MakeData(257, 12);
+  const std::unique_ptr<Model> model = MakeModel(data, 13);
+  const size_t outputs = static_cast<size_t>(model->NumOutputs());
   std::vector<float> row(static_cast<size_t>(data.num_features()));
-  data.CopyRow(0, row.data());
-  model->Predict(row.data(), out);
-  EXPECT_EQ(static_cast<int>(out.size()), model->NumOutputs());
-  if (Case().classification) {
-    // Softmax outputs sum to 1.
-    double total = 0;
-    for (float p : out) {
-      EXPECT_GE(p, 0.0f);
-      total += p;
+  for (size_t rows : {0, 1, 255, 256, 257}) {
+    SCOPED_TRACE(::testing::Message() << rows << " rows");
+    std::vector<size_t> batch(rows);
+    std::iota(batch.begin(), batch.end(), 0);
+    AlignedFloats xb;
+    GatherRows(data, batch, xb);
+    // One sentinel past the end: ForwardBatch writes rows x outputs.
+    std::vector<float> out(rows * outputs + 1, -7.0f);
+    model->ForwardBatch(xb.data(), rows, out.data());
+    EXPECT_EQ(out.back(), -7.0f);
+    for (size_t i = 0; i < rows; ++i) {
+      data.CopyRow(i, row.data());
+      const std::vector<float> reference = ReferenceOutputs(*model, row.data());
+      ASSERT_EQ(reference.size(), outputs);
+      std::vector<float> batched(out.begin() + i * outputs,
+                                 out.begin() + (i + 1) * outputs);
+      if (!Case().classification) {
+        EXPECT_NEAR(batched[0], reference[0], KernelTolerance(reference[0]))
+            << "row " << i;
+        continue;
+      }
+      const size_t arg = static_cast<size_t>(
+          std::max_element(batched.begin(), batched.end()) - batched.begin());
+      SoftmaxInPlace(batched);
+      for (size_t c = 0; c < outputs; ++c) {
+        EXPECT_NEAR(batched[c], reference[c], KernelTolerance(reference[c]))
+            << "row " << i << " class " << c;
+      }
+      std::vector<float> sorted = reference;
+      std::sort(sorted.rbegin(), sorted.rend());
+      if (sorted[0] - sorted[1] >
+          KernelTolerance(sorted[0]) + KernelTolerance(sorted[1])) {
+        const size_t reference_arg = static_cast<size_t>(
+            std::max_element(reference.begin(), reference.end()) -
+            reference.begin());
+        EXPECT_EQ(arg, reference_arg) << "row " << i;
+      }
     }
-    EXPECT_NEAR(total, 1.0, 1e-5);
   }
 }
 
@@ -227,7 +287,7 @@ TEST(LinearRegressionTest, ClosedFormRecoversTrueWeights) {
   ASSERT_TRUE(data.ok());
   LinearRegression model(5);
   ASSERT_TRUE(model.FitClosedForm(*data).ok());
-  EXPECT_LT(EvaluateMse(model, *data), 0.001);
+  EXPECT_LT(2.0 * model.Loss(*data), 0.001);  // the mean squared error
 }
 
 TEST(LinearRegressionTest, ClosedFormBeatsShortSgd) {
@@ -246,7 +306,7 @@ TEST(LinearRegressionTest, ClosedFormBeatsShortSgd) {
   sgd.learning_rate = 0.05;
   Rng train_rng(4);
   ASSERT_TRUE(TrainSgd(sgd_model, *data, sgd, train_rng).ok());
-  EXPECT_LE(EvaluateMse(closed, *data), EvaluateMse(sgd_model, *data) + 1e-9);
+  EXPECT_LE(2.0 * closed.Loss(*data), 2.0 * sgd_model.Loss(*data) + 1e-9);
 }
 
 TEST(LinearRegressionTest, ClosedFormValidation) {
@@ -413,13 +473,17 @@ TEST(MetricsTest, AccuracyOnKnownPredictions) {
   EXPECT_EQ(EvaluateAccuracy(model, *empty), 0.0);
 }
 
-TEST(MetricsTest, MseAndMaeAgreeOnConstantError) {
-  Result<Dataset> data = Dataset::Create(1, 0);
+// Scoring checks the dataset against the model once, for both metrics:
+// a dataset narrower than the model is a fatal error, never a read past
+// the end of a row.
+TEST(MetricsDeathTest, ScoringRejectsDataNarrowerThanTheModel) {
+  Rng rng(24);
+  Result<Dataset> data = GenerateBlobs(10, 36, 4.0, 50, rng);
   ASSERT_TRUE(data.ok());
-  for (int i = 0; i < 10; ++i) data->Append({0.0f}, 2.0f);
-  LinearRegression model(1);  // all-zero params -> predicts 0, error 2
-  EXPECT_NEAR(EvaluateMse(model, *data), 4.0, 1e-6);
-  EXPECT_NEAR(EvaluateMae(model, *data), 2.0, 1e-6);
+  LogisticRegression model(64, 10);
+  EXPECT_DEATH(EvaluateAccuracy(model, *data),
+               "dataset has 36 features, model expects 64");
+  EXPECT_DEATH(model.Loss(*data), "dataset has 36 features, model expects 64");
 }
 
 TEST(MetricsTest, MseBetweenVectors) {

@@ -220,27 +220,18 @@ TEST(ValuationServiceTest, NeymanAllocationJobRunsAndResumesLikeAnyOther) {
 }
 
 TEST(JobSpecTest, PrefetchAndFuseKeysRoundTripAndValidate) {
-  JobSpec spec = MakeJob("spec", EstimatorKind::kIpss, LinregScenario(6));
-  spec.fuse = true;
-  Result<JobSpec> parsed = JobSpec::FromLine(spec.ToLine());
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_TRUE(parsed->fuse);
-  EXPECT_EQ(parsed->ToLine(), spec.ToLine());
-
-  // prefetch= is ignored but still accepted, so job files written by
-  // older versions (which always carried the key) recover; ToLine no
-  // longer writes it.
+  // prefetch= and fuse= are ignored but still accepted, so job files
+  // written by older versions (which carried the keys) recover; ToLine
+  // writes neither.
   Result<JobSpec> legacy = JobSpec::FromLine(
       "name=a estimator=ipss gamma=8 prefetch=8 fuse=on scenario=linreg n=4");
   ASSERT_TRUE(legacy.ok()) << legacy.status();
-  EXPECT_TRUE(legacy->fuse);
   EXPECT_EQ(legacy->ToLine().find("prefetch"), std::string::npos);
-
-  // Default when the key is absent: fusion off.
+  EXPECT_EQ(legacy->ToLine().find("fuse"), std::string::npos);
   Result<JobSpec> plain =
       JobSpec::FromLine("name=a estimator=ipss gamma=8 scenario=linreg n=4");
   ASSERT_TRUE(plain.ok());
-  EXPECT_FALSE(plain->fuse);
+  EXPECT_EQ(legacy->ToLine(), plain->ToLine());
 
   // Bad values are rejected with InvalidArgument.
   EXPECT_FALSE(
@@ -255,27 +246,6 @@ TEST(JobSpecTest, PrefetchAndFuseKeysRoundTripAndValidate) {
       JobSpec::FromLine("name=a estimator=ipss fuse=maybe "
                         "scenario=linreg n=4")
           .ok());
-}
-
-TEST(ValuationServiceTest, FusedJobMatchesUnfusedValues) {
-  // fuse=on routes slice batches through EvaluateBatchFused. The linreg
-  // utility has no affine scorer, so the fused dispatch degrades to the
-  // per-coalition path and values stay bit-identical — this pins the
-  // wiring (spec -> session -> cache) end to end.
-  JobSpec job = MakeJob("fuse", EstimatorKind::kExactMc, LinregScenario(6),
-                        /*gamma=*/0, /*chunk=*/8);
-  ValuationResult reference = RunIsolated(job);
-  ASSERT_EQ(reference.values.size(), 6u);
-
-  ServiceConfig config;
-  config.workers = 2;
-  ValuationService service(config);
-  job.fuse = true;
-  ASSERT_TRUE(service.Submit(job).ok());
-  Result<ValuationResult> result = service.Wait(job.name);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->values, reference.values);
-  EXPECT_EQ(result->num_trainings, reference.num_trainings);
 }
 
 TEST(JobSpecTest, EstimatorKindsRoundTripAndClassify) {
