@@ -123,12 +123,14 @@ uint64_t FedAvgUtility::ComputeFingerprint() const {
   // gradient averaging, so a different size must address a different
   // store.
   hasher.MixU64(static_cast<uint64_t>(config_.local.batch_size));
-  // The training numerics version (the slot once held the gradient mode,
-  // 0). It is 1 since the AVX2 kernels stopped fusing multiply-adds and
-  // train the scalar backend's bits: stores that AVX2 processes wrote
-  // before hold other values, so they must be misses. Bump it whenever a
-  // change moves trained bits.
-  hasher.MixU64(1);
+  // The numerics version (the slot once held the gradient mode, 0). It
+  // was 1 once the AVX2 kernels stopped fusing multiply-adds and trained
+  // the scalar backend's bits, and is 2 since every model is scored by
+  // one batched forward pass (Model::ForwardBatch): the negative loss is
+  // log-sum-exp of new logits, so stored values of either older version
+  // must be misses. Bump it whenever a change moves trained or scored
+  // bits.
+  hasher.MixU64(2);
   hasher.MixDouble(config_.local.learning_rate);
   hasher.MixDouble(config_.local.momentum);
   hasher.MixDouble(config_.local.weight_decay);

@@ -23,6 +23,7 @@
 #include "ml/kernel_backend.h"
 #include "ml/logistic_regression.h"
 #include "ml/matrix.h"
+#include "ml/mlp.h"
 #include "service/job_spec.h"
 #include "service/valuation_service.h"
 #include "test_util.h"
@@ -293,7 +294,7 @@ TEST(JobSpecTest, DigitsFingerprintIsPinned) {
   scenario.seed = 2025;
   Result<std::unique_ptr<UtilityFunction>> utility = scenario.Build();
   ASSERT_TRUE(utility.ok()) << utility.status();
-  EXPECT_EQ((*utility)->Fingerprint(), 0xbb7b9ab9e7a6842fULL);
+  EXPECT_EQ((*utility)->Fingerprint(), 0x43aaa75ca653ef0cULL);
 }
 
 // The digits scenarios of the end-to-end benchmark, from data generation
@@ -305,10 +306,10 @@ TEST(JobSpecTest, E2eDigitsFingerprintsArePinned) {
     int fl_rounds;
     int local_epochs;
     uint64_t fingerprint;
-  } pins[] = {{6, 3, 1, 0x339a3ec2d3d995d3ULL},
-              {7, 3, 1, 0xc7c7fad4658897d0ULL},
-              {10, 3, 1, 0x8a6ffe6cd8ae802aULL},
-              {8, 10, 5, 0xf320db21fd3f550dULL}};
+  } pins[] = {{6, 3, 1, 0xb9efe7dc534f725cULL},
+              {7, 3, 1, 0xee32761a05cfa05fULL},
+              {10, 3, 1, 0x7fa021e873d3d791ULL},
+              {8, 10, 5, 0xafc729bd8d1b77aaULL}};
   for (const auto& pin : pins) {
     SCOPED_TRACE(::testing::Message() << "n=" << pin.n);
     ScenarioSpec scenario;
@@ -365,6 +366,33 @@ TEST(JobSpecTest, E2eDigitsUtilitiesArePinned) {
   }
 }
 
+// The negative-loss metric on a hidden-layer model: the n = 6 digits
+// federation trained as a 36-16-5 Mlp, U(S) = minus the mean test
+// cross-entropy, over every coalition. Scored bits that move here need
+// a numerics-version bump in FedAvgUtility's fingerprint.
+TEST(JobSpecTest, MlpNegativeLossUtilitiesArePinned) {
+  ScenarioSpec scenario;
+  scenario.kind = "digits";
+  scenario.n = 6;
+  Result<std::unique_ptr<UtilityFunction>> built = scenario.Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  const auto* digits = dynamic_cast<const FedAvgUtility*>(built->get());
+  ASSERT_NE(digits, nullptr);
+  std::vector<Dataset> clients;
+  for (int i = 0; i < digits->num_clients(); ++i) {
+    clients.push_back(digits->client(i).data());
+  }
+  const Dataset& test = digits->test_data();
+  Mlp prototype(test.num_features(), 16, test.num_classes());
+  Rng init(2025);
+  prototype.InitializeParameters(init);
+  Result<std::unique_ptr<FedAvgUtility>> utility = FedAvgUtility::Create(
+      std::move(clients), test, prototype, digits->config(),
+      UtilityMetric::kNegativeLoss);
+  ASSERT_TRUE(utility.ok()) << utility.status();
+  EXPECT_EQ(AllCoalitionsHash(**utility), 0x6d75a2f53996bfe2ULL);
+}
+
 // FedAvgUtility hashes its workload once, in Create: every call returns
 // that value, and a utility created again from the same parts has it too.
 TEST(JobSpecTest, FedAvgFingerprintIsHashedOnceAtCreate) {
@@ -377,7 +405,7 @@ TEST(JobSpecTest, FedAvgFingerprintIsHashedOnceAtCreate) {
   ASSERT_NE(utility, nullptr);
   const uint64_t fingerprint = utility->Fingerprint();
   for (int i = 0; i < 3; ++i) EXPECT_EQ(utility->Fingerprint(), fingerprint);
-  EXPECT_EQ(fingerprint, 0x339a3ec2d3d995d3ULL);  // the n = 6 pin above
+  EXPECT_EQ(fingerprint, 0xb9efe7dc534f725cULL);  // the n = 6 pin above
   std::vector<Dataset> clients;
   for (int i = 0; i < utility->num_clients(); ++i) {
     clients.push_back(utility->client(i).data());
