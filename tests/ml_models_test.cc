@@ -211,14 +211,22 @@ float KernelTolerance(float reference) {
   return kKernelAbsTol + kKernelRelTol * std::fabs(reference);
 }
 
-// ForwardBatch against the per-example reference, on row counts either
-// side of ScoreRows' 256-row chunk. A classifier's softmax of the logits
-// stays within the kernel tolerance of Forward's probabilities, and its
-// argmax is Forward's wherever the top two probabilities are further
-// apart than their tolerances.
+// ForwardBatch against the per-example reference, and the scores
+// ScoreRows reads from it, on row counts either side of its 256-row
+// chunk. A classifier's softmax of the logits stays within the kernel
+// tolerance of Forward's probabilities, and its argmax is Forward's
+// wherever the top two probabilities are further apart than their
+// tolerances. Loss is the mean of the reference's per-row losses;
+// accuracy counts the rows whose ForwardBatch argmax is the label.
 TEST_P(ModelSuite, ForwardBatchMatchesReference) {
   const Dataset data = MakeData(257, 12);
   const std::unique_ptr<Model> model = MakeModel(data, 13);
+  // InitializeParameters zeroes the biases; perturb every parameter so
+  // the biases count too.
+  std::vector<float> params = model->GetParameters();
+  Rng rng(14);
+  for (float& p : params) p += static_cast<float>(rng.Gaussian(0.0, 0.1));
+  ASSERT_TRUE(model->SetParameters(params).ok());
   const size_t outputs = static_cast<size_t>(model->NumOutputs());
   std::vector<float> row(static_cast<size_t>(data.num_features()));
   for (size_t rows : {0, 1, 255, 256, 257}) {
@@ -231,6 +239,8 @@ TEST_P(ModelSuite, ForwardBatchMatchesReference) {
     std::vector<float> out(rows * outputs + 1, -7.0f);
     model->ForwardBatch(xb.data(), rows, out.data());
     EXPECT_EQ(out.back(), -7.0f);
+    double reference_loss = 0.0;
+    size_t correct = 0;
     for (size_t i = 0; i < rows; ++i) {
       data.CopyRow(i, row.data());
       const std::vector<float> reference = ReferenceOutputs(*model, row.data());
@@ -240,10 +250,14 @@ TEST_P(ModelSuite, ForwardBatchMatchesReference) {
       if (!Case().classification) {
         EXPECT_NEAR(batched[0], reference[0], KernelTolerance(reference[0]))
             << "row " << i;
+        const double err = static_cast<double>(reference[0]) - data.Target(i);
+        reference_loss += 0.5 * err * err;
         continue;
       }
       const size_t arg = static_cast<size_t>(
           std::max_element(batched.begin(), batched.end()) - batched.begin());
+      if (static_cast<int>(arg) == data.ClassLabel(i)) ++correct;
+      reference_loss -= std::log(reference[data.ClassLabel(i)]);
       SoftmaxInPlace(batched);
       for (size_t c = 0; c < outputs; ++c) {
         EXPECT_NEAR(batched[c], reference[c], KernelTolerance(reference[c]))
@@ -258,6 +272,15 @@ TEST_P(ModelSuite, ForwardBatchMatchesReference) {
             reference.begin());
         EXPECT_EQ(arg, reference_arg) << "row " << i;
       }
+    }
+    if (rows == 0) continue;
+    const Dataset subset = data.Subset(batch);
+    reference_loss /= static_cast<double>(rows);
+    EXPECT_NEAR(model->Loss(subset), reference_loss,
+                1e-3 * (1.0 + reference_loss));
+    if (Case().classification) {
+      EXPECT_EQ(EvaluateAccuracy(*model, subset),
+                static_cast<double>(correct) / static_cast<double>(rows));
     }
   }
 }
