@@ -288,6 +288,12 @@ Status ValuationService::Cancel(const std::string& name) {
   Job& job = *it->second;
   switch (job.state) {
     case JobState::kQueued:
+      // Drop its run-queue entry too: a stale entry would make a running
+      // job yield at every slice until a worker popped it.
+      if (auto entry = std::find(queue_.begin(), queue_.end(), name);
+          entry != queue_.end()) {
+        queue_.erase(entry);
+      }
       FinalizeLocked(name, job, JobState::kCancelled);
       return Status::OK();
     case JobState::kRunning:
@@ -323,7 +329,7 @@ Result<ValuationResult> ValuationService::Wait(const std::string& name) {
     if (it == jobs_.end()) {
       return Status::NotFound("no job named '" + name + "'");
     }
-    const Job& job = *it->second;
+    Job& job = *it->second;
     switch (job.state) {
       case JobState::kDone:
         return job.result;
@@ -335,14 +341,27 @@ Result<ValuationResult> ValuationService::Wait(const std::string& name) {
       default:
         break;
     }
+    if (job.state == JobState::kQueued) {
+      // Run the job here, as a worker would, instead of waiting for a
+      // worker to wake, run it and wake this thread in turn: for a job of
+      // cache hits the two hand-offs cost more than the job. A job that
+      // yields is requeued; the loop then claims it again.
+      auto entry = std::find(queue_.begin(), queue_.end(), name);
+      if (entry != queue_.end() && ClaimLocked(entry) != nullptr) {
+        while (RunSlice(name, job, lock)) {
+        }
+        continue;
+      }
+    }
     if (stopping_) {
       return Status::FailedPrecondition(
           "service halted before job '" + name + "' finished");
     }
-    // Only this job's own transitions (and a halt) wake the caller. Purge
-    // cannot destroy the condition variable under us: it erases terminal
-    // jobs only, and FinalizeLocked notifies under the same mutex first.
-    it->second->done.wait(lock);
+    // Another thread holds the job, or scheduling is paused: only this
+    // job's own transitions (and a halt) wake the caller. Purge cannot
+    // destroy the condition variable under us: it erases terminal jobs
+    // only, and FinalizeLocked notifies under the same mutex first.
+    job.done.wait(lock);
   }
 }
 
@@ -376,7 +395,14 @@ void ValuationService::Stop() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
+  // A client may still be running its job's slice in Wait. It requeues
+  // the job once the slice is checkpointed; flush after that.
+  state_changed_.wait(lock, [this] {
+    return std::none_of(jobs_.begin(), jobs_.end(), [](const auto& entry) {
+      return entry.second->state == JobState::kRunning;
+    });
+  });
   FlushStoresLocked();
 }
 
@@ -441,6 +467,11 @@ void ValuationService::FlushStoresLocked() {
 void ValuationService::FinalizeLocked(const std::string& name, Job& job,
                                       JobState state) {
   job.state = state;
+  // A terminal job keeps only its mirrored units and its result. The
+  // runner frees these unlocked before finalizing a finished or failed
+  // job; this frees them for a cancelled one.
+  job.sweep.reset();
+  job.session.reset();
   if (state == JobState::kCancelled) {
     RemoveJobFiles(name);
   }
@@ -462,31 +493,40 @@ void ValuationService::WorkerLoop() {
       return stopping_ || (!paused_ && !queue_.empty());
     });
     if (stopping_) return;
-    if (config_.max_slices > 0 &&
-        slices_executed_ >= config_.max_slices) {
-      // The test hook tripped: halt exactly as Stop() would, leaving
-      // still-queued jobs checkpointed on disk for the next Recover().
-      HaltLocked();
-      return;
-    }
     const std::string name = queue_.front();
-    queue_.pop_front();
-    auto it = jobs_.find(name);
-    if (it == jobs_.end()) continue;  // Purged while queued.
-    Job& job = *it->second;
-    if (job.state != JobState::kQueued) continue;  // Cancelled stale entry.
+    Job* job = ClaimLocked(queue_.begin());
+    if (job == nullptr) continue;  // A stale entry, or the halt tripped.
     // Run slice after slice while the job has the service to itself; a
     // queued job, pause or halt makes RunSlice requeue it instead.
-    while (RunSlice(name, job, lock)) {
+    while (RunSlice(name, *job, lock)) {
     }
   }
 }
 
+ValuationService::Job* ValuationService::ClaimLocked(
+    std::deque<std::string>::iterator entry) {
+  if (stopping_ || paused_) return nullptr;
+  if (config_.max_slices > 0 && slices_executed_ >= config_.max_slices) {
+    // The test hook tripped: halt exactly as Stop() would, leaving
+    // still-queued jobs checkpointed on disk for the next Recover().
+    HaltLocked();
+    return nullptr;
+  }
+  auto it = jobs_.find(*entry);
+  queue_.erase(entry);
+  // Cancel and Purge leave no entry behind, so this only guards: an entry
+  // whose job is gone or no longer queued is dropped.
+  if (it == jobs_.end() || it->second->state != JobState::kQueued) {
+    return nullptr;
+  }
+  it->second->state = JobState::kRunning;
+  return it->second.get();
+}
+
 bool ValuationService::RunSlice(const std::string& name, Job& job,
                                 std::unique_lock<std::mutex>& lock) {
-  job.state = JobState::kRunning;
   // The slice itself runs unlocked: the estimator and session belong to
-  // this worker until the job transitions out of kRunning, and the
+  // this thread until the job transitions out of kRunning, and the
   // shared cache below is internally synchronized. The spec is read in
   // place: it is immutable after Submit, and a running job cannot be
   // purged.
@@ -541,14 +581,24 @@ bool ValuationService::RunSlice(const std::string& name, Job& job,
     std::filesystem::remove(JobFilePath(name, kSnapshotSuffix), ec);
   }
 
+  size_t completed_units = finished ? 1 : 0;
+  size_t total_units = 1;
+  if (sweep != nullptr) {
+    completed_units = sweep->completed_units();
+    total_units = sweep->total_units();
+  }
+  if (finished || !error.empty()) {
+    // The job is about to turn terminal: free its estimator and session
+    // while this thread still owns them, outside the mutex, rather than
+    // keep them until Purge.
+    job.sweep.reset();
+    job.session.reset();
+  }
+
   lock.lock();
   ++slices_executed_;
-  if (sweep != nullptr) {
-    job.completed_units = sweep->completed_units();
-    job.total_units = sweep->total_units();
-  } else if (finished) {
-    job.completed_units = 1;
-  }
+  job.completed_units = completed_units;
+  job.total_units = total_units;
   if (!error.empty()) {
     job.error = error;
     FinalizeLocked(name, job, JobState::kFailed);
@@ -570,6 +620,7 @@ bool ValuationService::RunSlice(const std::string& name, Job& job,
   job.state = JobState::kQueued;
   queue_.push_back(name);
   runnable_.notify_one();
+  if (stopping_) state_changed_.notify_all();  // Stop waits for this.
   return false;
 }
 

@@ -42,9 +42,13 @@ namespace fedshap {
 /// Resumable estimators run in checkpointed slices: after every
 /// `JobSpec::checkpoint_every` work units the estimator snapshot is
 /// written to the state directory, which bounds crash loss. Between
-/// slices a job keeps its worker unless another job is queued (or the
+/// slices a job keeps its thread unless another job is queued (or the
 /// service pauses or stops); only then does it go to the back of the run
-/// queue, so workers still round-robin across jobs. A stopped or killed
+/// queue, so workers still round-robin across jobs. A client blocked in
+/// Wait on a job that is still queued runs that job itself, on its own
+/// thread, so a short job costs no hand-off to a worker and back. Either
+/// way one thread at a time runs a job, and its slices, values and
+/// checkpoints are the same whichever thread runs them. A stopped or killed
 /// service restarts with `Recover()`: completed jobs are served from
 /// their persisted results, in-flight jobs resume from their snapshots
 /// and the shared store, and every resumed job finishes bit-identical to
@@ -119,10 +123,12 @@ struct ServiceStats {
 class ClusterDispatcher;
 
 struct ServiceConfig {
-  /// Worker threads executing job slices; this is the number of jobs
-  /// that make progress concurrently (within a slice, evaluation is
+  /// Worker threads executing job slices in the background: the number
+  /// of jobs that make progress concurrently without a client waiting on
+  /// them. A client blocked in Wait runs its own queued job on its own
+  /// thread, so waited-on jobs add to this. Within a slice, evaluation is
   /// sequential — cross-job concurrency is the parallelism axis, and the
-  /// single-flight cache turns overlapping jobs into free hits).
+  /// single-flight cache turns overlapping jobs into free hits.
   int workers = 2;
   /// State directory for durable operation: job specs, estimator
   /// snapshots, finished results and the per-workload utility stores all
@@ -195,7 +201,11 @@ class ValuationService {
 
   /// Blocks until `name` reaches a terminal state (or the service
   /// halts), then returns its result: the ValuationResult when done, an
-  /// error describing the failure/cancellation otherwise.
+  /// error describing the failure/cancellation otherwise. While the job
+  /// is queued and a worker could run it (the service is neither paused
+  /// nor halted), the calling thread claims it and runs its slices
+  /// itself, exactly as a worker would; it blocks only while another
+  /// thread holds the job or scheduling is paused.
   Result<ValuationResult> Wait(const std::string& name);
 
   /// Blocks until every submitted job is terminal. Returns false when
@@ -203,10 +213,11 @@ class ValuationService {
   /// still unfinished.
   bool WaitAll();
 
-  /// Graceful shutdown: workers finish their current slice (writing its
-  /// checkpoint), every attached store is flushed, and the worker
-  /// threads are joined. Idempotent; implied by the destructor. In-flight
-  /// jobs stay queued on disk for the next Recover().
+  /// Graceful shutdown: workers and clients running a job in Wait finish
+  /// their current slice (writing its checkpoint), every attached store
+  /// is flushed, and the worker threads are joined. Idempotent; implied
+  /// by the destructor. In-flight jobs stay queued on disk for the next
+  /// Recover().
   void Stop();
 
   /// True once Stop() ran or the max_slices halt tripped.
@@ -236,14 +247,15 @@ class ValuationService {
   };
 
   /// Internal job record. The estimator/session members are only
-  /// touched by the worker currently running the job (a job is claimed
-  /// by at most one worker at a time); the mirrored progress counters
-  /// are what GetStatus reads under the service mutex.
+  /// touched by the thread currently running the job (a worker or a
+  /// client in Wait; ClaimLocked hands a job to at most one at a time),
+  /// and are freed once the job is terminal; the mirrored progress
+  /// counters are what GetStatus reads under the service mutex.
   struct Job {
     JobSpec spec;
     JobState state = JobState::kQueued;
     std::shared_ptr<Workload> workload;
-    std::unique_ptr<UtilitySession> session;
+    std::unique_ptr<UtilitySession> session;    ///< Null once terminal.
     std::unique_ptr<ResumableEstimator> sweep;  ///< Null for one-shots.
     ValuationResult result;
     std::string error;
@@ -271,12 +283,19 @@ class ValuationService {
   /// reservation and queue insertion hold the mutex.
   Status SubmitInternal(const JobSpec& spec, bool restore_snapshot);
   void WorkerLoop();
-  /// Runs one slice of `job` outside the lock; re-acquires it to record
-  /// the transition. `lock` must be held on entry and is held on return.
-  /// Returns true when the job is unfinished and should run its next
-  /// slice on this worker: no other job is queued, and the service is
-  /// not paused, stopping or at its max_slices halt. Otherwise an
-  /// unfinished job is requeued.
+  /// Takes the run-queue entry `entry` and claims its job (kRunning) for
+  /// the calling thread, if a worker could run it now: the service is
+  /// neither paused nor halted, and the job is still kQueued. At the
+  /// max_slices limit it trips the halt instead, as Stop() would. Returns
+  /// the claimed job, or null (the entry is then dropped only when its
+  /// job cannot run again: it is gone or no longer queued).
+  Job* ClaimLocked(std::deque<std::string>::iterator entry);
+  /// Runs one slice of a claimed `job` outside the lock; re-acquires it
+  /// to record the transition. `lock` must be held on entry and is held
+  /// on return. Returns true when the job is unfinished and should run
+  /// its next slice on this thread: no other job is queued, and the
+  /// service is not paused, stopping or at its max_slices halt.
+  /// Otherwise an unfinished job is requeued.
   bool RunSlice(const std::string& name, Job& job,
                 std::unique_lock<std::mutex>& lock);
   void FinalizeLocked(const std::string& name, Job& job, JobState state);

@@ -776,8 +776,9 @@ TEST(ValuationServiceTest, CancelRunningJobStopsAtSliceBoundary) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduling: a job keeps its worker between slices only while no other
-// job is queued, and Wait wakes on its own job's end or a halt.
+// Scheduling: a job keeps its thread between slices only while no other
+// job is queued, Wait runs its own queued job, and otherwise wakes on its
+// own job's end or a halt.
 // ---------------------------------------------------------------------------
 
 // With a budget of two slices on one worker, the long job's first slice
@@ -853,10 +854,177 @@ TEST(ValuationServiceTest, WaitOnQueuedJobReturnsAtMaxSlicesHalt) {
   EXPECT_EQ(second->state, JobState::kQueued);
 }
 
-// Client threads each submit, wait for and purge their own jobs against
-// two workers. Every Wait must wake for its own job's completion (a
-// missed per-job wakeup hangs here), and every job must match an
-// isolated run.
+// The only worker is inside one long slice: every coalition of a digits
+// n = 10 federation, 1024 units in one chunk. A client that submits a
+// short job and waits on it runs that job on its own thread, so it
+// finishes while the long slice is still running instead of queueing
+// behind it.
+TEST(ValuationServiceTest, WaitRunsItsQueuedJobWhileTheWorkerIsBusy) {
+  ServiceConfig config;
+  config.workers = 1;
+  ValuationService service(config);
+  ScenarioSpec digits;
+  digits.kind = "digits";
+  digits.n = 10;
+  digits.seed = 3;
+  ASSERT_TRUE(service
+                  .Submit(MakeJob("long", EstimatorKind::kExactMc, digits, 24,
+                                  /*chunk=*/1024))
+                  .ok());
+  for (;;) {
+    Result<JobStatus> status = service.GetStatus("long");
+    ASSERT_TRUE(status.ok());
+    if (status->state == JobState::kRunning) break;
+    std::this_thread::yield();
+  }
+  const JobSpec short_job =
+      MakeJob("short", EstimatorKind::kLeaveOneOut, LinregScenario(6));
+  ASSERT_TRUE(service.Submit(short_job).ok());
+  Result<ValuationResult> result = service.Wait("short");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->values, RunIsolated(short_job).values);
+  Result<JobStatus> long_job = service.GetStatus("long");
+  ASSERT_TRUE(long_job.ok());
+  EXPECT_EQ(long_job->state, JobState::kRunning);
+  EXPECT_EQ(long_job->completed_units, 0u);
+  // Lands after the long slice; the destructor waits for it.
+  ASSERT_TRUE(service.Cancel("long").ok());
+}
+
+// Stop returns only once a client running its own job in Wait has ended
+// its slice: the worker's short slice ends first, and Stop must then wait
+// for the client's longer one to checkpoint and requeue the job.
+TEST(ValuationServiceTest, StopWaitsForTheSliceAClientIsRunning) {
+  ServiceConfig config;
+  config.workers = 1;
+  ValuationService service(config);
+  ScenarioSpec small;
+  small.kind = "digits";
+  small.n = 8;
+  small.seed = 3;
+  ScenarioSpec large = small;
+  large.n = 10;
+  // Build both workloads up front, so the Submits below are quick.
+  for (const ScenarioSpec& scenario : {small, large}) {
+    const std::string name = "warm-" + std::to_string(scenario.n);
+    ASSERT_TRUE(
+        service.Submit(MakeJob(name, EstimatorKind::kLeaveOneOut, scenario))
+            .ok());
+    ASSERT_TRUE(service.Wait(name).ok());
+  }
+  const auto await_running = [&](const std::string& name) {
+    for (;;) {
+      Result<JobStatus> status = service.GetStatus(name);
+      if (!status.ok() || status->state != JobState::kQueued) return;
+      std::this_thread::yield();
+    }
+  };
+  // The worker's slice: 256 trainings of n = 8. The client's: 512 of
+  // n = 10, the first half of its job.
+  ASSERT_TRUE(service
+                  .Submit(MakeJob("worker", EstimatorKind::kExactMc, small,
+                                  24, /*chunk=*/256))
+                  .ok());
+  await_running("worker");
+  ASSERT_TRUE(service
+                  .Submit(MakeJob("client", EstimatorKind::kExactMc, large,
+                                  24, /*chunk=*/512))
+                  .ok());
+  Status waited;
+  std::thread client([&] { waited = service.Wait("client").status(); });
+  await_running("client");
+  service.Stop();
+  Result<JobStatus> status = service.GetStatus("client");
+  client.join();
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status->state, JobState::kQueued);
+  EXPECT_EQ(status->completed_units, 512u);
+  EXPECT_EQ(waited.code(), StatusCode::kFailedPrecondition);
+}
+
+// A cancelled queued job leaves no run-queue entry behind. With one slice
+// allowed, the worker runs "only" and then finds nothing queued, so it
+// idles and the max_slices halt never trips. A stale "doomed" entry would
+// make "only" yield for nothing and the worker look at the queue once
+// more, tripping the halt.
+TEST(ValuationServiceTest, CancelledQueuedJobLeavesNoEntryBehind) {
+  ServiceConfig config;
+  config.workers = 1;
+  config.paused = true;
+  config.max_slices = 1;
+  ValuationService service(config);
+  const ScenarioSpec scenario = LinregScenario(6);
+  ASSERT_TRUE(
+      service.Submit(MakeJob("only", EstimatorKind::kLeaveOneOut, scenario))
+          .ok());
+  ASSERT_TRUE(service
+                  .Submit(MakeJob("doomed", EstimatorKind::kExactMc, scenario,
+                                  24, /*chunk=*/1))
+                  .ok());
+  ASSERT_TRUE(service.Cancel("doomed").ok());
+  service.Resume();
+  EXPECT_TRUE(service.WaitAll());
+  EXPECT_FALSE(service.halted());
+  EXPECT_EQ(service.stats().slices_executed, 1u);
+  Result<JobStatus> only = service.GetStatus("only");
+  ASSERT_TRUE(only.ok());
+  EXPECT_EQ(only->state, JobState::kDone);
+}
+
+// A terminal job frees its estimator and session, but keeps reporting the
+// units it reached: done, cancelled while queued, and failed.
+TEST(ValuationServiceTest, TerminalJobsStillReportTheirUnits) {
+  ServiceConfig config;
+  config.workers = 1;
+  config.paused = true;
+  ValuationService service(config);
+  const ScenarioSpec scenario = LinregScenario(6);
+  ASSERT_TRUE(service
+                  .Submit(MakeJob("sweep", EstimatorKind::kExactMc, scenario,
+                                  24, /*chunk=*/4))
+                  .ok());
+  ASSERT_TRUE(
+      service.Submit(MakeJob("oneshot", EstimatorKind::kLeaveOneOut, scenario))
+          .ok());
+  ASSERT_TRUE(service
+                  .Submit(MakeJob("doomed", EstimatorKind::kExactMc, scenario,
+                                  24, /*chunk=*/4))
+                  .ok());
+  // exact-perm requires n <= 8; n = 10 fails inside the estimator.
+  ASSERT_TRUE(service
+                  .Submit(MakeJob("toolarge", EstimatorKind::kExactPerm,
+                                  LinregScenario(10)))
+                  .ok());
+  ASSERT_TRUE(service.Cancel("doomed").ok());
+  service.Resume();
+  ASSERT_TRUE(service.WaitAll());
+
+  struct Expected {
+    const char* name;
+    JobState state;
+    size_t completed_units;
+    size_t total_units;
+  };
+  const size_t sweep_units = size_t{1} << 6;  // One per coalition.
+  for (const Expected& expected :
+       {Expected{"sweep", JobState::kDone, sweep_units, sweep_units},
+        Expected{"oneshot", JobState::kDone, 1, 1},
+        Expected{"doomed", JobState::kCancelled, 0, sweep_units},
+        Expected{"toolarge", JobState::kFailed, 0, 1}}) {
+    SCOPED_TRACE(expected.name);
+    Result<JobStatus> status = service.GetStatus(expected.name);
+    ASSERT_TRUE(status.ok());
+    EXPECT_EQ(status->state, expected.state);
+    EXPECT_EQ(status->completed_units, expected.completed_units);
+    EXPECT_EQ(status->total_units, expected.total_units);
+  }
+}
+
+// Client threads each submit, wait for and purge their own jobs. Every
+// Wait must wake for its own job's completion (a missed per-job wakeup
+// hangs here), and every job must match an isolated run. Waiters run
+// their own jobs, so they race the workers to claim each job; with one
+// worker, most jobs are claimed by their waiter.
 TEST(ValuationServiceTest, ClientChurnEveryWaitSeesItsJobDone) {
   const ScenarioSpec scenario = LinregScenario(6, 41);
   const std::vector<EstimatorKind> kinds = {
@@ -867,39 +1035,43 @@ TEST(ValuationServiceTest, ClientChurnEveryWaitSeesItsJobDone) {
     isolated.push_back(RunIsolated(MakeJob("isolated", kind, scenario)));
   }
 
-  ServiceConfig config;
-  config.workers = 2;
-  ValuationService service(config);
-  constexpr int kClients = 4;
-  constexpr int kJobsPerClient = 50;
-  std::vector<std::string> first_failure(kClients);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int j = 0; j < kJobsPerClient && first_failure[c].empty(); ++j) {
-        const size_t kind = (c + j) % kinds.size();
-        const std::string name =
-            "c" + std::to_string(c) + "-" + std::to_string(j);
-        Status submitted =
-            service.Submit(MakeJob(name, kinds[kind], scenario));
-        Result<ValuationResult> result = service.Wait(name);
-        if (!submitted.ok() || !result.ok()) {
-          first_failure[c] = name + ": " + (submitted.ok()
-                                                ? result.status().ToString()
-                                                : submitted.ToString());
-        } else if (result->values != isolated[kind].values) {
-          first_failure[c] = name + ": values differ from the isolated run";
-        } else if (Status purged = service.Purge(name); !purged.ok()) {
-          first_failure[c] = name + ": " + purged.ToString();
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ServiceConfig config;
+    config.workers = workers;
+    ValuationService service(config);
+    constexpr int kClients = 4;
+    constexpr int kJobsPerClient = 50;
+    std::vector<std::string> first_failure(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (int j = 0; j < kJobsPerClient && first_failure[c].empty();
+             ++j) {
+          const size_t kind = (c + j) % kinds.size();
+          const std::string name =
+              std::string("c") + std::to_string(c) + "-" + std::to_string(j);
+          Status submitted =
+              service.Submit(MakeJob(name, kinds[kind], scenario));
+          Result<ValuationResult> result = service.Wait(name);
+          if (!submitted.ok() || !result.ok()) {
+            first_failure[c] =
+                name + ": " + (submitted.ok() ? result.status().ToString()
+                                              : submitted.ToString());
+          } else if (result->values != isolated[kind].values) {
+            first_failure[c] = name + ": values differ from the isolated run";
+          } else if (Status purged = service.Purge(name); !purged.ok()) {
+            first_failure[c] = name + ": " + purged.ToString();
+          }
         }
-      }
-    });
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    for (int c = 0; c < kClients; ++c) {
+      EXPECT_EQ(first_failure[c], "") << "client " << c;
+    }
+    EXPECT_TRUE(service.ListJobs().empty());
   }
-  for (std::thread& client : clients) client.join();
-  for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(first_failure[c], "") << "client " << c;
-  }
-  EXPECT_TRUE(service.ListJobs().empty());
 }
 
 TEST(ValuationServiceTest, AdaptiveIpssAcceptsSmallBudgetCeiling) {
