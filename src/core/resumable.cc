@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -424,30 +425,40 @@ Status PermutationMcSweep::Step(UtilitySession& session, int max_units) {
   if (max_units > 0) todo = std::min(todo, static_cast<size_t>(max_units));
   // Draw the chunk's permutations first — the RNG stream must not depend
   // on evaluation scheduling, or resumption would not be bit-identical.
-  std::vector<std::vector<int>> perms;
-  perms.reserve(todo);
-  for (size_t p = 0; p < todo; ++p) perms.push_back(rng_.Permutation(n_));
+  // They go back to back into one array, each drawn as Rng::Permutation
+  // draws it: a vector per permutation cost an allocation each, and a
+  // slice's thousands of small blocks ran up to a third slower on some
+  // threads than on others, depending on the state of their heap.
+  const size_t n = static_cast<size_t>(n_);
+  std::vector<int> perms;
+  perms.reserve(todo * n);
+  std::vector<int> perm(n);
+  for (size_t p = 0; p < todo; ++p) {
+    std::iota(perm.begin(), perm.end(), 0);
+    rng_.Shuffle(perm);
+    perms.insert(perms.end(), perm.begin(), perm.end());
+  }
   // One batch holding every prefix of every drawn permutation (plus the
   // empty coalition) fans out over the session's thread pool; distinct
   // prefixes deduplicate in the utility cache.
   std::vector<Coalition> order;
-  order.reserve(1 + todo * static_cast<size_t>(n_));
+  order.reserve(1 + todo * n);
   order.push_back(Coalition());
-  for (const std::vector<int>& perm : perms) {
+  for (size_t p = 0; p < todo; ++p) {
     Coalition prefix;
-    for (int member : perm) {
-      prefix.Add(member);
+    for (size_t i = 0; i < n; ++i) {
+      prefix.Add(perms[p * n + i]);
       order.push_back(prefix);
     }
   }
   FEDSHAP_ASSIGN_OR_RETURN(std::vector<double> u,
                            session.EvaluateBatch(order));
   size_t cursor = 1;
-  for (const std::vector<int>& perm : perms) {
+  for (size_t p = 0; p < todo; ++p) {
     double previous = u[0];
-    for (int member : perm) {
+    for (size_t i = 0; i < n; ++i) {
       const double current = u[cursor++];
-      sums_[member] += current - previous;
+      sums_[perms[p * n + i]] += current - previous;
       previous = current;
     }
   }

@@ -21,6 +21,7 @@
 #include "ml/mlp.h"
 #include "test_util.h"
 #include "util/serialization.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace fedshap {
@@ -208,6 +209,39 @@ TEST(PermutationMcSweepTest, ResumedBitIdenticalAcrossRngBoundary) {
     ValuationResult resumed = RunWithSnapshotsEveryStep(fn, make, chunk);
     ExpectBitIdentical(uninterrupted.values, resumed.values);
   }
+}
+
+// The sweep draws its permutations as Rng::Permutation draws them, so
+// in any chunking it equals the textbook permutation-sampling average
+// over that stream, bit for bit.
+TEST(PermutationMcSweepTest, MatchesPermutationStreamReference) {
+  constexpr int kClients = 6;
+  constexpr int kPermutations = 30;
+  TableUtility fn = RandomTable(kClients, 41);
+  Rng rng(17);
+  std::vector<double> sums(kClients, 0.0);
+  for (int p = 0; p < kPermutations; ++p) {
+    Coalition prefix;
+    double previous = *fn.Evaluate(prefix);
+    for (int member : rng.Permutation(kClients)) {
+      prefix.Add(member);
+      const double current = *fn.Evaluate(prefix);
+      sums[member] += current - previous;
+      previous = current;
+    }
+  }
+  std::vector<double> reference(kClients);
+  for (int i = 0; i < kClients; ++i) reference[i] = sums[i] / kPermutations;
+
+  PermutationMcConfig config;
+  config.permutations = kPermutations;
+  config.seed = 17;
+  const auto make = [&] {
+    return std::make_unique<PermutationMcSweep>(kClients, config);
+  };
+  ExpectBitIdentical(RunUninterrupted(fn, make).values, reference);
+  ExpectBitIdentical(RunWithSnapshotsEveryStep(fn, make, 7).values,
+                     reference);
 }
 
 TEST(PermutationMcSweepTest, ConvergesTowardExactSv) {
