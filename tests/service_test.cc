@@ -945,8 +945,7 @@ TEST(ValuationServiceTest, StopWaitsForTheSliceAClientIsRunning) {
 // A cancelled queued job leaves no run-queue entry behind. With one slice
 // allowed, the worker runs "only" and then finds nothing queued, so it
 // idles and the max_slices halt never trips. A stale "doomed" entry would
-// make "only" yield for nothing and the worker look at the queue once
-// more, tripping the halt.
+// make the worker look at the queue once more, tripping the halt.
 TEST(ValuationServiceTest, CancelledQueuedJobLeavesNoEntryBehind) {
   ServiceConfig config;
   config.workers = 1;
@@ -1023,8 +1022,8 @@ TEST(ValuationServiceTest, TerminalJobsStillReportTheirUnits) {
 // Client threads each submit, wait for and purge their own jobs. Every
 // Wait must wake for its own job's completion (a missed per-job wakeup
 // hangs here), and every job must match an isolated run. Waiters run
-// their own jobs, so they race the workers to claim each job; with one
-// worker, most jobs are claimed by their waiter.
+// their own jobs, so at one worker and at two they race the workers to
+// claim each job.
 TEST(ValuationServiceTest, ClientChurnEveryWaitSeesItsJobDone) {
   const ScenarioSpec scenario = LinregScenario(6, 41);
   const std::vector<EstimatorKind> kinds = {
