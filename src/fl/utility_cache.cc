@@ -1,5 +1,7 @@
 #include "fl/utility_cache.h"
 
+#include <algorithm>
+
 #include "fl/utility_store.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -107,41 +109,87 @@ void UtilityCache::AttachStore(UtilityStore* store, size_t flush_bytes) {
   preloaded_ = 0;
 }
 
+Status UtilityCache::GetMany(std::span<const Coalition> coalitions,
+                             std::span<UtilityRecord> records,
+                             std::span<uint8_t> fresh, ThreadPool* pool,
+                             size_t* resolved) {
+  FEDSHAP_CHECK(records.size() == coalitions.size() &&
+                fresh.size() == coalitions.size());
+  const size_t count = coalitions.size();
+  std::vector<size_t> misses;
+  {
+    // One lock serves every entry the cache already holds.
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t k = 0; k < count; ++k) {
+      fresh[k] = 0;
+      auto it = entries_.find(coalitions[k]);
+      if (it != entries_.end()) {
+        records[k] = it->second;
+      } else {
+        misses.push_back(k);
+      }
+    }
+    if (misses.empty()) {
+      hits_ += count;
+      *resolved = count;
+      return Status::OK();
+    }
+  }
+  // The rest go through Get's single-flight, read-through and
+  // write-through. On failure, capture the *first* one's real Status
+  // (lowest index wins), so the error matches a sequential pass.
+  std::mutex failure_mutex;
+  size_t first_failed = count;
+  Status first_status = Status::OK();
+  auto get = [&](size_t k) {
+    bool computed = false;
+    Result<UtilityRecord> r = Get(coalitions[k], &computed);
+    if (!r.ok()) {
+      std::lock_guard<std::mutex> lock(failure_mutex);
+      if (k < first_failed) {
+        first_failed = k;
+        first_status = r.status();
+      }
+      return false;
+    }
+    // Each call writes only its own slots, so no synchronization is
+    // needed beyond ParallelFor's completion barrier.
+    records[k] = *r;
+    fresh[k] = computed ? 1 : 0;
+    return true;
+  };
+  if (pool == nullptr || pool->num_threads() <= 1 || misses.size() <= 1) {
+    for (size_t k : misses) {
+      if (!get(k)) break;
+    }
+  } else {
+    pool->ParallelFor(static_cast<int>(misses.size()),
+                      [&](int j) { get(misses[static_cast<size_t>(j)]); });
+  }
+  // Held entries count as hits up to the first failure, where a
+  // sequential Get loop would have stopped.
+  const size_t missed_before = static_cast<size_t>(
+      std::lower_bound(misses.begin(), misses.end(), first_failed) -
+      misses.begin());
+  CountHits(first_failed - missed_before);
+  *resolved = first_failed;
+  return first_status;
+}
+
+void UtilityCache::CountHits(size_t n) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  hits_ += n;
+}
+
 Status UtilityCache::Prefetch(const std::vector<Coalition>& coalitions,
                               ThreadPool* pool,
                               std::vector<uint8_t>* fresh) {
-  if (fresh != nullptr) fresh->assign(coalitions.size(), 0);
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (size_t i = 0; i < coalitions.size(); ++i) {
-      bool computed = false;
-      FEDSHAP_ASSIGN_OR_RETURN(UtilityRecord unused,
-                               Get(coalitions[i], &computed));
-      (void)unused;
-      if (fresh != nullptr) (*fresh)[i] = computed ? 1 : 0;
-    }
-    return Status::OK();
-  }
-  // Capture the *first* failure's real Status (lowest index wins) so
-  // callers — and through them service job reports — name the actual
-  // cause, and the error matches what a sequential pass would return.
-  std::mutex failure_mutex;
-  size_t first_failed = coalitions.size();
-  Status first_status = Status::OK();
-  pool->ParallelFor(static_cast<int>(coalitions.size()), [&](int i) {
-    bool computed = false;
-    Result<UtilityRecord> r = Get(coalitions[i], &computed);
-    if (!r.ok()) {
-      std::lock_guard<std::mutex> lock(failure_mutex);
-      if (static_cast<size_t>(i) < first_failed) {
-        first_failed = static_cast<size_t>(i);
-        first_status = r.status();
-      }
-    }
-    // Each iteration writes only its own slot, so no synchronization is
-    // needed beyond ParallelFor's completion barrier.
-    if (fresh != nullptr) (*fresh)[i] = computed ? 1 : 0;
-  });
-  return first_status;
+  std::vector<UtilityRecord> records(coalitions.size());
+  std::vector<uint8_t> computed(coalitions.size());
+  size_t resolved = 0;
+  Status status = GetMany(coalitions, records, computed, pool, &resolved);
+  if (fresh != nullptr) *fresh = std::move(computed);
+  return status;
 }
 
 void UtilityCache::Clear() {
@@ -194,26 +242,104 @@ double UtilityCache::recorded_cost_seconds() const {
 }
 
 Result<double> UtilitySession::Evaluate(const Coalition& coalition) {
-  return EvaluateInternal(coalition, /*batch_fresh=*/false);
+  double value = 0.0;
+  FEDSHAP_RETURN_NOT_OK(Answer({&coalition, 1}, &value));
+  return value;
 }
 
-Result<double> UtilitySession::EvaluateInternal(const Coalition& coalition,
-                                                bool batch_fresh) {
-  bool computed = false;
-  FEDSHAP_ASSIGN_OR_RETURN(UtilityRecord record,
-                           cache_->Get(coalition, &computed));
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++num_evaluations_;
-  if (seen_.insert(coalition).second) {
-    charged_seconds_ += record.cost_seconds;
-    // A training counts as this session's own when this evaluation
-    // computed it, or when the batch prefetch below computed it on this
-    // session's behalf before the sequential accounting pass ran. The
-    // cache's single-flight guarantee means at most one of these can be
-    // true per coalition, so the count is exact under any interleaving.
-    if (computed || batch_fresh) ++fresh_trainings_;
+Result<std::vector<double>> UtilitySession::EvaluateBatch(
+    const std::vector<Coalition>& coalitions) {
+  std::vector<double> values(coalitions.size());
+  FEDSHAP_RETURN_NOT_OK(Answer(coalitions, values.data()));
+  return values;
+}
+
+uint32_t UtilitySession::FindOrAdd(const Coalition& coalition) {
+  // Keep the load factor at or below 1/2, so probes stay short.
+  if (2 * (coalitions_.size() + 1) > slots_.size()) {
+    Reindex(std::max<size_t>(16, 2 * slots_.size()));
   }
-  return record.utility;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = coalition.Hash() & mask;; i = (i + 1) & mask) {
+    const uint32_t slot = slots_[i];
+    if (slot == 0) {
+      coalitions_.push_back(coalition);
+      slots_[i] = static_cast<uint32_t>(coalitions_.size());
+      return slots_[i] - 1;
+    }
+    if (coalitions_[slot - 1] == coalition) return slot - 1;
+  }
+}
+
+void UtilitySession::Reindex(size_t capacity) {
+  slots_.assign(capacity, 0);
+  const size_t mask = capacity - 1;
+  for (size_t e = 0; e < coalitions_.size(); ++e) {
+    size_t i = coalitions_[e].Hash() & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(e + 1);
+  }
+}
+
+Status UtilitySession::Answer(std::span<const Coalition> coalitions,
+                              double* values) {
+  // Map every query to its memo entry. A coalition the session has not
+  // seen gets a new entry, so the new ones are deduplicated, in first-ask
+  // order, at the end of the memo.
+  const size_t base = num_distinct_;
+  entry_of_.resize(coalitions.size());
+  for (size_t i = 0; i < coalitions.size(); ++i) {
+    entry_of_[i] = FindOrAdd(coalitions[i]);
+  }
+  const size_t added = coalitions_.size() - base;
+  size_t resolved = 0;
+  Status status = Status::OK();
+  if (added > 0) {
+    records_.resize(added);
+    fresh_.resize(added);
+    status = cache_->GetMany(
+        std::span<const Coalition>(coalitions_).subspan(base), records_,
+        fresh_, pool_, &resolved);
+    utilities_.resize(base + resolved);
+    for (size_t k = 0; k < resolved; ++k) {
+      utilities_[base + k] = records_[k].utility;
+    }
+  }
+
+  // Answer the queries in order up to the first occurrence of the first
+  // failed coalition, where a sequential Evaluate loop would have
+  // stopped. Entries are in first-ask order, so a query's entry is new
+  // exactly when it is the next one past those already answered.
+  const size_t failed = base + resolved;
+  size_t next_new = base;
+  size_t answered = 0;
+  for (; answered < coalitions.size(); ++answered) {
+    const uint32_t entry = entry_of_[answered];
+    if (entry == next_new) {
+      if (entry == failed) break;
+      ++next_new;
+    }
+    values[answered] = utilities_[entry];
+  }
+  const size_t repeats = answered - resolved;
+  if (repeats > 0) cache_->CountHits(repeats);
+
+  if (!status.ok()) {
+    // Forget the failed coalition and every later new one: none of them
+    // was asked by the sequential loop this batch stands for.
+    coalitions_.resize(failed);
+    Reindex(slots_.size());
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  num_evaluations_ += answered;
+  num_distinct_ = failed;
+  for (size_t k = 0; k < resolved; ++k) {
+    // Charged in first-ask order, so the sum matches a sequential loop's
+    // bit for bit.
+    charged_seconds_ += records_[k].cost_seconds;
+    fresh_trainings_ += fresh_[k];
+  }
+  return status;
 }
 
 size_t UtilitySession::num_evaluations() const {
@@ -223,7 +349,7 @@ size_t UtilitySession::num_evaluations() const {
 
 size_t UtilitySession::num_distinct() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return seen_.size();
+  return num_distinct_;
 }
 
 size_t UtilitySession::num_fresh_trainings() const {
@@ -234,31 +360,6 @@ size_t UtilitySession::num_fresh_trainings() const {
 double UtilitySession::charged_seconds() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return charged_seconds_;
-}
-
-Result<std::vector<double>> UtilitySession::EvaluateBatch(
-    const std::vector<Coalition>& coalitions) {
-  std::vector<uint8_t> fresh;
-  if (pool_ != nullptr && pool_->num_threads() > 1 &&
-      coalitions.size() > 1) {
-    // Fan the misses out over the pool. A failure here is deliberately
-    // ignored: the sequential pass below rediscovers it at the same
-    // coalition a sequential run would have, so the returned error and
-    // the *session* accounting are deterministic. (Cache-level stats may
-    // still record trainings the pool completed past the failing
-    // coalition before the error surfaced.)
-    (void)cache_->Prefetch(coalitions, pool_, &fresh);
-  }
-  std::vector<double> values;
-  values.reserve(coalitions.size());
-  for (size_t i = 0; i < coalitions.size(); ++i) {
-    const bool batch_fresh = i < fresh.size() && fresh[i] != 0;
-    FEDSHAP_ASSIGN_OR_RETURN(double utility,
-                             EvaluateInternal(coalitions[i],
-                                              batch_fresh));
-    values.push_back(utility);
-  }
-  return values;
 }
 
 }  // namespace fedshap

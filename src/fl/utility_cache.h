@@ -2,7 +2,9 @@
 #define FEDSHAP_FL_UTILITY_CACHE_H_
 
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -61,6 +63,23 @@ class UtilityCache {
   /// attribute each training to exactly one run.
   Result<UtilityRecord> Get(const Coalition& coalition, bool* fresh = nullptr);
 
+  /// Resolves `coalitions` into `records` (same length) in one pass. The
+  /// entries the cache already holds are read under a single lock; the
+  /// rest go through Get, in parallel on `pool` when given. `fresh` (same
+  /// length) records, per coalition, Get's `fresh`. Returns the first
+  /// failing coalition's Status (lowest index wins) and sets `*resolved`
+  /// to its index, or to the full length on success. Hits are counted as
+  /// a sequential Get loop would count them: held entries past the first
+  /// failure are not counted.
+  Status GetMany(std::span<const Coalition> coalitions,
+                 std::span<UtilityRecord> records, std::span<uint8_t> fresh,
+                 ThreadPool* pool, size_t* resolved);
+
+  /// Counts `n` hits served above the cache: queries a UtilitySession
+  /// answered from its own memo, which a plain Get loop would have
+  /// served here.
+  void CountHits(size_t n);
+
   /// Evaluates all `coalitions` (cache misses in parallel on `pool` when
   /// provided). Useful for the exhaustive phases of IPSS / exact SV.
   /// When `fresh` is non-null it is resized to `coalitions.size()` and
@@ -95,7 +114,8 @@ class UtilityCache {
   /// reseeded and old values are stale). Entries already persisted in an
   /// attached store are dropped from memory only, not from disk. All
   /// counters reset, including the unflushed-byte count that paces the
-  /// store's implicit flushes.
+  /// store's implicit flushes. A UtilitySession keeps its own memo, so
+  /// sessions opened before a Clear must not be used after it.
   void Clear();
 
   /// Number of memoized entries.
@@ -151,6 +171,16 @@ class UtilityCache {
 /// needed (= FL trainings a standalone run would have performed; each
 /// distinct coalition is charged its recorded training cost exactly once,
 /// matching an implementation that memoizes within the run).
+///
+/// The session answers its own repeats. It keeps every coalition it has
+/// resolved, with its utility, in a flat open-addressing table, so a
+/// coalition asked again (within a batch or from an earlier one) never
+/// reaches the cache. The estimators' queries concentrate on few
+/// coalitions, so most queries end there. Accounting, cache hit counts
+/// and errors are those of a sequential loop of Get calls.
+///
+/// One thread at a time evaluates through a session; the counters may be
+/// read from any thread meanwhile.
 class UtilitySession {
  public:
   /// `cache` (and `pool`, when given) must outlive the session. A session
@@ -162,14 +192,19 @@ class UtilitySession {
   /// Number of FL clients n of the underlying utility function.
   int num_clients() const { return cache_->num_clients(); }
 
-  /// U(S), with cost accounting.
+  /// U(S), with cost accounting: a batch of one.
   Result<double> Evaluate(const Coalition& coalition);
 
   /// Evaluates a round's worth of coalitions, returning their utilities in
-  /// order. Cache misses are computed in parallel on the session's thread
-  /// pool (when set); accounting is identical to calling Evaluate on each
-  /// coalition sequentially — same num_evaluations, num_distinct and
-  /// charged_seconds, and on failure the same first error.
+  /// order. Repeats are answered from the session's memo; the coalitions
+  /// it has not seen are resolved through one UtilityCache::GetMany call,
+  /// in first-ask order, with misses computed in parallel on the
+  /// session's thread pool (when set). Accounting is identical to calling
+  /// Evaluate on each coalition sequentially — same num_evaluations,
+  /// num_distinct, num_fresh_trainings and bitwise charged_seconds, and
+  /// on failure the same first error, with accounting stopped at the
+  /// failing coalition's first occurrence. A failed coalition is not
+  /// memoized, so the next ask retries it.
   Result<std::vector<double>> EvaluateBatch(
       const std::vector<Coalition>& coalitions);
 
@@ -194,16 +229,33 @@ class UtilitySession {
   double charged_seconds() const;
 
  private:
-  Result<double> EvaluateInternal(const Coalition& coalition,
-                                  bool batch_fresh);
+  /// Writes the utilities of `coalitions` to `values`; see EvaluateBatch.
+  Status Answer(std::span<const Coalition> coalitions, double* values);
+  /// Index of `coalition` in the memo, appending it when it is new.
+  uint32_t FindOrAdd(const Coalition& coalition);
+  /// Rebuilds `slots_` with `capacity` slots over the memo's entries.
+  void Reindex(size_t capacity);
 
   UtilityCache* cache_;
   ThreadPool* pool_;
-  /// Guards all accounting below, so the counters may be read from any
-  /// thread while the run thread evaluates.
+  /// The memo, written only by the evaluating thread: every coalition the
+  /// session has asked for, in first-ask order, and its utility. Entries
+  /// past `num_distinct_` are a batch's unresolved coalitions.
+  std::vector<Coalition> coalitions_;
+  std::vector<double> utilities_;
+  /// Open-addressing index over the memo (linear probing, power-of-two
+  /// size): entry index + 1, 0 for an empty slot.
+  std::vector<uint32_t> slots_;
+  /// Per-batch scratch, kept to spare a batch its allocations: each
+  /// query's memo entry, and the cache's answers for the new entries.
+  std::vector<uint32_t> entry_of_;
+  std::vector<UtilityRecord> records_;
+  std::vector<uint8_t> fresh_;
+  /// Guards the counters below, so they may be read from any thread while
+  /// the run thread evaluates.
   mutable std::mutex mutex_;
-  std::unordered_set<Coalition, CoalitionHash> seen_;
   size_t num_evaluations_ = 0;
+  size_t num_distinct_ = 0;
   size_t fresh_trainings_ = 0;
   double charged_seconds_ = 0.0;
 };

@@ -131,13 +131,21 @@ Status UtilityStore::OpenDirectoryLocked() {
     if (manifest.status().code() != StatusCode::kNotFound) {
       return manifest.status();
     }
-    // A directory without a manifest is only acceptable when it is empty
-    // (a crash between mkdir and the first manifest write).
+    // A directory without a manifest is only acceptable when it holds
+    // nothing but temp files: a crash between mkdir and the rename of
+    // the first manifest write. Another process's temps are orphans.
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(path_, ec)) {
-      (void)entry;
-      return Status::InvalidArgument(path_ +
-                                     " has no MANIFEST; not a utility store");
+      switch (ClassifyTempFile(entry.path().filename().string())) {
+        case TempFile::kOrphaned:
+          fs::remove(entry.path(), ec);
+          break;
+        case TempFile::kOwn:
+          break;
+        case TempFile::kNone:
+          return Status::InvalidArgument(
+              path_ + " has no MANIFEST; not a utility store");
+      }
     }
     return WriteManifestLocked();
   }
@@ -202,10 +210,15 @@ Status UtilityStore::OpenDirectoryLocked() {
   // Strays: segment files in neither the manifest nor the active slot.
   // Older builds compacted in the background, so a store they wrote can
   // hold the merge segment of a compaction killed before its manifest
-  // swap; a later seal would reuse its id.
+  // swap; a later seal would reuse its id. A crash inside a MANIFEST
+  // write orphans its temp file, which goes too.
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(path_, ec)) {
     const std::string name = entry.path().filename().string();
+    if (ClassifyTempFile(name) == TempFile::kOrphaned) {
+      fs::remove(entry.path(), ec);
+      continue;
+    }
     if (name.rfind("seg-", 0) != 0) continue;
     uint64_t id = 0;
     if (std::sscanf(name.c_str(), "seg-%llu.seg",

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <concepts>
 #include <climits>
 #include <cstdint>
 #include <limits>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -150,11 +151,57 @@ Result<double> ParseReal(std::string_view key, std::string_view value) {
   return parsed;
 }
 
-/// %.17g: the shortest printf format that round-trips every double.
-std::string FormatReal(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+/// Builds a line of space-separated `key=value` fields in one reserved
+/// string. Numbers go through std::to_chars: integers in decimal, doubles
+/// as printf's %.17g, the shortest format that round-trips every double.
+class FieldWriter {
+ public:
+  FieldWriter() { line_.reserve(192); }
+
+  FieldWriter& Add(std::string_view key, std::string_view value) {
+    Key(key);
+    line_.append(value);
+    return *this;
+  }
+  template <std::integral Int>
+  FieldWriter& Add(std::string_view key, Int value) {
+    char buffer[24];
+    return Add(key, Chars(buffer, std::to_chars(buffer, buffer + 24, value)));
+  }
+  FieldWriter& Add(std::string_view key, double value) {
+    char buffer[32];
+    return Add(key, Chars(buffer, std::to_chars(buffer, buffer + 32, value,
+                                                std::chars_format::general,
+                                                17)));
+  }
+
+  std::string Take() { return std::move(line_); }
+
+ private:
+  void Key(std::string_view key) {
+    if (!line_.empty()) line_ += ' ';
+    line_.append(key);
+    line_ += '=';
+  }
+  static std::string_view Chars(const char* buffer, std::to_chars_result r) {
+    return std::string_view(buffer, static_cast<size_t>(r.ptr - buffer));
+  }
+
+  std::string line_;
+};
+
+/// Appends the scenario fields every kind shares past its seed.
+void AddScenarioDetails(const ScenarioSpec& scenario, FieldWriter& fields) {
+  if (scenario.kind == "digits") {
+    fields.Add("partition", scenario.partition)
+        .Add("rounds", scenario.fl_rounds)
+        .Add("epochs", scenario.local_epochs)
+        .Add("batch", scenario.batch_size)
+        .Add("lr", scenario.learning_rate);
+  } else if (scenario.kind == "linreg") {
+    fields.Add("samples", scenario.samples_per_client)
+        .Add("noise", scenario.noise_scale);
+  }
 }
 
 bool IsValidName(std::string_view name) {
@@ -236,19 +283,10 @@ Result<std::unique_ptr<UtilityFunction>> ScenarioSpec::Build() const {
 }
 
 std::string ScenarioSpec::CanonicalKey() const {
-  std::string key = "kind=" + kind + " n=" + std::to_string(n) +
-                    " seed=" + std::to_string(seed);
-  if (kind == "digits") {
-    key += " partition=" + partition +
-           " rounds=" + std::to_string(fl_rounds) +
-           " epochs=" + std::to_string(local_epochs) +
-           " batch=" + std::to_string(batch_size) +
-           " lr=" + FormatReal(learning_rate);
-  } else if (kind == "linreg") {
-    key += " samples=" + std::to_string(samples_per_client) +
-           " noise=" + FormatReal(noise_scale);
-  }
-  return key;
+  FieldWriter fields;
+  fields.Add("kind", kind).Add("n", n).Add("seed", seed);
+  AddScenarioDetails(*this, fields);
+  return fields.Take();
 }
 
 Result<JobSpec> JobSpec::FromLine(std::string_view line) {
@@ -369,27 +407,19 @@ Result<JobSpec> JobSpec::FromLine(std::string_view line) {
 }
 
 std::string JobSpec::ToLine() const {
-  std::string line = "name=" + name +
-                     " estimator=" + EstimatorKindName(estimator) +
-                     " gamma=" + std::to_string(gamma) +
-                     " k=" + std::to_string(k) +
-                     " seed=" + std::to_string(seed) +
-                     " chunk=" + std::to_string(checkpoint_every) +
-                     " allocation=" + allocation +
-                     " scenario=" + scenario.kind +
-                     " n=" + std::to_string(scenario.n) +
-                     " scenario-seed=" + std::to_string(scenario.seed);
-  if (scenario.kind == "digits") {
-    line += " partition=" + scenario.partition +
-            " rounds=" + std::to_string(scenario.fl_rounds) +
-            " epochs=" + std::to_string(scenario.local_epochs) +
-            " batch=" + std::to_string(scenario.batch_size) +
-            " lr=" + FormatReal(scenario.learning_rate);
-  } else if (scenario.kind == "linreg") {
-    line += " samples=" + std::to_string(scenario.samples_per_client) +
-            " noise=" + FormatReal(scenario.noise_scale);
-  }
-  return line;
+  FieldWriter fields;
+  fields.Add("name", name)
+      .Add("estimator", EstimatorKindName(estimator))
+      .Add("gamma", gamma)
+      .Add("k", k)
+      .Add("seed", seed)
+      .Add("chunk", checkpoint_every)
+      .Add("allocation", allocation)
+      .Add("scenario", scenario.kind)
+      .Add("n", scenario.n)
+      .Add("scenario-seed", scenario.seed);
+  AddScenarioDetails(scenario, fields);
+  return fields.Take();
 }
 
 Result<std::vector<JobSpec>> ParseJobFile(std::string_view contents) {

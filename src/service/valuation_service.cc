@@ -198,6 +198,12 @@ Status ValuationService::Recover() {
   Status first_error = Status::OK();
   for (const std::filesystem::directory_entry& entry : dir) {
     const std::filesystem::path& path = entry.path();
+    // A crash inside a job-file write orphans its temp file. The temps
+    // of the jobs recovered here carry this process's pid and stay.
+    if (ClassifyTempFile(path.filename().string()) == TempFile::kOrphaned) {
+      std::filesystem::remove(path, ec);
+      continue;
+    }
     if (path.extension() != kSpecSuffix) continue;
     const std::string name = path.stem().string();
 
@@ -541,9 +547,13 @@ bool ValuationService::RunSlice(const std::string& name, Job& job,
 
   if (sweep != nullptr) {
     Status stepped = sweep->Step(*session, spec.checkpoint_every);
-    if (stepped.ok() && !config_.state_dir.empty()) {
-      // Checkpoint after every slice; a failed checkpoint fails the job
-      // rather than silently weakening the crash-recovery contract.
+    if (stepped.ok() && !sweep->done() && !config_.state_dir.empty()) {
+      // Checkpoint after every slice that leaves the sweep unfinished; a
+      // failed checkpoint fails the job rather than silently weakening
+      // the crash-recovery contract. The finishing slice writes only the
+      // result: a crash before it lands re-runs that slice from the
+      // previous snapshot (or the spec), and the store already holds
+      // every training, so the re-run trains nothing.
       stepped = SaveSnapshot(*sweep, JobFilePath(name, kSnapshotSuffix));
     }
     if (!stepped.ok()) {

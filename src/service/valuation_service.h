@@ -40,19 +40,22 @@ namespace fedshap {
 /// computed).
 ///
 /// Resumable estimators run in checkpointed slices: after every
-/// `JobSpec::checkpoint_every` work units the estimator snapshot is
-/// written to the state directory, which bounds crash loss. Between
-/// slices a job keeps its thread unless another job is queued (or the
-/// service pauses or stops); only then does it go to the back of the run
-/// queue, so workers still round-robin across jobs. A client blocked in
-/// Wait on a job that is still queued runs that job itself, on its own
-/// thread, so a short job costs no hand-off to a worker and back. Either
-/// way one thread at a time runs a job, and its slices, values and
-/// checkpoints are the same whichever thread runs them. A stopped or killed
-/// service restarts with `Recover()`: completed jobs are served from
-/// their persisted results, in-flight jobs resume from their snapshots
-/// and the shared store, and every resumed job finishes bit-identical to
-/// an uninterrupted run (the property tests/service_test.cc asserts).
+/// `JobSpec::checkpoint_every` work units the estimator snapshot is written
+/// to the state directory, which bounds crash loss. The slice that finishes a
+/// job writes its result instead, not a checkpoint the result would
+/// supersede: a crash before the result lands re-runs that slice from the
+/// previous snapshot, reading every training back from the store. Between
+/// slices a job keeps its thread unless another job is queued (or the service
+/// pauses or stops); only then does it go to the back of the run queue, so
+/// workers still round-robin across jobs. A client blocked in Wait on a job
+/// that is still queued runs that job itself, on its own thread, so a short
+/// job costs no hand-off to a worker and back. Either way one thread at a
+/// time runs a job, and its slices, values and checkpoints are the same
+/// whichever thread runs them. A stopped or killed service restarts with
+/// `Recover()`: completed jobs are served from their persisted results,
+/// in-flight jobs resume from their snapshots and the shared store, and every
+/// resumed job finishes bit-identical to an uninterrupted run (the property
+/// tests/service_test.cc asserts).
 
 /// Lifecycle state of a job.
 enum class JobState {
@@ -214,10 +217,10 @@ class ValuationService {
   bool WaitAll();
 
   /// Graceful shutdown: workers and clients running a job in Wait finish
-  /// their current slice (writing its checkpoint), every attached store
-  /// is flushed, and the worker threads are joined. Idempotent; implied
-  /// by the destructor. In-flight jobs stay queued on disk for the next
-  /// Recover().
+  /// their current slice (writing its checkpoint, or the job's result if
+  /// the slice finished it), every attached store is flushed, and the
+  /// worker threads are joined. Idempotent; implied by the destructor.
+  /// In-flight jobs stay queued on disk for the next Recover().
   void Stop();
 
   /// True once Stop() ran or the max_slices halt tripped.

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <bit>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -258,6 +259,26 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
                             " failed: " + reason);
   }
   return Status::OK();
+}
+
+TempFile ClassifyTempFile(std::string_view filename) {
+  const size_t tag = filename.rfind(".tmp.");
+  if (tag == std::string_view::npos || tag == 0) return TempFile::kNone;
+  const char* end = filename.data() + filename.size();
+  long long pid = -1;
+  const auto [pid_end, pid_error] =
+      std::from_chars(filename.data() + tag + 5, end, pid);
+  if (pid_error != std::errc() || pid < 0 || pid_end == end ||
+      *pid_end != '.') {
+    return TempFile::kNone;
+  }
+  uint64_t counter = 0;
+  const auto [counter_end, counter_error] =
+      std::from_chars(pid_end + 1, end, counter);
+  if (counter_error != std::errc() || counter_end != end) {
+    return TempFile::kNone;
+  }
+  return pid == ::getpid() ? TempFile::kOwn : TempFile::kOrphaned;
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {

@@ -177,8 +177,20 @@ Result<std::string_view> DecodeFramed(uint32_t magic, uint32_t max_version,
 /// file: each rename succeeds and the last one wins. A crash at any point
 /// leaves either the previous file or the new one intact. A crash
 /// *between* write and rename can orphan the `<path>.tmp.<pid>.<n>` file
-/// — it is inert (no loader ever reads it) and safe to delete.
+/// — it is inert (no loader ever reads it) and safe to delete; see
+/// ClassifyTempFile.
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
+
+/// What a file is to WriteFileAtomic, judged by its name.
+enum class TempFile {
+  kNone,      ///< Not a temp file: no `<name>.tmp.<pid>.<n>` shape.
+  kOwn,       ///< A temp of this process, whose write may be in flight.
+  kOrphaned,  ///< A temp of another process: orphaned, safe to delete.
+};
+
+/// Classifies `filename` (a name, not a path). Directory scans that open
+/// durable state use it to delete the temps a crash left behind.
+TempFile ClassifyTempFile(std::string_view filename);
 
 /// Reads an entire file. NotFound when the file does not exist.
 Result<std::string> ReadFileToString(const std::string& path);

@@ -1,6 +1,7 @@
 #include "fl/utility_cache.h"
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -330,33 +331,175 @@ TEST(UtilitySessionTest, IndependentSessionsShareCache) {
   EXPECT_EQ(b.num_distinct(), 1u);
 }
 
-TEST(UtilitySessionTest, EvaluateBatchMatchesSequentialAccounting) {
-  SlowCountingUtility fn(9);
-  UtilityCache cache(&fn);
-  std::vector<Coalition> batch;
-  ForEachSubsetOfSize(9, 2, [&](const Coalition& c) { batch.push_back(c); });
-  batch.push_back(batch.front());  // a repeat, to exercise hit accounting
-
-  // Sequential reference session.
-  UtilitySession sequential(&cache);
-  std::vector<double> expected;
-  for (const Coalition& c : batch) {
-    Result<double> u = sequential.Evaluate(c);
-    ASSERT_TRUE(u.ok());
-    expected.push_back(*u);
+/// A distinct value per coalition; evaluating `bad` fails every time.
+class FailsOnUtility : public UtilityFunction {
+ public:
+  FailsOnUtility(int n, Coalition bad) : n_(n), bad_(bad) {}
+  int num_clients() const override { return n_; }
+  Result<double> Evaluate(const Coalition& coalition) const override {
+    if (coalition == bad_) return Status::Internal("bad coalition");
+    double value = 0.0;
+    coalition.ForEach([&](int i) { value += (i + 1) * (i + 1); });
+    return value;
   }
 
-  // Pooled batch session on the same cache: identical values, identical
-  // per-run accounting (charged costs come from the same records).
-  ThreadPool pool(4);
-  UtilitySession parallel(&cache, &pool);
-  Result<std::vector<double>> values = parallel.EvaluateBatch(batch);
-  ASSERT_TRUE(values.ok());
-  EXPECT_EQ(*values, expected);
-  EXPECT_EQ(parallel.num_evaluations(), sequential.num_evaluations());
-  EXPECT_EQ(parallel.num_distinct(), sequential.num_distinct());
-  EXPECT_DOUBLE_EQ(parallel.charged_seconds(),
-                   sequential.charged_seconds());
+ private:
+  int n_;
+  Coalition bad_;
+};
+
+/// Everything a session counts, plus the hits and misses its queries
+/// added to the cache.
+struct Counts {
+  size_t evaluations = 0, distinct = 0, fresh = 0, hits = 0, misses = 0;
+  uint64_t charged_bits = 0;
+  bool operator==(const Counts&) const = default;
+};
+
+void PrintTo(const Counts& c, std::ostream* os) {
+  *os << "{evaluations " << c.evaluations << ", distinct " << c.distinct
+      << ", fresh " << c.fresh << ", hits " << c.hits << ", misses "
+      << c.misses << ", charged bits " << c.charged_bits << "}";
+}
+
+/// Runs `fn` through `session` and folds the counts into `counts`.
+template <typename Fn>
+void Counted(const UtilitySession& session, const UtilityCache& cache,
+             Counts& counts, Fn fn) {
+  const size_t hits = cache.hits(), misses = cache.misses();
+  fn();
+  counts.evaluations = session.num_evaluations();
+  counts.distinct = session.num_distinct();
+  counts.fresh = session.num_fresh_trainings();
+  counts.hits += cache.hits() - hits;
+  counts.misses += cache.misses() - misses;
+  counts.charged_bits = std::bit_cast<uint64_t>(session.charged_seconds());
+}
+
+/// Runs `batches` once through EvaluateBatch and once through a
+/// sequential Evaluate loop that stops at the first error. Cold, each
+/// side has a fresh cache of its own. Warm, new sessions on the
+/// sequential side's cache take turns batch by batch, so the charged
+/// costs come from the same records and compare bit for bit. Values,
+/// errors and every count must agree after each batch.
+void ExpectBatchesMatchSequential(
+    const std::vector<std::vector<Coalition>>& batches, const Coalition& bad,
+    ThreadPool* pool) {
+  FailsOnUtility sequential_fn(6, bad), batch_fn(6, bad);
+  UtilityCache sequential_cache(&sequential_fn), batch_cache(&batch_fn);
+  for (const bool warm : {false, true}) {
+    UtilityCache& batch_side = warm ? sequential_cache : batch_cache;
+    UtilitySession sequential(&sequential_cache);
+    UtilitySession batched(&batch_side, pool);
+    Counts want, got;
+    for (size_t b = 0; b < batches.size(); ++b) {
+      std::vector<double> expected;
+      Status expected_status = Status::OK();
+      Counted(sequential, sequential_cache, want, [&] {
+        for (const Coalition& c : batches[b]) {
+          Result<double> u = sequential.Evaluate(c);
+          if (!u.ok()) {
+            expected_status = u.status();
+            return;
+          }
+          expected.push_back(*u);
+        }
+      });
+      Result<std::vector<double>> values = std::vector<double>();
+      Counted(batched, batch_side, got,
+              [&] { values = batched.EvaluateBatch(batches[b]); });
+      ASSERT_EQ(values.ok(), expected_status.ok()) << "batch " << b;
+      if (values.ok()) {
+        EXPECT_EQ(*values, expected) << "batch " << b;
+      } else {
+        EXPECT_EQ(values.status().ToString(), expected_status.ToString());
+      }
+      // Cold, the two caches measured their own training costs.
+      if (!warm) got.charged_bits = want.charged_bits = 0;
+      EXPECT_EQ(got, want) << "batch " << b << (warm ? ", warm" : ", cold");
+    }
+    if (!warm) {
+      EXPECT_EQ(batch_cache.size(), sequential_cache.size());
+    }
+  }
+}
+
+TEST(UtilitySessionTest, EvaluateBatchMatchesSequentialAccounting) {
+  const Coalition a = Coalition::Of({0}), b = Coalition::Of({1, 2}),
+                  c = Coalition::Of({0, 3}), d = Coalition::Of({4}),
+                  e = Coalition::Of({2, 5}), bad = Coalition::Of({1, 5});
+  // In-batch repeats, repeats of an earlier batch, a failure in the
+  // middle, a retry of the failed coalition and coalitions past it.
+  const std::vector<std::vector<Coalition>> batches = {
+      {a, b, a, c, a},
+      {b, d, bad, d, e, c},
+      {e, a, bad},
+      {e, d, c, b},
+  };
+  ExpectBatchesMatchSequential(batches, bad, nullptr);
+  // A pool may train a coalition past a failure before the failure
+  // surfaces, which a sequential loop never asks for; so the pooled
+  // stream puts no new coalition after one.
+  const std::vector<std::vector<Coalition>> pooled = {
+      {a, b, a, c, a},
+      {b, d, c, d, e, a},
+      {e, bad, a, e},
+      {e, d, c, b, bad},
+  };
+  ThreadPool pool(2);
+  ExpectBatchesMatchSequential(pooled, bad, &pool);
+  // Regression: a pooled batch counted every cache hit twice, once in its
+  // prefetch and again in its accounting pass.
+  CountingUtility fn(4);
+  UtilityCache cache(&fn);
+  UtilitySession session(&cache, &pool);
+  ASSERT_TRUE(session.EvaluateBatch({a, c, a}).ok());
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 2u);
+}
+
+// Counters are read while the run thread evaluates a large batch: every
+// read sees a whole earlier batch, never a torn one.
+TEST(UtilitySessionTest, CountersReadableDuringABatch) {
+  CountingUtility fn(12);
+  UtilityCache cache(&fn);
+  std::vector<Coalition> batch;
+  for (int round = 0; round < 32; ++round) {
+    for (uint64_t mask = 0; mask < (1u << 12); ++mask) {
+      Coalition coalition;
+      for (int i = 0; i < 12; ++i) {
+        if ((mask >> i) & 1u) coalition.Add(i);
+      }
+      batch.push_back(coalition);
+    }
+  }
+  UtilitySession session(&cache);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    size_t last = 0;
+    while (!done.load()) {
+      const size_t evaluations = session.num_evaluations();
+      EXPECT_EQ(evaluations % batch.size(), 0u);
+      EXPECT_GE(evaluations, last);
+      last = evaluations;
+      // Fresh before distinct: both only grow, so the pair read in this
+      // order keeps fresh <= distinct.
+      const size_t fresh = session.num_fresh_trainings();
+      const size_t distinct = session.num_distinct();
+      EXPECT_LE(fresh, distinct);
+      EXPECT_LE(distinct, size_t{1} << 12);
+      EXPECT_GE(session.charged_seconds(), 0.0);
+      EXPECT_LE(cache.hits(), 3 * batch.size());
+    }
+  });
+  for (int b = 0; b < 3; ++b) ASSERT_TRUE(session.EvaluateBatch(batch).ok());
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(session.num_evaluations(), 3 * batch.size());
+  EXPECT_EQ(session.num_distinct(), size_t{1} << 12);
+  EXPECT_EQ(session.num_fresh_trainings(), size_t{1} << 12);
+  EXPECT_EQ(cache.misses(), size_t{1} << 12);
+  EXPECT_EQ(cache.hits(), 3 * batch.size() - (size_t{1} << 12));
 }
 
 TEST(UtilitySessionTest, EvaluateBatchWithoutPoolStillWorks) {

@@ -7,6 +7,8 @@
 
 #include "fl/utility_store.h"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -444,6 +446,48 @@ TEST(UtilityStoreTest, StraySegmentRemovedOnOpen) {
   UtilityRecord read;
   ASSERT_TRUE((*reopened)->Lookup(Coalition::Of({5, 100}), &read));
   EXPECT_DOUBLE_EQ(read.utility, 5.0);
+}
+
+// Regression: a kill inside the store's first MANIFEST write left the new
+// directory holding only `MANIFEST.tmp.<pid>.<n>`, and every later Open
+// refused it as "not a utility store". Open now deletes the temps that
+// other processes orphaned, and passes over those of its own process,
+// whose writes may be in flight.
+TEST(UtilityStoreTest, OrphanedManifestTempsRemovedOnOpen) {
+  const std::string path = TempPath("orphan_temp.fsus");
+  fs::create_directories(path);
+  const long long own_pid = ::getpid();
+  auto plant = [&](long long pid) {
+    const std::string temp =
+        path + "/MANIFEST.tmp." + std::to_string(pid) + ".999999";
+    std::FILE* file = std::fopen(temp.c_str(), "wb");
+    EXPECT_NE(file, nullptr);
+    if (file != nullptr) {
+      std::fputs("half a manifest", file);
+      std::fclose(file);
+    }
+    return temp;
+  };
+  const std::string orphan = plant(own_pid + 1);
+  const std::string own = plant(own_pid);
+  {
+    Result<std::unique_ptr<UtilityStore>> store =
+        UtilityStore::Open(path, 17);
+    ASSERT_TRUE(store.ok()) << store.status();
+    EXPECT_FALSE(fs::exists(orphan));
+    EXPECT_TRUE(fs::exists(own));
+    (*store)->Put(Coalition::Of({2}), {0.75, 0.0});
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  // A later write's orphan beside a MANIFEST is removed too.
+  const std::string later = plant(own_pid + 2);
+  Result<std::unique_ptr<UtilityStore>> reopened =
+      UtilityStore::Open(path, 17);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_FALSE(fs::exists(later));
+  UtilityRecord read;
+  ASSERT_TRUE((*reopened)->Lookup(Coalition::Of({2}), &read));
+  EXPECT_DOUBLE_EQ(read.utility, 0.75);
 }
 
 TEST(UtilityStoreTest, UnflushedRecordsServedFromMemory) {

@@ -2,6 +2,8 @@
 // ValuationService's cross-job training dedup, cancellation, and the
 // stop -> recover -> bit-identical-resume contract.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -122,6 +124,28 @@ TEST(JobSpecTest, LinregLineRoundTrip) {
   EXPECT_EQ(parsed->scenario.samples_per_client, 31);
   EXPECT_EQ(parsed->scenario.noise_scale, 0.25);
   EXPECT_EQ(parsed->ToLine(), spec.ToLine());
+}
+
+// Cluster workers compare workload keys, and state directories hold
+// spec lines, so both texts are pinned byte for byte.
+TEST(JobSpecTest, CanonicalKeysAndLinesArePinned) {
+  ScenarioSpec digits;
+  EXPECT_EQ(digits.CanonicalKey(),
+            "kind=digits n=6 seed=2025 partition=bygroup rounds=3 epochs=1 "
+            "batch=16 lr=0.29999999999999999");
+  ScenarioSpec linreg = LinregScenario(7, UINT64_MAX);
+  linreg.noise_scale = 0.1;
+  EXPECT_EQ(linreg.CanonicalKey(),
+            "kind=linreg n=7 seed=18446744073709551615 samples=50 "
+            "noise=0.10000000000000001");
+  JobSpec spec = MakeJob("pin", EstimatorKind::kPermMc, linreg, 30, 0);
+  spec.k = -2;
+  spec.scenario.noise_scale = 1e-300;
+  EXPECT_EQ(spec.ToLine(),
+            "name=pin estimator=perm-mc gamma=30 k=-2 seed=5 chunk=0 "
+            "allocation=fixed scenario=linreg n=7 "
+            "scenario-seed=18446744073709551615 samples=50 "
+            "noise=1e-300");
 }
 
 TEST(JobSpecTest, ParseRejectsMalformedLines) {
@@ -1204,6 +1228,81 @@ TEST(ValuationServiceTest, ResultIsPersistedBeforeWaitReturns) {
     EXPECT_EQ(service.stats().trainings_computed, 0u);
     EXPECT_EQ(service.stats().slices_executed, 0u);
   }
+  std::filesystem::remove_all(dir);
+}
+
+// A finishing slice writes the job's result and no checkpoint. A crash
+// before that result lands (here: the result deleted after a clean Stop)
+// re-runs the job on Recover, which trains nothing and matches bit for
+// bit, since every training was flushed to the store as it was made.
+TEST(ValuationServiceTest, LostResultRerunsWithoutTraining) {
+  const std::string dir = StateDir("lost_result");
+  const JobSpec spec =
+      MakeJob("durable", EstimatorKind::kPermMc, LinregScenario(6), 12, 5);
+  std::vector<double> values;
+  {
+    ServiceConfig config;
+    config.workers = 1;
+    config.state_dir = dir;
+    ValuationService service(config);
+    ASSERT_TRUE(service.Submit(spec).ok());
+    Result<ValuationResult> result = service.Wait(spec.name);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_GT(result->num_fresh_trainings, 0u);
+    values = result->values;
+    service.Stop();
+  }
+  ASSERT_TRUE(std::filesystem::remove(dir + "/jobs/durable.result"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/jobs/durable.snap"));
+  {
+    ServiceConfig config;
+    config.workers = 1;
+    config.state_dir = dir;
+    ValuationService service(config);
+    ASSERT_TRUE(service.Recover().ok());
+    Result<ValuationResult> result = service.Wait(spec.name);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->values, values);
+    EXPECT_EQ(result->num_fresh_trainings, 0u);
+    EXPECT_EQ(service.stats().trainings_computed, 0u);
+    EXPECT_TRUE(std::filesystem::exists(dir + "/jobs/durable.result"));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Recover deletes the job-file temps a crash orphaned mid-write, which
+// used to pile up: no loader reads them and nothing else removed them.
+TEST(ValuationServiceTest, RecoverRemovesOrphanedJobFileTemps) {
+  const std::string dir = StateDir("orphan_temps");
+  const JobSpec spec =
+      MakeJob("kept", EstimatorKind::kIpss, LinregScenario(5), 16, 4);
+  {
+    ServiceConfig config;
+    config.workers = 1;
+    config.state_dir = dir;
+    ValuationService service(config);
+    ASSERT_TRUE(service.Submit(spec).ok());
+    ASSERT_TRUE(service.Wait(spec.name).ok());
+  }
+  const std::string other_pid = std::to_string(::getpid() + 1);
+  std::vector<std::string> orphans;
+  for (const char* suffix : {".job", ".snap", ".result"}) {
+    orphans.push_back(dir + "/jobs/kept" + suffix + ".tmp." + other_pid +
+                      ".3");
+    ASSERT_TRUE(WriteFileAtomic(orphans.back(), "partial").ok());
+  }
+  ServiceConfig config;
+  config.workers = 1;
+  config.state_dir = dir;
+  ValuationService service(config);
+  ASSERT_TRUE(service.Recover().ok());
+  for (const std::string& orphan : orphans) {
+    EXPECT_FALSE(std::filesystem::exists(orphan)) << orphan;
+  }
+  Result<JobStatus> status = service.GetStatus(spec.name);
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status->state, JobState::kDone);
+  EXPECT_EQ(service.ListJobs().size(), 1u);
   std::filesystem::remove_all(dir);
 }
 

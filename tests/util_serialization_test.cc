@@ -5,6 +5,8 @@
 
 #include "util/serialization.h"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -272,6 +274,21 @@ TEST(AtomicFileTest, ConcurrentWritersOfOnePathAllSucceed) {
   }
   EXPECT_TRUE(matches_a_write) << "final file is no single write: " << *read;
   std::remove(path.c_str());
+}
+
+TEST(AtomicFileTest, TempFilesAreClassifiedByName) {
+  const std::string own = std::to_string(::getpid());
+  const std::string other = std::to_string(::getpid() + 1);
+  EXPECT_EQ(ClassifyTempFile("MANIFEST.tmp." + other + ".0"),
+            TempFile::kOrphaned);
+  EXPECT_EQ(ClassifyTempFile("job-1.snap.tmp." + other + ".123"),
+            TempFile::kOrphaned);
+  EXPECT_EQ(ClassifyTempFile("job-1.snap.tmp." + own + ".4"), TempFile::kOwn);
+  for (const char* name : {"MANIFEST", "job-1.snap", ".tmp.1.2", "x.tmp.12",
+                           "x.tmp.12.", "x.tmp..3", "x.tmp.1.2b",
+                           "x.tmp.-1.2", "x.tmp.1.-2"}) {
+    EXPECT_EQ(ClassifyTempFile(name), TempFile::kNone) << name;
+  }
 }
 
 TEST(AtomicFileTest, MissingFileIsNotFound) {
