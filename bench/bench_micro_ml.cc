@@ -11,6 +11,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -31,6 +33,7 @@
 #include "ml/model.h"
 #include "ml/sgd.h"
 #include "service/job_spec.h"
+#include "util/coalition.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -404,14 +407,75 @@ void TrainSgdLogRegDigitsCase(benchmark::State& state,
   FEDSHAP_CHECK(SetKernelBackend(g_entry_backend).ok());
 }
 
+/// The 80 softmax inputs of one batch-16 step of the e2e digits model
+/// (6x6 pixels, 5 classes, initial parameters): each row's logits minus
+/// the row's max, as the step exponentiates them.
+std::vector<float> StepSoftmaxInputs() {
+  Rng rng(13);
+  const Dataset data = MakeSmallDigitData(rng);
+  LogisticRegression model(36, 5);
+  model.InitializeParameters(rng);
+  const std::vector<float> params = model.GetParameters();
+  std::vector<size_t> batch(16);
+  for (size_t& row : batch) row = rng.UniformInt(data.size());
+  AlignedFloats rows, cols, wt(36 * 5);
+  GatherRowsAndColumns(data, batch, rows, cols);
+  Transpose(params.data(), 5, 36, wt.data());
+  std::vector<float> z(16 * 5);
+  MatMul(rows.data(), 16, 36, wt.data(), 5, z.data());
+  AddBiasRows(z.data(), 16, 5, params.data() + 36 * 5);
+  for (size_t r = 0; r < 16; ++r) {
+    float* row = z.data() + r * 5;
+    const float top = *std::max_element(row, row + 5);
+    for (size_t c = 0; c < 5; ++c) row[c] -= top;
+  }
+  return z;
+}
+
+/// libm's expf over the step's softmax inputs, the exponential training
+/// used before ml/exp.h.
+void BM_ExpLibm(benchmark::State& state) {
+  const std::vector<float> in = StepSoftmaxInputs();
+  std::vector<float> out(in.size());
+  for (auto _ : state) {
+    for (size_t i = 0; i < in.size(); ++i) out[i] = std::exp(in[i]);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * in.size());
+}
+
+/// ExpArray over the step's softmax inputs, pinned to `backend`.
+void ExpCase(benchmark::State& state, KernelBackend backend) {
+  if (!SetKernelBackend(backend).ok()) {
+    state.SkipWithError("backend unavailable");
+    return;
+  }
+  const std::vector<float> in = StepSoftmaxInputs();
+  std::vector<float> out(in.size());
+  for (auto _ : state) {
+    ExpArray(in.data(), in.size(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * in.size());
+  FEDSHAP_CHECK(SetKernelBackend(g_entry_backend).ok());
+}
+
 std::string LogRegStepCaseName(const char* name, KernelBackend backend) {
   return std::string(name) + "/" + KernelBackendName(backend);
 }
 
 void RegisterLogRegStepBenchmarks() {
+  // Every exponential in one process: separate binaries' timings of the
+  // same kernel differ by 10-25%, so only these ratios are meaningful.
+  benchmark::RegisterBenchmark("BM_Exp/libm", BM_ExpLibm);
   for (KernelBackend backend :
        {KernelBackend::kScalar, KernelBackend::kAvx2}) {
     if (!KernelBackendAvailable(backend)) continue;
+    benchmark::RegisterBenchmark(
+        LogRegStepCaseName("BM_Exp", backend).c_str(),
+        [backend](benchmark::State& state) { ExpCase(state, backend); });
     benchmark::RegisterBenchmark(
         LogRegStepCaseName("BM_GatherRowsAndColumns", backend).c_str(),
         [backend](benchmark::State& state) {
@@ -430,6 +494,27 @@ void RegisterLogRegStepBenchmarks() {
         });
   }
 }
+
+/// One coalition's whole FedAvg training and scoring at train-heavy's
+/// shape: the digits federation of n = 8 clients, 10 rounds of 5 local
+/// epochs, valued for the first 4 clients. This is the e2e workload's
+/// tau without the service around it.
+void BM_FedAvgTraining(benchmark::State& state) {
+  ScenarioSpec scenario;
+  scenario.kind = "digits";
+  scenario.n = 8;
+  scenario.fl_rounds = 10;
+  scenario.local_epochs = 5;
+  Result<std::unique_ptr<UtilityFunction>> utility = scenario.Build();
+  FEDSHAP_CHECK(utility.ok());
+  const Coalition coalition = Coalition::Of({0, 1, 2, 3});
+  for (auto _ : state) {
+    Result<double> value = (*utility)->Evaluate(coalition);
+    FEDSHAP_CHECK(value.ok());
+    benchmark::DoNotOptimize(*value);
+  }
+}
+BENCHMARK(BM_FedAvgTraining)->Name("BM_FedAvgTraining/train_heavy");
 
 // ---------------------------------------------------------------------------
 // The random stream. Rng::Gaussian against the libstdc++ distribution it
@@ -588,6 +673,17 @@ int RunMicroMl(int argc, char** argv) {
     json.Add(pair.record)
         .Label("backend", avx2)
         .Metric("speedup_vs_scalar", speedup);
+  }
+  for (KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
+    const double speedup = SpeedupOf(seconds, "BM_Exp/libm",
+                                     LogRegStepCaseName("BM_Exp", backend));
+    if (speedup <= 0.0) continue;
+    std::printf("  exp %-7s vs libm expf: %.2fx\n",
+                KernelBackendName(backend), speedup);
+    json.Add("exp_speedup")
+        .Label("backend", KernelBackendName(backend))
+        .Metric("speedup_vs_libm", speedup);
   }
   const double gaussian_speedup =
       SpeedupOf(seconds, "BM_StdNormalDistribution", "BM_RngGaussian");

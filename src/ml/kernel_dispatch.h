@@ -48,6 +48,8 @@ struct KernelTable {
   void (*relu_mask_backward)(float* delta, const float* act, size_t n);
   /// Backend body of SoftmaxRows.
   void (*softmax_rows)(float* m, size_t rows, size_t cols);
+  /// Backend body of ExpArray: ml/exp.h's Exp over a buffer.
+  void (*exp_array)(const float* x, size_t n, float* out);
   /// Backend body of ColumnSums.
   void (*column_sums)(const float* m, size_t rows, size_t cols, float* out);
   /// Backend body of SgdStep.

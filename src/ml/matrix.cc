@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ml/exp.h"
 #include "ml/kernel_dispatch.h"
 #include "util/logging.h"
 
@@ -251,6 +252,10 @@ void ReluMaskBackwardScalar(float* __restrict delta,
   }
 }
 
+void ExpArrayScalar(const float* x, size_t n, float* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = Exp(x[i]);
+}
+
 void SoftmaxRowsScalar(float* m, size_t rows, size_t cols) {
   for (size_t r = 0; r < rows; ++r) {
     float* row = m + r * cols;
@@ -351,8 +356,9 @@ void LogRegGradientScalar(const float* __restrict xb,
 const internal::KernelTable kScalarTable = {
     MatMulBody,          LogRegGradientScalar,   GatherRowsAndColumnsScalar,
     AddOuterBatchScalar, AddBiasRowsScalar,      AddBiasReluRowsScalar,
-    ReluMaskBackwardScalar, SoftmaxRowsScalar,   ColumnSumsScalar,
-    SgdStepScalar,       SgdMomentumStepScalar,  AddProximalScalar,
+    ReluMaskBackwardScalar, SoftmaxRowsScalar,   ExpArrayScalar,
+    ColumnSumsScalar,    SgdStepScalar,          SgdMomentumStepScalar,
+    AddProximalScalar,
 };
 
 }  // namespace
@@ -426,6 +432,10 @@ void ReluMaskBackward(float* __restrict delta, const float* __restrict act,
 
 void SoftmaxRows(float* m, size_t rows, size_t cols) {
   internal::ActiveKernelTable().softmax_rows(m, rows, cols);
+}
+
+void ExpArray(const float* x, size_t n, float* out) {
+  internal::ActiveKernelTable().exp_array(x, n, out);
 }
 
 void ColumnSums(const float* __restrict m, size_t rows, size_t cols,

@@ -188,6 +188,11 @@ void ReluMaskBackward(float* __restrict delta, const float* __restrict act,
 /// Performs exactly the per-row arithmetic of SoftmaxInPlace.
 void SoftmaxRows(float* m, size_t rows, size_t cols);
 
+/// out[i] = Exp(x[i]) for i < n, the softmax's exponential of ml/exp.h
+/// (domain x <= 0) over a buffer; the AVX2 backend takes eight elements
+/// at a time. Bit-identical on every backend. `out` may alias `x`.
+void ExpArray(const float* x, size_t n, float* out);
+
 /// out[c] = sum over rows of m[r][c]; m: rows x cols, out: cols
 /// (overwritten). Accumulates in row order, matching the per-example
 /// reference's accumulation order bit for bit.

@@ -18,6 +18,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "ml/exp.h"
+
 namespace fedshap {
 namespace internal {
 namespace {
@@ -598,6 +600,43 @@ void ReluMaskBackwardAvx2(float* __restrict delta,
   }
 }
 
+/// out[i] = Exp(x[i] - shift) for i < n, eight at a time. The last
+/// vector is a masked load, stored 4, 2 and 1 lanes at a time: the loads
+/// that follow a masked store stall on store forwarding.
+void ExpShiftedAvx2(const float* x, size_t n, float shift, float* out) {
+  const __m256 vshift = _mm256_set1_ps(shift);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(out + i,
+                     Exp(_mm256_sub_ps(_mm256_loadu_ps(x + i), vshift)));
+  }
+  size_t left = n - i;
+  if (left == 0) return;
+  const __m256 e = Exp(_mm256_sub_ps(
+      _mm256_maskload_ps(x + i, LaneMask(0, static_cast<int>(left))),
+      vshift));
+  float* dst = out + i;
+  __m128 part = _mm256_castps256_ps128(e);
+  if (left >= 4) {
+    _mm_storeu_ps(dst, part);
+    part = _mm256_extractf128_ps(e, 1);
+    dst += 4;
+    left -= 4;
+  }
+  if (left >= 2) {
+    _mm_storel_pi(reinterpret_cast<__m64*>(dst), part);
+    part = _mm_movehl_ps(part, part);
+    dst += 2;
+    left -= 2;
+  }
+  if (left == 1) _mm_store_ss(dst, part);
+}
+
+/// x - 0 is x, bit for bit, so this is the scalar body's Exp(x[i]).
+void ExpArrayAvx2(const float* x, size_t n, float* out) {
+  ExpShiftedAvx2(x, n, 0.0f, out);
+}
+
 void SoftmaxRowsAvx2(float* m, size_t rows, size_t cols) {
   for (size_t r = 0; r < rows; ++r) {
     float* row = m + r * cols;
@@ -711,8 +750,9 @@ void AddProximalAvx2(float* __restrict g, const float* __restrict p,
 const KernelTable kAvx2Table = {
     MatMulBodyAvx2,       LogRegGradientAvx2,   GatherRowsAndColumnsAvx2,
     AddOuterBatchAvx2,    AddBiasRowsAvx2,      AddBiasReluRowsAvx2,
-    ReluMaskBackwardAvx2, SoftmaxRowsAvx2,      ColumnSumsAvx2,
-    SgdStepAvx2,          SgdMomentumStepAvx2,  AddProximalAvx2,
+    ReluMaskBackwardAvx2, SoftmaxRowsAvx2,      ExpArrayAvx2,
+    ColumnSumsAvx2,       SgdStepAvx2,          SgdMomentumStepAvx2,
+    AddProximalAvx2,
 };
 
 }  // namespace

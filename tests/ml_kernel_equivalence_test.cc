@@ -19,6 +19,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -28,6 +32,7 @@
 
 #include "data/synthetic.h"
 #include "ml/cnn.h"
+#include "ml/exp.h"
 #include "ml/kernel_backend.h"
 #include "ml/linear_regression.h"
 #include "ml/logistic_regression.h"
@@ -771,6 +776,115 @@ TEST(CrossBackendEquivalence, FixedBackendIsDeterministicAcrossRuns) {
       EXPECT_EQ(first[i], second[i]) << "element " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The softmax exponential (ml/exp.h). Every backend's ExpArray returns
+// the scalar Exp's bits, and Exp is within 1 ulp of exp, over every
+// non-positive float.
+
+/// |y - exp(x)| in ulps of exp(x)'s binade, with double exp as the
+/// reference (its error is 2^-29 of a float ulp). Below FLT_MIN the ulp
+/// is the least subnormal, 2^-149.
+double ExpErrorUlps(float x, float y) {
+  const double reference = std::exp(static_cast<double>(x));
+  const int64_t binade = static_cast<int64_t>(
+      (std::bit_cast<uint64_t>(reference) >> 52) & 0x7ff) - 1023;
+  const double ulp = std::bit_cast<double>(
+      static_cast<uint64_t>(std::max<int64_t>(binade, -126) - 23 + 1023)
+      << 52);
+  return std::fabs(static_cast<double>(y) - reference) / ulp;
+}
+
+TEST(ExpKernel, SpecialValues) {
+  EXPECT_EQ(std::bit_cast<uint32_t>(Exp(-0.0f)),
+            std::bit_cast<uint32_t>(1.0f));
+  EXPECT_EQ(std::bit_cast<uint32_t>(Exp(0.0f)),
+            std::bit_cast<uint32_t>(1.0f));
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(std::bit_cast<uint32_t>(Exp(-inf)), 0u);
+  EXPECT_EQ(std::bit_cast<uint32_t>(Exp(-104.0f)), 0u);
+  EXPECT_EQ(std::bit_cast<uint32_t>(Exp(-176.0f)), 0u);
+  EXPECT_EQ(std::bit_cast<uint32_t>(Exp(-std::numeric_limits<float>::max())),
+            0u);
+  // The least subnormal, 2^-149, is exp(-103.28); exp(-88) is subnormal.
+  EXPECT_EQ(Exp(-103.2f), std::numeric_limits<float>::denorm_min());
+  EXPECT_LT(Exp(-88.0f), std::numeric_limits<float>::min());
+  EXPECT_GT(Exp(-88.0f), 0.0f);
+  // A NaN comes back as itself, quieted, on every backend.
+  const std::vector<float> inputs = {
+      -0.0f, 0.0f, -inf, -1.0f, -87.5f,
+      std::bit_cast<float>(0x7fc00000u), std::bit_cast<float>(0xffc01234u),
+      std::bit_cast<float>(0x7f800001u), std::bit_cast<float>(0xff812345u)};
+  for (KernelBackend backend : ExecutableBackends()) {
+    SCOPED_TRACE(KernelBackendName(backend));
+    std::vector<float> out(inputs.size());
+    WithBackend(backend,
+                [&] { ExpArray(inputs.data(), inputs.size(), out.data()); });
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const uint32_t in = std::bit_cast<uint32_t>(inputs[i]);
+      const uint32_t expected = std::isnan(inputs[i])
+                                    ? in | 0x00400000u
+                                    : std::bit_cast<uint32_t>(Exp(inputs[i]));
+      EXPECT_EQ(std::bit_cast<uint32_t>(out[i]), expected) << "input " << in;
+      EXPECT_EQ(std::bit_cast<uint32_t>(Exp(inputs[i])), expected)
+          << "input " << in;
+    }
+  }
+}
+
+// The sweep covers the 2^31 floats with the sign bit set (-0 through -inf
+// and the negative NaNs); SpecialValues covers +0 and the positive NaNs.
+// The scalar backend's ExpArray is the scalar Exp (SpecialValues checks
+// that too), and every other backend must return its bits. About 14 s in
+// a Release build on a 2-vCPU AVX2 Xeon VM, 2 min under ASan+UBSan at -O1.
+TEST(ExpKernel, EveryNonPositiveFloatMatchesAcrossBackendsWithinOneUlp) {
+  constexpr size_t kChunk = size_t{1} << 16;
+  std::vector<float> x(kChunk), expected(kChunk), actual(kChunk);
+  double worst_ulps = 0.0;
+  float worst_x = 0.0f;
+  for (uint64_t begin = 0x80000000u; begin <= 0xffffffffu; begin += kChunk) {
+    for (size_t i = 0; i < kChunk; ++i) {
+      x[i] = std::bit_cast<float>(static_cast<uint32_t>(begin + i));
+    }
+    WithBackend(KernelBackend::kScalar,
+                [&] { ExpArray(x.data(), kChunk, expected.data()); });
+    for (size_t i = 0; i < kChunk; ++i) {
+      // Where exp(x) has an obvious correct rounding, demand it: +0 below
+      // -104 (exp(x) < 2^-150, half the least subnormal) and 1 above
+      // -2^-26 (exp(x) > 1 - 2^-26).
+      if (std::isnan(x[i])) {
+        ASSERT_TRUE(std::isnan(expected[i])) << x[i];
+      } else if (x[i] <= -104.0f) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(expected[i]), 0u) << x[i];
+      } else if (x[i] > -0x1p-26f) {
+        ASSERT_EQ(expected[i], 1.0f) << x[i];
+      } else if (const double ulps = ExpErrorUlps(x[i], expected[i]);
+                 ulps > worst_ulps) {
+        worst_ulps = ulps;
+        worst_x = x[i];
+      }
+    }
+    for (KernelBackend backend : ExecutableBackends()) {
+      if (backend == KernelBackend::kScalar) continue;
+      WithBackend(backend,
+                  [&] { ExpArray(x.data(), kChunk, actual.data()); });
+      if (std::memcmp(actual.data(), expected.data(),
+                      kChunk * sizeof(float)) == 0) {
+        continue;
+      }
+      size_t i = 0;
+      while (std::bit_cast<uint32_t>(actual[i]) ==
+             std::bit_cast<uint32_t>(expected[i])) {
+        ++i;
+      }
+      FAIL() << KernelBackendName(backend) << " differs from scalar Exp at "
+             << std::hexfloat << x[i] << ": " << actual[i] << " vs "
+             << expected[i];
+    }
+  }
+  std::printf("Exp max error %.4f ulp at %a\n", worst_ulps, worst_x);
+  EXPECT_LE(worst_ulps, 1.0) << std::hexfloat << worst_x;
 }
 
 // ---------------------------------------------------------------------------
