@@ -125,12 +125,13 @@ uint64_t FedAvgUtility::ComputeFingerprint() const {
   hasher.MixU64(static_cast<uint64_t>(config_.local.batch_size));
   // The numerics version (the slot once held the gradient mode, 0). It
   // was 1 once the AVX2 kernels stopped fusing multiply-adds and trained
-  // the scalar backend's bits, and is 2 since every model is scored by
-  // one batched forward pass (Model::ForwardBatch): the negative loss is
-  // log-sum-exp of new logits, so stored values of either older version
-  // must be misses. Bump it whenever a change moves trained or scored
-  // bits.
-  hasher.MixU64(2);
+  // the scalar backend's bits, 2 once every model was scored by one
+  // batched forward pass (Model::ForwardBatch), and is 3 since the
+  // softmax exponentiates with the in-repo Exp (ml/exp.h) instead of
+  // libm's expf: trained parameters moved, so stored values of any older
+  // version must be misses. Bump it whenever a change moves trained or
+  // scored bits.
+  hasher.MixU64(3);
   hasher.MixDouble(config_.local.learning_rate);
   hasher.MixDouble(config_.local.momentum);
   hasher.MixDouble(config_.local.weight_decay);

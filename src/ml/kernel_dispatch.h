@@ -90,7 +90,8 @@ const KernelTable& ScalarKernelTable();
 /// The AVX2 table (matrix_avx2.cc), or nullptr when the build did not
 /// compile it. Callers must additionally check CPUID before binding. It
 /// needs AVX2 only: its bodies round like the scalar table's, with no
-/// FMA.
+/// FMA, and its softmax exponentiates with the 8-lane body of ml/exp.h's
+/// Exp, which returns the scalar body's bits.
 const KernelTable* Avx2KernelTable();
 
 /// The table the public kernels currently dispatch through. The first

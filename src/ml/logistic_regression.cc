@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ml/exp.h"
 #include "ml/matrix.h"
 #include "util/logging.h"
 
@@ -10,11 +11,9 @@ namespace fedshap {
 
 void SoftmaxInPlace(std::vector<float>& logits) {
   const float max_logit = *std::max_element(logits.begin(), logits.end());
+  for (float& v : logits) v = Exp(v - max_logit);
   float total = 0.0f;
-  for (float& v : logits) {
-    v = std::exp(v - max_logit);
-    total += v;
-  }
+  for (float v : logits) total += v;
   for (float& v : logits) v /= total;
 }
 

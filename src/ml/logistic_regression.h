@@ -39,7 +39,8 @@ class LogisticRegression : public Model {
   int num_classes_;
 };
 
-/// Numerically stable in-place softmax over `logits`.
+/// Numerically stable in-place softmax over `logits`, exponentiating
+/// with Exp (ml/exp.h).
 void SoftmaxInPlace(std::vector<float>& logits);
 
 }  // namespace fedshap

@@ -263,11 +263,10 @@ void SoftmaxRowsScalar(float* m, size_t rows, size_t cols) {
     // bit-equal probabilities.
     float max_logit = row[0];
     for (size_t c = 1; c < cols; ++c) max_logit = std::max(max_logit, row[c]);
+    for (size_t c = 0; c < cols; ++c) row[c] -= max_logit;
+    ExpArrayScalar(row, cols, row);
     float total = 0.0f;
-    for (size_t c = 0; c < cols; ++c) {
-      row[c] = std::exp(row[c] - max_logit);
-      total += row[c];
-    }
+    for (size_t c = 0; c < cols; ++c) total += row[c];
     for (size_t c = 0; c < cols; ++c) row[c] /= total;
   }
 }

@@ -32,7 +32,8 @@ namespace fedshap {
 /// loops (compiler autovectorized at the build's baseline ISA) are the
 /// always-available reference, and explicit AVX2 implementations, which
 /// compute the same bits, are bound when CPUID says the machine supports
-/// them.
+/// them. No kernel calls libm: the softmax exponentiates with Exp
+/// (ml/exp.h), whose scalar and AVX2 bodies return the same bits.
 /// This is where the per-training speedup of the valuation hot path
 /// comes from: every utility query is a full FL training, and these
 /// loops are its inner core. Buffers need no particular alignment (the
@@ -185,7 +186,9 @@ void ReluMaskBackward(float* __restrict delta, const float* __restrict act,
                       size_t n);
 
 /// Numerically stable in-place softmax over each row of m: rows x cols.
-/// Performs exactly the per-row arithmetic of SoftmaxInPlace.
+/// Performs exactly the per-row arithmetic of SoftmaxInPlace: the row's
+/// max, Exp (ml/exp.h) of each logit minus it, their sum in column
+/// order, and one divide per element.
 void SoftmaxRows(float* m, size_t rows, size_t cols);
 
 /// out[i] = Exp(x[i]) for i < n, the softmax's exponential of ml/exp.h

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "ml/exp.h"
@@ -476,10 +475,11 @@ void Logits(const float* x, size_t ld, size_t k, const float* weights,
 /// The step eight batch rows at a time, one vector per class with the
 /// rows in the lanes. Per element it performs the operations of the
 /// scalar LogRegGradient: MatMulBodyAvx2's logits (see LogitColumns),
-/// the bias add, SoftmaxRows' max, scalar expf and sum in class order and
-/// divide, the delta of the label, then AddOuterBatchAvx2's sequence on
-/// the block's deltas (blocks start at even rows, so no batch pair
-/// straddles two) and ColumnSums' row order. The first block writes the
+/// the bias add, SoftmaxRows' max, one vector Exp per class with each
+/// row's total summed in class order, the divide, the delta of the
+/// label, then AddOuterBatchAvx2's sequence on the block's deltas
+/// (blocks start at even rows, so no batch pair straddles two) and
+/// ColumnSums' row order. The first block writes the
 /// gradient instead of accumulating.
 void LogRegGradientAvx2(const float* __restrict xb,
                         const float* __restrict xt, size_t bsz, size_t dim,
@@ -516,16 +516,13 @@ void LogRegGradientAvx2(const float* __restrict xb,
       _mm256_storeu_ps(z + 8 * c, v);
       max_logit = c == 0 ? v : _mm256_max_ps(v, max_logit);
     }
-    alignas(32) float total[8] = {};
+    __m256 vtotal = _mm256_setzero_ps();
     for (size_t c = 0; c < classes; ++c) {
       float* zc = z + 8 * c;
-      _mm256_storeu_ps(zc, _mm256_sub_ps(_mm256_loadu_ps(zc), max_logit));
-      for (int r = 0; r < rows; ++r) {
-        zc[r] = std::exp(zc[r]);
-        total[r] += zc[r];
-      }
+      const __m256 e = Exp(_mm256_sub_ps(_mm256_loadu_ps(zc), max_logit));
+      _mm256_storeu_ps(zc, e);
+      vtotal = _mm256_add_ps(vtotal, e);
     }
-    const __m256 vtotal = _mm256_load_ps(total);
     for (size_t c = 0; c < classes; ++c) {
       _mm256_storeu_ps(z + 8 * c,
                        _mm256_div_ps(_mm256_loadu_ps(z + 8 * c), vtotal));
@@ -658,13 +655,11 @@ void SoftmaxRowsAvx2(float* m, size_t rows, size_t cols) {
       }
     }
     for (; c < cols; ++c) max_logit = std::max(max_logit, row[c]);
-    // exp + sum stay scalar in row order: the accumulation order of
+    ExpShiftedAvx2(row, cols, max_logit, row);
+    // The sum stays scalar in row order: the accumulation order of
     // `total` is part of the bitwise contract with SoftmaxInPlace.
     float total = 0.0f;
-    for (size_t cc = 0; cc < cols; ++cc) {
-      row[cc] = std::exp(row[cc] - max_logit);
-      total += row[cc];
-    }
+    for (size_t cc = 0; cc < cols; ++cc) total += row[cc];
     const __m256 vtotal = _mm256_set1_ps(total);
     size_t cc = 0;
     for (; cc + 8 <= cols; cc += 8) {
