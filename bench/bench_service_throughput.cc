@@ -86,7 +86,8 @@ std::vector<JobSpec> MakeJobs(const Options& options) {
     scenario.kind = options.scenario;
     scenario.n = options.n;
     scenario.seed = options.seed + tenant;
-    const std::string prefix = "t" + std::to_string(tenant) + "-";
+    const std::string prefix =
+        std::string("t") + std::to_string(tenant) + "-";
     const struct {
       const char* suffix;
       EstimatorKind estimator;

@@ -204,8 +204,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          UtilityFamily::kAdditive,
                                          UtilityFamily::kSubmodular)),
     [](const ::testing::TestParamInfo<PropertyParam>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_s" +
-             std::to_string(std::get<1>(info.param)) + "_" +
+      return std::string("n") + std::to_string(std::get<0>(info.param)) +
+             "_s" + std::to_string(std::get<1>(info.param)) + "_" +
              FamilyName(std::get<2>(info.param));
     });
 
@@ -355,8 +355,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(4, 5, 6),
                        ::testing::Values<uint64_t>(3, 71)),
     [](const ::testing::TestParamInfo<FedAvgAxiomParam>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_s" +
-             std::to_string(std::get<1>(info.param));
+      return std::string("n") + std::to_string(std::get<0>(info.param)) +
+             "_s" + std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace
