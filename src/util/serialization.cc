@@ -191,6 +191,97 @@ Hasher64& Hasher64::MixString(std::string_view value) {
   return MixBytes(value.data(), value.size());
 }
 
+namespace {
+
+// XXH64's five primes.
+constexpr uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+constexpr uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr uint64_t kPrime3 = 0x165667b19e3779f9ULL;
+constexpr uint64_t kPrime4 = 0x85ebca77c2b2ae63ULL;
+constexpr uint64_t kPrime5 = 0x27d4eb2f165667c5ULL;
+
+/// The little-endian 64-bit word at `p` (any alignment).
+uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+/// The little-endian 32-bit word at `p` (any alignment).
+uint64_t LoadLe32(const uint8_t* p) {
+  uint32_t word;
+  std::memcpy(&word, p, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap32(word);
+  }
+  return word;
+}
+
+/// One lane step: folds the word `input` into `lane`.
+uint64_t Round(uint64_t lane, uint64_t input) {
+  lane += input * kPrime2;
+  return std::rotl(lane, 31) * kPrime1;
+}
+
+/// Folds a finished lane into the converged digest `hash`.
+uint64_t MergeLane(uint64_t hash, uint64_t lane) {
+  hash ^= Round(0, lane);
+  return hash * kPrime1 + kPrime4;
+}
+
+}  // namespace
+
+uint64_t BulkHash64(const void* data, size_t size) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  const uint8_t* const end = p + size;
+  uint64_t hash;
+  if (size >= 32) {
+    uint64_t lane1 = kPrime1 + kPrime2;
+    uint64_t lane2 = kPrime2;
+    uint64_t lane3 = 0;
+    uint64_t lane4 = 0 - kPrime1;
+    for (const uint8_t* const last = end - 32; p <= last; p += 32) {
+      lane1 = Round(lane1, LoadLe64(p));
+      lane2 = Round(lane2, LoadLe64(p + 8));
+      lane3 = Round(lane3, LoadLe64(p + 16));
+      lane4 = Round(lane4, LoadLe64(p + 24));
+    }
+    hash = std::rotl(lane1, 1) + std::rotl(lane2, 7) +
+           std::rotl(lane3, 12) + std::rotl(lane4, 18);
+    hash = MergeLane(hash, lane1);
+    hash = MergeLane(hash, lane2);
+    hash = MergeLane(hash, lane3);
+    hash = MergeLane(hash, lane4);
+  } else {
+    hash = kPrime5;
+  }
+  hash += static_cast<uint64_t>(size);
+  // The tail: whole words, then one 4-byte half word, then single bytes.
+  for (; end - p >= 8; p += 8) {
+    hash ^= Round(0, LoadLe64(p));
+    hash = std::rotl(hash, 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    hash ^= LoadLe32(p) * kPrime1;
+    hash = std::rotl(hash, 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    hash ^= *p * kPrime5;
+    hash = std::rotl(hash, 11) * kPrime1;
+  }
+  // Avalanche: every input bit reaches every output bit.
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
+  return hash;
+}
+
 std::string EncodeFramed(uint32_t magic, uint32_t version,
                          std::string_view payload) {
   ByteWriter header;

@@ -125,11 +125,21 @@ class ByteReader {
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one) of `data`.
 uint32_t Crc32(std::string_view data);
 
+// Two 64-bit content hashes, neither cryptographic: they guard against
+// accidental mixups (wrong dataset, changed config), not adversaries.
+//
+//  - Hasher64 is incremental FNV-1a. It folds one byte per step, each
+//    step waiting on the last, so it suits short structured inputs: the
+//    fields of a workload fingerprint, and every resumable sweep's
+//    ConfigHash. Sweep snapshots persist ConfigHash, so its bytes must
+//    never change: Hasher64 stays FNV-1a.
+//  - BulkHash64 digests one contiguous buffer four 8-byte words at a
+//    time. Dataset::Fingerprint feeds it each feature column and the
+//    targets, then mixes the digests through Hasher64.
+
 /// Incremental 64-bit content hasher (FNV-1a core) used for the
 /// content-addressing fingerprints of the UtilityStore and for
-/// configuration hashes of resumable sweeps. Not cryptographic: it guards
-/// against accidental mixups (wrong dataset, changed config), not
-/// adversaries.
+/// configuration hashes of resumable sweeps.
 class Hasher64 {
  public:
   /// Mixes a 64-bit value.
@@ -149,6 +159,14 @@ class Hasher64 {
  private:
   uint64_t state_ = 0xcbf29ce484222325ULL;  // FNV offset basis
 };
+
+/// 64-bit digest of `data[0 .. size)`: XXH64 with seed 0, written from
+/// its published specification. Four independent lanes each fold one
+/// 8-byte word per step with a multiply-rotate round, so the multiplies
+/// of a 32-byte stripe overlap; the up-to-31-byte tail and the length
+/// are mixed in at the end. Words are assembled little-endian, so the
+/// digest of a byte sequence is the same on every host.
+uint64_t BulkHash64(const void* data, size_t size);
 
 /// Wraps `payload` in a self-describing frame:
 ///

@@ -1,6 +1,6 @@
 /// Tests for util/serialization.h: byte-codec round-trips (fixed-width,
 /// varint, double, string), the bounded varint and count reads, CRC
-/// behavior, framed encode/decode error paths, the content hasher, and
+/// behavior, framed encode/decode error paths, both content hashes, and
 /// atomic file IO.
 
 #include "util/serialization.h"
@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -192,6 +194,53 @@ TEST(Hasher64Test, DistinguishesOrderAndBoundaries) {
   // Deterministic across instances.
   EXPECT_EQ(Hasher64().MixString("same").digest(),
             Hasher64().MixString("same").digest());
+}
+
+uint64_t BulkHashOf(std::string_view bytes) {
+  return BulkHash64(bytes.data(), bytes.size());
+}
+
+TEST(BulkHash64Test, PublishedXxh64DigestsArePinned) {
+  // XXH64 with seed 0: no stripe, a 3-byte tail, and one 32-byte stripe
+  // plus a 7-byte tail.
+  EXPECT_EQ(BulkHashOf(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(BulkHashOf("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(BulkHashOf("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);
+}
+
+TEST(BulkHash64Test, EveryLengthUpTo80IsDistinct) {
+  // Zero bytes leave only the length to tell prefixes apart; patterned
+  // bytes run every stripe count and every tail shape.
+  std::string patterned(80, '\0');
+  for (size_t i = 0; i < patterned.size(); ++i) {
+    patterned[i] = static_cast<char>(i * 37 + 11);
+  }
+  for (const std::string& buffer : {std::string(80, '\0'), patterned}) {
+    std::set<uint64_t> digests;
+    for (size_t length = 0; length <= buffer.size(); ++length) {
+      digests.insert(BulkHash64(buffer.data(), length));
+    }
+    EXPECT_EQ(digests.size(), buffer.size() + 1);
+  }
+}
+
+TEST(BulkHash64Test, EveryFlippedBitChangesTheDigest) {
+  std::string buffer(100, '\0');
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<char>(i * 13 + 5);
+  }
+  const uint64_t original = BulkHashOf(buffer);
+  std::set<uint64_t> digests = {original};
+  for (size_t byte = 0; byte < buffer.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = buffer;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      digests.insert(BulkHashOf(flipped));
+    }
+  }
+  EXPECT_EQ(digests.size(), 1 + buffer.size() * 8);
+  EXPECT_EQ(BulkHashOf(buffer), original);
 }
 
 TEST(FramedTest, RoundTripAndVersionOut) {
