@@ -172,16 +172,12 @@ uint64_t Dataset::Fingerprint() const {
   hasher.MixU64(static_cast<uint64_t>(num_features_))
       .MixU64(static_cast<uint64_t>(num_classes_))
       .MixU64(size());
-  // Features are hashed in row-major element order: MixBytes folds bytes
-  // sequentially, so feeding one reassembled row at a time produces the
-  // exact digest the historical row-major storage produced — on-disk
-  // utility stores keyed by this fingerprint stay valid.
-  std::vector<float> row(static_cast<size_t>(num_features_));
-  for (size_t i = 0; i < size(); ++i) {
-    CopyRow(i, row.data());
-    hasher.MixBytes(row.data(), row.size() * sizeof(float));
+  // Each column and the targets are contiguous: one bulk digest each.
+  const size_t bytes = size() * sizeof(float);
+  for (const AlignedFloats& column : columns_) {
+    hasher.MixU64(BulkHash64(column.data(), bytes));
   }
-  hasher.MixBytes(labels_.data(), labels_.size() * sizeof(float));
+  hasher.MixU64(BulkHash64(labels_.data(), bytes));
   return hasher.digest();
 }
 

@@ -107,14 +107,14 @@ class Dataset {
   /// One-line human-readable summary (schema + row count).
   std::string DebugString() const;
 
-  /// 64-bit content fingerprint over the schema and every feature/target
-  /// byte. Two datasets fingerprint equal iff they hold the same rows in
-  /// the same order. Features are hashed in row-major element order, so
-  /// the digest is byte-identical to the historical row-major storage's
-  /// and on-disk utility stores stay valid across the columnar refactor.
-  /// Used to content-address persisted utility values: a utility cached
-  /// on disk is only valid for the exact client datasets it was trained
-  /// on.
+  /// 64-bit content fingerprint: the schema and row count through
+  /// Hasher64, then the BulkHash64 digest of each feature column and of
+  /// the targets. Datasets holding the same rows in the same order under
+  /// the same schema fingerprint equal; any other difference (a flipped
+  /// bit, a row swap, -0 for +0) changes it except by a 64-bit hash
+  /// collision. Used to content-address persisted utility values: a
+  /// utility cached on disk is only valid for the exact client datasets
+  /// it was trained on.
   uint64_t Fingerprint() const;
 
  private:

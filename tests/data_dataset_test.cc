@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <vector>
 
 namespace fedshap {
 namespace {
@@ -244,6 +248,119 @@ TEST(DatasetTest, DebugStringMentionsShape) {
   const std::string s = d.DebugString();
   EXPECT_NE(s.find("rows=3"), std::string::npos);
   EXPECT_NE(s.find("features=2"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Fingerprint: schema and row count through Hasher64, then one bulk digest
+// per column and one of the targets.
+
+/// `data` with bit `bit` of row i's feature f flipped.
+Dataset FlipBit(const Dataset& data, size_t i, int f, int bit) {
+  Dataset flipped = data;
+  const uint32_t bits = std::bit_cast<uint32_t>(data.Value(i, f));
+  flipped.SetValue(i, f, std::bit_cast<float>(bits ^ (uint32_t{1} << bit)));
+  return flipped;
+}
+
+TEST(DatasetFingerprintTest, AFlippedBitInAnEdgeCellChangesIt) {
+  // Columns of 4, 28, 32, 36 and 132 bytes: a half-word tail alone, words
+  // and a half word, one whole stripe, a stripe and a half word, and four
+  // stripes and a half word.
+  for (int rows : {1, 7, 8, 9, 33}) {
+    const Dataset data = MakeToy(rows, 4, 2);
+    const uint64_t original = data.Fingerprint();
+    for (int f : {0, 3}) {
+      for (size_t i : {size_t{0}, static_cast<size_t>(rows - 1)}) {
+        for (int bit : {0, 22, 31}) {
+          SCOPED_TRACE(::testing::Message() << "rows=" << rows << " f=" << f
+                                            << " i=" << i << " bit=" << bit);
+          EXPECT_NE(FlipBit(data, i, f, bit).Fingerprint(), original);
+        }
+      }
+    }
+  }
+}
+
+TEST(DatasetFingerprintTest, ARowSwapChangesIt) {
+  const Dataset data = MakeToy(9, 3, 2);
+  EXPECT_NE(data.Subset({1, 0, 2, 3, 4, 5, 6, 7, 8}).Fingerprint(),
+            data.Fingerprint());
+  EXPECT_NE(data.Subset({0, 1, 2, 3, 4, 5, 6, 8, 7}).Fingerprint(),
+            data.Fingerprint());
+}
+
+TEST(DatasetFingerprintTest, ALabelChangeChangesIt) {
+  const Dataset data = MakeToy(9, 3, 3);
+  for (size_t i : {size_t{0}, size_t{8}}) {
+    Dataset relabeled = data;
+    relabeled.SetTarget(i, static_cast<float>((data.ClassLabel(i) + 1) % 3));
+    EXPECT_NE(relabeled.Fingerprint(), data.Fingerprint()) << "row " << i;
+  }
+}
+
+TEST(DatasetFingerprintTest, NegativeZeroDiffersFromPositiveZero) {
+  Dataset positive = MakeToy(9, 3, 2);
+  positive.SetValue(4, 1, 0.0f);
+  Dataset negative = positive;
+  negative.SetValue(4, 1, -0.0f);
+  EXPECT_NE(negative.Fingerprint(), positive.Fingerprint());
+  // A regression target too.
+  Dataset target_positive = Dataset::Create(3, 0).value();
+  for (int i = 0; i < 9; ++i) {
+    target_positive.Append({1.0f * i, 2.0f * i, 3.0f * i}, 0.5f * i);
+  }
+  target_positive.SetTarget(4, 0.0f);
+  Dataset target_negative = target_positive;
+  target_negative.SetTarget(4, -0.0f);
+  EXPECT_NE(target_negative.Fingerprint(), target_positive.Fingerprint());
+}
+
+/// A dataset whose columns, then targets, are `stream` back to back:
+/// rows = stream.size() / (features + 1).
+Dataset FromColumnStream(const std::vector<float>& stream, int features,
+                         int classes) {
+  const size_t rows = stream.size() / static_cast<size_t>(features + 1);
+  Dataset data = Dataset::Create(features, classes).value();
+  std::vector<float> row(static_cast<size_t>(features));
+  for (size_t i = 0; i < rows; ++i) {
+    for (int f = 0; f < features; ++f) row[f] = stream[f * rows + i];
+    data.Append(row, stream[features * rows + i]);
+  }
+  return data;
+}
+
+TEST(DatasetFingerprintTest, TheSameFloatsUnderAnotherSchemaDiffer) {
+  // 18 floats, all valid class ids of 2 or more classes: 2 features x 6
+  // rows + 6 targets, or 5 features x 3 rows + 3 targets.
+  std::vector<float> stream(18);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    stream[i] = static_cast<float>(i * 7 % 2);
+  }
+  const uint64_t wide = FromColumnStream(stream, 5, 2).Fingerprint();
+  EXPECT_NE(FromColumnStream(stream, 2, 2).Fingerprint(), wide);
+  EXPECT_NE(FromColumnStream(stream, 5, 3).Fingerprint(), wide);
+  EXPECT_NE(FromColumnStream(stream, 5, 0).Fingerprint(), wide);
+}
+
+TEST(DatasetFingerprintTest, IdenticalCopiesFingerprintEqual) {
+  const Dataset data = MakeToy(33, 4, 3);
+  const uint64_t original = data.Fingerprint();
+  EXPECT_EQ(MakeToy(33, 4, 3).Fingerprint(), original);
+  std::vector<size_t> all(data.size());
+  std::iota(all.begin(), all.end(), 0);
+  EXPECT_EQ(data.Subset(all).Fingerprint(), original);
+  EXPECT_EQ(data.Head(data.size()).Fingerprint(), original);
+  EXPECT_EQ(Dataset::Merge({&data}).value().Fingerprint(), original);
+  // Split into a head and a tail, then merged back with empty parts.
+  const Dataset head = data.Head(20);
+  std::vector<size_t> rest(data.size() - 20);
+  std::iota(rest.begin(), rest.end(), 20);
+  const Dataset tail = data.Subset(rest);
+  const Dataset empty = Dataset::Create(4, 3).value();
+  EXPECT_EQ(Dataset::Merge({&head, nullptr, &empty, &tail})
+                .value()
+                .Fingerprint(),
+            original);
 }
 
 }  // namespace
