@@ -23,6 +23,7 @@
 
 #include "common.h"
 #include "data/synthetic.h"
+#include "fl/utility.h"
 #include "ml/cnn.h"
 #include "ml/kernel_backend.h"
 #include "ml/linear_regression.h"
@@ -519,8 +520,9 @@ BENCHMARK(BM_FedAvgTraining)->Name("BM_FedAvgTraining/train_heavy");
 // ---------------------------------------------------------------------------
 // The random stream. Rng::Gaussian against the libstdc++ distribution it
 // reproduces bit for bit (the pair behind rng_gaussian_speedup), the
-// local-SGD shuffle of a 120-row client, and building the n = 6 digits
-// federation every cluster-outage job values, fingerprint included.
+// local-SGD shuffle of a 120-row client, building the n = 6 digits
+// federation every cluster-outage job values, fingerprint included, and
+// that fingerprint's dataset hashing alone.
 
 void BM_RngGaussian(benchmark::State& state) {
   Rng rng(7);
@@ -560,6 +562,35 @@ void BM_BuildScenario_Digits(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildScenario_Digits)->Arg(6);
+
+/// Dataset::Fingerprint over the n = 6 digits federation's client and
+/// test datasets (920 rows of 36 features and a target): the share of
+/// BM_BuildScenario_Digits/6 that content-addresses the data.
+void BM_DatasetFingerprint(benchmark::State& state) {
+  ScenarioSpec scenario;
+  scenario.kind = "digits";
+  scenario.n = 6;
+  Result<std::unique_ptr<UtilityFunction>> built = scenario.Build();
+  FEDSHAP_CHECK(built.ok());
+  const auto* utility = dynamic_cast<const FedAvgUtility*>(built->get());
+  FEDSHAP_CHECK(utility != nullptr);
+  std::vector<const Dataset*> datasets = {&utility->test_data()};
+  for (int i = 0; i < utility->num_clients(); ++i) {
+    datasets.push_back(&utility->client(i).data());
+  }
+  int64_t bytes = 0;
+  for (const Dataset* data : datasets) {
+    bytes += static_cast<int64_t>(data->size() * (data->num_features() + 1) *
+                                  sizeof(float));
+  }
+  for (auto _ : state) {
+    uint64_t digest = 0;
+    for (const Dataset* data : datasets) digest ^= data->Fingerprint();
+    benchmark::DoNotOptimize(digest);
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_DatasetFingerprint);
 
 // ---------------------------------------------------------------------------
 // Main: standard google-benchmark flags plus --json=<path> (see
