@@ -1,23 +1,16 @@
-/// Tests for the ML-side extensions: the FedProx proximal term in SGD and
-/// model parameter serialization.
-
-#include <unistd.h>
+/// Tests for the ML-side extensions: the FedProx proximal term in SGD.
 
 #include <cmath>
-#include <cstdio>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/fedavg.h"
-#include "ml/cnn.h"
-#include "ml/linear_regression.h"
 #include "ml/logistic_regression.h"
-#include "ml/mlp.h"
 #include "ml/metrics.h"
-#include "ml/serialization.h"
 #include "ml/sgd.h"
 
 namespace fedshap {
@@ -126,95 +119,6 @@ TEST(FedProxTest, ReducesClientDriftInFederatedTraining) {
     return total / 4;
   };
   EXPECT_GT(mean_local_drift(0.0), mean_local_drift(1.0));
-}
-
-class SerializationSuite : public ::testing::TestWithParam<int> {
- protected:
-  std::unique_ptr<Model> MakeModel() const {
-    switch (GetParam()) {
-      case 0:
-        return std::make_unique<LinearRegression>(6);
-      case 1:
-        return std::make_unique<LogisticRegression>(6, 3);
-      case 2:
-        return std::make_unique<Mlp>(6, 5, 3);
-      case 3:
-        return std::make_unique<Cnn>(8, 2, 3);
-    }
-    return nullptr;
-  }
-  std::string TempPath() const {
-    return ::testing::TempDir() + "/fedshap_model_" +
-           std::to_string(GetParam()) + ".txt";
-  }
-};
-
-TEST_P(SerializationSuite, RoundTripsBitExactly) {
-  std::unique_ptr<Model> model = MakeModel();
-  Rng rng(11 + GetParam());
-  model->InitializeParameters(rng);
-  const std::string path = TempPath();
-  ASSERT_TRUE(SaveModelParameters(path, *model).ok());
-
-  std::unique_ptr<Model> restored = MakeModel();
-  ASSERT_TRUE(LoadModelParameters(path, *restored).ok());
-  EXPECT_EQ(restored->GetParameters(), model->GetParameters());
-  std::remove(path.c_str());
-}
-
-TEST_P(SerializationSuite, RejectsArchitectureMismatch) {
-  std::unique_ptr<Model> model = MakeModel();
-  Rng rng(17);
-  model->InitializeParameters(rng);
-  const std::string path = TempPath();
-  ASSERT_TRUE(SaveModelParameters(path, *model).ok());
-
-  LinearRegression other(99);
-  EXPECT_FALSE(LoadModelParameters(path, other).ok());
-  std::remove(path.c_str());
-}
-
-std::string SerializationCaseName(
-    const ::testing::TestParamInfo<int>& info) {
-  static constexpr const char* kNames[] = {"linreg", "logreg", "mlp",
-                                           "cnn"};
-  return kNames[info.param];
-}
-
-INSTANTIATE_TEST_SUITE_P(AllModels, SerializationSuite,
-                         ::testing::Range(0, 4), SerializationCaseName);
-
-TEST(SerializationTest, MissingFileAndGarbage) {
-  LinearRegression model(3);
-  EXPECT_EQ(
-      LoadModelParameters("/nonexistent/nope.txt", model).code(),
-      StatusCode::kNotFound);
-
-  const std::string path = ::testing::TempDir() + "/fedshap_garbage.txt";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("this is not a model file\n", f);
-  std::fclose(f);
-  EXPECT_EQ(LoadModelParameters(path, model).code(),
-            StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, TruncatedFileRejected) {
-  LinearRegression model(4);
-  Rng rng(19);
-  model.InitializeParameters(rng);
-  const std::string path = ::testing::TempDir() + "/fedshap_truncated.txt";
-  ASSERT_TRUE(SaveModelParameters(path, model).ok());
-  // Chop the file roughly in half.
-  std::FILE* f = std::fopen(path.c_str(), "r+");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  ASSERT_EQ(0, ftruncate(fileno(f), size / 2));
-  std::fclose(f);
-  EXPECT_FALSE(LoadModelParameters(path, model).ok());
-  std::remove(path.c_str());
 }
 
 TEST(FedAvgWithProxTest, EndToEndTrainingWorks) {
